@@ -9,7 +9,9 @@ only ever sees argv and the input files written here.
 The pool of a workload is split into strata of entries with similar recorded
 cost.  A run is a sequence of passes, and each pass takes one entry from
 every stratum, so every pass has the same cost mix whichever entries the
-seed picked.
+seed picked.  The number of passes is fixed before the run starts, from the
+run's time budget and the recorded costs (``pass_count``), so the jobs a run
+measures never depend on how fast the program runs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import resource
+import statistics
+import time
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -58,6 +63,12 @@ def argv_for(workload: str, key: int, workdir: Path) -> list[str]:
     if workload == "implications":
         return ["verify-implications", "--seed", str(key), "--output", out]
     raise ValueError(f"unknown workload {workload!r}")
+
+
+def cpu_seconds() -> float:
+    """CPU time of this process's threads and of its reaped child processes."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
 
 
 def output_path(argv: list[str]) -> Path:
@@ -136,18 +147,31 @@ def strata(workload: str, golden: dict) -> list[list[int]]:
     return [keys[i : i + size] for i in range(0, len(keys), size)]
 
 
+def pass_count(workload: str, golden: dict, seconds: float) -> int:
+    """Passes whose recorded CPU cost comes closest to ``seconds``; at least one.
+
+    A run never takes a pool entry twice, so the count is at most the
+    stratum size.
+    """
+    groups = strata(workload, golden)
+    pass_cost = sum(statistics.fmean(golden[k]["cost_s"] for k in g) for g in groups)
+    return max(1, min(round(seconds / pass_cost), min(len(g) for g in groups)))
+
+
 def passes(workload: str, seed: int, golden: dict, count: int) -> list[list[int]]:
     """``count`` passes of pool keys, one key per stratum in each pass.
 
-    Within a stratum the seed fixes a permutation, so a run repeats no key
-    until it has used every key of the stratum; the seed also shuffles the
-    job order inside each pass.
+    Within a stratum the seed fixes a permutation, so ``count`` passes take
+    ``count`` distinct keys of each stratum; the seed also shuffles the job
+    order inside each pass.
     """
     rng = random.Random(f"{workload}:{seed}")
     perms = [rng.sample(keys, len(keys)) for keys in strata(workload, golden)]
+    if count > min(len(perm) for perm in perms):
+        raise ValueError(f"{count} passes would repeat a pool entry")
     out = []
     for p in range(count):
-        one_pass = [perm[p % len(perm)] for perm in perms]
+        one_pass = [perm[p] for perm in perms]
         rng.shuffle(one_pass)
         out.append(one_pass)
     return out

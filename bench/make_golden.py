@@ -5,7 +5,7 @@ Run from the repository root:
     python3 bench/make_golden.py scan membership implications
 
 Each pool job runs once in-process, as the benchmark runs it; its exit code,
-decoded artifact and wall time (used to group entries of similar cost) go to
+decoded artifact and CPU time (used to group entries of similar cost) go to
 ``bench/golden/<workload>.json``.  Only re-record after a change that is
 meant to alter results, and say so where the change is described.
 """
@@ -16,7 +16,6 @@ import json
 import shutil
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -38,9 +37,9 @@ def record(workload: str) -> None:
         entries = []
         for key in keys:
             argv = jobs.argv_for(workload, key, workdir)
-            start = time.perf_counter()
+            start = jobs.cpu_seconds()
             code = cli.main(argv)
-            cost = time.perf_counter() - start
+            cost = jobs.cpu_seconds() - start
             output = json.loads(jobs.output_path(argv).read_text())
             entries.append({"key": key, "exit": code, "cost_s": round(cost, 3), "output": output})
             print(f"{workload} {key}: exit {code}, {cost:.2f} s", file=sys.stderr, flush=True)

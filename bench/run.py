@@ -5,19 +5,23 @@
 Run from the repository root.  One client sends jobs one after another, each
 job being one ``gshlab.cli.main(argv)`` call whose artifact is checked
 against the recorded expected output (``jobs.check_job``).  Jobs come in
-passes of one job per cost stratum (``jobs.passes``); passes start until
-``--seconds`` have passed, and the last one runs to completion.  Job times
-are reported as the median over passes of the mean job time in a pass,
-which stays steady although one pass mixes jobs of very different cost.
+passes of one job per cost stratum (``jobs.passes``).  The number of passes
+is the one whose recorded cost comes closest to ``--seconds``
+(``jobs.pass_count``); it is fixed before the first job, so the measured
+jobs depend on the seed alone.  Job times are reported as the median over
+passes of the mean job time in a pass, which stays steady although one pass
+mixes jobs of very different cost.
 
 The end-to-end job metric is CPU time (``job_cpu_s``).  Wall time per job
 (``job_s``) goes to the run record only: on a shared machine it also holds
 the time other tenants take the processor, and between runs minutes apart
 it spread more than any bound the benchmark may set.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
-untraced and traced passes and reports the per-layer split (``tracer.py``),
-the fixed-input layer probes (``probes.py``) and the tracing overhead.
+``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs every job
+of the same plan twice, untraced and traced in alternating order, and
+reports the per-layer split of the traced runs (``tracer.py``), the
+fixed-input layer probes (``probes.py``) and the tracing overhead, which
+compares the CPU time of the same jobs.
 
 The last line of standard output is the result object; the line before it
 is the run record (machine, versions, load, per-job outcome).
@@ -96,25 +100,19 @@ def _versions() -> dict:
             "worker_count": _parallel.worker_count()}
 
 
-def cpu_seconds() -> float:
-    """CPU time of this process's threads and of its reaped child processes."""
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return time.process_time() + children.ru_utime + children.ru_stime
-
-
 def run_job(workload: str, key: int, golden: dict, workdir: Path, traced: bool) -> dict:
     """One ``cli.main`` call, timed, then checked by the correctness gate."""
     from gshlab import cli
 
     argv = jobs.argv_for(workload, key, workdir)
-    cpu0 = cpu_seconds()
+    cpu0 = jobs.cpu_seconds()
     t0 = time.perf_counter()
     try:
         code, error = cli.main(argv), None
     except Exception as exc:  # a crashing job is a failed job; keep the loop running
         code, error = None, f"raised {exc!r}"
     wall = time.perf_counter() - t0
-    cpu = cpu_seconds() - cpu0
+    cpu = jobs.cpu_seconds() - cpu0
     error = error or jobs.check_job(workload, code, jobs.output_path(argv), golden[key])
     if error:
         print(f"job {workload}/{key} failed: {error}", file=sys.stderr)
@@ -122,32 +120,53 @@ def run_job(workload: str, key: int, golden: dict, workdir: Path, traced: bool) 
             "error": error}
 
 
-def run_loop(workload: str, passes: list[list[int]], golden: dict, workdir: Path,
-             seconds: float, spans: tracer.Tracer | None) -> list[list[dict]]:
-    """Run whole passes, one job after another, while ``seconds`` have not passed.
+def forget_scan_batches() -> None:
+    """Drop the witness batches that ``bounds`` caches per scan config (``_BATCH_CACHE``)."""
+    from gshlab import bounds
 
-    With a tracer, passes alternate between untraced and traced, starting
-    untraced, and at least one of each runs.
+    bounds._BATCH_CACHE.clear()
+
+
+def run_plan(workload: str, plan: list[list[int]], golden: dict, workdir: Path,
+             spans: tracer.Tracer | None) -> list[list[dict]]:
+    """Run every pass of the plan, one job after another.
+
+    With a tracer every job runs twice, untraced and traced, and which of the
+    two goes first alternates from job to job.  The scan batch cache is
+    emptied before each of the two, so both build the same members.
     """
     done = []
-    start = time.perf_counter()
-    for p, keys in enumerate(passes):
-        if p >= (2 if spans else 1) and time.perf_counter() - start >= seconds:
-            break
-        traced = spans is not None and p % 2 == 1
-        if traced:
-            spans.install()
-        try:
-            done.append([run_job(workload, key, golden, workdir, traced) for key in keys])
-        finally:
-            if traced:
-                spans.remove()
+    traced_first = False
+    for keys in plan:
+        one = []
+        for key in keys:
+            if spans is None:
+                one.append(run_job(workload, key, golden, workdir, False))
+                continue
+            for traced in (traced_first, not traced_first):
+                forget_scan_batches()
+                if traced:
+                    spans.install()
+                try:
+                    one.append(run_job(workload, key, golden, workdir, traced))
+                finally:
+                    if traced:
+                        spans.remove()
+            traced_first = not traced_first
+        done.append(one)
     return done
 
 
-def pass_median(done: list[list[dict]], field: str) -> float:
-    """Median over passes of the mean per-job ``field`` within a pass."""
-    return statistics.median(statistics.fmean(r[field] for r in one) for one in done)
+def pass_median(done: list[list[dict]], field: str, traced: bool = False) -> float:
+    """Median over passes of the mean per-job ``field`` within a pass, over (un)traced runs."""
+    return statistics.median(statistics.fmean(r[field] for r in one if r["traced"] == traced)
+                             for one in done)
+
+
+def tracing_overhead(results: list[dict]) -> float:
+    """Extra CPU time of the traced runs over the untraced runs of the same jobs, as a share."""
+    plain = sum(r["cpu_s"] for r in results if not r["traced"])
+    return sum(r["cpu_s"] for r in results if r["traced"]) / plain - 1.0
 
 
 def peak_rss_mb() -> float:
@@ -251,7 +270,8 @@ def main(argv=None) -> int:
     threads_env = os.environ.pop("GSH_LAB_THREADS", None)
     load_start = os.getloadavg()
     golden = jobs.load_golden(args.workload)
-    plan = jobs.passes(args.workload, args.seed, golden, count=len(golden))
+    plan = jobs.passes(args.workload, args.seed, golden,
+                       jobs.pass_count(args.workload, golden, args.seconds))
     workdir = HERE / ".work" / str(os.getpid())
     workdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -259,17 +279,15 @@ def main(argv=None) -> int:
         setups += [setup_in_child(args.workload, workdir / f"setup-{k}")
                    for k in range(SETUP_PROBES)]
         spans = tracer.Tracer() if args.trace else None
-        done = run_loop(args.workload, plan, golden, workdir, args.seconds, spans)
+        done = run_plan(args.workload, plan, golden, workdir, spans)
         results = [r for one in done for r in one]
         failed = sum(1 for r in results if r["error"])
         if args.trace:
             from gshlab import _parallel
 
-            plain = pass_median(done[0::2], "wall_s")
-            overhead = (pass_median(done[1::2], "wall_s") - plain) / plain
             traced = [r for r in results if r["traced"]]
             metrics = layer_metrics(tracer.layer_split(spans.spans), len(traced),
-                                    _parallel.worker_count(), overhead,
+                                    _parallel.worker_count(), tracing_overhead(results),
                                     premise_yield(traced, workdir, args.workload),
                                     probes.run_probes())
         else:
@@ -283,7 +301,8 @@ def main(argv=None) -> int:
                   "setup_s": setups, "job_s": pass_median(done, "wall_s"),
                   "peak_rss_mb": peak_rss_mb(), "passes": len(done),
                   "jobs": len(results), "failed": failed, "failed_share": failed / len(results),
-                  "job_s_tail": tail([r["wall_s"] for r in results]), "job_log": done}
+                  "job_s_tail": tail([r["wall_s"] for r in results if not r["traced"]]),
+                  "job_log": done}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(json.dumps({"run_record": record}))

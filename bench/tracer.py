@@ -18,6 +18,10 @@ runs without a span of its own and counts as self time of the layer that
 calls it, except that the chunk functions handed to
 ``_parallel.map_index_chunks`` are given a span of the caller's layer.
 
+A ``CurveRegion.classify`` span counts the points it was given and the
+points it hands on to ``CurveRegion.winding``: the ones its annulus
+prefilter could not decide.
+
 Spans are kept in memory; ``layer_split`` reduces them to per-layer numbers.
 """
 
@@ -45,8 +49,12 @@ STAGES = frozenset({
 })
 
 
+CLASSIFY = "regions.CurveRegion.classify"
+WINDING = "regions.CurveRegion.winding"
+
+
 class Span:
-    __slots__ = ("name", "layer", "parent", "t0", "t1", "points", "band")
+    __slots__ = ("name", "layer", "parent", "t0", "t1", "points", "band", "workers")
 
     def __init__(self, name: str, layer: str, parent: "Span | None"):
         self.name = name
@@ -54,19 +62,14 @@ class Span:
         self.parent = parent
         self.points = 0
         self.band = 0
+        self.workers = 0
 
 
-def _band_count(args, kwargs) -> tuple[int, int]:
-    """Points passed to CurveRegion.classify, and how many its annulus prefilter cannot decide."""
+def _point_count(args, kwargs) -> int:
+    """Size of the ``points`` argument of a CurveRegion method called as ``(self, points, ...)``."""
     import numpy as np
 
-    from gshlab.regions import BOUNDARY_TOL
-
-    region, points = args[0], args[1]
-    tol = args[2] if len(args) > 2 else kwargs.get("boundary_tol", BOUNDARY_TOL)
-    rad = np.abs(np.asarray(points, dtype=np.complex128).ravel() - region.anchor)
-    band = (rad >= region.inner_radius - tol) & (rad <= region.outer_radius + tol)
-    return rad.size, int(np.count_nonzero(band))
+    return int(np.size(args[1] if len(args) > 1 else kwargs["points"]))
 
 
 class Tracer:
@@ -86,7 +89,8 @@ class Tracer:
     def _wrap(self, layer: str, name: str, fn):
         full = f"{layer}.{name}"
         stage = full in STAGES
-        counts_band = full == "regions.CurveRegion.classify"
+        classify = full == CLASSIFY
+        winding = full == WINDING
         spans = self.spans
         stack_of = self._stack
         clock = time.perf_counter
@@ -96,10 +100,12 @@ class Tracer:
             stack = stack_of()
             parent = stack[-1] if stack else None
             if not stage and parent is not None and parent.layer == layer:
+                if winding and parent.name == CLASSIFY:
+                    parent.band += _point_count(args, kwargs)
                 return fn(*args, **kwargs)
             span = Span(full, layer, parent)
-            if counts_band:
-                span.points, span.band = _band_count(args, kwargs)
+            if classify:
+                span.points = _point_count(args, kwargs)
             stack.append(span)
             span.t0 = clock()
             try:
@@ -111,7 +117,7 @@ class Tracer:
 
         return traced
 
-    def _wrap_map(self, fn):
+    def _wrap_map(self, fn, worker_count):
         """map_index_chunks: a span for the map, and one per chunk in the caller's layer."""
         spans = self.spans
         stack_of = self._stack
@@ -122,6 +128,8 @@ class Tracer:
             stack = stack_of()
             parent = stack[-1] if stack else None
             span = Span("_parallel.map_index_chunks", "_parallel", parent)
+            workers = kwargs.get("workers", args[1] if len(args) > 1 else None)
+            span.workers = worker_count() if workers is None else workers
             chunk_layer = parent.layer if parent is not None else "_parallel"
 
             def chunk(indices):
@@ -165,8 +173,10 @@ class Tracer:
                 if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                     continue
                 if inspect.isfunction(obj):
-                    wrapper = (self._wrap_map(obj) if name == "map_index_chunks"
-                               else self._wrap(layer, name, obj))
+                    if name == "map_index_chunks":
+                        wrapper = self._wrap_map(obj, mod.worker_count)
+                    else:
+                        wrapper = self._wrap(layer, name, obj)
                     wrapped[obj] = proxy.__dict__[name] = wrapper
                     if f"{layer}.{name}" in STAGES:
                         self._set(mod, name, wrapper)
@@ -209,7 +219,8 @@ def layer_split(spans: list[Span]) -> dict:
     ``busy`` (time of spans entered from another layer), ``calls`` (their
     count); per span name: ``time`` (inclusive) and ``count``; plus the
     members built under the polish, the points classified (and how many
-    fell in the annulus band), and the thread-pool totals.
+    fell in the annulus band), and the thread-pool totals: chunk busy time
+    and capacity, the map wall time times the pool's worker count.
     """
     children: dict[int, list[tuple[float, float]]] = {}
     for s in spans:
@@ -240,5 +251,5 @@ def layer_split(spans: list[Span]) -> dict:
             parts = chunks_of.get(id(s), [])
             out["chunks"] += len(parts)
             out["chunk_busy"] += sum(c.t1 - c.t0 for c in parts)
-            out["pool_capacity"] += len(parts) * (s.t1 - s.t0)
+            out["pool_capacity"] += s.workers * (s.t1 - s.t0)
     return out
