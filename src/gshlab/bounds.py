@@ -24,28 +24,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series as ts
 from ._parallel import map_index_chunks
 from .caratheodory import SchwarzSample, coeffs_from_witnesses, sample_schwarz
-from .core import coeffs_from_caratheodory, member_from_witness
+from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness
 from .refine import polish_coordinatewise, refine_grid_max, refine_grid_max_2d
+
+#: Complexity caps of the random witnesses: Blaschke zeros and their modulus.
+MAX_ZEROS = 4
+ZERO_MODULUS_CAP = 0.75
+
+#: Direct-family grid: samples of c in [0, 2], of |x| in [0, 1] and of arg x.
+DIRECT_C_SAMPLES = 41
+DIRECT_Y_SAMPLES = 21
+DIRECT_PHASE_SAMPLES = 12
+
+#: Coordinatewise golden-section polish: sweeps, and steps per coordinate.
+POLISH_ROUNDS = 2
+POLISH_ITERS = 40
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Budget and witness-complexity caps for one extremal scan."""
+    """Budget, seed, truncation order and violation tolerance of one extremal scan."""
 
     samples: int = 10_000
     seed: int = 0
     order: int = 16
-    max_zeros: int = 4
-    zero_modulus_cap: float = 0.75
-    direct_c_samples: int = 41
-    direct_y_samples: int = 21
-    direct_phase_samples: int = 12
     tolerance: float = 1e-9
-    polish_rounds: int = 2
-    polish_iters: int = 40
 
     def __post_init__(self):
         if self.samples < 1:
@@ -79,21 +84,7 @@ class BoundEstimate:
 
 def functional_value(name: str, coeffs: np.ndarray, lam: complex = 1.0) -> float:
     """|functional| from the coefficient array (indexed by power, a[1] = 1)."""
-    a = coeffs
-    if name.startswith("a") and name[1:].isdigit():
-        return float(abs(a[int(name[1:])]))
-    a2, a3, a4 = a[2], a[3], a[4]
-    if name == "fs":
-        return float(abs(a3 - complex(lam) * a2 * a2))
-    if name == "t":
-        return float(abs(a4 - a2 * a3))
-    if name == "h22":
-        return float(abs(a2 * a4 - a3 * a3))
-    if name == "h31":
-        a5 = a[5]
-        h22 = a2 * a4 - a3 * a3
-        return float(abs(a3 * h22 - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 * a2)))
-    raise ValueError(f"unknown functional {name!r}")
+    return float(abs(functional(name, coeffs, lam)))
 
 
 def claimed_bound(name: str, lam: complex = 1.0) -> float:
@@ -136,8 +127,7 @@ def witness_batch(cfg: ScanConfig) -> tuple[list[SchwarzSample], np.ndarray]:
         rows = np.empty((len(indices), cfg.order + 1), dtype=np.complex128)
         for pos, i in enumerate(indices):
             rng = np.random.default_rng((cfg.seed, i))
-            omega = sample_schwarz(rng, max_zeros=cfg.max_zeros,
-                                   zero_modulus_cap=cfg.zero_modulus_cap)
+            omega = sample_schwarz(rng, max_zeros=MAX_ZEROS, zero_modulus_cap=ZERO_MODULUS_CAP)
             witnesses.append(omega)
             rows[pos] = _member_coeffs(omega, cfg.order)
         return witnesses, rows
@@ -157,14 +147,14 @@ def _anchor_witnesses(cfg: ScanConfig, highest_power: int) -> list[SchwarzSample
     return [SchwarzSample.monomial(k) for k in range(1, top + 1)]
 
 
-def _schwarz_params(omega: SchwarzSample, cap: float):
+def _schwarz_params(omega: SchwarzSample):
     """Flatten a witness into (params, bounds) for coordinatewise polish."""
     params = [cmath.phase(complex(omega.rotation)) % (2.0 * math.pi)]
     bounds = [(0.0, 2.0 * math.pi)]
     for b in omega.zeros:
         b = complex(b)
         params.extend([abs(b), cmath.phase(b) % (2.0 * math.pi)])
-        bounds.extend([(0.0, cap), (0.0, 2.0 * math.pi)])
+        bounds.extend([(0.0, ZERO_MODULUS_CAP), (0.0, 2.0 * math.pi)])
     return np.array(params), bounds
 
 
@@ -191,52 +181,32 @@ def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0,
         omega = SchwarzSample.from_json(witness)
         return functional_value(functional, _member_coeffs(omega, order), lam)
     if witness["family"] == "caratheodory":
-        c1 = witness["c1"]
-        x = complex(*witness["x"])
-        z = complex(*witness["z"])
-        c2, c3 = coeffs_from_witnesses(c1, x, z)
-        a2, a3, a4, _ = coeffs_from_caratheodory([c1, c2, c3, 0.0])
-        coeffs = np.array([0.0, 1.0, a2, a3, a4, 0.0], dtype=np.complex128)
-        return functional_value(functional, coeffs, lam)
+        return float(_direct_values(functional, witness["c1"], complex(*witness["x"]),
+                                    complex(*witness["z"]), lam))
     raise ValueError(f"unknown witness family {witness.get('family')!r}")
 
 
 # -- direct coefficient-body family ------------------------------------------
 
+#: The parametrization fixes c1..c3, hence a2..a4 and their functionals.
 _DIRECT_FUNCTIONALS = ("a2", "a3", "a4", "fs", "t", "h22")
 
 
 def _direct_values(name: str, c1, x, z, lam: complex = 1.0):
     """Vectorized |functional| on the direct (c1, x, z) parametrization."""
+    if name not in _DIRECT_FUNCTIONALS:
+        raise ValueError(f"functional {name!r} not covered by the direct family")
     c1 = np.asarray(c1, dtype=float)
     x = np.asarray(x, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
-    gap = 4.0 - c1 * c1
-    c2 = (c1 * c1 + x * gap) / 2.0
-    c3 = (c1 ** 3 + 2.0 * gap * c1 * x - gap * c1 * x * x
-          + 2.0 * gap * (1.0 - np.abs(x) ** 2) * z) / 4.0
-    a2 = c1 / 2.0
-    a3 = c2 / 4.0
-    a4 = c1 ** 3 / 144.0 - c1 * c2 / 24.0 + c3 / 6.0
-    if name == "a2":
-        return np.abs(a2)
-    if name == "a3":
-        return np.abs(a3)
-    if name == "a4":
-        return np.abs(a4)
-    if name == "fs":
-        return np.abs(a3 - complex(lam) * a2 * a2)
-    if name == "t":
-        return np.abs(a4 - a2 * a3)
-    if name == "h22":
-        return np.abs(a2 * a4 - a3 * a3)
-    raise ValueError(f"functional {name!r} not covered by the direct family")
+    c2, c3 = coeffs_from_witnesses(c1, x, z)
+    return np.abs(functional(name, (0.0, 1.0, *coeffs_from_caratheodory((c1, c2, c3, 0.0))), lam))
 
 
-def _direct_family_max(name: str, cfg: ScanConfig, lam: complex = 1.0):
-    cs = np.linspace(0.0, 2.0, cfg.direct_c_samples)
-    ys = np.linspace(0.0, 1.0, cfg.direct_y_samples)
-    phases = np.linspace(0.0, 2.0 * np.pi, cfg.direct_phase_samples, endpoint=False)
+def _direct_family_max(name: str, lam: complex = 1.0):
+    cs = np.linspace(0.0, 2.0, DIRECT_C_SAMPLES)
+    ys = np.linspace(0.0, 1.0, DIRECT_Y_SAMPLES)
+    phases = np.linspace(0.0, 2.0 * np.pi, DIRECT_PHASE_SAMPLES, endpoint=False)
     zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
     cc, yy, pp, zz = np.meshgrid(cs, ys, phases, zs, indexing="ij")
     vals = _direct_values(name, cc, yy * np.exp(1j * pp), zz, lam)
@@ -249,8 +219,7 @@ def _direct_family_max(name: str, cfg: ScanConfig, lam: complex = 1.0):
                                     cmath.exp(1j * p[3]), lam))
 
     bounds = [(0.0, 2.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
-    p, best = polish_coordinatewise(score, x0, bounds,
-                                    rounds=cfg.polish_rounds, iters=cfg.polish_iters)
+    p, best = polish_coordinatewise(score, x0, bounds, rounds=POLISH_ROUNDS, iters=POLISH_ITERS)
     witness = caratheodory_witness_to_json(p[0], p[1] * cmath.exp(1j * p[2]),
                                            cmath.exp(1j * p[3]))
     return best, witness
@@ -259,25 +228,17 @@ def _direct_family_max(name: str, cfg: ScanConfig, lam: complex = 1.0):
 # -- scans --------------------------------------------------------------------
 
 
-def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
-    """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if cfg.order < n:
-        raise ValueError(f"scan order {cfg.order} cannot expose a_{n}")
-    name = f"a{n}"
+def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> BoundEstimate:
+    """Empirical maximum of |name| over the search families, against its claimed bound.
+
+    The best of the monomial anchors z^1..z^anchor_power and the random batch
+    is polished over its witness parameters.  The named functionals of a2..a4
+    also scan the direct family (the coefficient scans do not), and the larger
+    maximum wins.
+    """
     witnesses, rows = witness_batch(cfg)
-    anchors = _anchor_witnesses(cfg, highest_power=max(5, n))
-    best, witness = _witness_family_max_with_anchors(name, cfg, anchors, witnesses, rows)
-    claim = claimed_bound(name)
-    return BoundEstimate(functional=name, empirical_max=best, witness=witness,
-                         claimed_bound=claim, attained_ratio=best / claim,
-                         violation=bool(best > claim + cfg.tolerance))
-
-
-def _witness_family_max_with_anchors(name, cfg, anchors, witnesses, rows, lam=1.0):
-    candidates = list(anchors)
-    values = [functional_value(name, _member_coeffs(w, cfg.order), lam) for w in anchors]
+    candidates = _anchor_witnesses(cfg, anchor_power)
+    values = [functional_value(name, _member_coeffs(w, cfg.order), lam) for w in candidates]
     batch_vals = np.array([functional_value(name, rows[i], lam)
                            for i in range(rows.shape[0])])
     if batch_vals.size:
@@ -286,19 +247,36 @@ def _witness_family_max_with_anchors(name, cfg, anchors, witnesses, rows, lam=1.
         values.append(float(batch_vals[j]))
     k = int(np.argmax(values))
     best_witness, best = candidates[k], float(values[k])
-    params, bounds = _schwarz_params(best_witness, cfg.zero_modulus_cap)
+    params, bounds = _schwarz_params(best_witness)
 
     def score(p):
         return functional_value(name, _member_coeffs(_schwarz_from_params(p), cfg.order), lam)
 
     if len(params) > 1:
         params, polished = polish_coordinatewise(score, params, bounds,
-                                                 rounds=cfg.polish_rounds,
-                                                 iters=cfg.polish_iters)
+                                                 rounds=POLISH_ROUNDS, iters=POLISH_ITERS)
         if polished > best:
             best = polished
             best_witness = _schwarz_from_params(params)
-    return best, witness_to_json(best_witness)
+    witness = witness_to_json(best_witness)
+    if name in FUNCTIONALS and name in _DIRECT_FUNCTIONALS:
+        direct_best, direct_witness = _direct_family_max(name, lam)
+        if direct_best > best:
+            best, witness = direct_best, direct_witness
+    claim = claimed_bound(name, lam)
+    return BoundEstimate(functional=f"fs({lam})" if name == "fs" else name,
+                         empirical_max=best, witness=witness, claimed_bound=claim,
+                         attained_ratio=best / claim,
+                         violation=bool(best > claim + cfg.tolerance))
+
+
+def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
+    """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if cfg.order < n:
+        raise ValueError(f"scan order {cfg.order} cannot expose a_{n}")
+    return _scan(f"a{n}", cfg, anchor_power=max(5, n))
 
 
 def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
@@ -308,23 +286,11 @@ def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate
     ``lam``) or ``t`` (the functional a4 - a2 a3).  Both search families run
     where applicable and the larger maximum wins.
     """
-    if kind not in ("h22", "h31", "fs", "t"):
+    if kind not in FUNCTIONALS:
         raise ValueError(f"unknown scan kind {kind!r}")
     if cfg.order < 5:
         raise ValueError("scan order must be at least 5")
-    witnesses, rows = witness_batch(cfg)
-    anchors = _anchor_witnesses(cfg, highest_power=4)
-    best, witness = _witness_family_max_with_anchors(kind, cfg, anchors,
-                                                     witnesses, rows, lam)
-    if kind in _DIRECT_FUNCTIONALS:
-        direct_best, direct_witness = _direct_family_max(kind, cfg, lam)
-        if direct_best > best:
-            best, witness = direct_best, direct_witness
-    claim = claimed_bound(kind, lam)
-    return BoundEstimate(functional=kind if kind != "fs" else f"fs({lam})",
-                         empirical_max=best, witness=witness, claimed_bound=claim,
-                         attained_ratio=best / claim,
-                         violation=bool(best > claim + cfg.tolerance))
+    return _scan(kind, cfg, anchor_power=4, lam=lam)
 
 
 # -- the closed-form envelope of the h22 functional ---------------------------

@@ -17,7 +17,6 @@ regression suite over random samples).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -228,8 +227,7 @@ def rotate_to_real_first(c: np.ndarray) -> np.ndarray:
 
 
 def coeffs_from_witnesses(c1: complex, x: complex, z: complex) -> tuple[complex, complex]:
-    """Inverse direction: (c2, c3) from the unit-disk parameters."""
-    c1, x, z = complex(c1), complex(x), complex(z)
+    """Inverse direction: (c2, c3) from the unit-disk parameters (scalars or arrays)."""
     gap = 4.0 - c1 * c1
     c2 = (c1 * c1 + x * gap) / 2.0
     c3 = (c1 ** 3 + 2.0 * gap * c1 * x - gap * c1 * x * x
@@ -461,7 +459,3 @@ def inequality_suite(samples: int, seed: int, max_order: int = 8,
         merged.quartic_condition_hits += part.quartic_condition_hits
         merged.degenerate_witnesses += part.degenerate_witnesses
     return merged
-
-
-def dumps_sample(sample: HerglotzSample | SchwarzSample) -> str:
-    return json.dumps(sample.to_json(), sort_keys=True)

@@ -21,6 +21,7 @@ import numpy as np
 from . import bounds as bd
 from . import caratheodory as cara
 from . import core
+from . import regions
 from . import series as ts
 from . import subordination as sub
 
@@ -109,11 +110,7 @@ def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
             return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
         if "weights" in obj:
             k = cara.HerglotzSample.from_json(obj).series(order)
-            one = ts.constant(1.0, order)
-            w = ts.div(k - one, k + one)
-            q = one + ts.sinh(w)
-            return core.NormalizedFunction(
-                ts.shift_up(ts.exp(ts.integrate_ratio(q))).truncate(order))
+            return core.member_from_witness(ts.div(k - 1, k + 1), order)
     except (ValueError, ts.SeriesError) as exc:
         raise InputInvariantError(str(exc)) from exc
     raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
@@ -341,13 +338,13 @@ def _cmd_plot_data(args) -> int:
         raise InputInvariantError("resolution must be >= 64")
     t = np.linspace(0.0, 2.0 * np.pi, args.resolution + 1)
     if args.curve == "sinh-boundary":
-        w = np.sinh(np.exp(1j * t))
+        w = regions.sinh_boundary(t)
     elif args.curve == "janowski":
         try:
             sub.JanowskiParams(args.A, args.B)
         except ValueError as exc:
             raise InputInvariantError(str(exc)) from exc
-        w = (1.0 + args.A * np.exp(1j * t)) / (1.0 + args.B * np.exp(1j * t))
+        w = regions.janowski_boundary(t, args.A, args.B)
     else:
         if args.input is None:
             raise UsageError("ratio-image requires --input")

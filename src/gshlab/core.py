@@ -32,7 +32,7 @@ from scipy.integrate import quad
 from . import series as ts
 from .caratheodory import SchwarzSample
 from .refine import golden_max, polish_coordinatewise
-from .regions import BOUNDARY_TOL, sinh_region
+from .regions import sinh_region
 
 
 class PreconditionNotMet(ValueError):
@@ -199,8 +199,11 @@ def ratio_series(f: NormalizedFunction) -> ts.TruncatedSeries:
 
 
 def coeffs_from_caratheodory(c) -> tuple[complex, complex, complex, complex]:
-    """(a_2, a_3, a_4, a_5) of the member induced by coefficients c_1..c_4."""
-    c1, c2, c3, c4 = (complex(v) for v in c)
+    """(a_2, a_3, a_4, a_5) of the member induced by coefficients c_1..c_4.
+
+    The c_n may be scalars or arrays of one shape.
+    """
+    c1, c2, c3, c4 = c
     a2 = c1 / 2.0
     a3 = c2 / 4.0
     a4 = c1 ** 3 / 144.0 - c1 * c2 / 24.0 + c3 / 6.0
@@ -288,8 +291,7 @@ def _kernel_modulus(f: NormalizedFunction, theta: float, z: complex) -> float:
 
 
 def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
-                        grid: PolarGrid = DEFAULT_GRID,
-                        zero_tol: float = ZERO_TOL) -> KernelVerdict:
+                        grid: PolarGrid = DEFAULT_GRID) -> KernelVerdict:
     """Scan (1/z)(z f' - beta (z f' - f)) over the polar grid for every angle.
 
     The value equals f'(z) - beta (f'(z) - f(z)/z), so no division is
@@ -337,7 +339,7 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
             best_theta = float(p[0]) % (2.0 * math.pi)
             best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
     ratio_floor = float(np.min(np.abs(g)))
-    return KernelVerdict(nonvanishing=bool(best > zero_tol and ratio_floor > zero_tol),
+    return KernelVerdict(nonvanishing=bool(best > ZERO_TOL and ratio_floor > ZERO_TOL),
                          min_modulus=best, argmin_theta=best_theta,
                          argmin_z=best_z, ratio_floor=ratio_floor)
 
@@ -364,17 +366,15 @@ class GeometricVerdict:
                 "ambiguous_count": self.ambiguous_count}
 
 
-def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID,
-                         curve_samples: int = 4096,
-                         boundary_tol: float = BOUNDARY_TOL) -> GeometricVerdict:
+def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
     """Geometric test: all sampled values of z f'/f - 1 inside the sinh image.
 
     Containment is decided by winding number against a dense polygonal
-    discretization of the boundary curve.  Samples within ``boundary_tol``
+    discretization of the boundary curve.  Samples within ``regions.BOUNDARY_TOL``
     of the curve are ambiguous and conservatively force a non-member
     verdict (counted in the result).
     """
-    region = sinh_region(curve_samples)
+    region = sinh_region()
     z = grid.points()
     g = f.over_z_values(z)
     fp = f.derivative_values(z)
@@ -382,7 +382,7 @@ def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID,
     g_safe = np.where(safe, g, 1.0)
     far_outside = region.anchor + 2.0 * region.outer_radius
     values = np.where(safe, (fp - g_safe) / g_safe, far_outside)
-    inside, ambiguous = region.classify(values, boundary_tol)
+    inside, ambiguous = region.classify(values)
     outside = ~inside & ~ambiguous
     member = bool(np.all(inside))
     excursion = float(np.max(region.boundary_distance(values[outside]))) if np.any(outside) else 0.0
@@ -427,6 +427,28 @@ def membership_report(f: NormalizedFunction, theta_samples: int = 512,
 
 # -- coefficient functionals -----------------------------------------------
 
+#: The signed coefficient functionals, over coefficients ``a`` indexed by power
+#: (``a[2]`` is a_2) and the Fekete-Szego parameter ``lam``.  Entries of ``a``
+#: may be scalars or arrays; callers take the modulus their own way, since the
+#: builtin ``abs`` of a numpy scalar and ``np.abs`` of an array can differ in
+#: the last bit.
+FUNCTIONALS = {
+    "fs": lambda a, lam: a[3] - lam * a[2] * a[2],
+    "t": lambda a, lam: a[4] - a[2] * a[3],
+    "h22": lambda a, lam: a[2] * a[4] - a[3] * a[3],
+    "h31": lambda a, lam: (a[3] * FUNCTIONALS["h22"](a, lam) - a[4] * FUNCTIONALS["t"](a, lam)
+                           + a[5] * (a[3] - a[2] * a[2])),
+}
+
+
+def functional(name: str, a, lam: complex = 1.0):
+    """Signed value of the coefficient ``aN`` or of a functional in :data:`FUNCTIONALS`."""
+    if name.startswith("a") and name[1:].isdigit():
+        return a[int(name[1:])]
+    if name not in FUNCTIONALS:
+        raise ValueError(f"unknown functional {name!r}")
+    return FUNCTIONALS[name](a, complex(lam))
+
 
 @dataclass(frozen=True)
 class HankelReport:
@@ -438,21 +460,14 @@ class HankelReport:
     h31: complex       # third-order determinant from a2..a5
 
     def to_json(self) -> dict:
-        return {k: [getattr(self, k).real, getattr(self, k).imag]
-                for k in ("fs", "t", "h22", "h31")}
+        return {k: [getattr(self, k).real, getattr(self, k).imag] for k in FUNCTIONALS}
 
 
 def hankel_report(f: NormalizedFunction, lam: complex = 1.0) -> HankelReport:
     if f.order < 5:
         raise PreconditionNotMet("need coefficients up to a_5 (order >= 5)")
-    a2, a3, a4, a5 = (f.coeff(k) for k in (2, 3, 4, 5))
-    h22 = a2 * a4 - a3 * a3
-    return HankelReport(
-        fs=a3 - complex(lam) * a2 * a2,
-        t=a4 - a2 * a3,
-        h22=h22,
-        h31=a3 * h22 - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 * a2),
-    )
+    a = [f.coeff(k) for k in range(6)]
+    return HankelReport(**{name: functional(name, a, lam) for name in FUNCTIONALS})
 
 
 # -- growth, distortion and covering ----------------------------------------

@@ -10,6 +10,8 @@ classified without touching the polygon.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_CURVE_SAMPLES = 4096
@@ -60,7 +62,7 @@ class CurveRegion:
         self._x1 = nxt.real
         self._y1 = nxt.imag
         # radial prefilter bounds about the anchor
-        self._r_in = float(np.min(self._segment_distance_scalar(self.anchor)))
+        self._r_in = float(self.boundary_distance(np.array([self.anchor]))[0])
         self._r_out = float(np.max(np.abs(v - self.anchor)))
         if self._r_in <= 0 or self.winding(np.array([self.anchor]))[0] == 0:
             raise ValueError("anchor must lie strictly inside the curve")
@@ -80,16 +82,6 @@ class CurveRegion:
                       anchor: complex = 0.0) -> "CurveRegion":
         t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         return cls(boundary(t), anchor=anchor)
-
-    def _segment_distance_scalar(self, w: complex) -> np.ndarray:
-        """Distance from one point to every polygon segment."""
-        ax, ay = self._x0, self._y0
-        bx, by = self._x1, self._y1
-        dx, dy = bx - ax, by - ay
-        px, py = w.real - ax, w.imag - ay
-        denom = dx * dx + dy * dy
-        t = np.clip((px * dx + py * dy) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
-        return np.hypot(px - t * dx, py - t * dy)
 
     def winding(self, points: np.ndarray) -> np.ndarray:
         """Winding number of the polygon around each query point."""
@@ -151,20 +143,13 @@ class CurveRegion:
         return bool(np.all(inside) and not np.any(ambiguous))
 
 
-_REGION_CACHE: dict[tuple, CurveRegion] = {}
-
-
-def sinh_region(samples: int = DEFAULT_CURVE_SAMPLES) -> CurveRegion:
+@functools.cache
+def sinh_region() -> CurveRegion:
     """Cached region sinh(unit disk), anchored at 0."""
-    key = ("sinh", samples)
-    if key not in _REGION_CACHE:
-        _REGION_CACHE[key] = CurveRegion.from_boundary(sinh_boundary, samples, anchor=0.0)
-    return _REGION_CACHE[key]
+    return CurveRegion.from_boundary(sinh_boundary, anchor=0.0)
 
 
-def sqrt_disk_region(samples: int = DEFAULT_CURVE_SAMPLES) -> CurveRegion:
+@functools.cache
+def sqrt_disk_region() -> CurveRegion:
     """Cached region sqrt(1 + unit disk), anchored at 1."""
-    key = ("sqrt", samples)
-    if key not in _REGION_CACHE:
-        _REGION_CACHE[key] = CurveRegion.from_boundary(sqrt_disk_boundary, samples, anchor=1.0)
-    return _REGION_CACHE[key]
+    return CurveRegion.from_boundary(sqrt_disk_boundary, anchor=1.0)

@@ -43,6 +43,9 @@ from .regions import sinh_region, sqrt_disk_region
 #: Deviations must stay below 1 by at least this margin for the premise to hold.
 PREMISE_MARGIN = 1e-6
 
+#: Times a candidate failing the premise is rescaled toward the identity.
+SHRINK_STEPS = 24
+
 
 class ZeroDivisorOnGrid(ValueError):
     """f(z)/z vanished on the evaluation grid where the operator divides by it."""
@@ -348,12 +351,11 @@ def _config_floor(kind: OperatorKind, alpha: complex, params: JanowskiParams,
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                threshold: float, seed: int, target_non_vacuous: int = 50,
                max_attempts: int = 400, grid: PolarGrid = HARNESS_GRID,
-               shrink_steps: int = 24,
                keep_records: bool = True) -> tuple[ConfigSummary, list[ImplicationRecord]]:
     """Sample candidates for one configuration until enough premise-true cases.
 
     Candidates failing the premise are rescaled toward the identity (tail
-    coefficients halved) up to ``shrink_steps`` times; if the premise still
+    coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
     fails the attempt is recorded as vacuous.
     """
     summary = ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
@@ -370,7 +372,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         f = _sample_candidate(rng)
         record = None
         deviation = math.inf
-        for _ in range(shrink_steps + 1):
+        for _ in range(SHRINK_STEPS + 1):
             try:
                 values = operator_values(f, kind, alpha, z)
             except ZeroDivisorOnGrid:
@@ -441,25 +443,29 @@ def implication_harness(seed: int = 0, configs=DEFAULT_CONFIGS,
 # -- operator identities for derived conditions -------------------------------
 
 
+def _log_derivative_parts(g: NormalizedFunction, order: int):
+    """g/z and g' (constant 1), the factor 2 + z g''/g' - z g'/g and l = z^2 g'/g.
+
+    g is padded to order + 2; the factor has order ``order``.
+    """
+    work = g.series.truncate(order + 2)
+    h = ts.shift_down(work)
+    gp = ts.derivative(work)
+    factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(ts.derivative(gp)), gp)
+              - ts.div(gp, h))
+    return h, gp, factor, ts.shift_up(ts.div(gp, h))
+
+
 def log_derivative_transform(g: NormalizedFunction, order: int) -> ts.TruncatedSeries:
     """Series of l = z^2 g'(z)/g(z), the substitution reducing derived conditions."""
-    work = g.series.truncate(order + 2) if g.order >= order + 2 else g.series
-    h = ts.shift_down(work)                       # g/z, constant 1
-    gp = ts.derivative(work)                      # g', constant 1
-    return ts.shift_up(ts.div(gp, h)).truncate(min(order + 1, gp.order + 1))
+    return _log_derivative_parts(g, order)[3].truncate(min(order + 1, g.order))
 
 
 def log_derivative_identity_residual(g: NormalizedFunction, order: int = 16) -> float:
     """Max coefficient residual of z l' = (z^2 g'/g)(2 + z g''/g' - z g'/g)."""
-    work = g.series.truncate(order + 2)
-    h = ts.shift_down(work)
-    gp = ts.derivative(work)
-    gpp = ts.derivative(gp)
-    factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(gpp), gp)
-              - ts.div(gp, h))
-    l = ts.shift_up(ts.div(gp, h))
+    _, _, factor, l = _log_derivative_parts(g, order)
     lhs = ts.shift_up(ts.derivative(l)).truncate(order)
-    rhs = ts.mul(l.truncate(order), factor.truncate(order))
+    rhs = ts.mul(l, factor)
     n = min(lhs.order, rhs.order)
     return float(np.max(np.abs(lhs.coeffs[: n + 1] - rhs.coeffs[: n + 1])))
 
@@ -482,14 +488,8 @@ def membership_operator_series(g: NormalizedFunction, kind: OperatorKind | int,
     residual = log_derivative_identity_residual(g, order)
     if residual > 1e-10:
         raise ArithmeticError(f"operator identity residual {residual:.3e} exceeds 1e-10")
-    work = g.series.truncate(order + 2)
-    h = ts.shift_down(work)
-    gp = ts.derivative(work)
-    gpp = ts.derivative(gp)
-    factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(gpp), gp)
-              - ts.div(gp, h)).truncate(order)
+    h, gp, factor, l = _log_derivative_parts(g, order)
     if kind is OperatorKind.Z_FPRIME:
-        l = ts.shift_up(ts.div(gp, h)).truncate(order)
         core = ts.mul(l, factor)
     elif kind is OperatorKind.RATIO:
         core = factor

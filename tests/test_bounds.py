@@ -200,10 +200,14 @@ def test_scan_rejects_bad_inputs():
 
 
 def test_estimates_reproducible_from_witness():
-    for est in (bd.hankel_scan("h22", CFG), bd.scan_coefficient_bound(3, CFG)):
-        name = est.functional if not est.functional.startswith("fs") else "fs"
-        again = bd.evaluate_witness(est.witness, name, order=CFG.order)
-        assert again == pytest.approx(est.empirical_max, abs=1e-10)
+    # every reported maximum is the value of its serialized witness, bit for bit
+    lams = (0.0, 0.5, 1.0, 2.0)
+    fs_lam = {f"fs({lam})": lam for lam in lams}
+    for est in bd.default_scan_suite(CFG, fs_lams=lams):
+        name = "fs" if est.functional in fs_lam else est.functional
+        again = bd.evaluate_witness(est.witness, name, fs_lam.get(est.functional, 1.0),
+                                    order=CFG.order)
+        assert again == est.empirical_max, est.functional
 
 
 def test_scan_maxima_monotone_in_budget():
