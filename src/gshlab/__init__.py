@@ -41,7 +41,6 @@ from .core import (
     ComboSpec,
     GrowthRecord,
     HankelReport,
-    KernelParams,
     MembershipReport,
     NormalizedFunction,
     PolarGrid,

@@ -42,6 +42,10 @@ DIRECT_PHASE_SAMPLES = 12
 POLISH_ROUNDS = 2
 POLISH_ITERS = 40
 
+#: Envelope grids: samples of c in [0, 2] and of y in [0, 1].
+ENVELOPE_C_SAMPLES = 201
+ENVELOPE_Y_SAMPLES = 101
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -322,11 +326,10 @@ def _h22_envelope_array(c, y):
             + 12.0 * c * gap * (1.0 - y * y)) / 288.0
 
 
-def h22_envelope_max(c_samples: int = 201, y_samples: int = 101,
-                     levels: int = 4) -> tuple[float, tuple[float, float]]:
+def h22_envelope_max() -> tuple[float, tuple[float, float]]:
     """Grid maximum of the envelope over [0, 2] x [0, 1] with local zoom."""
     return refine_grid_max_2d(_h22_envelope_array, (0.0, 2.0), (0.0, 1.0),
-                              (c_samples, y_samples), levels=levels)
+                              (ENVELOPE_C_SAMPLES, ENVELOPE_Y_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -344,13 +347,12 @@ class EnvelopeProfile:
                 "argmax_c": self.argmax_c, "max_value": self.max_value}
 
 
-def h22_envelope_profile(c_samples: int = 201) -> EnvelopeProfile:
+def h22_envelope_profile() -> EnvelopeProfile:
     """Tabulate the y = 1 section of the envelope and locate its maximum."""
-    cs = np.linspace(0.0, 2.0, c_samples)
+    cs = np.linspace(0.0, 2.0, ENVELOPE_C_SAMPLES)
     values = _h22_envelope_array(cs, np.ones_like(cs))
     argmax_c, max_value = refine_grid_max(
-        lambda x: _h22_envelope_array(x, np.ones_like(x)), 0.0, 2.0, c_samples,
-        levels=4)
+        lambda x: _h22_envelope_array(x, np.ones_like(x)), 0.0, 2.0, ENVELOPE_C_SAMPLES)
     return EnvelopeProfile(cs=cs, values=values, argmax_c=argmax_c, max_value=max_value)
 
 

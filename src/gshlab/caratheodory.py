@@ -34,6 +34,15 @@ WITNESS_MODULUS_TOL = 1e-9
 #: nodes on the unit circle); sharp bounds are attained there.
 BOUNDARY_BIAS = 0.3
 
+#: Most atoms in a sampled Herglotz combination.
+MAX_ATOMS = 6
+
+#: Unit-circle samples behind :meth:`SchwarzSample.boundary_max`.
+BOUNDARY_SAMPLES = 1024
+
+#: The inequality suite checks |c_n| <= 2 for n = 1..SUITE_MAX_ORDER.
+SUITE_MAX_ORDER = 8
+
 
 @dataclass(frozen=True)
 class HerglotzSample:
@@ -65,16 +74,6 @@ class HerglotzSample:
         if order >= 1:
             out[1:] = self.coeffs(order)
         return ts.TruncatedSeries(out)
-
-    def values(self, z) -> np.ndarray:
-        """Pointwise rational evaluation of k(z) (no truncation error)."""
-        z = np.asarray(z, dtype=np.complex128)
-        w = np.asarray(self.weights, dtype=float)
-        eta = np.asarray(self.nodes, dtype=np.complex128)
-        num = 1.0 + eta[:, None] * z.ravel()[None, :]
-        den = 1.0 - eta[:, None] * z.ravel()[None, :]
-        vals = (w[:, None] * num / den).sum(axis=0)
-        return vals.reshape(z.shape)
 
     def to_json(self) -> dict:
         return {
@@ -119,9 +118,9 @@ class SchwarzSample:
             out = out * (z - b) / (1.0 - b.conjugate() * z)
         return out
 
-    def boundary_max(self, samples: int = 1024) -> float:
+    def boundary_max(self) -> float:
         """Max modulus on the unit circle; must not exceed 1 (up to 1e-10)."""
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        t = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
         return float(np.max(np.abs(self.values(np.exp(1j * t)))))
 
     def to_json(self) -> dict:
@@ -285,25 +284,24 @@ def quartic_combination_value(c: np.ndarray, l: float, r: float, m: float, n: fl
 # -- random sampling -------------------------------------------------------
 
 
-def sample_herglotz(rng: np.random.Generator, max_atoms: int = 6,
-                    boundary_bias: float = BOUNDARY_BIAS,
+def sample_herglotz(rng: np.random.Generator,
                     node_radius_cap: float | None = None) -> HerglotzSample:
-    """Draw a random finite Herglotz combination.
+    """Draw a random finite Herglotz combination of at most ``MAX_ATOMS`` atoms.
 
-    With probability ``boundary_bias`` the draw is a boundary-type
+    With probability ``BOUNDARY_BIAS`` the draw is a boundary-type
     configuration (single atom, or all nodes on the unit circle), since the
     sharp coefficient bounds are attained there.  ``node_radius_cap``
     restricts node moduli when set.
     """
-    if rng.random() < boundary_bias and node_radius_cap is None:
+    if rng.random() < BOUNDARY_BIAS and node_radius_cap is None:
         if rng.random() < 0.5:
             node = np.exp(2j * np.pi * rng.random())
             return HerglotzSample(weights=(1.0,), nodes=(complex(node),))
-        atoms = int(rng.integers(2, max_atoms + 1))
+        atoms = int(rng.integers(2, MAX_ATOMS + 1))
         weights = rng.dirichlet(np.ones(atoms))
         nodes = np.exp(2j * np.pi * rng.random(atoms))
         return HerglotzSample(weights=tuple(weights), nodes=tuple(map(complex, nodes)))
-    atoms = int(rng.integers(1, max_atoms + 1))
+    atoms = int(rng.integers(1, MAX_ATOMS + 1))
     weights = rng.dirichlet(np.ones(atoms))
     cap = 1.0 if node_radius_cap is None else float(node_radius_cap)
     radii = cap * np.sqrt(rng.random(atoms))
@@ -334,7 +332,6 @@ class SuiteReport:
 
     samples: int
     seed: int
-    max_order: int
     checks: dict[str, int] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     quartic_condition_hits: int = 0
@@ -348,7 +345,7 @@ class SuiteReport:
         return {
             "samples": self.samples,
             "seed": self.seed,
-            "max_order": self.max_order,
+            "max_order": SUITE_MAX_ORDER,
             "checks": dict(sorted(self.checks.items())),
             "violations": self.violations,
             "quartic_condition_hits": self.quartic_condition_hits,
@@ -359,9 +356,8 @@ class SuiteReport:
 _SUITE_TOL = 1e-9
 
 
-def _suite_chunk(indices: range, seed: int, max_order: int,
-                 node_radius_cap: float | None) -> SuiteReport:
-    report = SuiteReport(samples=len(indices), seed=seed, max_order=max_order)
+def _suite_chunk(indices: range, seed: int, node_radius_cap: float | None) -> SuiteReport:
+    report = SuiteReport(samples=len(indices), seed=seed)
     checks = report.checks
     for name in ("modulus", "fekete_szego_complex", "fekete_szego_real",
                  "cubic", "quartic", "witnesses"):
@@ -377,10 +373,10 @@ def _suite_chunk(indices: range, seed: int, max_order: int,
     for i in indices:
         rng = np.random.default_rng((seed, i))
         sample = sample_herglotz(rng, node_radius_cap=node_radius_cap)
-        c = sample.coeffs(max(max_order, 4))
+        c = sample.coeffs(SUITE_MAX_ORDER)
 
         checks["modulus"] += 1
-        worst = float(np.max(np.abs(c[:max_order])))
+        worst = float(np.max(np.abs(c)))
         if worst > 2.0 + _SUITE_TOL:
             violation("modulus", sample, value=worst)
 
@@ -440,7 +436,7 @@ def _suite_chunk(indices: range, seed: int, max_order: int,
     return report
 
 
-def inequality_suite(samples: int, seed: int, max_order: int = 8,
+def inequality_suite(samples: int, seed: int,
                      node_radius_cap: float | None = None) -> SuiteReport:
     """Check the sharp coefficient inequalities on random Herglotz samples.
 
@@ -450,8 +446,8 @@ def inequality_suite(samples: int, seed: int, max_order: int = 8,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     parts = map_index_chunks(
-        lambda idx: _suite_chunk(idx, seed, max_order, node_radius_cap), samples)
-    merged = SuiteReport(samples=samples, seed=seed, max_order=max_order)
+        lambda idx: _suite_chunk(idx, seed, node_radius_cap), samples)
+    merged = SuiteReport(samples=samples, seed=seed)
     for part in parts:
         for key, count in part.checks.items():
             merged.checks[key] = merged.checks.get(key, 0) + count

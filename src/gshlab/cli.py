@@ -1,18 +1,22 @@
 """Batch command line front end.
 
 Subcommands: coeffs, membership, bounds-scan, thresholds, growth,
-lemma-suite, verify-implications, plot-data.  Analysis verdicts (including
+lemma-suite, verify-implications, plot-data.  Each subcommand accepts only
+the flags it reads, and a flag with a range checks it as it is parsed (the
+Janowski pair --A/--B is checked together).  Analysis verdicts (including
 "non-member" and bound violations) exit 0; exit 1 flags usage or parse
-errors, exit 2 an invariant violation in the input, and exit 3 a requested
-assertion-class check that failed (a harness counterexample or an
-inequality-suite violation).  Identical configurations, seeds included,
-produce byte-identical artifacts.
+errors (an unknown flag, text that does not parse), exit 2 an invariant
+violation in the input (a value out of range, a malformed input file), and
+exit 3 a requested assertion-class check that failed (a harness
+counterexample or an inequality-suite violation).  Identical
+configurations, seeds included, produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -111,98 +115,132 @@ def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
         if "weights" in obj:
             k = cara.HerglotzSample.from_json(obj).series(order)
             return core.member_from_witness(ts.div(k - 1, k + 1), order)
-    except (ValueError, ts.SeriesError) as exc:
-        raise InputInvariantError(str(exc)) from exc
+    except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
+        raise InputInvariantError(f"{path}: {exc}") from exc
     raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
 
 
-def _witness_argument(name: str):
+def _ranged(kind, name: str, ok, rule: str):
+    """argparse ``type`` that range-checks one value.
+
+    Text ``kind`` cannot parse raises ValueError, which argparse reports as a
+    usage error (exit 1); a value failing ``ok`` is an invariant violation
+    (exit 2).
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise InputInvariantError(f"{name} must {rule}, got {value!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _ranged_list(kind, name: str, ok, rule: str):
+    """argparse ``type`` for a comma list whose every item is range-checked."""
+    item = _ranged(kind, name, ok, rule)
+
+    def parse(text: str):
+        return tuple(item(v) for v in text.split(","))
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+def _witness(name: str):
+    """argparse ``type`` of ``--witness``: 'identity', 'zero' or 'z^K' with K >= 1."""
     if name == "identity":
         return cara.SchwarzSample.monomial(1)
     if name == "zero":
         return ts.constant(0.0)
-    if name.startswith("z^"):
-        try:
-            return cara.SchwarzSample.monomial(int(name[2:]))
-        except ValueError as exc:
-            raise UsageError(f"bad witness argument {name!r}") from exc
-    obj = _load_json(name)
-    try:
-        return cara.SchwarzSample.from_json(obj)
-    except (KeyError, ValueError) as exc:
-        raise InputInvariantError(f"{name}: {exc}") from exc
+    if name.startswith("z^") and name[2:].isdecimal():
+        if int(name[2:]) < 1:
+            raise InputInvariantError(f"witness power must be >= 1, got {name!r}")
+        return cara.SchwarzSample.monomial(int(name[2:]))
+    raise argparse.ArgumentTypeError(f"expected 'identity', 'zero' or 'z^K', got {name!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--order", type=int, default=32)
-    p.add_argument("--theta-samples", type=int, default=512)
-    p.add_argument("--max-radius", type=float, default=0.995)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-    p.add_argument("--output", default=None)
-
-
-def _check_invariants(args):
-    if not 8 <= args.order <= 128:
-        raise InputInvariantError(f"order must lie in [8, 128], got {args.order}")
-    if not 0.0 < args.max_radius < 1.0:
-        raise InputInvariantError(f"max-radius must lie in (0, 1), got {args.max_radius}")
-    if args.theta_samples < 64:
-        raise InputInvariantError("theta-samples must be >= 64")
+_ORDER = _ranged(int, "order", lambda n: 8 <= n <= 128, "lie in [8, 128]")
+_SAMPLES = _ranged(int, "samples", lambda n: n >= 1, "be >= 1")
+_SEED = _ranged(int, "seed", lambda n: n >= 0, "be >= 0")
+_FORMATS = ("json", "csv", "markdown")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gsh-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("coeffs", help="coefficient table from a witness or function file")
-    _add_common(p)
-    p.add_argument("--witness", default=None,
-                   help="'identity', 'zero', 'z^K' or a Schwarz JSON path")
+    def command(name: str, summary: str, *, order=False, table=True):
+        p = subs.add_parser(name, help=summary)
+        if order:
+            p.add_argument("--order", type=_ORDER, default=32)
+        if table:
+            p.add_argument("--format", choices=_FORMATS, default="json")
+        p.add_argument("--output", default=None)
+        return p
+
+    p = command("coeffs", "coefficient table from a witness or function file", order=True)
+    p.add_argument("--witness", type=_witness, default=None,
+                   help="'identity', 'zero' or 'z^K' (a Schwarz JSON file goes to --input)")
     p.add_argument("--input", default=None, help="function/witness JSON path")
 
-    p = subs.add_parser("membership", help="run the three membership tests")
-    _add_common(p)
+    p = command("membership", "run the three membership tests", order=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--radial-samples", type=int, default=64)
+    p.add_argument("--theta-samples", default=512,
+                   type=_ranged(int, "theta-samples", lambda n: n >= 64, "be >= 64"))
+    p.add_argument("--radial-samples", default=64,
+                   type=_ranged(int, "radial-samples", lambda n: n >= 1, "be >= 1"))
+    p.add_argument("--max-radius", default=0.995,
+                   type=_ranged(float, "max-radius", lambda r: 0.0 < r < 1.0, "lie in (0, 1)"))
 
-    p = subs.add_parser("bounds-scan", help="empirical maxima vs claimed bounds")
-    _add_common(p)
-    p.add_argument("--coefficients", default="2,3,4,5,6",
-                   help="comma list of coefficient indices to scan")
-    p.add_argument("--fs-lambdas", default="0,0.5,1,2",
+    p = command("bounds-scan", "empirical maxima vs claimed bounds", order=True)
+    p.add_argument("--samples", type=_SAMPLES, default=2000)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--tolerance", default=1e-9,
+                   type=_ranged(float, "tolerance", lambda t: 0.0 < t < math.inf,
+                                "be positive and finite"))
+    p.add_argument("--coefficients", default=(2, 3, 4, 5, 6),
+                   type=_ranged_list(int, "coefficient index", lambda n: n >= 2, "be >= 2"),
+                   help="comma list of coefficient indices in [2, order] to scan")
+    p.add_argument("--fs-lambdas", default=(0.0, 0.5, 1.0, 2.0),
+                   type=_ranged_list(float, "fs lambda", lambda v: math.isfinite(2.0 * v - 1.0),
+                                     "keep 2 lambda - 1 finite"),
                    help="comma list of real Fekete-Szego parameters")
 
-    p = subs.add_parser("thresholds", help="alpha thresholds for the four operator kinds")
-    _add_common(p)
+    p = command("thresholds", "alpha thresholds for the four operator kinds")
     p.add_argument("--A", type=float, default=None)
     p.add_argument("--B", type=float, default=None)
 
-    p = subs.add_parser("growth", help="growth envelope, derivative bound, covering radius")
-    _add_common(p)
-    p.add_argument("--radii", default="0.25,0.5,0.75,0.95")
+    p = command("growth", "growth envelope, derivative bound, covering radius")
+    p.add_argument("--radii", default=(0.25, 0.5, 0.75, 0.95),
+                   type=_ranged_list(float, "radius", lambda r: 0.0 < r < 1.0, "lie in (0, 1)"))
 
-    p = subs.add_parser("lemma-suite", help="randomized coefficient-inequality suite")
-    _add_common(p)
+    p = command("lemma-suite", "randomized coefficient-inequality suite")
+    p.add_argument("--samples", type=_SAMPLES, default=2000)
+    p.add_argument("--seed", type=_SEED, default=0)
 
-    p = subs.add_parser("verify-implications", help="implication harness summary")
-    _add_common(p)
-    p.add_argument("--alpha-factor", type=float, default=1.05)
-    p.add_argument("--cases", type=int, default=50,
+    p = command("verify-implications", "implication harness summary")
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--alpha-factor", default=1.05,
+                   type=_ranged(float, "alpha-factor", lambda a: math.isfinite(a) and a != 0.0,
+                                "be finite and nonzero"))
+    p.add_argument("--cases", default=50,
+                   type=_ranged(int, "cases", lambda n: n >= 1, "be >= 1"),
                    help="target premise-true cases per configuration")
-    p.add_argument("--max-attempts", type=int, default=400)
+    p.add_argument("--max-attempts", default=400,
+                   type=_ranged(int, "max-attempts", lambda n: n >= 1, "be >= 1"))
     p.add_argument("--include-cases", action="store_true",
                    help="emit the full per-case log, not just summaries")
 
-    p = subs.add_parser("plot-data", help="CSV curves for plotting")
-    _add_common(p)
+    p = command("plot-data", "CSV curves for plotting", order=True, table=False)
     p.add_argument("--curve", required=True,
                    choices=("sinh-boundary", "ratio-image", "janowski"))
-    p.add_argument("--resolution", type=int, default=512)
+    p.add_argument("--resolution", default=512,
+                   type=_ranged(int, "resolution", lambda n: n >= 64, "be >= 64"))
     p.add_argument("--input", default=None, help="function JSON for ratio-image")
-    p.add_argument("--radius", type=float, default=0.9,
+    p.add_argument("--radius", default=0.9,
+                   type=_ranged(float, "radius", lambda r: 0.0 < r < 1.0, "lie in (0, 1)"),
                    help="circle radius for ratio-image")
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--B", type=float, default=0.0)
@@ -214,7 +252,7 @@ def build_parser() -> _Parser:
 
 def _cmd_coeffs(args) -> int:
     if args.witness is not None:
-        f = core.member_from_witness(_witness_argument(args.witness), args.order)
+        f = core.member_from_witness(args.witness, args.order)
     elif args.input is not None:
         f = _function_from_input(args.input, args.order)
     else:
@@ -245,14 +283,12 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_bounds_scan(args) -> int:
+    if max(args.coefficients) > args.order:
+        raise InputInvariantError(
+            f"coefficient index {max(args.coefficients)} exceeds order {args.order}")
     cfg = bd.ScanConfig(samples=args.samples, seed=args.seed, order=args.order,
                         tolerance=args.tolerance)
-    try:
-        coeff_range = tuple(int(v) for v in args.coefficients.split(","))
-        lams = tuple(float(v) for v in args.fs_lambdas.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad list argument: {exc}") from exc
-    estimates = bd.default_scan_suite(cfg, coeff_range, lams)
+    estimates = bd.default_scan_suite(cfg, args.coefficients, args.fs_lambdas)
     rows = [[e.functional, e.claimed_bound, e.empirical_max, e.attained_ratio,
              str(e.violation)] for e in estimates]
     obj = {"config": {"samples": cfg.samples, "seed": cfg.seed, "order": cfg.order},
@@ -266,7 +302,7 @@ def _cmd_thresholds(args) -> int:
     if (args.A is None) != (args.B is None):
         raise UsageError("--A and --B must be given together")
     pairs = [(args.A, args.B)] if args.A is not None else \
-        [(1.0, 0.0), (0.5, -0.5), (0.8, 0.2), (1.0, -1.0)]
+        sub.DEFAULT_CONFIGS + ((1.0, -1.0),)
     rows = []
     records = []
     for a, b in pairs:
@@ -289,14 +325,7 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    try:
-        radii = [float(v) for v in args.radii.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad radii list: {exc}") from exc
-    for r in radii:
-        if not 0.0 < r < 1.0:
-            raise InputInvariantError(f"radius {r} outside (0, 1)")
-    records = [core.growth_distortion(r) for r in radii]
+    records = [core.growth_distortion(r) for r in args.radii]
     rows = [[rec.r, rec.lower, rec.upper, rec.deriv_bound] for rec in records]
     obj = {"covering_radius": core.covering_radius(),
            "rows": [rec.to_json() for rec in records]}
@@ -334,8 +363,6 @@ def _cmd_verify_implications(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    if args.resolution < 64:
-        raise InputInvariantError("resolution must be >= 64")
     t = np.linspace(0.0, 2.0 * np.pi, args.resolution + 1)
     if args.curve == "sinh-boundary":
         w = regions.sinh_boundary(t)
@@ -348,8 +375,6 @@ def _cmd_plot_data(args) -> int:
     else:
         if args.input is None:
             raise UsageError("ratio-image requires --input")
-        if not 0.0 < args.radius < 1.0:
-            raise InputInvariantError(f"radius {args.radius} outside (0, 1)")
         f = _function_from_input(args.input, args.order)
         w = f.ratio_values(args.radius * np.exp(1j * t))
     lines = ["t,re,im"]
@@ -375,7 +400,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_invariants(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

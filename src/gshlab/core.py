@@ -42,8 +42,8 @@ class PreconditionNotMet(ValueError):
 #: Kernel values with modulus at or below this count as vanishing.
 ZERO_TOL = 1e-6
 
-#: Margin subtracted from 1 in the sufficient-condition comparison.
-SUFFICIENT_MARGIN = 0.0
+#: Relative size of the last term at which the sine-integral series stops.
+SHI_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -137,23 +137,6 @@ class NormalizedFunction:
         """Values of z f'(z)/f(z), computed as f'(z) / (f(z)/z)."""
         g = self.over_z_values(z)
         return self.derivative_values(z) / g
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Angle and the induced kernel coefficient (1 + sinh(e^(i theta)))/sinh(e^(i theta))."""
-
-    theta: float
-    beta: complex
-
-    def __post_init__(self):
-        expected = kernel_beta(self.theta)
-        if abs(self.beta - expected) > 1e-12:
-            raise ValueError("beta inconsistent with theta")
-
-    @classmethod
-    def from_theta(cls, theta: float) -> "KernelParams":
-        return cls(theta=float(theta), beta=kernel_beta(theta))
 
 
 def kernel_beta(theta: float) -> complex:
@@ -257,7 +240,7 @@ def sufficient_membership(f: NormalizedFunction, theta_samples: int = 512) -> Su
         thetas[i] - step, thetas[i] + step)
     if vals[i] > s_star:
         theta_star, s_star = float(thetas[i]), float(vals[i])
-    return SufficientVerdict(holds=bool(s_star < 1.0 - SUFFICIENT_MARGIN),
+    return SufficientVerdict(holds=bool(s_star < 1.0),
                              statistic=float(s_star),
                              argmax_theta=float(theta_star) % (2.0 * math.pi))
 
@@ -318,26 +301,25 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
             best = float(e[i, j])
             best_theta = float(thetas[lo + i])
             best_z = complex(z[j])
-    if best <= math.inf and z.size:
-        dtheta = 2.0 * math.pi / theta_samples
-        dr = grid.max_radius / grid.radial_samples
-        dphi = 2.0 * math.pi / grid.theta_samples
-        r0, phi0 = abs(best_z), cmath.phase(best_z)
+    dtheta = 2.0 * math.pi / theta_samples
+    dr = grid.max_radius / grid.radial_samples
+    dphi = 2.0 * math.pi / grid.theta_samples
+    r0, phi0 = abs(best_z), cmath.phase(best_z)
 
-        def objective(p):
-            r = min(max(p[1], 1e-9), grid.max_radius)
-            return -_kernel_modulus(f, p[0], r * cmath.exp(1j * p[2]))
+    def objective(p):
+        r = min(max(p[1], 1e-9), grid.max_radius)
+        return -_kernel_modulus(f, p[0], r * cmath.exp(1j * p[2]))
 
-        p, neg = polish_coordinatewise(
-            objective, np.array([best_theta, r0, phi0]),
-            [(best_theta - dtheta, best_theta + dtheta),
-             (max(r0 - dr, 1e-9), min(r0 + dr, grid.max_radius)),
-             (phi0 - dphi, phi0 + dphi)],
-            rounds=3, iters=40)
-        if -neg < best:
-            best = -neg
-            best_theta = float(p[0]) % (2.0 * math.pi)
-            best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
+    p, neg = polish_coordinatewise(
+        objective, np.array([best_theta, r0, phi0]),
+        [(best_theta - dtheta, best_theta + dtheta),
+         (max(r0 - dr, 1e-9), min(r0 + dr, grid.max_radius)),
+         (phi0 - dphi, phi0 + dphi)],
+        rounds=3, iters=40)
+    if -neg < best:
+        best = -neg
+        best_theta = float(p[0]) % (2.0 * math.pi)
+        best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
     ratio_floor = float(np.min(np.abs(g)))
     return KernelVerdict(nonvanishing=bool(best > ZERO_TOL and ratio_floor > ZERO_TOL),
                          min_modulus=best, argmin_theta=best_theta,
@@ -473,7 +455,7 @@ def hankel_report(f: NormalizedFunction, lam: complex = 1.0) -> HankelReport:
 # -- growth, distortion and covering ----------------------------------------
 
 
-def shi_series(x: float, tol: float = 1e-18) -> float:
+def shi_series(x: float) -> float:
     """Hyperbolic sine integral by termwise integration of the sinh expansion."""
     x = float(x)
     total = 0.0
@@ -482,7 +464,7 @@ def shi_series(x: float, tol: float = 1e-18) -> float:
     while True:
         contrib = term / (2 * k + 1)
         total += contrib
-        if abs(contrib) < tol * max(1.0, abs(total)):
+        if abs(contrib) < SHI_TOL * max(1.0, abs(total)):
             return total
         k += 1
         term *= x * x / ((2 * k) * (2 * k + 1))

@@ -12,6 +12,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Interval width below which golden-section iteration stops.
 STEP_FLOOR = 1e-10
 
+#: Grid zoom: refinement levels, and the resolution gain of each level.
+ZOOM_LEVELS = 4
+ZOOM_FACTOR = 8
+
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
                iters: int = 80) -> tuple[float, float]:
@@ -44,34 +48,33 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def refine_grid_max(fn_vec: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    samples: int, levels: int = 2, factor: int = 8) -> tuple[float, float]:
+                    samples: int) -> tuple[float, float]:
     """Grid maximization with iterated local zoom around the running argmax.
 
-    ``fn_vec`` maps an array of abscissae to an array of values.  Each level
-    re-grids a window of two coarse cells around the argmax at ``factor``
-    times the local resolution.
+    ``fn_vec`` maps an array of abscissae to an array of values.  Each of the
+    ``ZOOM_LEVELS`` levels re-grids a window of two coarse cells around the
+    argmax at ``ZOOM_FACTOR`` times the local resolution.
     """
     xs = np.linspace(lo, hi, samples)
     vals = np.asarray(fn_vec(xs), dtype=float)
     i = int(np.argmax(vals))
     best_x, best_f = float(xs[i]), float(vals[i])
     width = (hi - lo) / max(samples - 1, 1)
-    for _ in range(levels):
+    for _ in range(ZOOM_LEVELS):
         a = max(lo, best_x - width)
         b = min(hi, best_x + width)
-        xs = np.linspace(a, b, 2 * factor + 1)
+        xs = np.linspace(a, b, 2 * ZOOM_FACTOR + 1)
         vals = np.asarray(fn_vec(xs), dtype=float)
         i = int(np.argmax(vals))
         if vals[i] > best_f:
             best_x, best_f = float(xs[i]), float(vals[i])
-        width = (b - a) / (2 * factor)
+        width = (b - a) / (2 * ZOOM_FACTOR)
     return best_x, best_f
 
 
 def refine_grid_max_2d(fn_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        xlim: tuple[float, float], ylim: tuple[float, float],
-                       shape: tuple[int, int], levels: int = 2,
-                       factor: int = 8) -> tuple[float, tuple[float, float]]:
+                       shape: tuple[int, int]) -> tuple[float, tuple[float, float]]:
     """Two-dimensional analogue of :func:`refine_grid_max`.
 
     ``fn_vec`` receives meshgrid arrays and returns values of the same shape.
@@ -88,19 +91,19 @@ def refine_grid_max_2d(fn_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bx, by = float(xs[i]), float(ys[j])
     wx = (xhi - xlo) / max(nx - 1, 1)
     wy = (yhi - ylo) / max(ny - 1, 1)
-    for _ in range(levels):
+    for _ in range(ZOOM_LEVELS):
         ax, bx_hi = max(xlo, bx - wx), min(xhi, bx + wx)
         ay, by_hi = max(ylo, by - wy), min(yhi, by + wy)
-        xs = np.linspace(ax, bx_hi, 2 * factor + 1)
-        ys = np.linspace(ay, by_hi, 2 * factor + 1)
+        xs = np.linspace(ax, bx_hi, 2 * ZOOM_FACTOR + 1)
+        ys = np.linspace(ay, by_hi, 2 * ZOOM_FACTOR + 1)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
         vals = np.asarray(fn_vec(xx, yy), dtype=float)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[i, j] > best:
             best = float(vals[i, j])
             bx, by = float(xs[i]), float(ys[j])
-        wx = (bx_hi - ax) / (2 * factor)
-        wy = (by_hi - ay) / (2 * factor)
+        wx = (bx_hi - ax) / (2 * ZOOM_FACTOR)
+        wy = (by_hi - ay) / (2 * ZOOM_FACTOR)
     return best, (bx, by)
 
 

@@ -70,22 +70,15 @@ class OperatorKind(IntEnum):
     RATIO_CUBED = 4
 
 
-SINH_TARGET = "one_plus_sinh"
-SQRT_TARGET = "sqrt_one_plus_z"
-
-
 @dataclass(frozen=True)
 class ImplicationCase:
     kind: OperatorKind
     alpha: complex
     janowski: JanowskiParams
-    conclusion_target: str = SINH_TARGET
 
     def __post_init__(self):
         if abs(complex(self.alpha)) == 0.0:
             raise ValueError("alpha must be nonzero")
-        if self.conclusion_target not in (SINH_TARGET, SQRT_TARGET):
-            raise ValueError(f"unknown conclusion target {self.conclusion_target!r}")
 
 
 # -- extrema of |sinh| and |cosh| on the unit circle -------------------------
@@ -219,12 +212,6 @@ class ImplicationRecord:
     function: dict
 
     @property
-    def conclusion_holds(self) -> bool:
-        if self.case.conclusion_target == SINH_TARGET:
-            return self.conclusion_sinh
-        return self.conclusion_sqrt
-
-    @property
     def counterexample(self) -> bool:
         return self.premise_holds and not self.conclusion_sinh
 
@@ -234,31 +221,33 @@ class ImplicationRecord:
                 "alpha": [complex(self.case.alpha).real, complex(self.case.alpha).imag],
                 "deviation": self.deviation,
                 "premise_holds": self.premise_holds,
-                "conclusion_holds": self.conclusion_holds,
+                "conclusion_holds": self.conclusion_sinh,
                 "conclusion_sinh": self.conclusion_sinh,
                 "conclusion_sqrt": self.conclusion_sqrt,
                 "vacuous": self.vacuous,
                 "function": self.function}
 
 
-def _conclusion_verdicts(f: NormalizedFunction, z: np.ndarray) -> tuple[bool, bool]:
+def _deviation(f: NormalizedFunction, case: ImplicationCase, z: np.ndarray) -> float:
+    return janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
+
+
+def _record(f: NormalizedFunction, case: ImplicationCase, z: np.ndarray,
+            deviation: float) -> ImplicationRecord:
+    """Premise verdict from ``deviation`` and both conclusion verdicts of f on z."""
+    premise = deviation < 1.0 - PREMISE_MARGIN
     g = f.over_z_values(z)
-    sinh_ok = sinh_region().contains(g - 1.0)
-    sqrt_ok = sqrt_disk_region().contains(g)
-    return sinh_ok, sqrt_ok
+    return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
+                             conclusion_sinh=sinh_region().contains(g - 1.0),
+                             conclusion_sqrt=sqrt_disk_region().contains(g),
+                             vacuous=not premise, function=f.to_json())
 
 
 def verify_implication(f: NormalizedFunction, case: ImplicationCase,
                        grid: PolarGrid = DEFAULT_GRID) -> ImplicationRecord:
     """Test premise and conclusion of one implication case on the grid."""
     z = grid.points()
-    values = operator_values(f, case.kind, case.alpha, z)
-    deviation = janowski_deviation(values, case.janowski)
-    premise = deviation < 1.0 - PREMISE_MARGIN
-    sinh_ok, sqrt_ok = _conclusion_verdicts(f, z)
-    return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
-                             conclusion_sinh=sinh_ok, conclusion_sqrt=sqrt_ok,
-                             vacuous=not premise, function=f.to_json())
+    return _record(f, case, z, _deviation(f, case, z))
 
 
 # -- harness ------------------------------------------------------------------
@@ -334,8 +323,7 @@ def _sample_candidate(rng: np.random.Generator, order: int = 8) -> NormalizedFun
     return member_from_witness(sample_schwarz(rng, max_zeros=2), order=order)
 
 
-def _config_floor(kind: OperatorKind, alpha: complex, params: JanowskiParams,
-                  grid: PolarGrid) -> float:
+def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
     """Deviation of the identity candidate, a practical lower bound over f.
 
     For kinds 2..4 the operator tends to 1 + alpha at the origin for every
@@ -343,56 +331,42 @@ def _config_floor(kind: OperatorKind, alpha: complex, params: JanowskiParams,
     normalized functions, so a floor at or above 1 certifies that the
     premise cannot hold at this alpha.
     """
-    identity = NormalizedFunction.identity(order=4)
-    values = operator_values(identity, kind, alpha, grid.points())
-    return janowski_deviation(values, params)
+    return _deviation(NormalizedFunction.identity(order=4), case, z)
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                threshold: float, seed: int, target_non_vacuous: int = 50,
-               max_attempts: int = 400, grid: PolarGrid = HARNESS_GRID,
+               max_attempts: int = 400,
                keep_records: bool = True) -> tuple[ConfigSummary, list[ImplicationRecord]]:
     """Sample candidates for one configuration until enough premise-true cases.
 
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
-    fails the attempt is recorded as vacuous.
+    fails the attempt is recorded as vacuous, with the last rescaled candidate
+    and the last deviation computed.
     """
+    case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    z = HARNESS_GRID.points()
     summary = ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
-                            threshold=threshold,
-                            floor_deviation=_config_floor(kind, alpha, params, grid))
+                            threshold=threshold, floor_deviation=_config_floor(case, z))
     records: list[ImplicationRecord] = []
-    base_case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
-    z = grid.points()
     attempts_cap = max_attempts if summary.premise_feasible else min(max_attempts, 25)
     for i in range(attempts_cap):
         if summary.non_vacuous >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
         f = _sample_candidate(rng)
-        record = None
         deviation = math.inf
         for _ in range(SHRINK_STEPS + 1):
             try:
-                values = operator_values(f, kind, alpha, z)
+                deviation = _deviation(f, case, z)
             except ZeroDivisorOnGrid:
                 f = _scale_tail(f, 0.5)
                 continue
-            deviation = janowski_deviation(values, params)
             if deviation < 1.0 - PREMISE_MARGIN:
-                sinh_ok, sqrt_ok = _conclusion_verdicts(f, z)
-                record = ImplicationRecord(case=base_case, deviation=deviation,
-                                           premise_holds=True, conclusion_sinh=sinh_ok,
-                                           conclusion_sqrt=sqrt_ok, vacuous=False,
-                                           function=f.to_json())
                 break
             f = _scale_tail(f, 0.5)
-        if record is None:
-            sinh_ok, sqrt_ok = _conclusion_verdicts(f, z)
-            record = ImplicationRecord(case=base_case, deviation=deviation,
-                                       premise_holds=False, conclusion_sinh=sinh_ok,
-                                       conclusion_sqrt=sqrt_ok, vacuous=True,
-                                       function=f.to_json())
+        record = _record(f, case, z, deviation)
         summary.attempts += 1
         if record.premise_holds:
             summary.non_vacuous += 1
@@ -405,18 +379,15 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     return summary, records
 
 
-def implication_harness(seed: int = 0, configs=DEFAULT_CONFIGS,
-                        kinds=tuple(OperatorKind), alpha_factor: float = 1.05,
+def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
                         target_non_vacuous: int = 50, max_attempts: int = 400,
-                        grid: PolarGrid = HARNESS_GRID,
                         keep_records: bool = False) -> HarnessReport:
-    """Run every (kind, Janowski) configuration with a defined threshold."""
+    """Run every kind on each ``DEFAULT_CONFIGS`` pair whose threshold is defined."""
     report = HarnessReport()
     jobs = []
-    for a, b in configs:
+    for a, b in DEFAULT_CONFIGS:
         params = JanowskiParams(a, b)
-        for kind in kinds:
-            kind = OperatorKind(kind)
+        for kind in OperatorKind:
             threshold = alpha_threshold(kind, params)
             if threshold is None:
                 report.undefined.append({"kind": int(kind), "A": a, "B": b})
@@ -429,8 +400,7 @@ def implication_harness(seed: int = 0, configs=DEFAULT_CONFIGS,
             kind, params, threshold = jobs[j]
             out.append(run_config(kind, params, alpha_factor * threshold, threshold,
                                   seed=seed, target_non_vacuous=target_non_vacuous,
-                                  max_attempts=max_attempts, grid=grid,
-                                  keep_records=keep_records))
+                                  max_attempts=max_attempts, keep_records=keep_records))
         return out
 
     for part in map_index_chunks(run_one, len(jobs)):

@@ -121,7 +121,7 @@ def test_envelope_increasing_in_y():
 
 def test_envelope_profile_values():
     _, section = _sympy_envelope()
-    prof = bd.h22_envelope_profile(201)
+    prof = bd.h22_envelope_profile()
     for i in (0, 50, 100, 150, 200):
         c = sp.Rational(2 * i, 200)
         assert prof.cs[i] == pytest.approx(float(c), abs=1e-15)

@@ -87,7 +87,7 @@ def test_schwarz_boundary_property():
     rng = np.random.default_rng(23)
     for _ in range(50):
         omega = cara.sample_schwarz(rng)
-        assert omega.boundary_max(1024) <= 1.0 + 1e-10
+        assert omega.boundary_max() <= 1.0 + 1e-10
         assert abs(complex(omega.values(np.array([0.0]))[0])) == 0.0
 
 

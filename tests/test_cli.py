@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -43,6 +44,13 @@ def test_coeffs_zero_witness(capsys):
 def test_coeffs_requires_source(capsys):
     code, _ = run(capsys, "coeffs")
     assert code == 1
+
+
+def test_coeffs_malformed_witness_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"rotation": [1.0, 0.0]}))  # no "zeros"
+    code, _ = run(capsys, "coeffs", "--input", str(path))
+    assert code == 2
 
 
 # -- membership ----------------------------------------------------------------
@@ -215,3 +223,101 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["unknown-command"]) == 1
     assert cli.main(["coeffs", "--order", "4"]) == 2
     assert cli.main(["membership", "--input", "x.json", "--max-radius", "1.5"]) == 2
+
+
+# -- the settable surface ----------------------------------------------------------------
+
+#: Exactly the flags each subcommand reads.
+FLAGS = {
+    "coeffs": {"--order", "--format", "--output", "--witness", "--input"},
+    "membership": {"--order", "--format", "--output", "--input", "--theta-samples",
+                   "--radial-samples", "--max-radius"},
+    "bounds-scan": {"--order", "--format", "--output", "--samples", "--seed", "--tolerance",
+                    "--coefficients", "--fs-lambdas"},
+    "thresholds": {"--format", "--output", "--A", "--B"},
+    "growth": {"--format", "--output", "--radii"},
+    "lemma-suite": {"--format", "--output", "--samples", "--seed"},
+    "verify-implications": {"--format", "--output", "--seed", "--alpha-factor", "--cases",
+                            "--max-attempts", "--include-cases"},
+    "plot-data": {"--order", "--output", "--curve", "--resolution", "--input", "--radius",
+                  "--A", "--B"},
+}
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in sub._actions if a.dest != "help" for o in a.option_strings}
+                for name, sub in subs.choices.items()}
+    assert declared == FLAGS
+    assert sum(map(len, declared.values())) == 46
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --order 4 --witness zero",
+    "coeffs --order 129 --witness zero",
+    "coeffs --witness z^0",
+    "membership --input x.json --theta-samples 63",
+    "membership --input x.json --radial-samples 0",
+    "membership --input x.json --max-radius 0",
+    "membership --input x.json --max-radius 1",
+    "bounds-scan --samples 0",
+    "bounds-scan --seed -1",
+    "bounds-scan --tolerance 0",
+    "bounds-scan --tolerance nan",
+    "bounds-scan --coefficients 1",
+    "bounds-scan --coefficients 2,40",
+    "bounds-scan --coefficients 9 --order 8",
+    "bounds-scan --fs-lambdas nan",
+    "bounds-scan --fs-lambdas 1,inf",
+    "bounds-scan --fs-lambdas 1e308",
+    "thresholds --A 0 --B 1",
+    "growth --radii 0.5,1.5",
+    "growth --radii nan",
+    "lemma-suite --samples 0",
+    "lemma-suite --seed -1",
+    "verify-implications --seed -1",
+    "verify-implications --alpha-factor 0",
+    "verify-implications --alpha-factor inf",
+    "verify-implications --cases 0",
+    "verify-implications --max-attempts 0",
+    "plot-data --curve sinh-boundary --resolution 63",
+    "plot-data --curve ratio-image --input x.json --radius 1",
+    "plot-data --curve janowski --A 0.5 --B 0.5",
+    "plot-data --curve ratio-image --input x.json --order 4",
+])
+def test_out_of_range_value_exits_2(argv, capsys):
+    assert cli.main(argv.split()) == 2
+    assert "invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --witness identity --seed 3",
+    "membership --input x.json --samples 3",
+    "bounds-scan --theta-samples 64",
+    "bounds-scan --max-radius 0.3",
+    "thresholds --order 4",
+    "growth --max-radius 1.5",
+    "lemma-suite --order 7",
+    "lemma-suite --tolerance 1e-3",
+    "verify-implications --samples 5",
+    "verify-implications --tolerance 1e-3",
+    "plot-data --curve sinh-boundary --format json",
+    "plot-data --curve sinh-boundary --seed 1",
+])
+def test_removed_flag_exits_1(argv, capsys):
+    assert cli.main(argv.split()) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --witness w.json",
+    "coeffs --witness z^x",
+    "coeffs --witness z^-1",
+    "bounds-scan --coefficients 2,,3",
+    "bounds-scan --samples ten",
+    "growth --radii a",
+])
+def test_unparsable_value_exits_1(argv, capsys):
+    assert cli.main(argv.split()) == 1
+    assert "error: argument" in capsys.readouterr().err

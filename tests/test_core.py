@@ -375,13 +375,6 @@ def test_convex_combination_requires_sufficient_inputs():
 # -- types -------------------------------------------------------------------------
 
 
-def test_kernel_params_consistency():
-    p = core.KernelParams.from_theta(0.7)
-    assert abs(p.beta - core.kernel_beta(0.7)) < 1e-15
-    with pytest.raises(ValueError):
-        core.KernelParams(theta=0.7, beta=p.beta + 1e-6)
-
-
 def test_normalized_function_validation():
     with pytest.raises(ValueError):
         core.NormalizedFunction(ts.constant(1.0, 4))
