@@ -239,10 +239,18 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     is polished over its witness parameters.  The named functionals of a2..a4
     also scan the direct family (the coefficient scans do not), and the larger
     maximum wins.
+
+    The anchors and the polish objective build members only up to the highest
+    power the functional reads: a_n for ``aN`` (at least a_5, at most the
+    config order), a_5 for the named functionals.  Member construction is
+    truncation-consistent to the bit (the order-m member equals the first
+    m + 1 coefficients of any higher-order one), so values, ties and
+    witnesses are exactly those of members built at ``cfg.order``.
     """
+    read_order = 5 if name in FUNCTIONALS else min(cfg.order, max(5, int(name[1:])))
     witnesses, rows = witness_batch(cfg)
     candidates = _anchor_witnesses(cfg, anchor_power)
-    values = [functional_value(name, _member_coeffs(w, cfg.order), lam) for w in candidates]
+    values = [functional_value(name, _member_coeffs(w, read_order), lam) for w in candidates]
     batch_vals = np.array([functional_value(name, rows[i], lam)
                            for i in range(rows.shape[0])])
     if batch_vals.size:
@@ -254,7 +262,7 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     params, bounds = _schwarz_params(best_witness)
 
     def score(p):
-        return functional_value(name, _member_coeffs(_schwarz_from_params(p), cfg.order), lam)
+        return functional_value(name, _member_coeffs(_schwarz_from_params(p), read_order), lam)
 
     if len(params) > 1:
         params, polished = polish_coordinatewise(score, params, bounds,

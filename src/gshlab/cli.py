@@ -371,6 +371,10 @@ def _cmd_plot_data(args) -> int:
             sub.JanowskiParams(args.A, args.B)
         except ValueError as exc:
             raise InputInvariantError(str(exc)) from exc
+        if args.B == -1.0:
+            raise InputInvariantError(
+                "B = -1 maps the disk onto a half-plane whose boundary passes through "
+                "infinity; plot-data needs B > -1")
         w = regions.janowski_boundary(t, args.A, args.B)
     else:
         if args.input is None:

@@ -78,7 +78,7 @@ class TruncatedSeries:
             arr = out
         else:
             arr = arr.copy()
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
         arr.setflags(write=False)
         self._coeffs = arr
@@ -227,16 +227,26 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
 
     The inner constant term must be exactly zero, otherwise the result
     would need all (untracked) higher coefficients of the outer series.
+
+    The Horner loop runs on raw coefficient arrays and builds one series at
+    the end.  Each step, ``acc = convolve(acc, inner)[:n + 1] + lift`` with
+    ``lift`` the constant ``outer[k]`` padded by zeros, does the same
+    floating-point operations as ``mul(acc, inner) + outer[k]`` on series,
+    so the result is the same to the bit.  Non-finite values propagate, and
+    the final constructor rejects them.
     """
     if inner.coeffs[0] != 0:
         raise NonzeroInnerConstant(
             f"inner constant term must be exactly 0, got {inner.coeffs[0]}")
     n = min(outer.order, inner.order)
-    inner_t = inner.truncate(n)
-    acc = constant(outer.coeffs[n], n)
+    b = inner.coeffs[: n + 1]
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    acc[0] = outer.coeffs[n]
+    lift = np.zeros(n + 1, dtype=np.complex128)
     for k in range(n - 1, -1, -1):
-        acc = mul(acc, inner_t) + outer.coeffs[k]
-    return acc
+        lift[0] = outer.coeffs[k]
+        acc = np.convolve(acc, b)[: n + 1] + lift
+    return TruncatedSeries(acc)
 
 
 def derivative(s: TruncatedSeries) -> TruncatedSeries:

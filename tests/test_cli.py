@@ -284,6 +284,7 @@ def test_each_subcommand_declares_exactly_the_flags_it_reads():
     "plot-data --curve sinh-boundary --resolution 63",
     "plot-data --curve ratio-image --input x.json --radius 1",
     "plot-data --curve janowski --A 0.5 --B 0.5",
+    "plot-data --curve janowski --A 1 --B -1",
     "plot-data --curve ratio-image --input x.json --order 4",
 ])
 def test_out_of_range_value_exits_2(argv, capsys):

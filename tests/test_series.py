@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gshlab import series as ts
-from gshlab.caratheodory import SchwarzSample
+from gshlab.caratheodory import SchwarzSample, sample_schwarz
 from gshlab.core import member_from_witness
 
 
@@ -161,6 +161,55 @@ def test_compose_with_zero_series():
 def test_compose_rejects_nonzero_inner_constant():
     with pytest.raises(ts.NonzeroInnerConstant):
         ts.compose(series([1, 1, 1]), series([0.5, 1, 0]))
+
+
+def _horner_with_series(outer, inner):
+    """Composition as a Horner loop over series objects (mul, then + constant)."""
+    n = min(outer.order, inner.order)
+    inner_t = inner.truncate(n)
+    acc = ts.constant(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = ts.mul(acc, inner_t) + outer.coeffs[k]
+    return acc
+
+
+def _transcend_with_series(kind, s):
+    s0 = complex(s.coeffs[0])
+    outer = ts.TruncatedSeries(ts._maclaurin_about(kind, s0, s.order))
+    return _horner_with_series(outer, s - ts.constant(s0, s.order))
+
+
+def _schwarz_witnesses(count, seed):
+    return [sample_schwarz(np.random.default_rng((seed, i))) for i in range(count)]
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_compose_is_bitwise_the_series_horner_loop(order):
+    for omega in _schwarz_witnesses(12, order):
+        w = omega.series(order)
+        inner = ts.integrate_ratio(ts.constant(1.0, order) + ts.sinh(w))
+        shifted = w + 0.25j
+        for kind, s in (("sinh", w), ("exp", inner), ("exp", shifted), ("sinh", shifted)):
+            got = ts.transcend(kind, s)
+            want = _transcend_with_series(kind, s)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), (kind, omega)
+
+
+def test_member_is_bitwise_truncation_consistent():
+    # The bound-scan polish builds members only up to the power its
+    # functional reads; that is exact only because of this property.
+    for omega in _schwarz_witnesses(40, 5):
+        full = member_from_witness(omega, 32).series.coeffs
+        for m in range(5, 9):
+            low = member_from_witness(omega, m).series.coeffs
+            assert low.tobytes() == full[: m + 1].tobytes(), (m, omega)
+
+
+def test_exp_of_overflowing_series_raises():
+    with pytest.raises(ValueError, match="finite"):
+        ts.exp(series([0.0, 1e200], order=8))
+    with pytest.raises(ValueError, match="finite"):
+        ts.exp(series([0.0, 1e40], order=16))
 
 
 # -- transcend --------------------------------------------------------------
