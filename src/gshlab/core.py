@@ -351,10 +351,11 @@ class GeometricVerdict:
 def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
     """Geometric test: all sampled values of z f'/f - 1 inside the sinh image.
 
-    Containment is decided by winding number against a dense polygonal
-    discretization of the boundary curve.  Samples within ``regions.BOUNDARY_TOL``
-    of the curve are ambiguous and conservatively force a non-member
-    verdict (counted in the result).
+    Containment is decided exactly, by |asinh w| < 1 (``regions.sinh_margin``).
+    Samples whose margin |asinh w| - 1 is within ``regions.BOUNDARY_TOL`` of 0
+    are ambiguous and conservatively force a non-member verdict (counted in
+    the result).  ``max_excursion`` is the largest distance of an outside
+    sample to a dense polygonal discretization of the boundary curve.
     """
     region = sinh_region()
     z = grid.points()

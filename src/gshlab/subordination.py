@@ -33,7 +33,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from ._parallel import map_index_chunks
 from . import series as ts
 from .caratheodory import sample_schwarz
 from .core import DEFAULT_GRID, NormalizedFunction, PolarGrid, member_from_witness
@@ -384,7 +383,6 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
                         keep_records: bool = False) -> HarnessReport:
     """Run every kind on each ``DEFAULT_CONFIGS`` pair whose threshold is defined."""
     report = HarnessReport()
-    jobs = []
     for a, b in DEFAULT_CONFIGS:
         params = JanowskiParams(a, b)
         for kind in OperatorKind:
@@ -392,19 +390,10 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
             if threshold is None:
                 report.undefined.append({"kind": int(kind), "A": a, "B": b})
                 continue
-            jobs.append((kind, params, threshold))
-
-    def run_one(idx_range):
-        out = []
-        for j in idx_range:
-            kind, params, threshold = jobs[j]
-            out.append(run_config(kind, params, alpha_factor * threshold, threshold,
-                                  seed=seed, target_non_vacuous=target_non_vacuous,
-                                  max_attempts=max_attempts, keep_records=keep_records))
-        return out
-
-    for part in map_index_chunks(run_one, len(jobs)):
-        for summary, records in part:
+            summary, records = run_config(kind, params, alpha_factor * threshold, threshold,
+                                          seed=seed, target_non_vacuous=target_non_vacuous,
+                                          max_attempts=max_attempts,
+                                          keep_records=keep_records)
             report.summaries.append(summary)
             report.records.extend(records)
     return report

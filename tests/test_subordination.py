@@ -224,6 +224,14 @@ def test_harness_reports_sqrt_target_verdicts():
         assert r.to_json()["conclusion_sqrt"] == r.conclusion_sqrt
 
 
+def test_harness_summaries_in_config_then_kind_order():
+    # DEFAULT_CONFIGS outer, OperatorKind inner; undefined thresholds skipped
+    report = sub.implication_harness(seed=2, target_non_vacuous=2, max_attempts=4)
+    assert [(s.kind, s.a, s.b) for s in report.summaries] == [
+        (1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0), (4, 1.0, 0.0),
+        (2, 0.5, -0.5), (3, 0.5, -0.5), (4, 0.5, -0.5)]
+
+
 def test_harness_deterministic():
     a = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
     b = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
