@@ -1,51 +1,15 @@
-"""Deterministic work partitioning for sample-indexed scans.
+"""Worker count of the package: every sample loop runs on the calling thread.
 
-Every randomized routine in the package derives the random stream of sample
-``i`` from ``(seed, i)`` alone, so splitting an index range across workers
-and merging chunk results in index order reproduces the single-threaded
-result exactly.  The ``GSH_LAB_THREADS`` environment variable caps the
-worker count.
+Each randomized routine draws sample ``i`` from the stream seeded by
+``(seed, i)`` and loops over the indices in order on the calling thread.
+This module stays only because the benchmark imports it: ``bench/run.py``
+records ``worker_count`` in every run and ``bench/tracer.py`` traces the
+module as a layer.  A benchmark-only change deletes it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
-
-T = TypeVar("T")
-
-_ENV_VAR = "GSH_LAB_THREADS"
-
 
 def worker_count() -> int:
-    """Number of workers to use, capped by GSH_LAB_THREADS when set."""
-    cap = os.cpu_count() or 1
-    default = min(cap, 4)
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        requested = int(raw)
-    except ValueError:
-        return default
-    return max(1, min(requested, cap))
-
-
-def index_chunks(n: int, workers: int) -> list[range]:
-    """Split range(n) into at most ``workers`` contiguous chunks."""
-    workers = max(1, min(workers, n)) if n > 0 else 1
-    step = -(-n // workers) if n else 0
-    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)] if n else []
-
-
-def map_index_chunks(fn: Callable[[range], T], n: int,
-                     workers: int | None = None) -> list[T]:
-    """Apply ``fn`` to index chunks, preserving chunk order in the result."""
-    if workers is None:
-        workers = worker_count()
-    chunks = index_chunks(n, workers)
-    if len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(fn, chunks))
+    """Number of workers a sample loop uses: always 1."""
+    return 1

@@ -12,8 +12,9 @@ The larger empirical maximum wins; the best candidate is polished by
 coordinatewise golden-section ascent.  Estimates carry a serialized witness
 sufficient to reproduce the reported value, and a violation flag raised when
 the empirical maximum exceeds the claimed bound beyond tolerance.  Scans are
-seed-deterministic and partition by sample index, so doubling the sample
-budget never lowers a maximum.
+seed-deterministic: sample i is drawn from the stream seeded by (seed, i), so
+doubling the sample budget keeps every earlier sample and never lowers a
+maximum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_index_chunks
 from .caratheodory import SchwarzSample, coeffs_from_witnesses, sample_schwarz
 from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness
 from .refine import polish_coordinatewise, refine_grid_max, refine_grid_max_2d
@@ -119,26 +119,19 @@ _BATCH_CACHE: dict[ScanConfig, tuple[list[SchwarzSample], np.ndarray]] = {}
 def witness_batch(cfg: ScanConfig) -> tuple[list[SchwarzSample], np.ndarray]:
     """Members for all sample indices of a config (cached per config).
 
-    Sample i is drawn from the stream seeded by (seed, i), so prefixes are
-    stable under budget growth and index chunks can run on any worker.
+    Sample i is drawn from the stream seeded by (seed, i), so the batch of a
+    smaller budget is a prefix of the batch of a larger one.
     """
     cached = _BATCH_CACHE.get(cfg)
     if cached is not None:
         return cached
-
-    def build(indices: range):
-        witnesses = []
-        rows = np.empty((len(indices), cfg.order + 1), dtype=np.complex128)
-        for pos, i in enumerate(indices):
-            rng = np.random.default_rng((cfg.seed, i))
-            omega = sample_schwarz(rng, max_zeros=MAX_ZEROS, zero_modulus_cap=ZERO_MODULUS_CAP)
-            witnesses.append(omega)
-            rows[pos] = _member_coeffs(omega, cfg.order)
-        return witnesses, rows
-
-    parts = map_index_chunks(build, cfg.samples)
-    witnesses = [w for ws, _ in parts for w in ws]
-    rows = np.vstack([r for _, r in parts]) if parts else np.empty((0, cfg.order + 1))
+    witnesses = []
+    rows = np.empty((cfg.samples, cfg.order + 1), dtype=np.complex128)
+    for i in range(cfg.samples):
+        rng = np.random.default_rng((cfg.seed, i))
+        omega = sample_schwarz(rng, max_zeros=MAX_ZEROS, zero_modulus_cap=ZERO_MODULUS_CAP)
+        witnesses.append(omega)
+        rows[i] = _member_coeffs(omega, cfg.order)
     if len(_BATCH_CACHE) > 8:
         _BATCH_CACHE.clear()
     _BATCH_CACHE[cfg] = (witnesses, rows)

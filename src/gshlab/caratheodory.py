@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series as ts
-from ._parallel import map_index_chunks
 
 #: Validation tolerances for sample invariants.
 WEIGHT_SUM_TOL = 1e-12
@@ -284,16 +283,14 @@ def quartic_combination_value(c: np.ndarray, l: float, r: float, m: float, n: fl
 # -- random sampling -------------------------------------------------------
 
 
-def sample_herglotz(rng: np.random.Generator,
-                    node_radius_cap: float | None = None) -> HerglotzSample:
+def sample_herglotz(rng: np.random.Generator) -> HerglotzSample:
     """Draw a random finite Herglotz combination of at most ``MAX_ATOMS`` atoms.
 
     With probability ``BOUNDARY_BIAS`` the draw is a boundary-type
     configuration (single atom, or all nodes on the unit circle), since the
-    sharp coefficient bounds are attained there.  ``node_radius_cap``
-    restricts node moduli when set.
+    sharp coefficient bounds are attained there.
     """
-    if rng.random() < BOUNDARY_BIAS and node_radius_cap is None:
+    if rng.random() < BOUNDARY_BIAS:
         if rng.random() < 0.5:
             node = np.exp(2j * np.pi * rng.random())
             return HerglotzSample(weights=(1.0,), nodes=(complex(node),))
@@ -303,8 +300,7 @@ def sample_herglotz(rng: np.random.Generator,
         return HerglotzSample(weights=tuple(weights), nodes=tuple(map(complex, nodes)))
     atoms = int(rng.integers(1, MAX_ATOMS + 1))
     weights = rng.dirichlet(np.ones(atoms))
-    cap = 1.0 if node_radius_cap is None else float(node_radius_cap)
-    radii = cap * np.sqrt(rng.random(atoms))
+    radii = np.sqrt(rng.random(atoms))
     nodes = radii * np.exp(2j * np.pi * rng.random(atoms))
     return HerglotzSample(weights=tuple(weights), nodes=tuple(map(complex, nodes)))
 
@@ -356,8 +352,15 @@ class SuiteReport:
 _SUITE_TOL = 1e-9
 
 
-def _suite_chunk(indices: range, seed: int, node_radius_cap: float | None) -> SuiteReport:
-    report = SuiteReport(samples=len(indices), seed=seed)
+def inequality_suite(samples: int, seed: int) -> SuiteReport:
+    """Check the sharp coefficient inequalities on random Herglotz samples.
+
+    Violations are collected in the report (with the offending sample)
+    rather than raised; the expected count is zero.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    report = SuiteReport(samples=samples, seed=seed)
     checks = report.checks
     for name in ("modulus", "fekete_szego_complex", "fekete_szego_real",
                  "cubic", "quartic", "witnesses"):
@@ -370,9 +373,9 @@ def _suite_chunk(indices: range, seed: int, node_radius_cap: float | None) -> Su
                for k, v in data.items()},
         })
 
-    for i in indices:
+    for i in range(samples):
         rng = np.random.default_rng((seed, i))
-        sample = sample_herglotz(rng, node_radius_cap=node_radius_cap)
+        sample = sample_herglotz(rng)
         c = sample.coeffs(SUITE_MAX_ORDER)
 
         checks["modulus"] += 1
@@ -434,24 +437,3 @@ def _suite_chunk(indices: range, seed: int, node_radius_cap: float | None) -> Su
             if resid > 1e-10:
                 violation("witness_reconstruction", sample, residual=resid)
     return report
-
-
-def inequality_suite(samples: int, seed: int,
-                     node_radius_cap: float | None = None) -> SuiteReport:
-    """Check the sharp coefficient inequalities on random Herglotz samples.
-
-    Violations are collected in the report (with the offending sample)
-    rather than raised; the expected count is zero.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    parts = map_index_chunks(
-        lambda idx: _suite_chunk(idx, seed, node_radius_cap), samples)
-    merged = SuiteReport(samples=samples, seed=seed)
-    for part in parts:
-        for key, count in part.checks.items():
-            merged.checks[key] = merged.checks.get(key, 0) + count
-        merged.violations.extend(part.violations)
-        merged.quartic_condition_hits += part.quartic_condition_hits
-        merged.degenerate_witnesses += part.degenerate_witnesses
-    return merged

@@ -58,7 +58,10 @@ def _write_output(text: str, path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_json(obj, path: str | None):
@@ -101,7 +104,9 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise UsageError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 

@@ -86,6 +86,30 @@ def test_membership_missing_file_exits_1(capsys):
     assert code == 1
 
 
+def _directory_input(tmp_path):
+    return ["membership", "--input", str(tmp_path)]
+
+
+def _non_utf8_input(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_bytes(b'{"rotation": "\xff\xfe"}')
+    return ["coeffs", "--input", str(path)]
+
+
+def _unwritable_output(tmp_path):
+    return ["growth", "--radii", "0.5", "--output", str(tmp_path / "missing" / "x.json")]
+
+
+@pytest.mark.parametrize("argv_for, message", [
+    (_directory_input, "error: cannot read "),
+    (_non_utf8_input, "error: cannot parse "),
+    (_unwritable_output, "error: cannot write "),
+], ids=["directory-input", "non-utf8-input", "unwritable-output"])
+def test_unusable_path_exits_1(argv_for, message, tmp_path, capsys):
+    assert cli.main(argv_for(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 # -- thresholds ------------------------------------------------------------------
 
 
