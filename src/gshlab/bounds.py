@@ -27,7 +27,7 @@ import numpy as np
 
 from .caratheodory import SchwarzSample, coeffs_from_witnesses, sample_schwarz
 from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness
-from .refine import polish_coordinatewise, refine_grid_max, refine_grid_max_2d
+from .refine import polish_coordinatewise, refine_grid_max
 
 #: Complexity caps of the random witnesses: Blaschke zeros and their modulus.
 MAX_ZEROS = 4
@@ -329,8 +329,8 @@ def _h22_envelope_array(c, y):
 
 def h22_envelope_max() -> tuple[float, tuple[float, float]]:
     """Grid maximum of the envelope over [0, 2] x [0, 1] with local zoom."""
-    return refine_grid_max_2d(_h22_envelope_array, (0.0, 2.0), (0.0, 1.0),
-                              (ENVELOPE_C_SAMPLES, ENVELOPE_Y_SAMPLES))
+    return refine_grid_max(_h22_envelope_array, [(0.0, 2.0), (0.0, 1.0)],
+                           (ENVELOPE_C_SAMPLES, ENVELOPE_Y_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -342,18 +342,13 @@ class EnvelopeProfile:
     argmax_c: float
     max_value: float
 
-    def to_json(self) -> dict:
-        return {"c": [float(v) for v in self.cs],
-                "value": [float(v) for v in self.values],
-                "argmax_c": self.argmax_c, "max_value": self.max_value}
-
 
 def h22_envelope_profile() -> EnvelopeProfile:
     """Tabulate the y = 1 section of the envelope and locate its maximum."""
     cs = np.linspace(0.0, 2.0, ENVELOPE_C_SAMPLES)
     values = _h22_envelope_array(cs, np.ones_like(cs))
-    argmax_c, max_value = refine_grid_max(
-        lambda x: _h22_envelope_array(x, np.ones_like(x)), 0.0, 2.0, ENVELOPE_C_SAMPLES)
+    max_value, (argmax_c,) = refine_grid_max(
+        lambda x: _h22_envelope_array(x, np.ones_like(x)), [(0.0, 2.0)], (ENVELOPE_C_SAMPLES,))
     return EnvelopeProfile(cs=cs, values=values, argmax_c=argmax_c, max_value=max_value)
 
 

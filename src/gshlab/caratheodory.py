@@ -63,8 +63,13 @@ class HerglotzSample:
             raise ValueError("nodes must lie in the closed unit disk")
 
     def coeffs(self, upto: int) -> np.ndarray:
-        """Coefficients c_1..c_upto of the induced series, as an array."""
-        return caratheodory_coeffs(self, upto)
+        """Coefficients c_n = 2 sum_j w_j eta_j^n for n = 1..upto, as an array."""
+        if upto < 1:
+            raise ValueError("upto must be >= 1")
+        w = np.asarray(self.weights, dtype=float)
+        eta = np.asarray(self.nodes, dtype=np.complex128)
+        powers = eta[None, :] ** np.arange(1, upto + 1)[:, None]
+        return 2.0 * (powers * w[None, :]).sum(axis=1)
 
     def series(self, order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
         """Truncated series 1 + c_1 z + c_2 z^2 + ..."""
@@ -140,16 +145,6 @@ class SchwarzSample:
         if power < 1:
             raise ValueError("power must be >= 1")
         return cls(rotation=1.0, zeros=(0.0,) * (power - 1))
-
-
-def caratheodory_coeffs(k: HerglotzSample, upto: int) -> np.ndarray:
-    """Coefficients c_n = 2 sum_j w_j eta_j^n for n = 1..upto."""
-    if upto < 1:
-        raise ValueError("upto must be >= 1")
-    w = np.asarray(k.weights, dtype=float)
-    eta = np.asarray(k.nodes, dtype=np.complex128)
-    powers = eta[None, :] ** np.arange(1, upto + 1)[:, None]
-    return 2.0 * (powers * w[None, :]).sum(axis=1)
 
 
 def from_schwarz(omega: SchwarzSample | ts.TruncatedSeries,

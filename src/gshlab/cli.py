@@ -385,7 +385,12 @@ def _cmd_plot_data(args) -> int:
         if args.input is None:
             raise UsageError("ratio-image requires --input")
         f = _function_from_input(args.input, args.order)
-        w = f.ratio_values(args.radius * np.exp(1j * t))
+        with np.errstate(all="ignore"):
+            w = f.ratio_values(args.radius * np.exp(1j * t))
+        if not np.isfinite(w).all():
+            raise InputInvariantError(
+                f"z f'/f is not finite on |z| = {args.radius!r}: f(z)/z vanishes there; "
+                "plot-data needs another --radius")
     lines = ["t,re,im"]
     for ti, wi in zip(t, w):
         lines.append(f"{_fmt(ti)},{_fmt(wi.real)},{_fmt(wi.imag)}")

@@ -31,7 +31,7 @@ from scipy.integrate import quad
 
 from . import series as ts
 from .caratheodory import SchwarzSample
-from .refine import golden_max, polish_coordinatewise
+from .refine import grid_golden_max, polish_coordinatewise
 from .regions import sinh_region
 
 
@@ -87,9 +87,6 @@ class NormalizedFunction:
 
     def coeff(self, n: int) -> complex:
         return self.series[n]
-
-    def coeffs(self) -> np.ndarray:
-        return self.series.coeffs
 
     @classmethod
     def from_tail(cls, tail, order: int | None = None) -> "NormalizedFunction":
@@ -232,17 +229,10 @@ def sufficient_membership(f: NormalizedFunction, theta_samples: int = 512) -> Su
     if theta_samples < 64:
         raise PreconditionNotMet("theta_samples must be >= 64")
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
-    vals = _sufficient_statistic(f, thetas)
-    i = int(np.argmax(vals))
-    step = 2.0 * np.pi / theta_samples
-    theta_star, s_star = golden_max(
-        lambda t: float(_sufficient_statistic(f, np.array([t]))[0]),
-        thetas[i] - step, thetas[i] + step)
-    if vals[i] > s_star:
-        theta_star, s_star = float(thetas[i]), float(vals[i])
-    return SufficientVerdict(holds=bool(s_star < 1.0),
-                             statistic=float(s_star),
-                             argmax_theta=float(theta_star) % (2.0 * math.pi))
+    theta_star, s_star = grid_golden_max(lambda t: _sufficient_statistic(f, t), thetas,
+                                         2.0 * np.pi / theta_samples)
+    return SufficientVerdict(holds=s_star < 1.0, statistic=s_star,
+                             argmax_theta=theta_star % (2.0 * math.pi))
 
 
 # -- membership test 2: kernel nonvanishing --------------------------------
@@ -441,9 +431,6 @@ class HankelReport:
     t: complex         # a4 - a2 a3
     h22: complex       # a2 a4 - a3^2
     h31: complex       # third-order determinant from a2..a5
-
-    def to_json(self) -> dict:
-        return {k: [getattr(self, k).real, getattr(self, k).imag] for k in FUNCTIONALS}
 
 
 def hankel_report(f: NormalizedFunction, lam: complex = 1.0) -> HankelReport:

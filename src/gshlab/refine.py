@@ -1,4 +1,20 @@
-"""Grid maximization helpers: local zoom refinement and golden-section polish."""
+"""Local refinement of maxima: zoomed grids, golden section, coordinatewise polish.
+
+* :func:`golden_max` maximizes a function of one variable on a bracket by
+  golden section and returns the best point it evaluated.
+* :func:`grid_golden_max` takes the argmax of a vectorized function on a
+  1-d grid and polishes it by golden section within one grid step
+  (sufficient membership statistic, circle extrema of |sinh| and |cosh|).
+* :func:`refine_grid_max` maximizes a vectorized function on a box of any
+  dimension by a grid and ``ZOOM_LEVELS`` local zooms around the running
+  argmax (the h22 envelope and its y = 1 profile).
+* :func:`polish_coordinatewise` runs golden-section ascent one coordinate
+  at a time inside box bounds (the scan and kernel-minimum polish).
+
+Minimization is maximization of the negated function.  Every routine keeps
+the best value it has evaluated, so a refinement never reports less than
+its starting grid or point.
+"""
 
 from __future__ import annotations
 
@@ -47,64 +63,48 @@ def golden_max(fn: Callable[[float], float], lo: float, hi: float,
     return best_x, best_f
 
 
-def refine_grid_max(fn_vec: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                    samples: int) -> tuple[float, float]:
-    """Grid maximization with iterated local zoom around the running argmax.
+def grid_golden_max(fn_vec: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                    step: float) -> tuple[float, float]:
+    """Grid argmax of ``fn_vec`` over ``xs``, polished by golden section.
 
-    ``fn_vec`` maps an array of abscissae to an array of values.  Each of the
-    ``ZOOM_LEVELS`` levels re-grids a window of two coarse cells around the
-    argmax at ``ZOOM_FACTOR`` times the local resolution.
+    The polish runs on the bracket of one ``step`` either side of the grid
+    argmax.  Returns (x, fn(x)); the grid point is kept unless the polish
+    strictly beats it, so the result is never below the grid maximum.
     """
-    xs = np.linspace(lo, hi, samples)
-    vals = np.asarray(fn_vec(xs), dtype=float)
+    vals = fn_vec(xs)
     i = int(np.argmax(vals))
-    best_x, best_f = float(xs[i]), float(vals[i])
-    width = (hi - lo) / max(samples - 1, 1)
-    for _ in range(ZOOM_LEVELS):
-        a = max(lo, best_x - width)
-        b = min(hi, best_x + width)
-        xs = np.linspace(a, b, 2 * ZOOM_FACTOR + 1)
-        vals = np.asarray(fn_vec(xs), dtype=float)
-        i = int(np.argmax(vals))
-        if vals[i] > best_f:
-            best_x, best_f = float(xs[i]), float(vals[i])
-        width = (b - a) / (2 * ZOOM_FACTOR)
-    return best_x, best_f
+    x, v = golden_max(lambda t: float(fn_vec(np.array([t]))[0]), xs[i] - step, xs[i] + step)
+    if vals[i] > v:
+        x, v = float(xs[i]), float(vals[i])
+    return x, v
 
 
-def refine_grid_max_2d(fn_vec: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       xlim: tuple[float, float], ylim: tuple[float, float],
-                       shape: tuple[int, int]) -> tuple[float, tuple[float, float]]:
-    """Two-dimensional analogue of :func:`refine_grid_max`.
+def refine_grid_max(fn_vec: Callable[..., np.ndarray],
+                    limits: Sequence[tuple[float, float]],
+                    shape: Sequence[int]) -> tuple[float, tuple[float, ...]]:
+    """Grid maximization on a box with iterated local zoom around the running argmax.
 
-    ``fn_vec`` receives meshgrid arrays and returns values of the same shape.
-    Returns (max value, (x, y) argmax).
+    ``limits`` holds one (lo, hi) pair per axis and ``shape`` the number of
+    samples along each.  ``fn_vec`` receives one ``indexing="ij"`` meshgrid
+    array per axis and returns values of the same shape.  Each of the
+    ``ZOOM_LEVELS`` levels re-grids a window of two cells per axis around the
+    argmax, clipped to the box, at ``ZOOM_FACTOR`` times the resolution; a
+    level moves the argmax only on a strict gain.  Returns (max value, argmax).
     """
-    (xlo, xhi), (ylo, yhi) = xlim, ylim
-    nx, ny = shape
-    xs = np.linspace(xlo, xhi, nx)
-    ys = np.linspace(ylo, yhi, ny)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.asarray(fn_vec(xx, yy), dtype=float)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    best = float(vals[i, j])
-    bx, by = float(xs[i]), float(ys[j])
-    wx = (xhi - xlo) / max(nx - 1, 1)
-    wy = (yhi - ylo) / max(ny - 1, 1)
-    for _ in range(ZOOM_LEVELS):
-        ax, bx_hi = max(xlo, bx - wx), min(xhi, bx + wx)
-        ay, by_hi = max(ylo, by - wy), min(yhi, by + wy)
-        xs = np.linspace(ax, bx_hi, 2 * ZOOM_FACTOR + 1)
-        ys = np.linspace(ay, by_hi, 2 * ZOOM_FACTOR + 1)
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.asarray(fn_vec(xx, yy), dtype=float)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            bx, by = float(xs[i]), float(ys[j])
-        wx = (bx_hi - ax) / (2 * ZOOM_FACTOR)
-        wy = (by_hi - ay) / (2 * ZOOM_FACTOR)
-    return best, (bx, by)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(limits, shape)]
+    widths = [(hi - lo) / max(n - 1, 1) for (lo, hi), n in zip(limits, shape)]
+    for level in range(ZOOM_LEVELS + 1):
+        if level:
+            windows = [(max(lo, x - w), min(hi, x + w))
+                       for (lo, hi), x, w in zip(limits, best_at, widths)]
+            axes = [np.linspace(a, b, 2 * ZOOM_FACTOR + 1) for a, b in windows]
+            widths = [(b - a) / (2 * ZOOM_FACTOR) for a, b in windows]
+        vals = np.asarray(fn_vec(*np.meshgrid(*axes, indexing="ij")), dtype=float)
+        idx = np.unravel_index(np.argmax(vals), vals.shape)
+        if not level or vals[idx] > best:
+            best = float(vals[idx])
+            best_at = tuple(float(ax[k]) for ax, k in zip(axes, idx))
+    return best, best_at
 
 
 def polish_coordinatewise(fn: Callable[[np.ndarray], float], x0: np.ndarray,

@@ -95,9 +95,6 @@ class TruncatedSeries:
     def __getitem__(self, k: int) -> complex:
         return complex(self._coeffs[k])
 
-    def __iter__(self):
-        return iter(self._coeffs)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         return TruncatedSeries(self._coeffs, order=order)
 
@@ -121,18 +118,12 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries(-self._coeffs)
-
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
         n = min(self.order, o.order)
         return TruncatedSeries(self._coeffs[: n + 1] - o._coeffs[: n + 1])
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -142,22 +133,6 @@ class TruncatedSeries:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return div(self, other)
-        if isinstance(other, (int, float, complex, np.number)):
-            return TruncatedSeries(self._coeffs / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return div(o, self)
-
-    def __call__(self, z):
-        return evaluate(self, z)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self._coeffs[:4])
@@ -357,10 +332,6 @@ def transcend(kind: str, s: TruncatedSeries) -> TruncatedSeries:
 
 def exp(s: TruncatedSeries) -> TruncatedSeries:
     return transcend("exp", s)
-
-
-def log(s: TruncatedSeries) -> TruncatedSeries:
-    return transcend("log", s)
 
 
 def sinh(s: TruncatedSeries) -> TruncatedSeries:

@@ -36,7 +36,7 @@ import numpy as np
 from . import series as ts
 from .caratheodory import sample_schwarz
 from .core import DEFAULT_GRID, NormalizedFunction, PolarGrid, member_from_witness
-from .refine import golden_max
+from .refine import grid_golden_max
 from .regions import sinh_region, sqrt_disk_region
 
 #: Deviations must stay below 1 by at least this margin for the premise to hold.
@@ -94,11 +94,6 @@ class TrigExtrema:
     cosh_argmin: float
     cosh_argmax: float
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("sinh_min", "sinh_max", "cosh_min", "cosh_max",
-                 "sinh_argmin", "sinh_argmax", "cosh_argmin", "cosh_argmax")}
-
 
 def circle_sinh_abs(theta):
     return np.abs(np.sinh(np.exp(1j * np.asarray(theta, dtype=float))))
@@ -120,13 +115,8 @@ def trig_extrema(theta_samples: int = 2048) -> TrigExtrema:
     step = 2.0 * math.pi / (theta_samples - 1)
 
     def refined(fn, sign):
-        vals = sign * fn(thetas)
-        i = int(np.argmax(vals))
-        x, v = golden_max(lambda t: float(sign * fn(np.array([t]))[0]),
-                          thetas[i] - step, thetas[i] + step)
-        if vals[i] > v:
-            x, v = float(thetas[i]), float(vals[i])
-        return float(x), float(sign * v)
+        x, v = grid_golden_max(lambda t: sign * fn(t), thetas, step)
+        return x, sign * v
 
     s_argmax, s_max = refined(circle_sinh_abs, 1.0)
     s_argmin, s_min = refined(circle_sinh_abs, -1.0)
@@ -209,10 +199,6 @@ class ImplicationRecord:
     conclusion_sqrt: bool
     vacuous: bool
     function: dict
-
-    @property
-    def counterexample(self) -> bool:
-        return self.premise_holds and not self.conclusion_sinh
 
     def to_json(self) -> dict:
         return {"kind": int(self.case.kind), "A": self.case.janowski.a,
@@ -423,6 +409,10 @@ def log_derivative_transform(g: NormalizedFunction, order: int) -> ts.TruncatedS
 def log_derivative_identity_residual(g: NormalizedFunction, order: int = 16) -> float:
     """Max coefficient residual of z l' = (z^2 g'/g)(2 + z g''/g' - z g'/g)."""
     _, _, factor, l = _log_derivative_parts(g, order)
+    return _identity_residual(factor, l, order)
+
+
+def _identity_residual(factor: ts.TruncatedSeries, l: ts.TruncatedSeries, order: int) -> float:
     lhs = ts.shift_up(ts.derivative(l)).truncate(order)
     rhs = ts.mul(l, factor)
     n = min(lhs.order, rhs.order)
@@ -444,10 +434,10 @@ def membership_operator_series(g: NormalizedFunction, kind: OperatorKind | int,
     defining identity z l' = (z^2 g'/g)(2 + ...) is checked on every call.
     """
     kind = OperatorKind(kind)
-    residual = log_derivative_identity_residual(g, order)
+    h, gp, factor, l = _log_derivative_parts(g, order)
+    residual = _identity_residual(factor, l, order)
     if residual > 1e-10:
         raise ArithmeticError(f"operator identity residual {residual:.3e} exceeds 1e-10")
-    h, gp, factor, l = _log_derivative_parts(g, order)
     if kind is OperatorKind.Z_FPRIME:
         core = ts.mul(l, factor)
     elif kind is OperatorKind.RATIO:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gshlab import NormalizedFunction, SchwarzSample, member_from_witness
+from gshlab.caratheodory import SchwarzSample
+from gshlab.core import NormalizedFunction, member_from_witness
 
 
 def coeffs_close(a, b, tol):

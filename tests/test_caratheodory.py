@@ -37,7 +37,7 @@ def test_coeffs_match_series_expansion():
 def test_upto_must_be_positive():
     k = cara.HerglotzSample(weights=(1.0,), nodes=(0.5,))
     with pytest.raises(ValueError):
-        cara.caratheodory_coeffs(k, 0)
+        k.coeffs(0)
 
 
 def test_sample_validation():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ def test_plot_ratio_image(tmp_path, capsys):
     rows = parse_curve(out)
     # truncated half-plane kernel value at z = 0.5 is close to 3
     assert rows[0][1] == pytest.approx(3.0, abs=1e-4)
+
+
+def test_plot_ratio_image_pole_on_circle_exits_2(tmp_path, capsys):
+    # f(z)/z = 1 - z/0.9 vanishes at z = 0.9, the first point of the circle
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"coeffs": [[0, 0], [1, 0], [-1.1111111111111112, 0]]}))
+    out = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["plot-data", "--curve", "ratio-image", "--radius", "0.9",
+                         "--resolution", "64", "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert "invariant violation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plot_resolution_floor(capsys):
