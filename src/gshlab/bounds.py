@@ -25,22 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import SchwarzSample, coeffs_from_witnesses, sample_schwarz
+from .caratheodory import ZERO_MODULUS_CAP, SchwarzSample, coeffs_from_witnesses, sample_schwarz
 from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness
 from .refine import polish_coordinatewise, refine_grid_max
 
-#: Complexity caps of the random witnesses: Blaschke zeros and their modulus.
+#: Most Blaschke zeros of a random witness (their modulus cap is
+#: ``caratheodory.ZERO_MODULUS_CAP``).
 MAX_ZEROS = 4
-ZERO_MODULUS_CAP = 0.75
 
 #: Direct-family grid: samples of c in [0, 2], of |x| in [0, 1] and of arg x.
 DIRECT_C_SAMPLES = 41
 DIRECT_Y_SAMPLES = 21
 DIRECT_PHASE_SAMPLES = 12
 
-#: Coordinatewise golden-section polish: sweeps, and steps per coordinate.
+#: Sweeps of the coordinatewise golden-section polish.
 POLISH_ROUNDS = 2
-POLISH_ITERS = 40
 
 #: Envelope grids: samples of c in [0, 2] and of y in [0, 1].
 ENVELOPE_C_SAMPLES = 201
@@ -129,7 +128,7 @@ def witness_batch(cfg: ScanConfig) -> tuple[list[SchwarzSample], np.ndarray]:
     rows = np.empty((cfg.samples, cfg.order + 1), dtype=np.complex128)
     for i in range(cfg.samples):
         rng = np.random.default_rng((cfg.seed, i))
-        omega = sample_schwarz(rng, max_zeros=MAX_ZEROS, zero_modulus_cap=ZERO_MODULUS_CAP)
+        omega = sample_schwarz(rng, max_zeros=MAX_ZEROS)
         witnesses.append(omega)
         rows[i] = _member_coeffs(omega, cfg.order)
     if len(_BATCH_CACHE) > 8:
@@ -216,7 +215,7 @@ def _direct_family_max(name: str, lam: complex = 1.0):
                                     cmath.exp(1j * p[3]), lam))
 
     bounds = [(0.0, 2.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
-    p, best = polish_coordinatewise(score, x0, bounds, rounds=POLISH_ROUNDS, iters=POLISH_ITERS)
+    p, best = polish_coordinatewise(score, x0, bounds, rounds=POLISH_ROUNDS)
     witness = caratheodory_witness_to_json(p[0], p[1] * cmath.exp(1j * p[2]),
                                            cmath.exp(1j * p[3]))
     return best, witness
@@ -258,8 +257,7 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
         return functional_value(name, _member_coeffs(_schwarz_from_params(p), read_order), lam)
 
     if len(params) > 1:
-        params, polished = polish_coordinatewise(score, params, bounds,
-                                                 rounds=POLISH_ROUNDS, iters=POLISH_ITERS)
+        params, polished = polish_coordinatewise(score, params, bounds, rounds=POLISH_ROUNDS)
         if polished > best:
             best = polished
             best_witness = _schwarz_from_params(params)

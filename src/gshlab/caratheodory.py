@@ -11,8 +11,9 @@ with ``|rotation| = 1`` and Blaschke zeros ``|b_j| < 1``; this guarantees
 ``w(0) = 0`` and ``|w(z)| <= |z|`` on the disk.
 
 The module also provides the classical sharp coefficient inequalities for
-the positive-real-part class (used as calculators and as an empirical
-regression suite over random samples).
+the positive-real-part class, one formula each (the complex-parameter
+Fekete-Szego bound also serves real parameters), used as calculators and as
+an empirical regression suite over random samples.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ MAX_ATOMS = 6
 
 #: Unit-circle samples behind :meth:`SchwarzSample.boundary_max`.
 BOUNDARY_SAMPLES = 1024
+
+#: Largest modulus of a sampled Blaschke zero.
+ZERO_MODULUS_CAP = 0.75
 
 #: The inequality suite checks |c_n| <= 2 for n = 1..SUITE_MAX_ORDER.
 SUITE_MAX_ORDER = 8
@@ -231,18 +235,12 @@ def coeffs_from_witnesses(c1: complex, x: complex, z: complex) -> tuple[complex,
 # -- sharp bound calculators ----------------------------------------------
 
 
-def fekete_szego_bound(nu: float) -> float:
-    """Sharp bound for |c2 - nu c1^2| over the class, for real nu."""
-    nu = float(nu)
-    if nu <= 0.0:
-        return -4.0 * nu + 2.0
-    if nu <= 1.0:
-        return 2.0
-    return 4.0 * nu - 2.0
-
-
 def fekete_szego_bound_complex(lam: complex) -> float:
-    """Sharp bound 2 max(1, |2 lam - 1|) for |c2 - lam c1^2|, complex lam."""
+    """Sharp bound 2 max(1, |2 lam - 1|) for |c2 - lam c1^2|, complex lam.
+
+    For real lam this is the piecewise 2 - 4 lam, 2, 4 lam - 2 (split at 0
+    and 1), to the bit.
+    """
     return 2.0 * max(1.0, abs(2.0 * complex(lam) - 1.0))
 
 
@@ -300,16 +298,15 @@ def sample_herglotz(rng: np.random.Generator) -> HerglotzSample:
     return HerglotzSample(weights=tuple(weights), nodes=tuple(map(complex, nodes)))
 
 
-def sample_schwarz(rng: np.random.Generator, max_zeros: int = 4,
-                   zero_modulus_cap: float = 0.75) -> SchwarzSample:
+def sample_schwarz(rng: np.random.Generator, max_zeros: int = 4) -> SchwarzSample:
     """Draw a random Schwarz map (rotation times z times a Blaschke product).
 
-    Zero moduli are capped below 1 so that truncated series of derived
-    functions keep usable decay near the boundary of the disk.
+    Zero moduli are capped at ``ZERO_MODULUS_CAP`` so that truncated series of
+    derived functions keep usable decay near the boundary of the disk.
     """
     rotation = complex(np.exp(2j * np.pi * rng.random()))
     count = int(rng.integers(0, max_zeros + 1))
-    radii = zero_modulus_cap * np.sqrt(rng.random(count))
+    radii = ZERO_MODULUS_CAP * np.sqrt(rng.random(count))
     zeros = radii * np.exp(2j * np.pi * rng.random(count))
     return SchwarzSample(rotation=rotation, zeros=tuple(map(complex, zeros)))
 
@@ -323,10 +320,21 @@ class SuiteReport:
 
     samples: int
     seed: int
-    checks: dict[str, int] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
     quartic_condition_hits: int = 0
     degenerate_witnesses: int = 0
+
+    @property
+    def checks(self) -> dict[str, int]:
+        """Checks run, by name.
+
+        Every sample runs each check once, except the quartic one, which runs
+        only where its side condition holds.
+        """
+        counts = dict.fromkeys(("cubic", "fekete_szego_complex", "fekete_szego_real",
+                                "modulus", "witnesses"), self.samples)
+        counts["quartic"] = self.quartic_condition_hits
+        return counts
 
     @property
     def violation_count(self) -> int:
@@ -356,10 +364,6 @@ def inequality_suite(samples: int, seed: int) -> SuiteReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     report = SuiteReport(samples=samples, seed=seed)
-    checks = report.checks
-    for name in ("modulus", "fekete_szego_complex", "fekete_szego_real",
-                 "cubic", "quartic", "witnesses"):
-        checks[name] = 0
 
     def violation(kind, sample, **data):
         report.violations.append({
@@ -373,26 +377,22 @@ def inequality_suite(samples: int, seed: int) -> SuiteReport:
         sample = sample_herglotz(rng)
         c = sample.coeffs(SUITE_MAX_ORDER)
 
-        checks["modulus"] += 1
         worst = float(np.max(np.abs(c)))
         if worst > 2.0 + _SUITE_TOL:
             violation("modulus", sample, value=worst)
 
         lam = 2.0 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        checks["fekete_szego_complex"] += 1
         val = abs(c[1] - lam * c[0] ** 2)
         if val > fekete_szego_bound_complex(lam) + _SUITE_TOL:
             violation("fekete_szego_complex", sample, lam=complex(lam), value=val)
 
         nu = float(rng.uniform(-1.5, 2.5))
-        checks["fekete_szego_real"] += 1
         val = abs(c[1] - nu * c[0] ** 2)
-        if val > fekete_szego_bound(nu) + _SUITE_TOL:
+        if val > fekete_szego_bound_complex(nu) + _SUITE_TOL:
             violation("fekete_szego_real", sample, nu=nu, value=val)
 
         a, b, d = (math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
                    for _ in range(3))
-        checks["cubic"] += 1
         val = abs(a * c[0] ** 3 - b * c[0] * c[1] + d * c[2])
         if val > cubic_combination_bound(a, b, d) + _SUITE_TOL:
             violation("cubic", sample, a=complex(a), b=complex(b), d=complex(d), value=val)
@@ -411,12 +411,10 @@ def inequality_suite(samples: int, seed: int) -> SuiteReport:
             n = float(rng.uniform(-0.5, 0.5))
         if quartic_combination_condition(l, r, m, n):
             report.quartic_condition_hits += 1
-            checks["quartic"] += 1
             val = quartic_combination_value(c, l, r, m, n)
             if val > 2.0 + _SUITE_TOL:
                 violation("quartic", sample, l=l, r=r, m=m, n=n, value=val)
 
-        checks["witnesses"] += 1
         # the witness identities assume a real nonnegative first coefficient
         cr = rotate_to_real_first(c[:3])
         wit = coeff_witnesses(cr[0], cr[1], cr[2])

@@ -65,7 +65,11 @@ def _write_output(text: str, path: str | None):
 
 
 def _emit_json(obj, path: str | None):
-    _write_output(json.dumps(obj, sort_keys=True, indent=2), path)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity has no JSON form
+        raise InputInvariantError(f"result is not finite: {exc}") from exc
+    _write_output(text, path)
 
 
 def _emit_csv(header: list[str], rows: list[list], path: str | None):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -305,7 +304,7 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
         [(best_theta - dtheta, best_theta + dtheta),
          (max(r0 - dr, 1e-9), min(r0 + dr, grid.max_radius)),
          (phi0 - dphi, phi0 + dphi)],
-        rounds=3, iters=40)
+        rounds=3)
     if -neg < best:
         best = -neg
         best_theta = float(p[0]) % (2.0 * math.pi)
@@ -353,14 +352,15 @@ def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) 
     fp = f.derivative_values(z)
     safe = np.abs(g) > 1e-12
     g_safe = np.where(safe, g, 1.0)
-    far_outside = region.anchor + 2.0 * region.outer_radius
+    far_outside = 2.0 * math.sinh(1.0)  # outside sinh(D): |sinh| <= sinh 1 on the disk
     values = np.where(safe, (fp - g_safe) / g_safe, far_outside)
     inside, ambiguous = region.classify(values)
     outside = ~inside & ~ambiguous
     member = bool(np.all(inside))
     excursion = float(np.max(region.boundary_distance(values[outside]))) if np.any(outside) else 0.0
-    # conservative lower bound on the samples' distance to the curve
-    margin = max(0.0, region.inner_radius - float(np.max(np.abs(values - region.anchor))))
+    # conservative lower bound on the samples' distance to the curve: the disk
+    # of radius sin 1, the least |sinh| on the unit circle, lies in sinh(D)
+    margin = max(0.0, math.sin(1.0) - float(np.max(np.abs(values))))
     return GeometricVerdict(member=member,
                             max_excursion=excursion,
                             boundary_margin=margin,
@@ -465,7 +465,6 @@ def shi_quadrature(x: float) -> float:
     return val
 
 
-@lru_cache(maxsize=256)
 def _shi_checked(x: float) -> float:
     a = shi_series(x)
     b = shi_quadrature(x)

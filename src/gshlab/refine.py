@@ -28,6 +28,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Interval width below which golden-section iteration stops.
 STEP_FLOOR = 1e-10
 
+#: Golden-section steps per coordinate of :func:`polish_coordinatewise`.
+POLISH_ITERS = 40
+
 #: Grid zoom: refinement levels, and the resolution gain of each level.
 ZOOM_LEVELS = 4
 ZOOM_FACTOR = 8
@@ -108,8 +111,8 @@ def refine_grid_max(fn_vec: Callable[..., np.ndarray],
 
 
 def polish_coordinatewise(fn: Callable[[np.ndarray], float], x0: np.ndarray,
-                          bounds: Sequence[tuple[float, float]], rounds: int = 2,
-                          iters: int = 40) -> tuple[np.ndarray, float]:
+                          bounds: Sequence[tuple[float, float]],
+                          rounds: int = 2) -> tuple[np.ndarray, float]:
     """Coordinatewise golden-section ascent from x0 within box bounds."""
     x = np.array(x0, dtype=float)
     best = fn(x)
@@ -120,7 +123,7 @@ def polish_coordinatewise(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                 trial[_k] = v
                 return fn(trial)
 
-            v, f = golden_max(along, lo, hi, iters=iters)
+            v, f = golden_max(along, lo, hi, iters=POLISH_ITERS)
             if f > best:
                 best = f
                 x[k] = v

@@ -5,7 +5,7 @@ disk under a fixed univalent map; their boundaries are smooth Jordan curves.
 Containment of sampled values is decided by an exact preimage test: each
 region carries a signed margin, negative inside, positive outside and zero on
 the curve (``sinh_margin``, ``sqrt_disk_margin``).  A dense polygon along the
-boundary is kept for distances to the curve and for the anchor radii.
+boundary is kept for distances to the curve.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class CurveRegion:
     ----------
     vertices:
         Complex vertices of the closed loop, without a repeated endpoint;
-        used for distances to the curve and for the anchor radii.
+        used for distances to the curve.
     margin:
         Signed margin of the region, vectorized over complex points:
         negative inside, positive outside, zero on the curve.
@@ -91,24 +91,12 @@ class CurveRegion:
         self._y1 = nxt.imag
         if not self.contains(np.array([self.anchor])):
             raise ValueError("anchor must lie strictly inside the curve")
-        self._r_in = float(self.boundary_distance(np.array([self.anchor]))[0])
-        self._r_out = float(np.max(np.abs(v - self.anchor)))
-
-    @property
-    def inner_radius(self) -> float:
-        """Largest disk about the anchor contained in the polygon."""
-        return self._r_in
-
-    @property
-    def outer_radius(self) -> float:
-        """Smallest disk about the anchor containing the polygon."""
-        return self._r_out
 
     @classmethod
     def from_boundary(cls, boundary, margin: Callable[[np.ndarray], np.ndarray],
-                      samples: int = DEFAULT_CURVE_SAMPLES,
                       anchor: complex = 0.0) -> "CurveRegion":
-        t = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        """Region whose polygon has ``DEFAULT_CURVE_SAMPLES`` equally spaced vertices."""
+        t = np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False)
         return cls(boundary(t), margin, anchor=anchor)
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:

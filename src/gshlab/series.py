@@ -10,11 +10,11 @@ truncation consistency: coefficient ``k`` of a result depends only on
 coefficients ``0..k`` of the operands, and binary operations return a series
 truncated at the smaller of the two operand orders.
 
-The module provides products, quotients, composition, the elementary
-transcendental maps (exp, log, sinh, cosh), termwise integration of
-``(q(t) - 1)/t``, Horner evaluation and differentiation.  All values are
-immutable after construction and every operation is a pure function, so the
-types are safe for unrestricted concurrent use.
+The module provides products, quotients, composition, exp and sinh of a
+series with zero constant term (the two maps that build class members),
+termwise integration of ``(q(t) - 1)/t``, Horner evaluation and
+differentiation.  Series are immutable after construction and every
+operation is a pure function.
 
 Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
 (element 0 is the constant term); see :func:`to_pairs` / :func:`from_pairs`.
@@ -22,7 +22,6 @@ Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
 
 from __future__ import annotations
 
-import cmath
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 DEFAULT_ORDER = 32
 
 #: Magnitude below which a constant term is considered too close to zero to
-#: divide by (or to take a logarithm of).
+#: divide by.
 CONSTANT_TERM_TOL = 1e-14
 
 
@@ -39,7 +38,7 @@ class SeriesError(ValueError):
 
 
 class NearZeroConstantTerm(SeriesError):
-    """Division or logarithm requested for a series with |c[0]| below tolerance."""
+    """Division requested by a series with |c[0]| below tolerance."""
 
 
 class NonzeroInnerConstant(SeriesError):
@@ -278,65 +277,24 @@ def shift_down(s: TruncatedSeries) -> TruncatedSeries:
 
 # -- transcendental maps --------------------------------------------------
 
-_TRANSCEND_KINDS = ("exp", "log", "sinh", "cosh")
 
-
-def _maclaurin_about(kind: str, s0: complex, order: int) -> np.ndarray:
-    """Taylor coefficients of the map about the expansion point s0."""
-    out = np.zeros(order + 1, dtype=np.complex128)
-    if kind == "exp":
-        base = cmath.exp(s0)
-        inv_fact = 1.0
-        for k in range(order + 1):
-            out[k] = base * inv_fact
-            if k < order:
-                inv_fact /= k + 1
-    elif kind in ("sinh", "cosh"):
-        pair = (cmath.sinh(s0), cmath.cosh(s0))
-        if kind == "cosh":
-            pair = (pair[1], pair[0])
-        inv_fact = 1.0
-        for k in range(order + 1):
-            out[k] = pair[k % 2] * inv_fact
-            if k < order:
-                inv_fact /= k + 1
-    elif kind == "log":
-        out[0] = cmath.log(s0)
-        power = s0
-        for k in range(1, order + 1):
-            out[k] = (-1.0) ** (k + 1) / (k * power)
-            power *= s0
-    else:
-        raise ValueError(f"unknown transcendental kind {kind!r}")
+def _inverse_factorials(order: int) -> np.ndarray:
+    """1/k! for k = 0..order, by successive division."""
+    out = np.empty(order + 1, dtype=np.complex128)
+    inv_fact = 1.0
+    for k in range(order + 1):
+        out[k] = inv_fact
+        inv_fact /= k + 1
     return out
 
 
-def transcend(kind: str, s: TruncatedSeries) -> TruncatedSeries:
-    """Apply exp, log, sinh or cosh to a series.
-
-    The map is expanded about the constant term and composed with the
-    zero-constant remainder, so nonzero constants are handled by factoring
-    out the value at 0.  For ``log`` the constant term must stay above the
-    tolerance; the principal branch is used.
-    """
-    if kind not in _TRANSCEND_KINDS:
-        raise ValueError(f"kind must be one of {_TRANSCEND_KINDS}, got {kind!r}")
-    s0 = complex(s.coeffs[0])
-    if kind == "log" and abs(s0) <= CONSTANT_TERM_TOL:
-        raise NearZeroConstantTerm(
-            f"log requires |constant term| > {CONSTANT_TERM_TOL}, got {abs(s0):.3e}")
-    outer = TruncatedSeries(_maclaurin_about(kind, s0, s.order))
-    remainder = s - constant(s0, s.order)
-    return compose(outer, remainder)
-
-
 def exp(s: TruncatedSeries) -> TruncatedSeries:
-    return transcend("exp", s)
+    """exp of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
+    return compose(TruncatedSeries(_inverse_factorials(s.order)), s)
 
 
 def sinh(s: TruncatedSeries) -> TruncatedSeries:
-    return transcend("sinh", s)
-
-
-def cosh(s: TruncatedSeries) -> TruncatedSeries:
-    return transcend("cosh", s)
+    """sinh of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
+    table = _inverse_factorials(s.order)
+    table[::2] = 0.0
+    return compose(TruncatedSeries(table), s)

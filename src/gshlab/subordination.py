@@ -35,7 +35,8 @@ import numpy as np
 
 from . import series as ts
 from .caratheodory import sample_schwarz
-from .core import DEFAULT_GRID, NormalizedFunction, PolarGrid, member_from_witness
+from .core import (DEFAULT_GRID, NormalizedFunction, PolarGrid, PreconditionNotMet,
+                   member_from_witness)
 from .refine import grid_golden_max
 from .regions import sinh_region, sqrt_disk_region
 
@@ -299,13 +300,17 @@ def _scale_tail(f: NormalizedFunction, factor: float) -> NormalizedFunction:
     return NormalizedFunction(ts.TruncatedSeries(coeffs))
 
 
-def _sample_candidate(rng: np.random.Generator, order: int = 8) -> NormalizedFunction:
+#: Truncation order of the harness's candidate functions.
+CANDIDATE_ORDER = 8
+
+
+def _sample_candidate(rng: np.random.Generator) -> NormalizedFunction:
     if rng.random() < 0.5:
         degree = int(rng.integers(2, 7))
         tail = [(rng.normal(0.0, 0.15) + 1j * rng.normal(0.0, 0.15)) / n
                 for n in range(2, degree + 1)]
-        return NormalizedFunction.from_tail(tail, order=order)
-    return member_from_witness(sample_schwarz(rng, max_zeros=2), order=order)
+        return NormalizedFunction.from_tail(tail, order=CANDIDATE_ORDER)
+    return member_from_witness(sample_schwarz(rng, max_zeros=2), order=CANDIDATE_ORDER)
 
 
 def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
@@ -367,8 +372,13 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
                         target_non_vacuous: int = 50, max_attempts: int = 400,
                         keep_records: bool = False) -> HarnessReport:
-    """Run every kind on each ``DEFAULT_CONFIGS`` pair whose threshold is defined."""
+    """Run every kind on each ``DEFAULT_CONFIGS`` pair whose threshold is defined.
+
+    Every scanned alpha (``alpha_factor`` times a threshold) is checked to be
+    finite before any configuration runs.
+    """
     report = HarnessReport()
+    runs = []
     for a, b in DEFAULT_CONFIGS:
         params = JanowskiParams(a, b)
         for kind in OperatorKind:
@@ -376,12 +386,17 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
             if threshold is None:
                 report.undefined.append({"kind": int(kind), "A": a, "B": b})
                 continue
-            summary, records = run_config(kind, params, alpha_factor * threshold, threshold,
-                                          seed=seed, target_non_vacuous=target_non_vacuous,
-                                          max_attempts=max_attempts,
-                                          keep_records=keep_records)
-            report.summaries.append(summary)
-            report.records.extend(records)
+            alpha = alpha_factor * threshold
+            if not math.isfinite(alpha):
+                raise PreconditionNotMet(
+                    f"alpha = {alpha_factor!r} x {threshold!r} is not finite")
+            runs.append((kind, params, alpha, threshold))
+    for kind, params, alpha, threshold in runs:
+        summary, records = run_config(kind, params, alpha, threshold,
+                                      seed=seed, target_non_vacuous=target_non_vacuous,
+                                      max_attempts=max_attempts, keep_records=keep_records)
+        report.summaries.append(summary)
+        report.records.extend(records)
     return report
 
 

@@ -143,10 +143,20 @@ def test_witness_round_trip():
 # -- bound calculators ---------------------------------------------------------
 
 
+def _piecewise_fekete_szego_bound(nu):
+    """The real-nu bound in its textbook form, split at nu = 0 and nu = 1."""
+    if nu <= 0.0:
+        return -4.0 * nu + 2.0
+    if nu <= 1.0:
+        return 2.0
+    return 4.0 * nu - 2.0
+
+
 @pytest.mark.parametrize("nu,expected", [(0.0, 2.0), (-1.0, 6.0), (2.0, 6.0),
                                          (0.5, 2.0), (1.0, 2.0)])
 def test_fekete_szego_bound_cases(nu, expected):
-    assert cara.fekete_szego_bound(nu) == pytest.approx(expected)
+    assert _piecewise_fekete_szego_bound(nu) == pytest.approx(expected)
+    assert cara.fekete_szego_bound_complex(nu) == _piecewise_fekete_szego_bound(nu)
 
 
 def test_cubic_combination_bound_values():
@@ -189,7 +199,7 @@ def test_suite_boundary_sample_saturates_modulus():
     assert np.allclose(np.abs(c), 2.0)
     # sharp values still satisfy every calculator bound
     assert abs(c[1] - 1.0 * c[0] ** 2) <= cara.fekete_szego_bound_complex(1.0)
-    assert abs(c[1] - 0.5 * c[0] ** 2) <= cara.fekete_szego_bound(0.5) + 1e-12
+    assert abs(c[1] - 0.5 * c[0] ** 2) <= cara.fekete_szego_bound_complex(0.5) + 1e-12
 
 
 def test_suite_deterministic_across_worker_counts(monkeypatch):

@@ -82,6 +82,19 @@ def test_membership_invalid_function_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_membership_overflowing_input_exits_2(tmp_path, capsys):
+    # a_2 = 1e308 overflows the grid values; JSON has no form for inf or NaN
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"coeffs": [[0, 0], [1, 0], [1e308, 0]]}))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["membership", "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert "invariant violation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_membership_missing_file_exits_1(capsys):
     code, _ = run(capsys, "membership", "--input", "/nonexistent.json")
     assert code == 1
@@ -172,6 +185,18 @@ def test_verify_implications_exit_reflects_counterexamples(capsys):
     report = json.loads(out)
     assert (code == 3) == (report["counterexamples"] > 0)
     assert len(report["summaries"]) == 7
+
+
+def test_verify_implications_overflowing_alpha_exits_2(tmp_path, capsys):
+    # 1e308 passes the flag's finiteness check, but 1e308 times a threshold is inf
+    out = tmp_path / "harness.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify-implications", "--alpha-factor", "1e308", "--cases", "1",
+                         "--max-attempts", "1", "--output", str(out)])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- plot data ----------------------------------------------------------------------

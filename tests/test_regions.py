@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from gshlab import regions
+from gshlab.core import NormalizedFunction, geometric_membership
 
 
 def test_sinh_boundary_values():
@@ -29,9 +32,14 @@ def test_classify_anchor_and_far_point():
 
 
 def test_radial_prefilter_bounds():
-    region = regions.sinh_region()
-    assert region.inner_radius == pytest.approx(np.sin(1.0), abs=1e-5)
-    assert region.outer_radius == pytest.approx(np.sinh(1.0), abs=1e-5)
+    # sinh(D) holds the disk of radius sin 1 and lies in the disk of radius
+    # sinh 1; geometric_membership reads both closed forms
+    t = np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)
+    circle = np.exp(1j * t)
+    assert np.all(regions.sinh_margin(math.sin(1.0) * (1.0 - 1e-9) * circle) < 0)
+    assert np.all(regions.sinh_margin(math.sinh(1.0) * (1.0 + 1e-9) * circle) > 0)
+    identity = NormalizedFunction.identity(16)
+    assert geometric_membership(identity).boundary_margin == math.sin(1.0)
 
 
 def test_sinh_containment_matches_inverse_map_oracle():
