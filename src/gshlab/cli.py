@@ -6,10 +6,11 @@ the flags it reads, and a flag with a range checks it as it is parsed (the
 Janowski pair --A/--B is checked together).  Analysis verdicts (including
 "non-member" and bound violations) exit 0; exit 1 flags usage or parse
 errors (an unknown flag, text that does not parse), exit 2 an invariant
-violation in the input (a value out of range, a malformed input file), and
-exit 3 a requested assertion-class check that failed (a harness
-counterexample or an inequality-suite violation).  Identical
-configurations, seeds included, produce byte-identical artifacts.
+violation in the input (a value out of range, a malformed input file, numpy
+arithmetic that overflows, divides by zero or is invalid), and exit 3 a
+requested assertion-class check that failed (a harness counterexample or an
+inequality-suite violation).  Identical configurations, seeds included,
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -418,14 +419,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InputInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ts.SeriesError, core.PreconditionNotMet, sub.ZeroDivisorOnGrid) as exc:
+    except (ts.SeriesError, core.PreconditionNotMet, sub.ZeroDivisorOnGrid,
+            FloatingPointError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -4,7 +4,7 @@ A normalized function ``f(z) = z + a_2 z^2 + ...`` belongs to the class when
 ``z f'(z)/f(z) - 1`` is subordinate to ``sinh z``.  Members are constructed
 from Schwarz-map witnesses via
 
-    f(z) = z * exp( integral_0^z (q(t) - 1)/t dt ),   q = 1 + sinh(w),
+    f(z) = z * exp( integral_0^z sinh(w(t))/t dt ),
 
 and membership of an arbitrary candidate is probed three independent ways:
 
@@ -26,12 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import series as ts
 from .caratheodory import SchwarzSample
 from .refine import grid_golden_max, polish_coordinatewise
-from .regions import sinh_region
+from .regions import sinh_boundary_distance, sinh_region
 
 
 class PreconditionNotMet(ValueError):
@@ -43,6 +42,9 @@ ZERO_TOL = 1e-6
 
 #: Relative size of the last term at which the sine-integral series stops.
 SHI_TOL = 1e-18
+
+#: Gauss-Legendre nodes of the sine-integral quadrature (exact to degree 31).
+SHI_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,6 @@ class NormalizedFunction:
         n = np.arange(c.size)
         return np.polyval((c * n)[:0:-1], z)
 
-    def values(self, z) -> np.ndarray:
-        return np.polyval(self.series.coeffs[::-1], z)
-
     def ratio_values(self, z) -> np.ndarray:
         """Values of z f'(z)/f(z), computed as f'(z) / (f(z)/z)."""
         g = self.over_z_values(z)
@@ -153,8 +152,7 @@ def member_from_witness(omega: SchwarzSample | ts.TruncatedSeries,
     identity member).
     """
     w = omega.series(order) if isinstance(omega, SchwarzSample) else omega.truncate(order)
-    q = ts.constant(1.0, order) + ts.sinh(w)
-    inner = ts.integrate_ratio(q)
+    inner = ts.integrate_over_t(ts.sinh(w))
     return NormalizedFunction(ts.shift_up(ts.exp(inner)).truncate(order))
 
 
@@ -357,7 +355,7 @@ def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) 
     inside, ambiguous = region.classify(values)
     outside = ~inside & ~ambiguous
     member = bool(np.all(inside))
-    excursion = float(np.max(region.boundary_distance(values[outside]))) if np.any(outside) else 0.0
+    excursion = float(np.max(sinh_boundary_distance(values[outside]))) if np.any(outside) else 0.0
     # conservative lower bound on the samples' distance to the curve: the disk
     # of radius sin 1, the least |sinh| on the unit circle, lies in sinh(D)
     margin = max(0.0, math.sin(1.0) - float(np.max(np.abs(values))))
@@ -459,10 +457,14 @@ def shi_series(x: float) -> float:
 
 
 def shi_quadrature(x: float) -> float:
-    """Hyperbolic sine integral by adaptive quadrature (independent route)."""
-    val, _ = quad(lambda t: math.sinh(t) / t if t != 0.0 else 1.0, 0.0, float(x),
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
+    """Hyperbolic sine integral by Gauss-Legendre quadrature (independent route).
+
+    The integrand sinh(t)/t is taken as 1 where a node underflows to t = 0.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(SHI_NODES)
+    t = x * (nodes + 1.0) / 2.0
+    integrand = np.divide(np.sinh(t), t, out=np.ones_like(t), where=t != 0.0)
+    return x * float(np.dot(weights, integrand)) / 2.0
 
 
 def _shi_checked(x: float) -> float:

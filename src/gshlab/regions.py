@@ -4,8 +4,9 @@ The subordination targets used across the package are images of the unit
 disk under a fixed univalent map; their boundaries are smooth Jordan curves.
 Containment of sampled values is decided by an exact preimage test: each
 region carries a signed margin, negative inside, positive outside and zero on
-the curve (``sinh_margin``, ``sqrt_disk_margin``).  A dense polygon along the
-boundary is kept for distances to the curve.
+the curve (``sinh_margin``, ``sqrt_disk_margin``).  The only polygon left is
+the one ``sinh_boundary_distance`` builds along the boundary of sinh(D) for
+distances to that curve.
 """
 
 from __future__ import annotations
@@ -61,14 +62,34 @@ def sqrt_disk_margin(w: np.ndarray) -> np.ndarray:
     return np.where(w.real > 0, m, np.maximum(np.abs(m), -w.real))
 
 
+def sinh_boundary_distance(points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the boundary of sinh(unit disk).
+
+    The curve is taken as the polygon through ``DEFAULT_CURVE_SAMPLES``
+    equally spaced vertices ``sinh_boundary(t)``.
+    """
+    v = sinh_boundary(np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False))
+    x0, y0 = v.real, v.imag
+    nxt = np.roll(v, -1)
+    dx = (nxt.real - x0)[None, :]
+    dy = (nxt.imag - y0)[None, :]
+    denom = dx * dx + dy * dy
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    out = np.empty(pts.size, dtype=float)
+    for lo in range(0, pts.size, _CHUNK):
+        chunk = pts[lo : lo + _CHUNK]
+        px = chunk.real[:, None] - x0[None, :]
+        py = chunk.imag[:, None] - y0[None, :]
+        t = np.clip((px * dx + py * dy) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
+        out[lo : lo + _CHUNK] = np.hypot(px - t * dx, py - t * dy).min(axis=1)
+    return out
+
+
 class CurveRegion:
-    """Region bounded by a closed Jordan curve, with an exact margin.
+    """Region bounded by a closed Jordan curve, given by an exact margin.
 
     Parameters
     ----------
-    vertices:
-        Complex vertices of the closed loop, without a repeated endpoint;
-        used for distances to the curve.
     margin:
         Signed margin of the region, vectorized over complex points:
         negative inside, positive outside, zero on the curve.
@@ -76,44 +97,11 @@ class CurveRegion:
         A point known to lie inside the region.
     """
 
-    def __init__(self, vertices: np.ndarray, margin: Callable[[np.ndarray], np.ndarray],
-                 anchor: complex = 0.0):
-        v = np.asarray(vertices, dtype=np.complex128)
-        if v.size < 8:
-            raise ValueError("need at least 8 boundary vertices")
-        self.vertices = v
+    def __init__(self, margin: Callable[[np.ndarray], np.ndarray], anchor: complex = 0.0):
         self.margin = margin
         self.anchor = complex(anchor)
-        self._x0 = v.real
-        self._y0 = v.imag
-        nxt = np.roll(v, -1)
-        self._x1 = nxt.real
-        self._y1 = nxt.imag
         if not self.contains(np.array([self.anchor])):
             raise ValueError("anchor must lie strictly inside the curve")
-
-    @classmethod
-    def from_boundary(cls, boundary, margin: Callable[[np.ndarray], np.ndarray],
-                      anchor: complex = 0.0) -> "CurveRegion":
-        """Region whose polygon has ``DEFAULT_CURVE_SAMPLES`` equally spaced vertices."""
-        t = np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False)
-        return cls(boundary(t), margin, anchor=anchor)
-
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each query point to the polygonal boundary."""
-        pts = np.asarray(points, dtype=np.complex128).ravel()
-        out = np.empty(pts.size, dtype=float)
-        for lo in range(0, pts.size, _CHUNK):
-            chunk = pts[lo : lo + _CHUNK]
-            ax, ay = self._x0[None, :], self._y0[None, :]
-            dx = (self._x1 - self._x0)[None, :]
-            dy = (self._y1 - self._y0)[None, :]
-            px = chunk.real[:, None] - ax
-            py = chunk.imag[:, None] - ay
-            denom = dx * dx + dy * dy
-            t = np.clip((px * dx + py * dy) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
-            out[lo : lo + _CHUNK] = np.hypot(px - t * dx, py - t * dy).min(axis=1)
-        return out
 
     def classify(self, points: np.ndarray):
         """Classify points as strictly inside, with an ambiguity mask.
@@ -136,10 +124,10 @@ class CurveRegion:
 @functools.cache
 def sinh_region() -> CurveRegion:
     """Cached region sinh(unit disk), anchored at 0."""
-    return CurveRegion.from_boundary(sinh_boundary, sinh_margin, anchor=0.0)
+    return CurveRegion(sinh_margin, anchor=0.0)
 
 
 @functools.cache
 def sqrt_disk_region() -> CurveRegion:
     """Cached region sqrt(1 + unit disk), anchored at 1."""
-    return CurveRegion.from_boundary(sqrt_disk_boundary, sqrt_disk_margin, anchor=1.0)
+    return CurveRegion(sqrt_disk_margin, anchor=1.0)

@@ -10,9 +10,9 @@ truncation consistency: coefficient ``k`` of a result depends only on
 coefficients ``0..k`` of the operands, and binary operations return a series
 truncated at the smaller of the two operand orders.
 
-The module provides products, quotients, composition, exp and sinh of a
-series with zero constant term (the two maps that build class members),
-termwise integration of ``(q(t) - 1)/t``, Horner evaluation and
+The module provides products, quotients, composition, and for a series with
+zero constant term exp, sinh and the termwise integral of ``s(t)/t`` (class
+members are ``z exp(integral_0^z sinh(w(t))/t dt)``), Horner evaluation and
 differentiation.  Series are immutable after construction and every
 operation is a pure function.
 
@@ -42,11 +42,7 @@ class NearZeroConstantTerm(SeriesError):
 
 
 class NonzeroInnerConstant(SeriesError):
-    """Composition requested with an inner series whose constant term is not exactly 0."""
-
-
-class NonUnitConstant(SeriesError):
-    """Ratio integration requested for a series whose constant term is not exactly 1."""
+    """Composition, integration of s(t)/t or division by z got a constant term other than 0."""
 
 
 class TruncatedSeries:
@@ -231,18 +227,16 @@ def derivative(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(s.coeffs[1:] * k)
 
 
-def integrate_ratio(q: TruncatedSeries) -> TruncatedSeries:
-    """Termwise integral of (q(t) - 1)/t from 0 to z.
+def integrate_over_t(s: TruncatedSeries) -> TruncatedSeries:
+    """Termwise integral of s(t)/t from 0 to z.
 
-    Requires ``q[0] == 1`` exactly; the result has zero constant term and
-    coefficient ``q[k]/k`` at power k.
+    Requires ``s[0] == 0`` exactly (else ``NonzeroInnerConstant``); the result
+    has zero constant term and coefficient ``s[k]/k`` at power k.
     """
-    if q.coeffs[0] != 1:
-        raise NonUnitConstant(f"constant term must be exactly 1, got {q.coeffs[0]}")
-    out = np.zeros(q.order + 1, dtype=np.complex128)
-    if q.order >= 1:
-        k = np.arange(1, q.order + 1)
-        out[1:] = q.coeffs[1:] / k
+    if s.coeffs[0] != 0:
+        raise NonzeroInnerConstant(f"constant term must be exactly 0, got {s.coeffs[0]}")
+    out = np.zeros(s.order + 1, dtype=np.complex128)
+    out[1:] = s.coeffs[1:] / np.arange(1, s.order + 1)
     return TruncatedSeries(out)
 
 

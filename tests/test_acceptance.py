@@ -285,7 +285,7 @@ def test_criterion_11_growth_and_covering():
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
             bound = core.growth_distortion(r).upper * (1 + 1e-8)
-            if float(np.max(np.abs(f.values(r * angles)))) > bound:
+            if float(np.max(np.abs(ts.evaluate(f.series, r * angles)))) > bound:
                 envelope_ok = False
     ok = covering_err <= 1e-10 and value_err <= 1e-8 and envelope_ok
     report(11, ok, "growth envelope, derivative bound data and covering radius",

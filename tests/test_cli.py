@@ -83,12 +83,12 @@ def test_membership_invalid_function_exits_2(tmp_path, capsys):
 
 
 def test_membership_overflowing_input_exits_2(tmp_path, capsys):
-    # a_2 = 1e308 overflows the grid values; JSON has no form for inf or NaN
+    # a_2 = 1e308 overflows the grid values; the first overflow stops the run
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"coeffs": [[0, 0], [1, 0], [1e308, 0]]}))
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code = cli.main(["membership", "--input", str(path), "--output", str(out)])
     assert code == 2
     assert "invariant violation" in capsys.readouterr().err
@@ -154,11 +154,16 @@ def test_thresholds_default_grid(capsys):
 
 
 def test_growth_table(capsys):
-    code, out = run(capsys, "growth", "--radii", "0.5")
+    # at 5e-324 the quadrature cross-check of Shi meets nodes that underflow to t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "growth", "--radii", "5e-324,1e-300,1e-8,0.5,0.999999")
     assert code == 0
     obj = json.loads(out)
     assert obj["covering_radius"] == pytest.approx(0.3474095709321509, abs=1e-10)
-    assert obj["rows"][0]["upper"] == pytest.approx(0.8301487057042349, abs=1e-10)
+    assert [row["r"] for row in obj["rows"]] == [5e-324, 1e-300, 1e-8, 0.5, 0.999999]
+    assert obj["rows"][0]["upper"] == 5e-324
+    assert obj["rows"][3]["upper"] == pytest.approx(0.8301487057042349, abs=1e-10)
 
 
 def test_growth_bad_radius_exits_2(capsys):
@@ -196,6 +201,18 @@ def test_verify_implications_overflowing_alpha_exits_2(tmp_path, capsys):
                          "--max-attempts", "1", "--output", str(out)])
     assert code == 2
     assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_implications_overflowing_operator_exits_2(tmp_path, capsys):
+    # every alpha = 1e307 times a threshold is finite, but the operator values overflow
+    out = tmp_path / "harness.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify-implications", "--alpha-factor", "1e307", "--cases", "1",
+                         "--max-attempts", "1", "--output", str(out)])
+    assert code == 2
+    assert "invariant violation: overflow" in capsys.readouterr().err
     assert not out.exists()
 
 

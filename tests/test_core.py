@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,8 +307,26 @@ def test_hankel_requires_order_five():
 
 
 def test_shi_routes_agree():
-    for x in (0.25, 0.5, 0.75, 0.95, 1.0):
-        assert abs(core.shi_series(x) - core.shi_quadrature(x)) < 1e-10
+    # Gauss-Legendre is exact for the integrand's Maclaurin terms up to degree
+    # 2 * SHI_NODES - 1, so on [0, 1] only round-off separates the routes,
+    # down to radii whose nodes underflow to t = 0
+    for x in (5e-324, 1e-300, 1e-12, 1e-6, 0.25, 0.5, 0.75, 0.95,
+              *np.linspace(1e-3, 1.0, 2000)):
+        assert abs(core.shi_series(x) - core.shi_quadrature(x)) < 1e-15, x
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only oracle; no module of the package may load it
+    code = ("import importlib, pkgutil, sys, gshlab\n"
+            "for m in pkgutil.iter_modules(gshlab.__path__):\n"
+            "    importlib.import_module('gshlab.' + m.name)\n"
+            "assert 'gshlab.cli' in sys.modules\n"
+            "print('scipy' in sys.modules)")
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_growth_record_values():
@@ -340,7 +362,7 @@ def test_members_respect_growth_envelope():
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
             bound = core.growth_distortion(r).upper
-            vals = np.abs(f.values(r * angles))
+            vals = np.abs(ts.evaluate(f.series, r * angles))
             assert float(np.max(vals)) <= bound * (1 + 1e-8)
 
 

@@ -20,8 +20,7 @@ def test_sqrt_boundary_closes_through_zero():
 
 def test_region_rejects_outside_anchor():
     with pytest.raises(ValueError):
-        regions.CurveRegion.from_boundary(regions.sinh_boundary, regions.sinh_margin,
-                                          anchor=5.0)
+        regions.CurveRegion(regions.sinh_margin, anchor=5.0)
 
 
 def test_classify_anchor_and_far_point():
@@ -68,11 +67,16 @@ def test_sqrt_containment_matches_lemniscate_oracle():
     assert np.all(inside[margin] == oracle[margin])
 
 
+# the vertices of the polygon that sinh_boundary_distance measures against
+_SINH_VERTICES = regions.sinh_boundary(
+    np.linspace(0.0, 2.0 * np.pi, regions.DEFAULT_CURVE_SAMPLES, endpoint=False))
+
+
 def test_points_near_curve_are_ambiguous():
     # a vertex lies on the true curve; ambiguity is measured by the margin
     # |asinh w| - 1, which a 1e-12 shift moves by about 1e-12
     region = regions.sinh_region()
-    w = region.vertices[37] + 1e-12
+    w = _SINH_VERTICES[37] + 1e-12
     inside, ambiguous = region.classify(np.array([w]))
     assert ambiguous[0] and not inside[0]
 
@@ -98,13 +102,15 @@ def test_forward_images_of_disk_and_annulus(region_fn, forward):
                                                  (regions.sqrt_disk_region,
                                                   regions.sqrt_disk_boundary)])
 def test_curve_between_polygon_vertices_is_ambiguous(region_fn, boundary):
-    # midway between two vertices the true curve sits up to about 5e-6 off
-    # the polygon's chord, mostly far beyond BOUNDARY_TOL
-    region = region_fn()
-    step = 2.0 * np.pi / region.vertices.size
-    inside, ambiguous = region.classify(boundary((np.arange(region.vertices.size) + 0.5) * step))
+    # midway between two vertices the true curve sits up to about 8e-7 (sinh)
+    # or 5e-6 (sqrt) off the polygon's chord, mostly far beyond BOUNDARY_TOL
+    step = 2.0 * np.pi / regions.DEFAULT_CURVE_SAMPLES
+    midway = boundary((np.arange(regions.DEFAULT_CURVE_SAMPLES) + 0.5) * step)
+    inside, ambiguous = region_fn().classify(midway)
     assert np.all(ambiguous)
     assert not np.any(inside)
+    if boundary is regions.sinh_boundary:
+        assert np.max(regions.sinh_boundary_distance(midway)) > 100 * regions.BOUNDARY_TOL
 
 
 def test_left_lemniscate_loop_is_outside_sqrt_region():
@@ -136,8 +142,7 @@ def test_contains_is_strict():
 
 
 def test_boundary_distance_zero_on_vertices():
-    region = regions.sinh_region()
-    d = region.boundary_distance(region.vertices[:16])
+    d = regions.sinh_boundary_distance(_SINH_VERTICES[:16])
     assert np.max(d) < 1e-12
 
 
