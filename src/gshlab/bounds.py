@@ -48,7 +48,12 @@ ENVELOPE_Y_SAMPLES = 101
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Budget, seed, truncation order and violation tolerance of one extremal scan."""
+    """Budget, seed, truncation order and violation tolerance of one extremal scan.
+
+    ``order`` is the highest coefficient a scan may expose, and it caps the
+    anchor powers; members are built only as far as each functional reads
+    (``read_order``).
+    """
 
     samples: int = 10_000
     seed: int = 0
@@ -108,6 +113,24 @@ def claimed_bound(name: str, lam: complex = 1.0) -> float:
 # -- witness family -----------------------------------------------------------
 
 
+def read_order(name: str) -> int:
+    """Highest power of a member that the scan of ``name`` reads.
+
+    That is n for the coefficient ``aN``, at least 5, and 5 for the
+    functionals of ``core.FUNCTIONALS`` (``h31`` reads a_5).  The floor lets
+    the scans of a_2..a_5 share the named functionals' batch.  Member
+    construction is truncation-consistent to the bit (the order-m member
+    equals the first m + 1 coefficients of any higher-order one), so a
+    member built at this order gives every value, tie and witness exactly
+    as one built at any higher order.
+    """
+    if name in FUNCTIONALS:
+        return 5
+    if name.startswith("a") and name[1:].isdigit():
+        return max(5, int(name[1:]))
+    raise ValueError(f"unknown functional {name!r}")
+
+
 def _member_coeffs(omega: SchwarzSample, order: int) -> np.ndarray:
     return member_from_witness(omega, order).series.coeffs
 
@@ -115,26 +138,32 @@ def _member_coeffs(omega: SchwarzSample, order: int) -> np.ndarray:
 _BATCH_CACHE: dict[ScanConfig, tuple[list[SchwarzSample], np.ndarray]] = {}
 
 
-def witness_batch(cfg: ScanConfig) -> tuple[list[SchwarzSample], np.ndarray]:
-    """Members for all sample indices of a config (cached per config).
+def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.ndarray]:
+    """Witnesses for all sample indices of a config, and their members' a_0..a_order.
+
+    A config keeps one batch in the cache.  A request no wider than it gets
+    its leading columns, which are bitwise the members built at the
+    requested order; a wider request rebuilds it at the new order.
+    ``default_scan_suite`` builds it first at the highest order its battery
+    reads, so a battery builds one batch.
 
     Sample i is drawn from the stream seeded by (seed, i), so the batch of a
     smaller budget is a prefix of the batch of a larger one.
     """
     cached = _BATCH_CACHE.get(cfg)
-    if cached is not None:
-        return cached
-    witnesses = []
-    rows = np.empty((cfg.samples, cfg.order + 1), dtype=np.complex128)
-    for i in range(cfg.samples):
-        rng = np.random.default_rng((cfg.seed, i))
-        omega = sample_schwarz(rng, max_zeros=MAX_ZEROS)
-        witnesses.append(omega)
-        rows[i] = _member_coeffs(omega, cfg.order)
-    if len(_BATCH_CACHE) > 8:
-        _BATCH_CACHE.clear()
-    _BATCH_CACHE[cfg] = (witnesses, rows)
-    return witnesses, rows
+    if cached is None or cached[1].shape[1] <= order:
+        witnesses = []
+        rows = np.empty((cfg.samples, order + 1), dtype=np.complex128)
+        for i in range(cfg.samples):
+            rng = np.random.default_rng((cfg.seed, i))
+            omega = sample_schwarz(rng, max_zeros=MAX_ZEROS)
+            witnesses.append(omega)
+            rows[i] = _member_coeffs(omega, order)
+        if len(_BATCH_CACHE) > 8:
+            _BATCH_CACHE.clear()
+        cached = _BATCH_CACHE[cfg] = (witnesses, rows)
+    witnesses, rows = cached
+    return witnesses, rows[:, : order + 1]
 
 
 def _anchor_witnesses(cfg: ScanConfig, highest_power: int) -> list[SchwarzSample]:
@@ -170,12 +199,15 @@ def caratheodory_witness_to_json(c1: float, x: complex, z: complex) -> dict:
             "x": [x.real, x.imag], "z": [z.real, z.imag]}
 
 
-def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0,
-                     order: int = 16) -> float:
-    """Recompute a functional value from a serialized witness alone."""
+def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0) -> float:
+    """Recompute a functional value from a serialized witness alone.
+
+    A Schwarz witness builds its member at ``read_order(functional)``, the
+    order the scans read, so the value is the scan's to the bit.
+    """
     if witness["family"] == "schwarz":
         omega = SchwarzSample.from_json(witness)
-        return functional_value(functional, _member_coeffs(omega, order), lam)
+        return functional_value(functional, _member_coeffs(omega, read_order(functional)), lam)
     if witness["family"] == "caratheodory":
         return float(_direct_values(functional, witness["c1"], complex(*witness["x"]),
                                     complex(*witness["z"]), lam))
@@ -232,17 +264,16 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     also scan the direct family (the coefficient scans do not), and the larger
     maximum wins.
 
-    The anchors and the polish objective build members only up to the highest
-    power the functional reads: a_n for ``aN`` (at least a_5, at most the
-    config order), a_5 for the named functionals.  Member construction is
-    truncation-consistent to the bit (the order-m member equals the first
-    m + 1 coefficients of any higher-order one), so values, ties and
-    witnesses are exactly those of members built at ``cfg.order``.
+    The anchors, the batch and the polish objective all read members built
+    at ``read_order(name)``, the one rule for how far a functional reads.
+    The batch is that wide: the leading columns a_0..a_read_order of the
+    config's cached batch, which ``default_scan_suite`` builds at the
+    highest read order of its battery (see ``witness_batch``).
     """
-    read_order = 5 if name in FUNCTIONALS else min(cfg.order, max(5, int(name[1:])))
-    witnesses, rows = witness_batch(cfg)
+    order = read_order(name)
+    witnesses, rows = witness_batch(cfg, order)
     candidates = _anchor_witnesses(cfg, anchor_power)
-    values = [functional_value(name, _member_coeffs(w, read_order), lam) for w in candidates]
+    values = [functional_value(name, _member_coeffs(w, order), lam) for w in candidates]
     batch_vals = np.array([functional_value(name, rows[i], lam)
                            for i in range(rows.shape[0])])
     if batch_vals.size:
@@ -254,7 +285,7 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     params, bounds = _schwarz_params(best_witness)
 
     def score(p):
-        return functional_value(name, _member_coeffs(_schwarz_from_params(p), read_order), lam)
+        return functional_value(name, _member_coeffs(_schwarz_from_params(p), order), lam)
 
     if len(params) > 1:
         params, polished = polish_coordinatewise(score, params, bounds, rounds=POLISH_ROUNDS)
@@ -273,12 +304,16 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
                          violation=bool(best > claim + cfg.tolerance))
 
 
-def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
-    """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
+def _check_coefficient(n: int, cfg: ScanConfig) -> None:
     if n < 2:
         raise ValueError("n must be >= 2")
     if cfg.order < n:
         raise ValueError(f"scan order {cfg.order} cannot expose a_{n}")
+
+
+def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
+    """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
+    _check_coefficient(n, cfg)
     return _scan(f"a{n}", cfg, anchor_power=max(5, n))
 
 
@@ -352,7 +387,16 @@ def h22_envelope_profile() -> EnvelopeProfile:
 
 def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = (2, 3, 4, 5, 6),
                        fs_lams: tuple[complex, ...] = (0.0, 0.5, 1.0, 2.0)) -> list[BoundEstimate]:
-    """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31."""
+    """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31.
+
+    Once the coefficient indices pass their checks, the battery's one witness
+    batch is built at the highest ``read_order`` of its functionals (6 for
+    the default battery); every scan reads its leading columns.
+    """
+    for n in coefficient_range:
+        _check_coefficient(n, cfg)
+    names = [*(f"a{n}" for n in coefficient_range), *FUNCTIONALS]
+    witness_batch(cfg, max(read_order(name) for name in names))
     out = [scan_coefficient_bound(n, cfg) for n in coefficient_range]
     out.extend(hankel_scan("fs", cfg, lam) for lam in fs_lams)
     out.append(hankel_scan("t", cfg))

@@ -109,13 +109,19 @@ class SchwarzSample:
             raise ValueError("Blaschke zeros must have modulus < 1")
 
     def series(self, order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
-        acc = ts.constant(complex(self.rotation), order)
+        """Truncated series of the map: each factor (z - b)/(1 - conj(b) z) by series division."""
+        acc = np.zeros(order + 1, dtype=np.complex128)
+        acc[0] = complex(self.rotation)
+        num = np.zeros(order + 2, dtype=np.complex128)
+        den = np.zeros(order + 2, dtype=np.complex128)
+        num[1] = den[0] = 1.0
         for b in self.zeros:
             b = complex(b)
-            factor = ts.div(ts.TruncatedSeries([-b, 1.0], order=order),
-                            ts.TruncatedSeries([1.0, -b.conjugate()], order=order))
-            acc = ts.mul(acc, factor)
-        return ts.shift_up(acc).truncate(order)
+            num[0], den[1] = -b, -b.conjugate()
+            acc = np.convolve(acc, ts.div_coeffs(num[: order + 1], den[: order + 1]))[: order + 1]
+        out = np.zeros(order + 1, dtype=np.complex128)
+        out[1:] = acc[:order]
+        return ts.TruncatedSeries(out)
 
     def values(self, z) -> np.ndarray:
         """Pointwise rational evaluation of the map (no truncation error)."""

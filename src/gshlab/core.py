@@ -150,10 +150,20 @@ def member_from_witness(omega: SchwarzSample | ts.TruncatedSeries,
     The witness may be a structured Schwarz sample or any truncated series
     with zero constant term (for instance the zero series, which yields the
     identity member).
+
+    The witness series goes through sinh, the integral and exp as plain
+    arrays, and one series is built at the end.  A non-finite value anywhere
+    in that chain reaches the exp coefficients at its own power, so checking
+    them all, the top one too (it falls off in the shift by z), rejects what
+    a check after each step would.
     """
     w = omega.series(order) if isinstance(omega, SchwarzSample) else omega.truncate(order)
-    inner = ts.integrate_over_t(ts.sinh(w))
-    return NormalizedFunction(ts.shift_up(ts.exp(inner)).truncate(order))
+    g = ts.exp_coeffs(ts.integrate_coeffs(ts.sinh_coeffs(w.coeffs)))
+    if not np.isfinite(g[order]):
+        raise ValueError("series coefficients must be finite")
+    f = np.zeros(order + 1, dtype=np.complex128)
+    f[1:] = g[:order]
+    return NormalizedFunction(ts.TruncatedSeries(f))
 
 
 def extremal_fn(n: int, order: int = ts.DEFAULT_ORDER) -> NormalizedFunction:

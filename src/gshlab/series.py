@@ -16,6 +16,12 @@ members are ``z exp(integral_0^z sinh(w(t))/t dt)``), Horner evaluation and
 differentiation.  Series are immutable after construction and every
 operation is a pure function.
 
+Quotient, composition, exp, sinh and the integral are computed by array
+kernels (``div_coeffs``, ``compose_coeffs``, ``exp_coeffs``, ``sinh_coeffs``,
+``integrate_coeffs``) on plain complex128 coefficient arrays; the series
+functions wrap them.  Code that chains several steps, such as member
+construction, calls the kernels and builds one series from the result.
+
 Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
 (element 0 is the constant term); see :func:`to_pairs` / :func:`from_pairs`.
 """
@@ -178,45 +184,12 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Series quotient a/b; requires ``|b[0]|`` above the constant-term tolerance."""
-    b0 = b.coeffs[0]
-    if abs(b0) <= CONSTANT_TERM_TOL:
-        raise NearZeroConstantTerm(
-            f"cannot divide by series with |constant term| = {abs(b0):.3e}")
-    n = min(a.order, b.order)
-    ac = a.coeffs
-    bc = b.coeffs
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[0] = ac[0] / b0
-    for k in range(1, n + 1):
-        out[k] = (ac[k] - np.dot(bc[1 : k + 1], out[k - 1 :: -1])) / b0
-    return TruncatedSeries(out)
+    return TruncatedSeries(div_coeffs(a.coeffs, b.coeffs))
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """Coefficients of outer(inner(z)) via nested Horner multiplication.
-
-    The inner constant term must be exactly zero, otherwise the result
-    would need all (untracked) higher coefficients of the outer series.
-
-    The Horner loop runs on raw coefficient arrays and builds one series at
-    the end.  Each step, ``acc = convolve(acc, inner)[:n + 1] + lift`` with
-    ``lift`` the constant ``outer[k]`` padded by zeros, does the same
-    floating-point operations as ``mul(acc, inner) + outer[k]`` on series,
-    so the result is the same to the bit.  Non-finite values propagate, and
-    the final constructor rejects them.
-    """
-    if inner.coeffs[0] != 0:
-        raise NonzeroInnerConstant(
-            f"inner constant term must be exactly 0, got {inner.coeffs[0]}")
-    n = min(outer.order, inner.order)
-    b = inner.coeffs[: n + 1]
-    acc = np.zeros(n + 1, dtype=np.complex128)
-    acc[0] = outer.coeffs[n]
-    lift = np.zeros(n + 1, dtype=np.complex128)
-    for k in range(n - 1, -1, -1):
-        lift[0] = outer.coeffs[k]
-        acc = np.convolve(acc, b)[: n + 1] + lift
-    return TruncatedSeries(acc)
+    """Coefficients of outer(inner(z)); the inner constant term must be exactly zero."""
+    return TruncatedSeries(compose_coeffs(outer.coeffs, inner.coeffs))
 
 
 def derivative(s: TruncatedSeries) -> TruncatedSeries:
@@ -233,11 +206,7 @@ def integrate_over_t(s: TruncatedSeries) -> TruncatedSeries:
     Requires ``s[0] == 0`` exactly (else ``NonzeroInnerConstant``); the result
     has zero constant term and coefficient ``s[k]/k`` at power k.
     """
-    if s.coeffs[0] != 0:
-        raise NonzeroInnerConstant(f"constant term must be exactly 0, got {s.coeffs[0]}")
-    out = np.zeros(s.order + 1, dtype=np.complex128)
-    out[1:] = s.coeffs[1:] / np.arange(1, s.order + 1)
-    return TruncatedSeries(out)
+    return TruncatedSeries(integrate_coeffs(s.coeffs))
 
 
 def evaluate(s: TruncatedSeries, z):
@@ -272,6 +241,69 @@ def shift_down(s: TruncatedSeries) -> TruncatedSeries:
 # -- transcendental maps --------------------------------------------------
 
 
+def exp(s: TruncatedSeries) -> TruncatedSeries:
+    """exp of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
+    return TruncatedSeries(exp_coeffs(s.coeffs))
+
+
+def sinh(s: TruncatedSeries) -> TruncatedSeries:
+    """sinh of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
+    return TruncatedSeries(sinh_coeffs(s.coeffs))
+
+
+# -- array kernels ----------------------------------------------------------
+#
+# The operations above wrap these.  Each takes and returns plain complex128
+# coefficient arrays indexed by power, checks the same precondition and
+# raises the same exception as its wrapper, and lets non-finite values
+# through: whoever builds a series from the result rejects them.
+
+
+def div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quotient a/b up to the shorter operand's order, by the division recurrence."""
+    b0 = b[0]
+    if abs(b0) <= CONSTANT_TERM_TOL:
+        raise NearZeroConstantTerm(
+            f"cannot divide by series with |constant term| = {abs(b0):.3e}")
+    n = min(a.size, b.size) - 1
+    out = np.zeros(n + 1, dtype=np.complex128)
+    out[0] = a[0] / b0
+    for k in range(1, n + 1):
+        out[k] = (a[k] - np.dot(b[1 : k + 1], out[k - 1 :: -1])) / b0
+    return out
+
+
+def compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """outer(inner(z)) up to the shorter operand's order, by nested Horner multiplication.
+
+    The inner constant term must be exactly zero, otherwise the result
+    would need all (untracked) higher coefficients of the outer series.
+    Each Horner step, ``acc = convolve(acc, inner)[:n + 1] + lift`` with
+    ``lift`` the constant ``outer[k]`` padded by zeros, does the same
+    floating-point operations as ``mul(acc, inner) + outer[k]`` on series.
+    """
+    if inner[0] != 0:
+        raise NonzeroInnerConstant(f"inner constant term must be exactly 0, got {inner[0]}")
+    n = min(outer.size, inner.size) - 1
+    b = inner[: n + 1]
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    acc[0] = outer[n]
+    lift = np.zeros(n + 1, dtype=np.complex128)
+    for k in range(n - 1, -1, -1):
+        lift[0] = outer[k]
+        acc = np.convolve(acc, b)[: n + 1] + lift
+    return acc
+
+
+def integrate_coeffs(s: np.ndarray) -> np.ndarray:
+    """Termwise integral of s(t)/t; ``s[0]`` must be exactly 0."""
+    if s[0] != 0:
+        raise NonzeroInnerConstant(f"constant term must be exactly 0, got {s[0]}")
+    out = np.zeros(s.size, dtype=np.complex128)
+    out[1:] = s[1:] / np.arange(1, s.size)
+    return out
+
+
 def _inverse_factorials(order: int) -> np.ndarray:
     """1/k! for k = 0..order, by successive division."""
     out = np.empty(order + 1, dtype=np.complex128)
@@ -282,13 +314,13 @@ def _inverse_factorials(order: int) -> np.ndarray:
     return out
 
 
-def exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
-    return compose(TruncatedSeries(_inverse_factorials(s.order)), s)
+def exp_coeffs(s: np.ndarray) -> np.ndarray:
+    """exp of a series with constant term exactly 0: the 1/k! table composed with it."""
+    return compose_coeffs(_inverse_factorials(s.size - 1), s)
 
 
-def sinh(s: TruncatedSeries) -> TruncatedSeries:
-    """sinh of a series with constant term exactly 0 (else ``NonzeroInnerConstant``)."""
-    table = _inverse_factorials(s.order)
+def sinh_coeffs(s: np.ndarray) -> np.ndarray:
+    """sinh of a series with constant term exactly 0: the odd 1/k! composed with it."""
+    table = _inverse_factorials(s.size - 1)
     table[::2] = 0.0
-    return compose(TruncatedSeries(table), s)
+    return compose_coeffs(table, s)

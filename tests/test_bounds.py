@@ -205,8 +205,7 @@ def test_estimates_reproducible_from_witness():
     fs_lam = {f"fs({lam})": lam for lam in lams}
     for est in bd.default_scan_suite(CFG, fs_lams=lams):
         name = "fs" if est.functional in fs_lam else est.functional
-        again = bd.evaluate_witness(est.witness, name, fs_lam.get(est.functional, 1.0),
-                                    order=CFG.order)
+        again = bd.evaluate_witness(est.witness, name, fs_lam.get(est.functional, 1.0))
         assert again == est.empirical_max, est.functional
 
 
@@ -222,11 +221,69 @@ def test_scan_maxima_monotone_in_budget():
 def test_witness_batch_prefix_stable_under_budget_growth():
     # sample i comes from (seed, i), so a smaller budget's batch is a prefix
     bd._BATCH_CACHE.clear()
-    small_witnesses, small_rows = bd.witness_batch(bd.ScanConfig(samples=300, seed=8))
-    witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=600, seed=8))
+    small_witnesses, small_rows = bd.witness_batch(bd.ScanConfig(samples=300, seed=8), 6)
+    witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=600, seed=8), 6)
     assert rows.shape == (600, small_rows.shape[1])
     assert witnesses[:300] == small_witnesses
     assert rows[:300].tobytes() == small_rows.tobytes()
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_witness_batch_at_read_order_is_leading_columns_of_order_32(seed):
+    cfg = bd.ScanConfig(samples=600, seed=seed)
+    bd._BATCH_CACHE.clear()
+    _, narrow = bd.witness_batch(cfg, 6)
+    narrow = narrow.copy()
+    _, wide = bd.witness_batch(cfg, 32)
+    assert wide.shape == (600, 33)
+    assert narrow.tobytes() == np.ascontiguousarray(wide[:, :7]).tobytes()
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Witness draws of the batches built while the test runs."""
+    drawn = []
+
+    def counted(rng, max_zeros):
+        drawn.append(1)
+        return cara.sample_schwarz(rng, max_zeros=max_zeros)
+
+    monkeypatch.setattr(bd, "sample_schwarz", counted)
+    bd._BATCH_CACHE.clear()
+    return drawn
+
+
+def test_default_scan_suite_builds_one_batch(draws):
+    cfg = bd.ScanConfig(samples=200, seed=3, order=32)
+    bd.default_scan_suite(cfg)
+    assert len(draws) == 200
+    assert list(bd._BATCH_CACHE) == [cfg]
+    assert bd._BATCH_CACHE[cfg][1].shape == (200, 7)
+
+
+def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, monkeypatch):
+    # the battery of `bounds-scan --coefficients 2..20 --order 32`; each scan
+    # only asks for its batch, as _scan does first, and skips the costly polish
+    monkeypatch.setattr(bd, "_scan", lambda name, cfg, anchor_power, lam=1.0:
+                        bd.witness_batch(cfg, bd.read_order(name)))
+    cfg = bd.ScanConfig(samples=100, seed=4, order=32)
+    bd.default_scan_suite(cfg, tuple(range(2, 21)))
+    assert len(draws) == 100
+    assert bd._BATCH_CACHE[cfg][1].shape == (100, 21)
+
+
+def test_read_order_rule():
+    assert [bd.read_order(f"a{n}") for n in (2, 5, 6, 20)] == [5, 5, 6, 20]
+    assert {bd.read_order(name) for name in ("fs", "t", "h22", "h31")} == {5}
+    with pytest.raises(ValueError, match="unknown functional"):
+        bd.read_order("nope")
+
+
+def test_evaluate_witness_reads_high_coefficients():
+    omega = cara.sample_schwarz(np.random.default_rng(21))
+    witness = bd.witness_to_json(omega)
+    value = bd.evaluate_witness(witness, "a20")
+    assert value == abs(member_from_witness(omega, 32).series.coeffs[20])
 
 
 def test_bound_estimate_json():

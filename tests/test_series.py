@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,11 +218,60 @@ def test_member_is_bitwise_truncation_consistent():
             assert low.tobytes() == full[: m + 1].tobytes(), (m, omega)
 
 
+def _oracle_member(omega, order):
+    """a_0..a_order of the member of ``omega``, in mpmath at 50 digits.
+
+    Independent of the float route: each Blaschke factor from its closed
+    form -b + (1 - |b|^2) sum_k conj(b)^(k-1) z^k, sinh w (with cosh w) from
+    n s_n = sum k w_k c_(n-k), n c_n = sum k w_k s_(n-k), and g = exp(h),
+    h = integral of s(t)/t, from n g_n = sum k h_k g_(n-k).
+    """
+    with mp.workdps(50):
+        w = [mp.mpc(complex(omega.rotation))] + [mp.mpc(0)] * order
+        for b in omega.zeros:
+            b = mp.mpc(complex(b))
+            factor = [-b] + [(1 - abs(b) ** 2) * mp.conj(b) ** (k - 1) for k in range(1, order + 1)]
+            w = [mp.fsum(w[i] * factor[k - i] for i in range(k + 1)) for k in range(order + 1)]
+        w = [mp.mpc(0)] + w[:order]
+        s = [mp.mpc(0)] * (order + 1)
+        c = [mp.mpc(1)] + [mp.mpc(0)] * order
+        for n in range(1, order + 1):
+            s[n] = mp.fsum(k * w[k] * c[n - k] for k in range(1, n + 1)) / n
+            c[n] = mp.fsum(k * w[k] * s[n - k] for k in range(1, n + 1)) / n
+        h = [mp.mpc(0)] + [s[k] / k for k in range(1, order + 1)]
+        g = [mp.mpc(1)] + [mp.mpc(0)] * order
+        for n in range(1, order + 1):
+            g[n] = mp.fsum(k * h[k] * g[n - k] for k in range(1, n + 1)) / n
+        return [mp.mpc(0)] + g[:order]
+
+
+@pytest.mark.parametrize("order", [8, 32])
+def test_member_matches_mpmath_oracle(order):
+    witnesses = _schwarz_witnesses(20, 1234) + [SchwarzSample.monomial(k) for k in range(1, 6)]
+    for omega in witnesses:
+        got = member_from_witness(omega, order).series.coeffs
+        want = _oracle_member(omega, order)
+        for n, (g, v) in enumerate(zip(got, want)):
+            assert abs(mp.mpc(complex(g)) - v) <= 1e-13 * abs(v), (n, omega)
+
+
 def test_exp_of_overflowing_series_raises():
     with pytest.raises(ValueError, match="finite"):
         ts.exp(series([0.0, 1e200], order=8))
     with pytest.raises(ValueError, match="finite"):
         ts.exp(series([0.0, 1e40], order=16))
+
+
+def test_member_rejects_overflow_in_the_top_exp_coefficient():
+    # for this w, exp(integral of sinh(w(t))/t) is [1, 1.5e154, inf]: only the
+    # coefficient that the shift by z drops overflows, and the member is
+    # still rejected, as when every step built a checked series
+    w = series([0.0, 1.5e154, 1.7e308])
+    with np.errstate(over="ignore"):
+        g = ts.exp_coeffs(ts.integrate_coeffs(ts.sinh_coeffs(w.coeffs)))
+        assert np.isfinite(g[:2]).all() and not np.isfinite(g[2])
+        with pytest.raises(ValueError, match="finite"):
+            member_from_witness(w, 2)
 
 
 # -- exp and sinh -------------------------------------------------------------
