@@ -20,6 +20,7 @@ maximum.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -190,6 +191,11 @@ def _schwarz_from_params(params: np.ndarray) -> SchwarzSample:
     return SchwarzSample(rotation=rotation, zeros=zeros)
 
 
+def _witness_key(omega: SchwarzSample) -> bytes:
+    """The rotation and zeros of a witness as complex128 bytes; -0.0 and 0.0 differ."""
+    return np.array([omega.rotation, *omega.zeros], dtype=np.complex128).tobytes()
+
+
 def witness_to_json(omega: SchwarzSample) -> dict:
     return {"family": "schwarz", **omega.to_json()}
 
@@ -220,31 +226,61 @@ def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0) -> floa
 _DIRECT_FUNCTIONALS = ("a2", "a3", "a4", "fs", "t", "h22")
 
 
-def _direct_values(name: str, c1, x, z, lam: complex = 1.0):
-    """Vectorized |functional| on the direct (c1, x, z) parametrization."""
-    if name not in _DIRECT_FUNCTIONALS:
-        raise ValueError(f"functional {name!r} not covered by the direct family")
+def _direct_coeffs(c1, x, z) -> tuple:
+    """(a_0, ..., a_4) on the direct (c1, x, z) parametrization (scalars or arrays)."""
     c1 = np.asarray(c1, dtype=float)
     x = np.asarray(x, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     c2, c3 = coeffs_from_witnesses(c1, x, z)
-    return np.abs(functional(name, (0.0, 1.0, *coeffs_from_caratheodory((c1, c2, c3, 0.0))), lam))
+    return (0.0, 1.0, *coeffs_from_caratheodory((c1, c2, c3, 0.0))[:3])
 
 
-def _direct_family_max(name: str, lam: complex = 1.0):
+def _direct_values(name: str, c1, x, z, lam: complex = 1.0):
+    """Vectorized |functional| on the direct (c1, x, z) parametrization."""
+    if name not in _DIRECT_FUNCTIONALS:
+        raise ValueError(f"functional {name!r} not covered by the direct family")
+    return np.abs(functional(name, _direct_coeffs(c1, x, z), lam))
+
+
+@functools.cache
+def _direct_grid() -> tuple[tuple[np.ndarray, ...], tuple]:
+    """The direct family's grid: the meshgrid (c1, |x|, arg x, z) and its a_0..a_4.
+
+    It depends on neither the functional nor lambda, so it is built once, on
+    first use, and its arrays are read-only.
+    """
     cs = np.linspace(0.0, 2.0, DIRECT_C_SAMPLES)
     ys = np.linspace(0.0, 1.0, DIRECT_Y_SAMPLES)
     phases = np.linspace(0.0, 2.0 * np.pi, DIRECT_PHASE_SAMPLES, endpoint=False)
     zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
-    cc, yy, pp, zz = np.meshgrid(cs, ys, phases, zs, indexing="ij")
-    vals = _direct_values(name, cc, yy * np.exp(1j * pp), zz, lam)
+    axes = cc, yy, pp, zz = np.meshgrid(cs, ys, phases, zs, indexing="ij")
+    coeffs = _direct_coeffs(cc, yy * np.exp(1j * pp), zz)
+    for a in (*axes, *coeffs[2:]):
+        a.flags.writeable = False
+    return tuple(axes), coeffs
+
+
+def _direct_family_max(name: str, lam: complex = 1.0):
+    """Grid maximum of |name| over the direct family, polished coordinatewise.
+
+    The grid and its coefficients come from ``_direct_grid``; a scan computes
+    only the functional on them, its modulus and the argmax.  The polish
+    looks up a point (c1, x, z) it has met before, by its exact bytes, as
+    ``_scan`` does a witness.
+    """
+    (cc, yy, pp, zz), coeffs = _direct_grid()
+    vals = np.abs(functional(name, coeffs, lam))
     idx = np.unravel_index(np.argmax(vals), vals.shape)
-    best = float(vals[idx])
     x0 = np.array([cc[idx], yy[idx], pp[idx], cmath.phase(complex(zz[idx])) % (2 * math.pi)])
 
+    seen: dict[bytes, float] = {}
+
     def score(p):
-        return float(_direct_values(name, p[0], p[1] * cmath.exp(1j * p[2]),
-                                    cmath.exp(1j * p[3]), lam))
+        c1, x, z = p[0], p[1] * cmath.exp(1j * p[2]), cmath.exp(1j * p[3])
+        key = np.array([c1, x, z], dtype=np.complex128).tobytes()
+        if key not in seen:
+            seen[key] = float(_direct_values(name, c1, x, z, lam))
+        return seen[key]
 
     bounds = [(0.0, 2.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
     p, best = polish_coordinatewise(score, x0, bounds, rounds=POLISH_ROUNDS)
@@ -269,26 +305,40 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     The batch is that wide: the leading columns a_0..a_read_order of the
     config's cached batch, which ``default_scan_suite`` builds at the
     highest read order of its battery (see ``witness_batch``).
+
+    The anchors and the polish objective share a table, local to the call,
+    keyed by the exact bytes of the witness (``_witness_key``); the batch's
+    best witness enters it with its batch value.  A witness met again, such
+    as an anchor at the start of the polish, the phase of a Blaschke zero at
+    the origin, or a second polish round that repeats a first one without
+    gain, is looked up rather than built.  Member construction is
+    deterministic, so every value is the one a build would give.
     """
     order = read_order(name)
     witnesses, rows = witness_batch(cfg, order)
+    seen: dict[bytes, float] = {}
+
+    def value(omega: SchwarzSample) -> float:
+        key = _witness_key(omega)
+        if key not in seen:
+            seen[key] = functional_value(name, _member_coeffs(omega, order), lam)
+        return seen[key]
+
     candidates = _anchor_witnesses(cfg, anchor_power)
-    values = [functional_value(name, _member_coeffs(w, order), lam) for w in candidates]
+    values = [value(w) for w in candidates]
     batch_vals = np.array([functional_value(name, rows[i], lam)
                            for i in range(rows.shape[0])])
     if batch_vals.size:
         j = int(np.argmax(batch_vals))
         candidates.append(witnesses[j])
-        values.append(float(batch_vals[j]))
+        values.append(seen.setdefault(_witness_key(witnesses[j]), float(batch_vals[j])))
     k = int(np.argmax(values))
     best_witness, best = candidates[k], float(values[k])
     params, bounds = _schwarz_params(best_witness)
 
-    def score(p):
-        return functional_value(name, _member_coeffs(_schwarz_from_params(p), order), lam)
-
     if len(params) > 1:
-        params, polished = polish_coordinatewise(score, params, bounds, rounds=POLISH_ROUNDS)
+        params, polished = polish_coordinatewise(lambda p: value(_schwarz_from_params(p)),
+                                                 params, bounds, rounds=POLISH_ROUNDS)
         if polished > best:
             best = polished
             best_witness = _schwarz_from_params(params)

@@ -212,11 +212,11 @@ def build_parser() -> _Parser:
                                 "be positive and finite"))
     p.add_argument("--coefficients", default=(2, 3, 4, 5, 6),
                    type=_ranged_list(int, "coefficient index", lambda n: n >= 2, "be >= 2"),
-                   help="comma list of coefficient indices in [2, order] to scan")
+                   help="comma list of distinct coefficient indices in [2, order] to scan")
     p.add_argument("--fs-lambdas", default=(0.0, 0.5, 1.0, 2.0),
                    type=_ranged_list(float, "fs lambda", lambda v: math.isfinite(2.0 * v - 1.0),
                                      "keep 2 lambda - 1 finite"),
-                   help="comma list of real Fekete-Szego parameters")
+                   help="comma list of distinct real Fekete-Szego parameters")
 
     p = command("thresholds", "alpha thresholds for the four operator kinds")
     p.add_argument("--A", type=float, default=None)
@@ -296,6 +296,10 @@ def _cmd_bounds_scan(args) -> int:
     if max(args.coefficients) > args.order:
         raise InputInvariantError(
             f"coefficient index {max(args.coefficients)} exceeds order {args.order}")
+    for name, values in (("coefficient index", args.coefficients),
+                         ("fs lambda", args.fs_lambdas)):
+        if len(set(values)) < len(values):
+            raise InputInvariantError(f"{name} must not repeat, got {','.join(map(str, values))}")
     cfg = bd.ScanConfig(samples=args.samples, seed=args.seed, order=args.order,
                         tolerance=args.tolerance)
     estimates = bd.default_scan_suite(cfg, args.coefficients, args.fs_lambdas)

@@ -1,7 +1,7 @@
-"""Two benchmark pool jobs against their recorded outputs in ``bench/golden``.
+"""Four benchmark pool jobs against their recorded outputs in ``bench/golden``.
 
 The benchmark's correctness gate (``bench/jobs.py``) would reject output
-drift in these jobs; running two of them here makes the same drift fail
+drift in these jobs; running four of them here makes the same drift fail
 the test suite too.  The test only reads the files under ``bench/``.
 """
 
@@ -23,7 +23,8 @@ def jobs():
     return module
 
 
-@pytest.mark.parametrize("workload, key", [("scan", 1), ("membership", 0)])
+@pytest.mark.parametrize("workload, key", [("scan", 1), ("scan", 8), ("scan", 16),
+                                           ("membership", 0)])
 def test_pool_job_matches_golden(jobs, tmp_path, workload, key):
     if workload == "membership":
         assert jobs.MEMBERSHIP_KINDS[key % len(jobs.MEMBERSHIP_KINDS)] == "schwarz"

@@ -1,4 +1,7 @@
+import cmath
+import collections
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import sympy as sp
 
 from gshlab import bounds as bd
 from gshlab import caratheodory as cara
-from gshlab.core import member_from_witness
+from gshlab.core import functional, member_from_witness
 
 CFG = bd.ScanConfig(samples=1500, seed=2)
 
@@ -270,6 +273,61 @@ def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, monkeyp
     bd.default_scan_suite(cfg, tuple(range(2, 21)))
     assert len(draws) == 100
     assert bd._BATCH_CACHE[cfg][1].shape == (100, 21)
+
+
+@pytest.mark.parametrize("scan", [lambda: bd.hankel_scan("h22", CFG),
+                                  lambda: bd.scan_coefficient_bound(3, CFG)], ids=["h22", "a3"])
+def test_scan_builds_each_witness_once(monkeypatch, scan):
+    # the batch, the anchors and the polish of one scan build each
+    # (witness bytes, order) once, an anchor met again by the polish included.
+    # h22 polishes from the anchor z^2 (four anchors, then polish builds);
+    # a3's best is a batch witness without zeros, which is not polished
+    builds = []
+
+    def counted(omega, order):
+        key = np.array([omega.rotation, *omega.zeros], dtype=np.complex128).tobytes()
+        builds.append((key, order))
+        return member_from_witness(omega, order)
+
+    monkeypatch.setattr(bd, "member_from_witness", counted)
+    bd._BATCH_CACHE.clear()
+    scan()
+    assert len(builds) >= CFG.samples + 5
+    assert max(collections.Counter(builds).values()) == 1
+
+
+def _fresh_direct_meshgrid():
+    cs = np.linspace(0.0, 2.0, bd.DIRECT_C_SAMPLES)
+    ys = np.linspace(0.0, 1.0, bd.DIRECT_Y_SAMPLES)
+    phases = np.linspace(0.0, 2.0 * np.pi, bd.DIRECT_PHASE_SAMPLES, endpoint=False)
+    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+    return np.meshgrid(cs, ys, phases, zs, indexing="ij")
+
+
+@pytest.mark.parametrize("name, lam", [*((name, 1.0) for name in ("a2", "a3", "a4", "t", "h22")),
+                                       *(("fs", lam) for lam in (0.0, 0.5, 1.0, 2.0))])
+def test_direct_grid_is_a_fresh_meshgrid(monkeypatch, name, lam):
+    cc, yy, pp, zz = _fresh_direct_meshgrid()
+    fresh = bd._direct_values(name, cc, yy * np.exp(1j * pp), zz, lam)
+    axes, coeffs = bd._direct_grid()
+    shared = np.abs(functional(name, coeffs, lam))
+    assert [a.tobytes() for a in axes] == [a.tobytes() for a in (cc, yy, pp, zz)]
+    assert shared.tobytes() == fresh.tobytes()
+    # the polish starts from the argmax of the fresh grid
+    idx = np.unravel_index(np.argmax(fresh), fresh.shape)
+    starts = []
+
+    def start_only(score, x0, bounds, rounds):
+        starts.append(x0)
+        return x0, score(x0)
+
+    monkeypatch.setattr(bd, "polish_coordinatewise", start_only)
+    bd._direct_family_max(name, lam)
+    x0 = [cc[idx], yy[idx], pp[idx], cmath.phase(complex(zz[idx])) % (2 * math.pi)]
+    assert starts[0].tobytes() == np.array(x0).tobytes()
+    for a in (*axes, *coeffs[2:]):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0.0
 
 
 def test_read_order_rule():

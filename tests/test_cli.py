@@ -293,6 +293,21 @@ def test_bounds_scan_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag, values", [
+    ("--coefficients", "2,2"),
+    ("--coefficients", "3,2,3"),
+    ("--fs-lambdas", "1,1"),
+    ("--fs-lambdas", "0,-0"),
+])
+def test_bounds_scan_rejects_a_repeated_value(tmp_path, capsys, flag, values):
+    # a repeated index or lambda would scan it twice and write two equal rows
+    out = tmp_path / "scan.json"
+    code = cli.main(["bounds-scan", "--samples", "10", flag, values, "--output", str(out)])
+    assert code == 2
+    assert "must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lemma_suite_byte_identical(capsys):
     args = ["lemma-suite", "--samples", "300", "--seed", "12", "--format", "csv"]
     _, out1 = run(capsys, *args)
