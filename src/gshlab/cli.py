@@ -158,20 +158,25 @@ def _ranged_list(kind, name: str, ok, rule: str):
     return parse
 
 
+#: Largest ``--order``.  A witness z^K with K >= order gives the coefficients of f(z) = z.
+MAX_ORDER = 128
+
+
 def _witness(name: str):
-    """argparse ``type`` of ``--witness``: 'identity', 'zero' or 'z^K' with K >= 1."""
+    """argparse ``type`` of ``--witness``: 'identity', 'zero' or 'z^K' with K in [1, 128]."""
     if name == "identity":
         return cara.SchwarzSample.monomial(1)
     if name == "zero":
         return ts.constant(0.0)
     if name.startswith("z^") and name[2:].isdecimal():
-        if int(name[2:]) < 1:
-            raise InputInvariantError(f"witness power must be >= 1, got {name!r}")
+        if not 1 <= int(name[2:]) <= MAX_ORDER:
+            raise InputInvariantError(
+                f"witness power must lie in [1, {MAX_ORDER}], got {name!r}")
         return cara.SchwarzSample.monomial(int(name[2:]))
     raise argparse.ArgumentTypeError(f"expected 'identity', 'zero' or 'z^K', got {name!r}")
 
 
-_ORDER = _ranged(int, "order", lambda n: 8 <= n <= 128, "lie in [8, 128]")
+_ORDER = _ranged(int, "order", lambda n: 8 <= n <= MAX_ORDER, f"lie in [8, {MAX_ORDER}]")
 _SAMPLES = _ranged(int, "samples", lambda n: n >= 1, "be >= 1")
 _SEED = _ranged(int, "seed", lambda n: n >= 0, "be >= 0")
 _FORMATS = ("json", "csv", "markdown")
@@ -192,7 +197,8 @@ def build_parser() -> _Parser:
 
     p = command("coeffs", "coefficient table from a witness or function file", order=True)
     p.add_argument("--witness", type=_witness, default=None,
-                   help="'identity', 'zero' or 'z^K' (a Schwarz JSON file goes to --input)")
+                   help="'identity', 'zero' or 'z^K' with K in [1, 128] "
+                        "(a Schwarz JSON file goes to --input)")
     p.add_argument("--input", default=None, help="function/witness JSON path")
 
     p = command("membership", "run the three membership tests", order=True)

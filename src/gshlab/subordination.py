@@ -180,9 +180,15 @@ def operator_values(f: NormalizedFunction, kind: OperatorKind | int,
     """Pointwise values of the kind's operator at the grid points z."""
     kind = OperatorKind(kind)
     fp = f.derivative_values(z)
+    g = None if kind is OperatorKind.Z_FPRIME else f.over_z_values(z)
+    return _operator(kind, alpha, z, fp, g)
+
+
+def _operator(kind: OperatorKind, alpha: complex, z: np.ndarray, fp: np.ndarray,
+              g: np.ndarray | None) -> np.ndarray:
+    """The kind's operator from fp = f'(z) and g = f(z)/z (unused by kind 1)."""
     if kind is OperatorKind.Z_FPRIME:
         return 1.0 + alpha * z * fp
-    g = f.over_z_values(z)
     if float(np.min(np.abs(g))) <= 1e-8:
         raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
     return 1.0 + alpha * fp / g ** (int(kind) - 1)
@@ -218,11 +224,10 @@ def _deviation(f: NormalizedFunction, case: ImplicationCase, z: np.ndarray) -> f
     return janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
 
 
-def _record(f: NormalizedFunction, case: ImplicationCase, z: np.ndarray,
+def _record(f: NormalizedFunction, case: ImplicationCase, g: np.ndarray,
             deviation: float) -> ImplicationRecord:
-    """Premise verdict from ``deviation`` and both conclusion verdicts of f on z."""
+    """Premise verdict from ``deviation`` and both conclusion verdicts from g = f(z)/z."""
     premise = deviation < 1.0 - PREMISE_MARGIN
-    g = f.over_z_values(z)
     return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
                              conclusion_sinh=sinh_region().contains(g - 1.0),
                              conclusion_sqrt=sqrt_disk_region().contains(g),
@@ -233,7 +238,8 @@ def verify_implication(f: NormalizedFunction, case: ImplicationCase,
                        grid: PolarGrid = DEFAULT_GRID) -> ImplicationRecord:
     """Test premise and conclusion of one implication case on the grid."""
     z = grid.points()
-    return _record(f, case, z, _deviation(f, case, z))
+    deviation = _deviation(f, case, z)
+    return _record(f, case, f.over_z_values(z), deviation)
 
 
 # -- harness ------------------------------------------------------------------
@@ -294,12 +300,6 @@ DEFAULT_CONFIGS = ((1.0, 0.0), (0.5, -0.5), (0.8, 0.2))
 HARNESS_GRID = PolarGrid(theta_samples=64, radial_samples=16, max_radius=0.995)
 
 
-def _scale_tail(f: NormalizedFunction, factor: float) -> NormalizedFunction:
-    coeffs = f.series.coeffs.copy()
-    coeffs[2:] *= factor
-    return NormalizedFunction(ts.TruncatedSeries(coeffs))
-
-
 #: Truncation order of the harness's candidate functions.
 CANDIDATE_ORDER = 8
 
@@ -334,6 +334,12 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
     fails the attempt is recorded as vacuous, with the last rescaled candidate
     and the last deviation computed.
+
+    Each candidate's f'(z) - 1 and f(z)/z - 1 are evaluated by one Horner pass
+    over a_2, a_3, ...; step k scales them by 2**-k and adds 1.  That is
+    bit for bit the Horner sum of the k-times halved candidate, because every
+    Horner step commutes with a power-of-two scale while no value on the way
+    is subnormal, and adding 1 makes the sign of a zero part the same.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -345,18 +351,25 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         if summary.non_vacuous >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
-        f = _sample_candidate(rng)
+        c = _sample_candidate(rng).series.coeffs
+        dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
+        dg = np.polyval(c[:1:-1], z) * z
         deviation = math.inf
-        for _ in range(SHRINK_STEPS + 1):
+        for k in range(SHRINK_STEPS + 1):
+            fp = 2.0 ** -k * dp + 1.0
+            g = None if kind is OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
             try:
-                deviation = _deviation(f, case, z)
+                deviation = janowski_deviation(_operator(kind, alpha, z, fp, g), params)
             except ZeroDivisorOnGrid:
-                f = _scale_tail(f, 0.5)
                 continue
             if deviation < 1.0 - PREMISE_MARGIN:
                 break
-            f = _scale_tail(f, 0.5)
-        record = _record(f, case, z, deviation)
+        else:  # no step passed: the candidate is halved once more after the last
+            k = SHRINK_STEPS + 1
+        coeffs = c.copy()
+        coeffs[2:] *= 2.0 ** -k
+        record = _record(NormalizedFunction(ts.TruncatedSeries(coeffs)), case,
+                         2.0 ** -k * dg + 1.0, deviation)
         summary.attempts += 1
         if record.premise_holds:
             summary.non_vacuous += 1

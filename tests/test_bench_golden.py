@@ -1,7 +1,7 @@
-"""Four benchmark pool jobs against their recorded outputs in ``bench/golden``.
+"""Benchmark pool jobs of all three workloads against their recorded outputs.
 
 The benchmark's correctness gate (``bench/jobs.py``) would reject output
-drift in these jobs; running four of them here makes the same drift fail
+drift in these jobs; running six of them here makes the same drift fail
 the test suite too.  The test only reads the files under ``bench/``.
 """
 
@@ -24,7 +24,8 @@ def jobs():
 
 
 @pytest.mark.parametrize("workload, key", [("scan", 1), ("scan", 8), ("scan", 16),
-                                           ("membership", 0)])
+                                           ("membership", 0), ("implications", 1),
+                                           ("implications", 40)])
 def test_pool_job_matches_golden(jobs, tmp_path, workload, key):
     if workload == "membership":
         assert jobs.MEMBERSHIP_KINDS[key % len(jobs.MEMBERSHIP_KINDS)] == "schwarz"

@@ -42,6 +42,25 @@ def test_coeffs_zero_witness(capsys):
     assert table[2]["abs"] == 0.0
 
 
+@pytest.mark.parametrize("power", ["129", "100000000000000000000"])
+def test_coeffs_witness_power_above_the_largest_order_exits_2(power, tmp_path, capsys):
+    out = tmp_path / "coeffs.json"
+    code = cli.main(["coeffs", "--witness", f"z^{power}", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"invariant violation: witness power must lie in [1, 128], got 'z^{power}'\n")
+    assert not out.exists()
+
+
+def test_coeffs_witness_power_at_the_largest_order(capsys):
+    # w = z^K gives f(z) = z (1 + z^K / K + ...), so a_(K+1) = 1/K
+    code, out = run(capsys, "coeffs", "--witness", "z^127", "--order", "128")
+    assert code == 0
+    row = {row["n"]: row for row in json.loads(out)["coeffs"]}[128]
+    assert row["re"] == pytest.approx(1 / 127, abs=1e-15)
+    assert row["im"] == 0.0
+
+
 def test_coeffs_requires_source(capsys):
     code, _ = run(capsys, "coeffs")
     assert code == 1

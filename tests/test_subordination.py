@@ -6,6 +6,8 @@ import pytest
 from gshlab import caratheodory as cara
 from gshlab import subordination as sub
 from gshlab.core import NormalizedFunction, PolarGrid, member_from_witness
+from gshlab.regions import sinh_region, sqrt_disk_region
+from gshlab.series import TruncatedSeries
 
 
 # -- circle extrema of |sinh| and |cosh| ---------------------------------------
@@ -236,6 +238,87 @@ def test_harness_deterministic():
     a = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
     b = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
     assert a.to_json() == b.to_json()
+
+
+# -- shrink ladder ------------------------------------------------------------------
+
+
+def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_attempts):
+    """Reference harness: ``operator_values`` on each candidate, its tail halved in place."""
+    case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    z = sub.HARNESS_GRID.points()
+    summary = sub.ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
+                                threshold=threshold,
+                                floor_deviation=sub._config_floor(case, z))
+    records = []
+    cap = max_attempts if summary.premise_feasible else min(max_attempts, 25)
+    for i in range(cap):
+        if summary.non_vacuous >= target_non_vacuous:
+            break
+        rng = np.random.default_rng((seed, int(kind), i))
+        coeffs = sub._sample_candidate(rng).series.coeffs.copy()
+        deviation = math.inf
+        for _ in range(sub.SHRINK_STEPS + 1):
+            f = NormalizedFunction(TruncatedSeries(coeffs.copy()))
+            try:
+                deviation = sub.janowski_deviation(sub.operator_values(f, kind, alpha, z),
+                                                   params)
+            except sub.ZeroDivisorOnGrid:
+                pass
+            else:
+                if deviation < 1.0 - sub.PREMISE_MARGIN:
+                    break
+            coeffs[2:] *= 0.5
+        f = NormalizedFunction(TruncatedSeries(coeffs))
+        premise = deviation < 1.0 - sub.PREMISE_MARGIN
+        g = f.over_z_values(z)
+        record = sub.ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
+                                       conclusion_sinh=sinh_region().contains(g - 1.0),
+                                       conclusion_sqrt=sqrt_disk_region().contains(g),
+                                       vacuous=not premise, function=f.to_json())
+        summary.attempts += 1
+        if premise:
+            summary.non_vacuous += 1
+            summary.counterexamples += not record.conclusion_sinh
+            summary.counterexamples_sqrt += not record.conclusion_sqrt
+        records.append(record)
+    return summary, records
+
+
+DEFINED_CONFIGS = [(kind, sub.JanowskiParams(a, b)) for a, b in sub.DEFAULT_CONFIGS
+                   for kind in sub.OperatorKind
+                   if sub.alpha_threshold(kind, sub.JanowskiParams(a, b)) is not None]
+
+
+@pytest.mark.parametrize("factor, seed", [(1.05, 0), (0.5, 1), (3.0, 2)])
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS,
+                         ids=[f"{int(k)}-{p.a}-{p.b}" for k, p in DEFINED_CONFIGS])
+def test_shrink_ladder_matches_halving_loop(kind, params, factor, seed):
+    # same summary, deviations, verdicts and functions, compared exactly; the
+    # default budget holds enough premise-true cases to catch a last-bit change
+    thr = sub.alpha_threshold(kind, params)
+    args = (kind, params, factor * thr, thr, seed, 50, 400)
+    assert sub.run_config(*args, keep_records=True) == halving_loop(*args)
+
+
+def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
+    # f/z = 1 - 2^-k z / r0 vanishes at |z| = 2^k r0, which HARNESS_GRID samples
+    # for k = 0..4: the first five steps raise ZeroDivisorOnGrid and are skipped
+    r0 = float(np.abs(sub.HARNESS_GRID.points()[0]))
+    monkeypatch.setattr(sub, "_sample_candidate",
+                        lambda rng: NormalizedFunction.from_tail([-1.0 / r0], order=8))
+    params = sub.JanowskiParams(0.5, -0.5)
+    # kinds 2 and 3 pass at step 5, the first whose f/z has no zero on the grid;
+    # kind 4 never passes
+    for kind, halvings in ((2, 5), (3, 5), (4, sub.SHRINK_STEPS + 1)):
+        thr = sub.alpha_threshold(kind, params)
+        args = (sub.OperatorKind(kind), params, 0.5 * thr, thr, 0, 3, 5)
+        summary, records = sub.run_config(*args, keep_records=True)
+        assert (summary, records) == halving_loop(*args)
+        assert summary.attempts == len(records) > 0
+        for record in records:
+            assert record.premise_holds == (kind != 4)
+            assert record.function["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
 
 
 # -- derived operator identities -------------------------------------------------
