@@ -176,6 +176,12 @@ def _witness(name: str):
     raise argparse.ArgumentTypeError(f"expected 'identity', 'zero' or 'z^K', got {name!r}")
 
 
+#: Largest ``--theta-samples`` of ``membership``, and the largest polar grid
+#: (``--theta-samples`` times ``--radial-samples``); the kernel scan visits
+#: every angle at every grid point.
+MAX_THETA_SAMPLES = 8192
+MAX_GRID_POINTS = 2 ** 20
+
 _ORDER = _ranged(int, "order", lambda n: 8 <= n <= MAX_ORDER, f"lie in [8, {MAX_ORDER}]")
 _SAMPLES = _ranged(int, "samples", lambda n: n >= 1, "be >= 1")
 _SEED = _ranged(int, "seed", lambda n: n >= 0, "be >= 0")
@@ -204,7 +210,8 @@ def build_parser() -> _Parser:
     p = command("membership", "run the three membership tests", order=True)
     p.add_argument("--input", required=True)
     p.add_argument("--theta-samples", default=512,
-                   type=_ranged(int, "theta-samples", lambda n: n >= 64, "be >= 64"))
+                   type=_ranged(int, "theta-samples", lambda n: 64 <= n <= MAX_THETA_SAMPLES,
+                                f"lie in [64, {MAX_THETA_SAMPLES}]"))
     p.add_argument("--radial-samples", default=64,
                    type=_ranged(int, "radial-samples", lambda n: n >= 1, "be >= 1"))
     p.add_argument("--max-radius", default=0.995,
@@ -283,6 +290,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    if args.theta_samples * args.radial_samples > MAX_GRID_POINTS:
+        raise InputInvariantError(
+            f"theta-samples x radial-samples must be at most {MAX_GRID_POINTS}, "
+            f"got {args.theta_samples} x {args.radial_samples}")
     f = _function_from_input(args.input, args.order)
     grid = core.PolarGrid(theta_samples=args.theta_samples,
                           radial_samples=args.radial_samples,

@@ -270,12 +270,80 @@ def _kernel_modulus(f: NormalizedFunction, theta: float, z: complex) -> float:
     return abs(fp - kernel_beta(theta) * (fp - g))
 
 
+#: Theta rows per block of the kernel sieve.
+_KERNEL_BLOCK = 32
+
+#: Elements per temporary array of the kernel scan.
+_KERNEL_CHUNK = 2_000_000
+
+#: A grid point where |f'| + max|beta| |f' - f/z| reaches this may overflow the
+#: kernel formula for some angle; the scan then evaluates every pair.
+_KERNEL_SCALE_CAP = 2.0 ** 1020
+
+
+def _kernel_grid_min(fp: np.ndarray, v: np.ndarray, betas: np.ndarray) -> tuple[float, int, int]:
+    """First minimum of |fp - beta v| over the (beta, grid point) pairs in row-major order.
+
+    Returns ``(value, row, column)``; row and column are -1 when no pair is
+    below infinity.  The rows are cut into blocks of ``_KERNEL_BLOCK``
+    betas.  With c the block's centre row and R = max |beta_i - beta_c| over
+    it, the triangle inequality gives |fp - beta_i v| >= |fp - beta_c v| - R |v|.
+    Over each span of grid points (one span at the default grid and angles;
+    spans keep every temporary within ``_KERNEL_CHUNK`` elements) the centre
+    rows are evaluated first; U, the least of them or of the minimum found
+    so far, is a value the grid attains.  A block is evaluated at a point
+    only where its bound does not exceed U by more than a slack of
+    1e-9 (|fp| + max|beta| |v|), far above the round-off of either side, so
+    every pair left out is strictly above the minimum.  The pairs that are
+    evaluated use the one formula of the dense scan with beta as the first
+    factor, so each value has the bits the dense scan gives, and the least
+    (value, row, column) is the dense scan's first minimum in whatever order
+    the blocks are visited.  Where some pair could overflow (or the values
+    are not finite) every pair is evaluated in the dense order, so a caller
+    raising on overflow sees the dense scan's first failure.
+    """
+    rows, n = betas.size, fp.size
+    best = (math.inf, -1, -1)
+
+    def update(lo, hi, cols=None):
+        nonlocal best
+        sel = slice(None) if cols is None else cols
+        e = np.abs(fp[None, sel] - betas[lo:hi, None] * v[None, sel])
+        i, j = np.unravel_index(np.argmin(e), e.shape)
+        best = min(best, (float(e[i, j]), lo + int(i), int(j if cols is None else cols[j])))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        av = np.abs(v)
+        scale = np.abs(fp) + np.abs(betas).max() * av
+    if not np.all(scale < _KERNEL_SCALE_CAP):
+        chunk = max(1, int(_KERNEL_CHUNK / max(n, 1)))
+        for lo in range(0, rows, chunk):
+            update(lo, min(lo + chunk, rows))
+        return best
+    starts = np.arange(0, rows, _KERNEL_BLOCK)
+    stops = np.minimum(starts + _KERNEL_BLOCK, rows)
+    centres = (starts + stops) // 2
+    radii = np.maximum.reduceat(np.abs(betas - np.repeat(betas[centres], stops - starts)), starts)
+    width = max(1, _KERNEL_CHUNK // max(starts.size, _KERNEL_BLOCK))
+    for lo in range(0, n, width):
+        cols = slice(lo, lo + width)
+        ec = np.abs(fp[None, cols] - betas[centres, None] * v[None, cols])
+        threshold = min(float(ec.min()), best[0]) + 1e-9 * scale[cols]
+        keep = ~(ec - radii[:, None] * av[None, cols] > threshold)
+        for b in np.flatnonzero(keep.any(axis=1)):
+            update(starts[b], stops[b], lo + np.flatnonzero(keep[b]))
+    return best
+
+
 def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
                         grid: PolarGrid = DEFAULT_GRID) -> KernelVerdict:
     """Scan (1/z)(z f' - beta (z f' - f)) over the polar grid for every angle.
 
     The value equals f'(z) - beta (f'(z) - f(z)/z), so no division is
-    involved.  The coarse grid minimum is polished by coordinatewise
+    involved.  The grid minimum comes from a sieve over blocks of angles
+    (``_kernel_grid_min``) that evaluates the formula only where a lower
+    bound lets the minimum lie, and returns the first minimum of the dense
+    scan with the same bits.  It is polished by coordinatewise
     golden-section descent in (theta, radius, angle) so that an actual
     kernel zero pulls the minimum below the tolerance even when it falls
     between grid points.  The verdict also requires f(z)/z to stay away
@@ -287,17 +355,8 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     v = fp - g
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
     betas = np.array([kernel_beta(t) for t in thetas])
-    best = math.inf
-    best_theta = 0.0
-    best_z = 0j
-    chunk = max(1, int(2_000_000 / max(z.size, 1)))
-    for lo in range(0, thetas.size, chunk):
-        e = np.abs(fp[None, :] - betas[lo : lo + chunk, None] * v[None, :])
-        i, j = np.unravel_index(np.argmin(e), e.shape)
-        if e[i, j] < best:
-            best = float(e[i, j])
-            best_theta = float(thetas[lo + i])
-            best_z = complex(z[j])
+    best, i, j = _kernel_grid_min(fp, v, betas)
+    best_theta, best_z = (float(thetas[i]), complex(z[j])) if i >= 0 else (0.0, 0j)
     dtheta = 2.0 * math.pi / theta_samples
     dr = grid.max_radius / grid.radial_samples
     dphi = 2.0 * math.pi / grid.theta_samples

@@ -1,7 +1,7 @@
 """Benchmark pool jobs of all three workloads against their recorded outputs.
 
 The benchmark's correctness gate (``bench/jobs.py``) would reject output
-drift in these jobs; running six of them here makes the same drift fail
+drift in these jobs; running nine of them here makes the same drift fail
 the test suite too.  The test only reads the files under ``bench/``.
 """
 
@@ -23,12 +23,19 @@ def jobs():
     return module
 
 
+#: Input kind of each membership key below; key 3 is a Koebe-type non-member
+#: whose kernel scan finds a zero and whose outside samples are measured.
+MEMBERSHIP_KEY_KINDS = {0: "schwarz", 1: "herglotz", 2: "polynomial", 3: "koebe"}
+
+
 @pytest.mark.parametrize("workload, key", [("scan", 1), ("scan", 8), ("scan", 16),
-                                           ("membership", 0), ("implications", 1),
-                                           ("implications", 40)])
+                                           ("membership", 0), ("membership", 1),
+                                           ("membership", 2), ("membership", 3),
+                                           ("implications", 1), ("implications", 40)])
 def test_pool_job_matches_golden(jobs, tmp_path, workload, key):
     if workload == "membership":
-        assert jobs.MEMBERSHIP_KINDS[key % len(jobs.MEMBERSHIP_KINDS)] == "schwarz"
+        kinds = jobs.MEMBERSHIP_KINDS
+        assert kinds[key % len(kinds)] == MEMBERSHIP_KEY_KINDS[key]
     jobs.write_inputs(workload, [key], tmp_path)
     argv = jobs.argv_for(workload, key, tmp_path)
     bounds._BATCH_CACHE.clear()

@@ -114,6 +114,31 @@ def test_membership_overflowing_input_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, rule", [
+    ("--radial-samples 1000000000000",
+     "theta-samples x radial-samples must be at most 1048576, got 512 x 1000000000000"),
+    ("--theta-samples 8192 --radial-samples 129",
+     "theta-samples x radial-samples must be at most 1048576, got 8192 x 129"),
+    ("--theta-samples 20000", "theta-samples must lie in [64, 8192], got 20000"),
+])
+def test_membership_grid_above_the_limits_exits_2(flags, rule, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli.main(["membership", "--input", write_koebe(tmp_path), "--output", str(out),
+                     *flags.split()])
+    assert code == 2
+    assert capsys.readouterr().err == f"invariant violation: {rule}\n"
+    assert not out.exists()
+
+
+def test_membership_grid_at_the_limits_is_accepted(capsys):
+    # the limits are checked before the input is read, so a missing file shows
+    # that 8192 x 128 passes them without running the scan
+    code = cli.main(["membership", "--input", "/nonexistent.json",
+                     "--theta-samples", "8192", "--radial-samples", "128"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: input file not found: /nonexistent.json\n"
+
+
 def test_membership_missing_file_exits_1(capsys):
     code, _ = run(capsys, "membership", "--input", "/nonexistent.json")
     assert code == 1

@@ -223,6 +223,99 @@ def test_kernel_koebe_zero_found(koebe):
     assert abs(v.argmin_z) < 1.0
 
 
+# -- kernel sieve against the dense scan ---------------------------------------------
+
+
+def dense_kernel_grid_min(fp, v, betas):
+    """Oracle: the dense chunked scan of every (beta, grid point) pair.
+
+    Returns the first minimum in row-major order as (value, row, column),
+    with row and column -1 when no pair is below infinity.
+    """
+    best, best_i, best_j = math.inf, -1, -1
+    chunk = max(1, int(2_000_000 / max(fp.size, 1)))
+    for lo in range(0, betas.size, chunk):
+        e = np.abs(fp[None, :] - betas[lo : lo + chunk, None] * v[None, :])
+        i, j = np.unravel_index(np.argmin(e), e.shape)
+        if e[i, j] < best:
+            best, best_i, best_j = float(e[i, j]), lo + int(i), int(j)
+    return best, best_i, best_j
+
+
+def _kernel_scan_inputs(f, theta_samples, grid):
+    z = grid.points()
+    fp = f.derivative_values(z)
+    v = fp - f.over_z_values(z)
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
+    return fp, v, np.array([core.kernel_beta(t) for t in thetas])
+
+
+def _sieve_functions(seed, count):
+    """Witness-built members, random polynomials and Koebe-type non-members."""
+    rng = np.random.default_rng(seed)
+    fs = [core.NormalizedFunction.identity(8), core.NormalizedFunction.from_tail([0.3], order=8)]
+    for i in range(count):
+        if i % 3 == 0:
+            fs.append(core.member_from_witness(cara.sample_schwarz(rng), 16))
+        elif i % 3 == 1:
+            degree = int(rng.integers(2, 8))
+            tail = 0.3 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
+            fs.append(core.NormalizedFunction.from_tail(tail / np.arange(2, degree + 2), order=12))
+        else:
+            t = rng.uniform(0.3, 0.6) * np.exp(2j * np.pi * rng.random())
+            fs.append(core.NormalizedFunction.from_tail(
+                [n * t ** (n - 1) for n in range(2, 33)], order=32))
+    return fs
+
+
+@pytest.mark.parametrize("theta_samples, radial_samples",
+                         [(96, 24), (100, 1), (100, 24), (64, 1), (512, 3)])
+def test_kernel_sieve_matches_dense_scan(theta_samples, radial_samples, monkeypatch):
+    grid = core.PolarGrid(theta_samples, radial_samples)
+    fs = _sieve_functions(theta_samples + radial_samples, 12)
+    for f in fs:
+        args = _kernel_scan_inputs(f, theta_samples, grid)
+        assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
+    sieved = [core.kernel_nonvanishing(f, theta_samples, grid) for f in fs[:6]]
+    monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
+    assert sieved == [core.kernel_nonvanishing(f, theta_samples, grid) for f in fs[:6]]
+
+
+def test_kernel_sieve_over_column_chunks_matches_dense_scan(monkeypatch):
+    # small temporaries split the grid into spans of points, and every angle
+    # block of a span is visited before the next span; the identity ties at
+    # every pair, so the first minimum is (1.0, 0, 0)
+    monkeypatch.setattr(core, "_KERNEL_CHUNK", 3000)
+    grid = core.PolarGrid(100, 24)
+    for f in _sieve_functions(7, 9):
+        args = _kernel_scan_inputs(f, 100, grid)
+        assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
+    args = _kernel_scan_inputs(core.NormalizedFunction.identity(8), 100, grid)
+    assert core._kernel_grid_min(*args) == (1.0, 0, 0)
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(*args)
+    except FloatingPointError as exc:
+        return f"FloatingPointError: {exc}"
+
+
+@pytest.mark.parametrize("size", [5e307, 8e307, 9e307, 1.5e308])
+@pytest.mark.parametrize("power", [2, 3, 5])
+def test_kernel_sieve_at_extreme_coefficients_matches_dense_scan(size, power, monkeypatch):
+    # the lone coefficient a_power = size; equal results or the same exception
+    f = core.NormalizedFunction.from_tail([0.0] * (power - 2) + [size], order=8)
+    grid = core.PolarGrid(96, 24)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = _kernel_scan_inputs(f, 96, grid)
+    assert _outcome(core._kernel_grid_min, *args) == _outcome(dense_kernel_grid_min, *args)
+    sieved = _outcome(core.kernel_nonvanishing, f, 96, grid)
+    monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
+    assert sieved == _outcome(core.kernel_nonvanishing, f, 96, grid)
+
+
 # -- geometric test ----------------------------------------------------------------
 
 

@@ -146,6 +146,69 @@ def test_boundary_distance_zero_on_vertices():
     assert np.max(d) < 1e-12
 
 
+def dense_boundary_distance(points):
+    """Oracle: distance of each point to every polygon segment, then the least."""
+    v = _SINH_VERTICES
+    x0, y0 = v.real, v.imag
+    nxt = np.roll(v, -1)
+    dx = (nxt.real - x0)[None, :]
+    dy = (nxt.imag - y0)[None, :]
+    denom = dx * dx + dy * dy
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    out = np.empty(pts.size, dtype=float)
+    for lo in range(0, pts.size, 1024):
+        chunk = pts[lo : lo + 1024]
+        px = chunk.real[:, None] - x0[None, :]
+        py = chunk.imag[:, None] - y0[None, :]
+        t = np.clip((px * dx + py * dy) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
+        out[lo : lo + 1024] = np.hypot(px - t * dx, py - t * dy).min(axis=1)
+    return out
+
+
+def _distance_points(seed):
+    """Samples near and far from the curve, vertices, and non-finite points."""
+    rng = np.random.default_rng(seed)
+    step = 2.0 * np.pi / regions.DEFAULT_CURVE_SAMPLES
+    near = regions.sinh_boundary(rng.uniform(0.0, 2.0 * np.pi, 800)) * rng.uniform(0.9, 1.1, 800)
+    koebe = NormalizedFunction.from_tail([n * 0.45 ** (n - 1) for n in range(2, 33)], order=32)
+    images = koebe.ratio_values(0.99 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 900))) - 1.0
+    inf, nan = np.inf, np.nan
+    return np.concatenate([
+        near, images, rng.normal(0.0, 3.0, 600) + 1j * rng.normal(0.0, 3.0, 600),
+        _SINH_VERTICES[::97], regions.sinh_boundary((np.arange(0, 4096, 131) + 0.5) * step),
+        [0.0, 1e12, -1e12j, 1e200, nan, complex(nan, 1.0), inf, -inf, complex(0.0, -inf),
+         complex(inf, inf), complex(-inf, nan), complex(inf, -inf)]])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_boundary_distance_sieve_matches_dense_scan(seed):
+    pts = _distance_points(seed)
+    assert pts.size > 2 * regions._CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(regions.sinh_boundary_distance(pts), dense_boundary_distance(pts),
+                              equal_nan=True)
+    assert regions.sinh_boundary_distance(pts[:0]).shape == (0,)
+
+
+def _outcome(fn, points):
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(points)
+    except FloatingPointError as exc:
+        return f"FloatingPointError: {exc}"
+
+
+@pytest.mark.parametrize("size", [1e300, 5e305, 5e307, 8e307, 9e307, 1.5e308])
+def test_boundary_distance_sieve_at_extreme_points_matches_dense_scan(size):
+    # equal distances or the same exception
+    pts = np.concatenate([_SINH_VERTICES[:5] * 3.0, size * np.exp(1j * np.arange(4) * 0.7)])
+    sieved, dense = _outcome(regions.sinh_boundary_distance, pts), _outcome(dense_boundary_distance, pts)
+    if isinstance(dense, str):
+        assert sieved == dense
+    else:
+        assert np.array_equal(sieved, dense)
+
+
 def test_janowski_boundary_circle():
     w = regions.janowski_boundary(0.0, 1.0, 0.0)
     assert w == pytest.approx(2.0)
