@@ -182,8 +182,14 @@ def _witness(name: str):
 MAX_THETA_SAMPLES = 8192
 MAX_GRID_POINTS = 2 ** 20
 
+#: Largest ``--samples`` of ``bounds-scan`` and ``lemma-suite``.
+MAX_SAMPLES = 1_000_000
+
+#: Largest ``--cases`` and ``--max-attempts`` of ``verify-implications``.
+MAX_HARNESS_BUDGET = 100_000
+
 _ORDER = _ranged(int, "order", lambda n: 8 <= n <= MAX_ORDER, f"lie in [8, {MAX_ORDER}]")
-_SAMPLES = _ranged(int, "samples", lambda n: n >= 1, "be >= 1")
+_SAMPLES = _ranged(int, "samples", lambda n: 1 <= n <= MAX_SAMPLES, f"lie in [1, {MAX_SAMPLES}]")
 _SEED = _ranged(int, "seed", lambda n: n >= 0, "be >= 0")
 _FORMATS = ("json", "csv", "markdown")
 
@@ -249,10 +255,12 @@ def build_parser() -> _Parser:
                    type=_ranged(float, "alpha-factor", lambda a: math.isfinite(a) and a != 0.0,
                                 "be finite and nonzero"))
     p.add_argument("--cases", default=50,
-                   type=_ranged(int, "cases", lambda n: n >= 1, "be >= 1"),
+                   type=_ranged(int, "cases", lambda n: 1 <= n <= MAX_HARNESS_BUDGET,
+                                f"lie in [1, {MAX_HARNESS_BUDGET}]"),
                    help="target premise-true cases per configuration")
     p.add_argument("--max-attempts", default=400,
-                   type=_ranged(int, "max-attempts", lambda n: n >= 1, "be >= 1"))
+                   type=_ranged(int, "max-attempts", lambda n: 1 <= n <= MAX_HARNESS_BUDGET,
+                                f"lie in [1, {MAX_HARNESS_BUDGET}]"))
     p.add_argument("--include-cases", action="store_true",
                    help="emit the full per-case log, not just summaries")
 
@@ -260,7 +268,8 @@ def build_parser() -> _Parser:
     p.add_argument("--curve", required=True,
                    choices=("sinh-boundary", "ratio-image", "janowski"))
     p.add_argument("--resolution", default=512,
-                   type=_ranged(int, "resolution", lambda n: n >= 64, "be >= 64"))
+                   type=_ranged(int, "resolution", lambda n: 64 <= n <= MAX_GRID_POINTS,
+                                f"lie in [64, {MAX_GRID_POINTS}]"))
     p.add_argument("--input", default=None, help="function JSON for ratio-image")
     p.add_argument("--radius", default=0.9,
                    type=_ranged(float, "radius", lambda r: 0.0 < r < 1.0, "lie in (0, 1)"),

@@ -19,6 +19,12 @@ reports when a configuration's premise is unsatisfiable at the scanned
 alpha, which happens whenever the deviation floor at the grid origin
 already reaches 1.
 
+Each candidate failing the premise is halved toward the identity step by
+step.  The harness evaluates a step on the full grid only where a probe on
+the grid's innermost and outermost rings cannot prove that it fails; the
+probe runs only on steps certified to raise no exception, so the sieve keeps
+the bits, verdicts and exceptions of evaluating every step.
+
 "Premise holds" means that the operator's image on the grid lies inside the
 Janowski disk, not that the operator is subordinate to the Janowski map: a
 subordination needs the value 1 at the origin, and for kinds 2-4 the coded
@@ -324,6 +330,87 @@ def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
     return _deviation(NormalizedFunction.identity(order=4), case, z)
 
 
+#: Indices of HARNESS_GRID's innermost and outermost rings, where the sieve probes a step.
+_PROBE_POINTS = np.r_[:HARNESS_GRID.theta_samples, -HARNESS_GRID.theta_samples:0]
+
+#: A probed step fails when some probe point's deviation reaches this: the premise
+#: cut-off with a relative slack for round-off between the probe and the full step.
+_PROBE_CUT = (1.0 - PREMISE_MARGIN) * (1.0 + 1e-9)
+
+#: Largest certified bound on |v - 1| for operator values v of a shrink step.
+_CERTIFIED_SPREAD = 2.0 ** 20
+
+
+def _step_deviation(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+                    k: int) -> float:
+    """Janowski deviation of shrink step k on the grid z: f' and f/z are 2^-k dp + 1, 2^-k dg + 1."""
+    fp = 2.0 ** -k * dp + 1.0
+    g = None if case.kind is OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
+    return janowski_deviation(_operator(case.kind, case.alpha, z, fp, g), case.janowski)
+
+
+def _certified_from(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
+                    dg: np.ndarray) -> int:
+    """First step of the certified suffix of the shrink ladder (SHRINK_STEPS + 1 if none).
+
+    Step k (s = 2^-k) is certified when s max|dg| <= 1/2, so that |f/z| >= 1/2 on
+    the grid, and when, with a relative slack of 1e-9, a bound on |v - 1| for
+    the step's operator values v is at most 2^20: |alpha| max|z| (1 + s max|dp|)
+    for kind 1, and |alpha| (1 + s max|dp|)/(1 - s max|dg|)^(kind - 1) for kinds
+    2..4.  A NaN or infinite max or alpha fails both tests, so it certifies no step.
+    """
+    s = np.ldexp(1.0, -np.arange(SHRINK_STEPS + 1))
+    with np.errstate(all="ignore"):
+        m_p = np.max(np.abs(dp))
+        m_g = np.max(np.abs(dg))
+        alpha = abs(complex(case.alpha))
+        if case.kind is OperatorKind.Z_FPRIME:
+            bound = alpha * np.max(np.abs(z)) * (1.0 + s * m_p)
+        else:
+            bound = alpha * (1.0 + s * m_p) / (1.0 - s * m_g) ** (int(case.kind) - 1)
+        certified = (s * m_g <= 0.5) & (bound * (1.0 + 1e-9) <= _CERTIFIED_SPREAD)
+    uncertified = np.flatnonzero(~certified)
+    return int(uncertified[-1]) + 1 if uncertified.size else 0
+
+
+def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+                      k0: int) -> np.ndarray:
+    """Per-point deviations of steps k0..SHRINK_STEPS at the ``_PROBE_POINTS`` of z.
+
+    One row per step, each the step's own operator and deviation expressions at
+    those points; inf where the denominator A - B v is below the 1e-300 at which
+    ``janowski_deviation`` returns inf.  Run without floating-point errors raised.
+    """
+    s = np.ldexp(1.0, -np.arange(k0, SHRINK_STEPS + 1))[:, None]
+    with np.errstate(all="ignore"):
+        fp = s * dp[_PROBE_POINTS] + 1.0
+        g = None if case.kind is OperatorKind.Z_FPRIME else s * dg[_PROBE_POINTS] + 1.0
+        v = _operator(case.kind, case.alpha, z[_PROBE_POINTS], fp, g)
+        den = case.janowski.a - case.janowski.b * v
+        return np.where(np.abs(den) < 1e-300, math.inf, np.abs((v - 1.0) / den))
+
+
+def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
+            dg: np.ndarray) -> tuple[int, float]:
+    """First passing shrink step and its deviation; SHRINK_STEPS + 1 and step 24's if none."""
+    k0 = _certified_from(case, z, dp, dg)
+    deviation = math.inf
+    for k in range(SHRINK_STEPS + 1):
+        if k == k0:
+            fails = _probe_deviations(case, z, dp, dg, k0).max(axis=1) >= _PROBE_CUT
+        if k >= k0 and fails[k - k0]:
+            continue
+        try:
+            deviation = _step_deviation(case, z, dp, dg, k)
+        except ZeroDivisorOnGrid:
+            continue
+        if deviation < 1.0 - PREMISE_MARGIN:
+            return k, deviation
+    if k0 <= SHRINK_STEPS and fails[-1]:  # the last step computed in full is step 24
+        deviation = _step_deviation(case, z, dp, dg, SHRINK_STEPS)
+    return SHRINK_STEPS + 1, deviation
+
+
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                threshold: float, seed: int, target_non_vacuous: int = 50,
                max_attempts: int = 400,
@@ -332,14 +419,41 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
-    fails the attempt is recorded as vacuous, with the last rescaled candidate
-    and the last deviation computed.
+    fails the attempt is recorded as vacuous, with the candidate halved once
+    more and the deviation of the last step, halved ``SHRINK_STEPS`` times.
 
-    Each candidate's f'(z) - 1 and f(z)/z - 1 are evaluated by one Horner pass
+    Each candidate's f'(z) - 1 and f/z - 1 are evaluated by one Horner pass
     over a_2, a_3, ...; step k scales them by 2**-k and adds 1.  That is
     bit for bit the Horner sum of the k-times halved candidate, because every
     Horner step commutes with a power-of-two scale while no value on the way
     is subnormal, and adding 1 makes the sign of a zero part the same.
+
+    The steps are sieved: a step is evaluated on the full grid only where a
+    cheap probe cannot prove that it fails, and the outcome, its bits and
+    any exception are those of evaluating every step in order.
+
+    - Certificate (``_certified_from``): on a certified step |f/z| >= 1/2, so
+      ``ZeroDivisorOnGrid`` cannot be raised, and |v - 1| <= 2^20.  Then no
+      operation of the step can overflow, divide by zero or be invalid: the
+      deviation divides only by denominators of modulus >= 1e-300, and
+      numpy's complex division (Smith's method) gives a reciprocal factor of
+      at most sqrt(2) 1e300, times a numerator of at most 2^21.  The bound
+      falls with the step, so the certified steps are a suffix k0..24, and
+      skipping one drops no exception.
+    - Steps below k0 are evaluated in order on the full grid, as without the
+      sieve, so an exception they raise is raised where it was.
+    - Probe (``_probe_deviations``): the certified steps are evaluated at
+      once on the innermost and the outermost ring of the grid.  For kinds
+      2..4 the deviation near the origin sits at the floor |alpha|/|A -
+      B(1 + alpha)|, and for kind 1 |alpha z f'| peaks on the outer ring.
+      The probe applies the step's own elementwise expressions to the same
+      values, so its points carry the full step's bits, and a step whose
+      probe deviation reaches the premise cut-off (with a slack of 1e-9)
+      cannot pass.  It is skipped; the others are evaluated on the full
+      grid, in order.
+    - If no step passes, the recorded deviation is that of step 24, the
+      last step evaluated without the sieve; it is evaluated on the full
+      grid if the probe skipped it.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -354,18 +468,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         c = _sample_candidate(rng).series.coeffs
         dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
         dg = np.polyval(c[:1:-1], z) * z
-        deviation = math.inf
-        for k in range(SHRINK_STEPS + 1):
-            fp = 2.0 ** -k * dp + 1.0
-            g = None if kind is OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
-            try:
-                deviation = janowski_deviation(_operator(kind, alpha, z, fp, g), params)
-            except ZeroDivisorOnGrid:
-                continue
-            if deviation < 1.0 - PREMISE_MARGIN:
-                break
-        else:  # no step passed: the candidate is halved once more after the last
-            k = SHRINK_STEPS + 1
+        k, deviation = _shrink(case, z, dp, dg)
         coeffs = c.copy()
         coeffs[2:] *= 2.0 ** -k
         record = _record(NormalizedFunction(ts.TruncatedSeries(coeffs)), case,

@@ -139,6 +139,36 @@ def test_membership_grid_at_the_limits_is_accepted(capsys):
     assert capsys.readouterr().err == "error: input file not found: /nonexistent.json\n"
 
 
+@pytest.mark.parametrize("argv, rule", [
+    ("bounds-scan --samples 1000001", "samples must lie in [1, 1000000], got 1000001"),
+    ("lemma-suite --samples 1000001", "samples must lie in [1, 1000000], got 1000001"),
+    ("plot-data --curve sinh-boundary --resolution 1048577",
+     "resolution must lie in [64, 1048576], got 1048577"),
+    ("verify-implications --cases 100001", "cases must lie in [1, 100000], got 100001"),
+    ("verify-implications --max-attempts 100001",
+     "max-attempts must lie in [1, 100000], got 100001"),
+])
+def test_budget_above_the_limit_exits_2(argv, rule, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    code = cli.main([*argv.split(), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"invariant violation: {rule}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, dest, limit", [
+    ("bounds-scan --samples", "samples", cli.MAX_SAMPLES),
+    ("lemma-suite --samples", "samples", cli.MAX_SAMPLES),
+    ("plot-data --curve sinh-boundary --resolution", "resolution", cli.MAX_GRID_POINTS),
+    ("verify-implications --cases", "cases", cli.MAX_HARNESS_BUDGET),
+    ("verify-implications --max-attempts", "max_attempts", cli.MAX_HARNESS_BUDGET),
+])
+def test_budget_at_the_limit_parses(argv, dest, limit):
+    # parsed only: a job at the limit would run for a long time
+    args = cli.build_parser().parse_args([*argv.split(), str(limit)])
+    assert getattr(args, dest) == limit
+
+
 def test_membership_missing_file_exits_1(capsys):
     code, _ = run(capsys, "membership", "--input", "/nonexistent.json")
     assert code == 1

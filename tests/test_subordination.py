@@ -290,15 +290,144 @@ DEFINED_CONFIGS = [(kind, sub.JanowskiParams(a, b)) for a, b in sub.DEFAULT_CONF
                    if sub.alpha_threshold(kind, sub.JanowskiParams(a, b)) is not None]
 
 
-@pytest.mark.parametrize("factor, seed", [(1.05, 0), (0.5, 1), (3.0, 2)])
-@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS,
-                         ids=[f"{int(k)}-{p.a}-{p.b}" for k, p in DEFINED_CONFIGS])
+CONFIG_IDS = [f"{int(k)}-{p.a}-{p.b}" for k, p in DEFINED_CONFIGS]
+
+
+@pytest.mark.parametrize("factor, seed", [(1.05, 0), (0.5, 1), (3.0, 2), (1e7, 3)])
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
 def test_shrink_ladder_matches_halving_loop(kind, params, factor, seed):
     # same summary, deviations, verdicts and functions, compared exactly; the
-    # default budget holds enough premise-true cases to catch a last-bit change
+    # default budget holds enough premise-true cases to catch a last-bit change.
+    # At factor 1e7, |alpha| > 2^20 and no shrink step is certified
     thr = sub.alpha_threshold(kind, params)
     args = (kind, params, factor * thr, thr, seed, 50, 400)
     assert sub.run_config(*args, keep_records=True) == halving_loop(*args)
+
+
+def near_cut_alpha(kind, params):
+    """An alpha whose deviation floor lies 1e-4 below the premise cut-off."""
+    t = 1.0 - sub.PREMISE_MARGIN - 1e-4
+    if kind is sub.OperatorKind.Z_FPRIME:  # the identity's floor |alpha z|/A peaks at |z| = 0.995
+        return t * params.a / 0.995
+    return t * (params.a - params.b) / (1.0 + t * params.b)  # |alpha|/|A - B(1 + alpha)| = t
+
+
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_shrink_ladder_near_the_premise_cut_matches_halving_loop(kind, params):
+    # candidates pass only when nearly halved to the identity, with a deviation
+    # just below the cut-off, so a probe cutting early would skip the passing step
+    alpha = near_cut_alpha(kind, params)
+    case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    floor = sub._config_floor(case, sub.HARNESS_GRID.points())
+    assert 1.0 - sub.PREMISE_MARGIN - 2e-4 < floor < 1.0 - sub.PREMISE_MARGIN
+    args = (kind, params, alpha, 1.0, 4, 20, 60)
+    summary, records = sub.run_config(*args, keep_records=True)
+    assert (summary, records) == halving_loop(*args)
+    assert summary.non_vacuous > 0
+
+
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
+        kind, params, monkeypatch):
+    # a_2 near 40 makes max|f/z - 1| about 40 on the grid, so the certificate
+    # (2^-k max|f/z - 1| <= 1/2) first holds at step 7
+    def large_tail(rng):
+        a2, a3 = 40.0 + rng.normal(0.0, 1.0), rng.normal(0.0, 2.0) + 1j * rng.normal(0.0, 2.0)
+        return NormalizedFunction.from_tail([a2, a3], order=sub.CANDIDATE_ORDER)
+
+    monkeypatch.setattr(sub, "_sample_candidate", large_tail)
+    z = sub.HARNESS_GRID.points()
+    thr = sub.alpha_threshold(kind, params)
+    for factor, seed in ((0.5, 0), (1.05, 1)):
+        case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
+        c = large_tail(np.random.default_rng((seed, int(kind), 0))).series.coeffs
+        dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
+        dg = np.polyval(c[:1:-1], z) * z
+        assert 6 <= sub._certified_from(case, z, dp, dg) <= 9
+        args = (kind, params, factor * thr, thr, seed, 10, 30)
+        assert sub.run_config(*args, keep_records=True) == halving_loop(*args)
+
+
+@pytest.mark.parametrize("factor", [1e305, 1e307])
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_shrink_ladder_under_raising_errstate_matches_halving_loop(kind, params, factor):
+    # as under the CLI: both return the same result or raise the same error.  At
+    # 1e307 some steps overflow; at seed 1 the first kind-4 (1, 0) candidate has
+    # max|f/z - 1| < 1/2, so a certificate ignoring |alpha| would skip them
+    thr = sub.alpha_threshold(kind, params)
+
+    def outcome(run):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                return run()
+            except FloatingPointError as exc:
+                return str(exc)
+
+    for seed in (0, 1):
+        args = (kind, params, factor * thr, thr, seed, 2, 3)
+        assert (outcome(lambda: sub.run_config(*args, keep_records=True))
+                == outcome(lambda: halving_loop(*args)))
+
+
+def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch):
+    # B = 1e-300 puts the pole of the Janowski deviation at v = 1e300.  Step 0 of
+    # f = z + z^2/4 reaches v = 1 + 1e300 at z = 0.995, where (v - 1)/(A - B v)
+    # overflows; later steps stay away from the pole, and every step fails.
+    # |alpha| is far past 2^20, so no step may be skipped
+    monkeypatch.setattr(sub, "_sample_candidate",
+                        lambda rng: NormalizedFunction.from_tail([0.25], order=8))
+    kind, params = sub.OperatorKind.Z_FPRIME, sub.JanowskiParams(1.0, 1e-300)
+    alpha = 1e300 / (0.995 * 1.4975)
+    z = sub.HARNESS_GRID.points()
+    dp, dg = 0.5 * z, 0.25 * z  # f' - 1 and f/z - 1
+    case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError):
+            sub._step_deviation(case, z, dp, dg, 0)
+        assert sub._step_deviation(case, z, dp, dg, 1) > 1.0
+        assert sub._step_deviation(case, z, dp, dg, sub.SHRINK_STEPS) > 1.0
+        args = (kind, params, alpha, 1.0, 0, 1, 1)
+        with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+            halving_loop(*args)
+        with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+            sub.run_config(*args)
+
+
+def test_probe_matches_full_steps_at_the_ring_points():
+    # on every certified step the probe has the full step's per-point bits, and a
+    # step the probe fails has a full-grid deviation at or past the cut-off
+    z = sub.HARNESS_GRID.points()
+    rng = np.random.default_rng(83)
+    checked = failed = 0
+    for kind, params in DEFINED_CONFIGS:
+        thr = sub.alpha_threshold(kind, params)
+        for alpha in (0.5 * thr, 1.05 * thr, 3.0 * thr, -1.05 * thr,
+                      near_cut_alpha(kind, params)):
+            case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+            for scale in (1.0, 1.0, 8.0, 30.0):
+                c = sub._sample_candidate(rng).series.coeffs.copy()
+                c[2:] *= scale
+                dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
+                dg = np.polyval(c[:1:-1], z) * z
+                k0 = sub._certified_from(case, z, dp, dg)
+                if k0 > sub.SHRINK_STEPS:
+                    continue
+                probe = sub._probe_deviations(case, z, dp, dg, k0)
+                assert probe.shape == (sub.SHRINK_STEPS + 1 - k0, sub._PROBE_POINTS.size)
+                for k in range(k0, sub.SHRINK_STEPS + 1):
+                    fp = 2.0 ** -k * dp + 1.0
+                    g = None if kind is sub.OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
+                    v = sub._operator(kind, alpha, z, fp, g)
+                    den = params.a - params.b * v
+                    full = np.where(np.abs(den) < 1e-300, np.inf, np.abs((v - 1.0) / den))
+                    assert np.array_equal(probe[k - k0], full[sub._PROBE_POINTS])
+                    deviation = sub.janowski_deviation(v, params)
+                    assert deviation == np.max(full)
+                    if np.max(probe[k - k0]) >= sub._PROBE_CUT:
+                        assert deviation >= 1.0 - sub.PREMISE_MARGIN
+                        failed += 1
+                    checked += 1
+    assert failed > 0 and checked > failed
 
 
 def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
