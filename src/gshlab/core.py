@@ -116,22 +116,34 @@ class NormalizedFunction:
     def from_json(cls, obj: dict) -> "NormalizedFunction":
         return cls(ts.from_pairs(obj["coeffs"]))
 
-    # pointwise helpers (exact in the stored coefficients)
+    # pointwise helpers (exact in the stored coefficients); a 0-d z gives z[None]'s bits
 
     def over_z_values(self, z) -> np.ndarray:
-        """Values of f(z)/z."""
-        return np.polyval(self.series.coeffs[:0:-1], z)
+        """Values of f(z)/z at the array z."""
+        return _horner(self.series.coeffs[:0:-1], z)
 
     def derivative_values(self, z) -> np.ndarray:
-        """Values of f'(z)."""
-        c = self.series.coeffs
-        n = np.arange(c.size)
-        return np.polyval((c * n)[:0:-1], z)
+        """Values of f'(z) at the array z."""
+        return _horner((self.series.coeffs * np.arange(self.order + 1))[:0:-1], z)
 
     def ratio_values(self, z) -> np.ndarray:
         """Values of z f'(z)/f(z), computed as f'(z) / (f(z)/z)."""
         g = self.over_z_values(z)
         return self.derivative_values(z) / g
+
+
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """np.polyval's steps y = y z + c in place; a coefficient may be a row of lanes.
+
+    Each value has np.polyval's bits on the array z.  numpy's in-place complex
+    multiply rounds differently only on a single element, which goes through t.
+    """
+    z = np.asarray(z)
+    y = np.zeros(np.broadcast_shapes(z.shape, coeffs.shape[1:]), np.result_type(coeffs, z))
+    t = y if y.size > 1 else np.empty_like(y)
+    for c in coeffs:
+        np.add(np.multiply(y, z, out=t), c, out=y)
+    return y
 
 
 def kernel_beta(theta: float) -> complex:
@@ -264,12 +276,6 @@ class KernelVerdict:
                 "ratio_floor": self.ratio_floor}
 
 
-def _kernel_modulus(f: NormalizedFunction, theta: float, z: complex) -> float:
-    fp = complex(f.derivative_values(np.array([z]))[0])
-    g = complex(f.over_z_values(np.array([z]))[0])
-    return abs(fp - kernel_beta(theta) * (fp - g))
-
-
 #: Theta rows per block of the kernel sieve.
 _KERNEL_BLOCK = 32
 
@@ -346,8 +352,9 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     scan with the same bits.  It is polished by coordinatewise
     golden-section descent in (theta, radius, angle) so that an actual
     kernel zero pulls the minimum below the tolerance even when it falls
-    between grid points.  The verdict also requires f(z)/z to stay away
-    from zero, which covers the degenerate beta = 1 variant of the test.
+    between grid points; each polish point takes f' and f/z from one
+    two-lane Horner pass over the rows [n a_n, a_n], with the grid's bits.
+    The verdict also needs f(z)/z away from zero (the beta = 1 variant).
     """
     z = grid.points()
     fp = f.derivative_values(z)
@@ -361,10 +368,13 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     dr = grid.max_radius / grid.radial_samples
     dphi = 2.0 * math.pi / grid.theta_samples
     r0, phi0 = abs(best_z), cmath.phase(best_z)
+    c = f.series.coeffs
+    lanes = np.stack([(c * np.arange(c.size))[:0:-1], c[:0:-1]], axis=1)
 
     def objective(p):
         r = min(max(p[1], 1e-9), grid.max_radius)
-        return -_kernel_modulus(f, p[0], r * cmath.exp(1j * p[2]))
+        fpz, gz = _horner(lanes, r * cmath.exp(1j * p[2])).tolist()
+        return -abs(fpz - kernel_beta(p[0]) * (fpz - gz))
 
     p, neg = polish_coordinatewise(
         objective, np.array([best_theta, r0, phi0]),

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import warnings
@@ -101,17 +102,36 @@ def test_membership_invalid_function_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_membership_overflowing_input_exits_2(tmp_path, capsys):
-    # a_2 = 1e308 overflows the grid values; the first overflow stops the run
+def _lone_coefficient(k, i):
+    """Coefficient pairs of z + a_k z^k, a_k = m e^(0.3i) with m = 1e306 * 150^(i/14)."""
+    a = 1e306 * 150 ** (i / 14) * cmath.exp(0.3j)
+    return [[0, 0], [1, 0]] + [[0, 0]] * (k - 2) + [[a.real, a.imag]]
+
+
+# the first overflow stops the run: in matmul it is the sufficient test's
+# weighted sum, in multiply the kernel scan's beta (f' - f/z); k = 3, i = 8
+# is the largest modulus of its power that still runs
+@pytest.mark.parametrize("coeffs, failure", [
+    ([[0, 0], [1, 0], [1e308, 0]], "matmul"),
+    (_lone_coefficient(2, 14), "matmul"),
+    (_lone_coefficient(3, 11), "multiply"),
+    (_lone_coefficient(5, 9), "multiply"),
+    (_lone_coefficient(3, 8), None),
+], ids=["a2=1e308", "k2-i14", "k3-i11", "k5-i9", "k3-i8"])
+def test_membership_overflowing_input_exits_2(coeffs, failure, tmp_path, capsys):
     path = tmp_path / "f.json"
-    path.write_text(json.dumps({"coeffs": [[0, 0], [1, 0], [1e308, 0]]}))
+    path.write_text(json.dumps({"coeffs": coeffs}))
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = cli.main(["membership", "--input", str(path), "--output", str(out)])
-    assert code == 2
-    assert "invariant violation" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    if failure is None:
+        assert (code, err) == (0, "")
+        assert out.exists()
+    else:
+        assert (code, err) == (2, f"invariant violation: overflow encountered in {failure}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, rule", [

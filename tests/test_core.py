@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -5,14 +6,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gshlab import caratheodory as cara
 from gshlab import core
 from gshlab import series as ts
 from gshlab.caratheodory import SchwarzSample
+from gshlab.refine import polish_coordinatewise
 
 
 def rational_extremal_coefficient(n: int) -> Fraction:
@@ -316,6 +320,111 @@ def test_kernel_sieve_at_extreme_coefficients_matches_dense_scan(size, power, mo
     assert sieved == _outcome(core.kernel_nonvanishing, f, 96, grid)
 
 
+# -- in-place Horner evaluation --------------------------------------------------
+
+
+def bits(a):
+    """The raw bits of a complex or real array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 64), top=st.floats(0.0, 150.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_horner_matches_polyval_bit_for_bit(order, top, seed):
+    rng = np.random.default_rng(seed)
+    mods = 10.0 ** rng.uniform(-top, top, (order, 2))
+    lanes = mods * np.exp(2j * np.pi * rng.random((order, 2)))
+    lanes[rng.random((order, 2)) < 0.2] = 0.0
+    zs = np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    zs[:4] = [0.0, -0.5, 0.75j, -1.0]
+    reals = zs.real.copy()
+    for c in lanes.T:
+        # grid arrays, complex and real
+        assert np.array_equal(bits(core._horner(c, zs)), bits(np.polyval(c, zs)))
+        assert np.array_equal(bits(core._horner(c, reals)), bits(np.polyval(c, reals)))
+    for z in zs[:12]:
+        one = np.array([z])
+        want = [np.polyval(c, one) for c in lanes.T]
+        # one-element arrays, one lane and two lanes
+        assert np.array_equal(bits(core._horner(lanes[:, 0], one)), bits(want[0]))
+        assert np.array_equal(bits(core._horner(lanes, z)), bits(np.concatenate(want)))
+    both = np.stack([np.polyval(c, zs) for c in lanes.T], axis=1)
+    assert np.array_equal(bits(core._horner(lanes, zs[:, None])), bits(both))
+
+
+def test_zero_dimensional_z_gives_the_one_element_bits():
+    # a 0-d z returns a 0-d array with the bits of the one-element call; an
+    # in-place multiply of a single element would round differently
+    rng = np.random.default_rng(5)
+    f = core.member_from_witness(cara.sample_schwarz(rng), 32)
+    for z in 0.99 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200)):
+        for values in (f.over_z_values, f.derivative_values):
+            for zero_d in (z, np.array(z), complex(z)):
+                got = values(zero_d)
+                assert isinstance(got, np.ndarray) and got.shape == ()
+                assert np.array_equal(bits(got), bits(values(np.array([z]))))
+        assert np.array_equal(bits(f.over_z_values(np.array(z))),
+                              bits(np.polyval(f.series.coeffs[:0:-1], np.array(z))))
+
+
+def reference_kernel_nonvanishing(f, theta_samples, grid):
+    """Oracle: the kernel test as it stood with one np.polyval call per lane and point."""
+    c = f.series.coeffs
+    dc = (c * np.arange(c.size))[:0:-1]
+    z = grid.points()
+    fp = np.polyval(dc, z)
+    g = np.polyval(c[:0:-1], z)
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
+    betas = np.array([core.kernel_beta(t) for t in thetas])
+    best, i, j = dense_kernel_grid_min(fp, fp - g, betas)
+    best_theta, best_z = (float(thetas[i]), complex(z[j])) if i >= 0 else (0.0, 0j)
+    dtheta = 2.0 * math.pi / theta_samples
+    dr = grid.max_radius / grid.radial_samples
+    dphi = 2.0 * math.pi / grid.theta_samples
+    r0, phi0 = abs(best_z), cmath.phase(best_z)
+
+    def objective(p):
+        r = min(max(p[1], 1e-9), grid.max_radius)
+        zp = np.array([r * cmath.exp(1j * p[2])])
+        fpz = complex(np.polyval(dc, zp)[0])
+        gz = complex(np.polyval(c[:0:-1], zp)[0])
+        return -abs(fpz - core.kernel_beta(p[0]) * (fpz - gz))
+
+    p, neg = polish_coordinatewise(
+        objective, np.array([best_theta, r0, phi0]),
+        [(best_theta - dtheta, best_theta + dtheta),
+         (max(r0 - dr, 1e-9), min(r0 + dr, grid.max_radius)),
+         (phi0 - dphi, phi0 + dphi)],
+        rounds=3)
+    if -neg < best:
+        best = -neg
+        best_theta = float(p[0]) % (2.0 * math.pi)
+        best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
+    ratio_floor = float(np.min(np.abs(g)))
+    nonvanishing = bool(best > core.ZERO_TOL and ratio_floor > core.ZERO_TOL)
+    return core.KernelVerdict(nonvanishing=nonvanishing,
+                              min_modulus=best, argmin_theta=best_theta,
+                              argmin_z=best_z, ratio_floor=ratio_floor)
+
+
+@pytest.mark.parametrize("theta_samples, radial_samples",
+                         [(96, 24), (100, 1), (100, 24), (64, 1), (512, 3)])
+def test_kernel_verdict_matches_per_point_polyval_reference(theta_samples, radial_samples):
+    grid = core.PolarGrid(theta_samples, radial_samples)
+    for f in _sieve_functions(theta_samples + radial_samples, 12):
+        assert (core.kernel_nonvanishing(f, theta_samples, grid)
+                == reference_kernel_nonvanishing(f, theta_samples, grid)), f.to_json()
+
+
+@pytest.mark.parametrize("size", [5e307, 8e307, 9e307, 1.5e308])
+@pytest.mark.parametrize("power", [2, 3, 5])
+def test_kernel_verdict_at_extreme_coefficients_matches_reference(size, power):
+    f = core.NormalizedFunction.from_tail([0.0] * (power - 2) + [size], order=8)
+    grid = core.PolarGrid(96, 24)
+    assert (_outcome(core.kernel_nonvanishing, f, 96, grid)
+            == _outcome(reference_kernel_nonvanishing, f, 96, grid))
+
+
 # -- geometric test ----------------------------------------------------------------
 
 
@@ -449,14 +558,40 @@ def test_covering_radius_value():
 
 
 def test_members_respect_growth_envelope():
+    # r e^(-Shi r) <= |f(z)| <= r e^(Shi r) and |f'(z)| <= deriv_bound on |z| = r
     rng = np.random.default_rng(27)
     angles = np.exp(2j * np.pi * np.arange(64) / 64)
     for _ in range(25):
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
-            bound = core.growth_distortion(r).upper
+            rec = core.growth_distortion(r)
             vals = np.abs(ts.evaluate(f.series, r * angles))
-            assert float(np.max(vals)) <= bound * (1 + 1e-8)
+            assert float(np.max(vals)) <= rec.upper * (1 + 1e-8)
+            assert float(np.min(vals)) >= rec.lower * (1 - 1e-8)
+            slopes = np.abs(f.derivative_values(r * angles))
+            assert float(np.max(slopes)) <= rec.deriv_bound * (1 + 1e-8)
+
+
+def test_growth_lower_bound_peaks_at_the_radius_of_starlikeness():
+    # 1 + sinh(D) contains 0, and the extremal member f0(z) = z e^(Shi z) has
+    # f0'(-asinh 1) = 0; the lower bound r e^(-Shi r) has derivative
+    # e^(-Shi r) (1 - sinh r), so it peaks at r = asinh 1 = ln(1 + sqrt 2)
+    with mp.workdps(50):
+        lower = lambda r: r * mp.exp(-mp.shi(r))
+        peak = mp.findroot(lambda r: mp.diff(lower, r), 0.9)
+        assert abs(peak - mp.asinh(1)) < mp.mpf(10) ** -40
+        assert abs(peak - mp.log(1 + mp.sqrt(2))) < mp.mpf(10) ** -40
+        assert mp.diff(lower, peak, 2) < 0
+        assert float(lower(peak)) == pytest.approx(0.351135655693728, abs=1e-15)
+        assert core.covering_radius() == pytest.approx(0.347409570932151, abs=1e-15)
+        assert float(mp.exp(-mp.shi(1))) == pytest.approx(core.covering_radius(), abs=1e-15)
+        assert lower(peak) > mp.exp(-mp.shi(1))
+        f0_prime = mp.diff(lambda z: z * mp.exp(mp.shi(z)), -mp.asinh(1))
+        assert abs(f0_prime) < mp.mpf(10) ** -40
+    f0 = core.member_from_witness(SchwarzSample.monomial(1), 40)
+    assert abs(f0.derivative_values(np.array([-math.asinh(1.0)]))[0]) < 1e-15
+    assert core.growth_distortion(float(peak)).lower == pytest.approx(0.351135655693728,
+                                                                      abs=1e-15)
 
 
 # -- convexity ---------------------------------------------------------------------
