@@ -328,10 +328,9 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     values = [value(w) for w in candidates]
     batch_vals = np.array([functional_value(name, rows[i], lam)
                            for i in range(rows.shape[0])])
-    if batch_vals.size:
-        j = int(np.argmax(batch_vals))
-        candidates.append(witnesses[j])
-        values.append(seen.setdefault(_witness_key(witnesses[j]), float(batch_vals[j])))
+    j = int(np.argmax(batch_vals))
+    candidates.append(witnesses[j])
+    values.append(seen.setdefault(_witness_key(witnesses[j]), float(batch_vals[j])))
     k = int(np.argmax(values))
     best_witness, best = candidates[k], float(values[k])
     params, bounds = _schwarz_params(best_witness)

@@ -343,7 +343,6 @@ def _cmd_thresholds(args) -> int:
         raise UsageError("--A and --B must be given together")
     pairs = [(args.A, args.B)] if args.A is not None else \
         sub.DEFAULT_CONFIGS + ((1.0, -1.0),)
-    rows = []
     records = []
     for a, b in pairs:
         try:
@@ -351,13 +350,11 @@ def _cmd_thresholds(args) -> int:
         except ValueError as exc:
             raise InputInvariantError(str(exc)) from exc
         for kind in sub.OperatorKind:
-            thr = sub.alpha_threshold(kind, params)
-            rows.append([int(kind), a, b,
-                         "undefined" if thr is None else thr,
-                         str(sub.threshold_b_form_differs(kind, params))])
             records.append({"kind": int(kind), "A": a, "B": b,
-                            "threshold": thr,
+                            "threshold": sub.alpha_threshold(kind, params),
                             "b_form_differs": sub.threshold_b_form_differs(kind, params)})
+    rows = [[r["kind"], r["A"], r["B"], "undefined" if r["threshold"] is None else r["threshold"],
+             str(r["b_form_differs"])] for r in records]
     _emit_table(args.format, ["kind", "A", "B", "threshold", "b_form_differs"],
                 rows, {"thresholds": records}, args.output,
                 preamble="alpha thresholds (undefined when the denominator is not positive)")
@@ -367,11 +364,10 @@ def _cmd_thresholds(args) -> int:
 def _cmd_growth(args) -> int:
     records = [core.growth_distortion(r) for r in args.radii]
     rows = [[rec.r, rec.lower, rec.upper, rec.deriv_bound] for rec in records]
-    obj = {"covering_radius": core.covering_radius(),
-           "rows": [rec.to_json() for rec in records]}
+    radius = core.covering_radius()
+    obj = {"covering_radius": radius, "rows": [rec.to_json() for rec in records]}
     _emit_table(args.format, ["r", "lower", "upper", "deriv_bound"], rows, obj,
-                args.output,
-                preamble=f"growth envelope (covering radius {core.covering_radius()!r})")
+                args.output, preamble=f"growth envelope (covering radius {radius!r})")
     return EXIT_OK
 
 
@@ -454,11 +450,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InputInvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ts.SeriesError, core.PreconditionNotMet, sub.ZeroDivisorOnGrid,
-            FloatingPointError) as exc:
+    except (InputInvariantError, ts.SeriesError, core.PreconditionNotMet,
+            sub.ZeroDivisorOnGrid, FloatingPointError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import series as ts
 from .caratheodory import SchwarzSample
 from .refine import grid_golden_max, polish_coordinatewise
-from .regions import sinh_boundary_distance, sinh_region
+from .regions import sinh_boundary, sinh_boundary_distance, sinh_region
 
 
 class PreconditionNotMet(ValueError):
@@ -120,30 +120,16 @@ class NormalizedFunction:
 
     def over_z_values(self, z) -> np.ndarray:
         """Values of f(z)/z at the array z."""
-        return _horner(self.series.coeffs[:0:-1], z)
+        return ts.evaluate_coeffs(self.series.coeffs[1:], z)
 
     def derivative_values(self, z) -> np.ndarray:
         """Values of f'(z) at the array z."""
-        return _horner((self.series.coeffs * np.arange(self.order + 1))[:0:-1], z)
+        return ts.evaluate_coeffs((self.series.coeffs * np.arange(self.order + 1))[1:], z)
 
     def ratio_values(self, z) -> np.ndarray:
         """Values of z f'(z)/f(z), computed as f'(z) / (f(z)/z)."""
         g = self.over_z_values(z)
         return self.derivative_values(z) / g
-
-
-def _horner(coeffs: np.ndarray, z) -> np.ndarray:
-    """np.polyval's steps y = y z + c in place; a coefficient may be a row of lanes.
-
-    Each value has np.polyval's bits on the array z.  numpy's in-place complex
-    multiply rounds differently only on a single element, which goes through t.
-    """
-    z = np.asarray(z)
-    y = np.zeros(np.broadcast_shapes(z.shape, coeffs.shape[1:]), np.result_type(coeffs, z))
-    t = y if y.size > 1 else np.empty_like(y)
-    for c in coeffs:
-        np.add(np.multiply(y, z, out=t), c, out=y)
-    return y
 
 
 def kernel_beta(theta: float) -> complex:
@@ -234,7 +220,7 @@ def _sufficient_statistic(f: NormalizedFunction, thetas: np.ndarray) -> np.ndarr
     if mods.size == 0:
         return np.zeros(np.shape(thetas))
     n = np.arange(2, f.order + 1, dtype=float)
-    s = np.sinh(np.exp(1j * np.atleast_1d(thetas).astype(float)))
+    s = sinh_boundary(np.atleast_1d(thetas))
     weights = np.abs((n[None, :] - 1.0 - s[:, None]) / s[:, None])
     return weights @ mods
 
@@ -369,11 +355,11 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     dphi = 2.0 * math.pi / grid.theta_samples
     r0, phi0 = abs(best_z), cmath.phase(best_z)
     c = f.series.coeffs
-    lanes = np.stack([(c * np.arange(c.size))[:0:-1], c[:0:-1]], axis=1)
+    lanes = np.stack([(c * np.arange(c.size))[1:], c[1:]], axis=1)
 
     def objective(p):
         r = min(max(p[1], 1e-9), grid.max_radius)
-        fpz, gz = _horner(lanes, r * cmath.exp(1j * p[2])).tolist()
+        fpz, gz = ts.evaluate_coeffs(lanes, r * cmath.exp(1j * p[2])).tolist()
         return -abs(fpz - kernel_beta(p[0]) * (fpz - gz))
 
     p, neg = polish_coordinatewise(

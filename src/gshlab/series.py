@@ -16,11 +16,12 @@ members are ``z exp(integral_0^z sinh(w(t))/t dt)``), Horner evaluation and
 differentiation.  Series are immutable after construction and every
 operation is a pure function.
 
-Quotient, composition, exp, sinh and the integral are computed by array
-kernels (``div_coeffs``, ``compose_coeffs``, ``exp_coeffs``, ``sinh_coeffs``,
-``integrate_coeffs``) on plain complex128 coefficient arrays; the series
-functions wrap them.  Code that chains several steps, such as member
-construction, calls the kernels and builds one series from the result.
+Quotient, composition, exp, sinh, the integral and evaluation are computed
+by array kernels (``div_coeffs``, ``compose_coeffs``, ``exp_coeffs``,
+``sinh_coeffs``, ``integrate_coeffs``, ``evaluate_coeffs``) on plain
+complex128 coefficient arrays; the series functions wrap them.  Code that
+chains several steps, such as member construction, calls the kernels and
+builds one series from the result.
 
 Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
 (element 0 is the constant term); see :func:`to_pairs` / :func:`from_pairs`.
@@ -215,7 +216,7 @@ def evaluate(s: TruncatedSeries, z):
     Truncation error grows with ``|z|``; values near ``|z| = 1`` are only as
     good as the coefficient decay allows.
     """
-    result = np.polyval(s.coeffs[::-1], z)
+    result = evaluate_coeffs(s.coeffs, z)
     if np.ndim(z) == 0:
         return complex(result)
     return result
@@ -253,10 +254,11 @@ def sinh(s: TruncatedSeries) -> TruncatedSeries:
 
 # -- array kernels ----------------------------------------------------------
 #
-# The operations above wrap these.  Each takes and returns plain complex128
-# coefficient arrays indexed by power, checks the same precondition and
-# raises the same exception as its wrapper, and lets non-finite values
-# through: whoever builds a series from the result rejects them.
+# The operations above wrap these.  Each takes plain complex128 coefficient
+# arrays indexed by power and returns one (``evaluate_coeffs`` returns values),
+# checks the same precondition and raises the same exception as its wrapper,
+# and lets non-finite values through: whoever builds a series from the result
+# rejects them.
 
 
 def div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,6 +273,22 @@ def div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(1, n + 1):
         out[k] = (a[k] - np.dot(b[1 : k + 1], out[k - 1 :: -1])) / b0
     return out
+
+
+def evaluate_coeffs(coeffs: np.ndarray, z) -> np.ndarray:
+    """Horner sum of the coefficients at the array z, from the top power down.
+
+    A coefficient may be a row with one value per lane.  The steps are
+    np.polyval's, y = y z + c, run in place, so each value has np.polyval's
+    bits on the array z.  numpy's in-place complex multiply rounds
+    differently only on a single element, which goes through t.
+    """
+    z = np.asarray(z)
+    y = np.zeros(np.broadcast_shapes(z.shape, coeffs.shape[1:]), np.result_type(coeffs, z))
+    t = y if y.size > 1 else np.empty_like(y)
+    for c in coeffs[::-1]:
+        np.add(np.multiply(y, z, out=t), c, out=y)
+    return y
 
 
 def compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from .caratheodory import sample_schwarz
 from .core import (DEFAULT_GRID, NormalizedFunction, PolarGrid, PreconditionNotMet,
                    member_from_witness)
 from .refine import grid_golden_max
-from .regions import sinh_region, sqrt_disk_region
+from .regions import sinh_boundary, sinh_region, sqrt_disk_region
 
 #: Deviations must stay below 1 by at least this margin for the premise to hold.
 PREMISE_MARGIN = 1e-6
@@ -103,7 +103,7 @@ class TrigExtrema:
 
 
 def circle_sinh_abs(theta):
-    return np.abs(np.sinh(np.exp(1j * np.asarray(theta, dtype=float))))
+    return np.abs(sinh_boundary(theta))
 
 
 def circle_cosh_abs(theta):
@@ -341,12 +341,18 @@ _PROBE_CUT = (1.0 - PREMISE_MARGIN) * (1.0 + 1e-9)
 _CERTIFIED_SPREAD = 2.0 ** 20
 
 
+def _step_values(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+                 s) -> np.ndarray:
+    """Operator values of the shrink step with scale s at z: f' and f/z are s dp + 1, s dg + 1."""
+    fp = s * dp + 1.0
+    g = None if case.kind is OperatorKind.Z_FPRIME else s * dg + 1.0
+    return _operator(case.kind, case.alpha, z, fp, g)
+
+
 def _step_deviation(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
                     k: int) -> float:
-    """Janowski deviation of shrink step k on the grid z: f' and f/z are 2^-k dp + 1, 2^-k dg + 1."""
-    fp = 2.0 ** -k * dp + 1.0
-    g = None if case.kind is OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
-    return janowski_deviation(_operator(case.kind, case.alpha, z, fp, g), case.janowski)
+    """Janowski deviation of shrink step k on the grid z."""
+    return janowski_deviation(_step_values(case, z, dp, dg, 2.0 ** -k), case.janowski)
 
 
 def _certified_from(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
@@ -383,9 +389,7 @@ def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: 
     """
     s = np.ldexp(1.0, -np.arange(k0, SHRINK_STEPS + 1))[:, None]
     with np.errstate(all="ignore"):
-        fp = s * dp[_PROBE_POINTS] + 1.0
-        g = None if case.kind is OperatorKind.Z_FPRIME else s * dg[_PROBE_POINTS] + 1.0
-        v = _operator(case.kind, case.alpha, z[_PROBE_POINTS], fp, g)
+        v = _step_values(case, z[_PROBE_POINTS], dp[_PROBE_POINTS], dg[_PROBE_POINTS], s)
         den = case.janowski.a - case.janowski.b * v
         return np.where(np.abs(den) < 1e-300, math.inf, np.abs((v - 1.0) / den))
 
@@ -466,8 +470,8 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
             break
         rng = np.random.default_rng((seed, int(kind), i))
         c = _sample_candidate(rng).series.coeffs
-        dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
-        dg = np.polyval(c[:1:-1], z) * z
+        dp = ts.evaluate_coeffs((c * np.arange(c.size))[2:], z) * z
+        dg = ts.evaluate_coeffs(c[2:], z) * z
         k, deviation = _shrink(case, z, dp, dg)
         coeffs = c.copy()
         coeffs[2:] *= 2.0 ** -k

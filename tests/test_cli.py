@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gshlab import cli
+from gshlab import subordination as sub
 from gshlab.core import NormalizedFunction
 
 
@@ -265,6 +266,34 @@ def test_growth_bad_radius_exits_2(capsys):
     assert code == 2
 
 
+# -- markdown tables ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, key, header, preamble", [
+    (["thresholds"], "thresholds", "| kind | A | B | threshold | b_form_differs |",
+     "alpha thresholds (undefined when the denominator is not positive)"),
+    (["growth"], "rows", "| r | lower | upper | deriv_bound |",
+     "growth envelope (covering radius 0.3474095709321509)"),
+    (["coeffs", "--witness", "z^3", "--order", "8"], "coeffs", "| n | re | im | abs |",
+     "coefficient table"),
+])
+def test_markdown_table(argv, key, header, preamble, capsys):
+    code, out = run(capsys, *argv, "--format", "markdown")
+    assert code == 0
+    _, js = run(capsys, *argv)
+    records = json.loads(js)[key]
+    lines = out.splitlines()
+    width = header.count("|") - 1
+    assert lines[:4] == [preamble, "", header, "|" + "|".join([" --- "] * width) + "|"]
+    rows = lines[4:]
+    assert len(rows) == len(records) > 0
+    first = header.split(" | ")[0].removeprefix("| ")
+    for row, record in zip(rows, records):
+        cells = row.split(" | ")
+        assert row.startswith("| ") and row.endswith(" |") and len(cells) == width
+        assert cells[0].removeprefix("| ") == repr(record[first])
+
+
 # -- suite and harness ----------------------------------------------------------------
 
 
@@ -284,6 +313,19 @@ def test_verify_implications_exit_reflects_counterexamples(capsys):
     report = json.loads(out)
     assert (code == 3) == (report["counterexamples"] > 0)
     assert len(report["summaries"]) == 7
+
+
+def test_verify_implications_include_cases(capsys):
+    argv = ["verify-implications", "--cases", "2", "--max-attempts", "5"]
+    code, out = run(capsys, *argv, "--include-cases")
+    plain_code, plain = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == plain_code
+    assert len(report["cases"]) == sum(s["attempts"] for s in report["summaries"])
+    for record in report["cases"]:
+        assert record["premise_holds"] == (record["deviation"] < 1.0 - sub.PREMISE_MARGIN)
+    assert {r["premise_holds"] for r in report["cases"]} == {False, True}
+    assert report["summaries"] == json.loads(plain)["summaries"]
 
 
 def test_verify_implications_overflowing_alpha_exits_2(tmp_path, capsys):

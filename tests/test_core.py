@@ -9,7 +9,6 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gshlab import caratheodory as cara
@@ -320,36 +319,12 @@ def test_kernel_sieve_at_extreme_coefficients_matches_dense_scan(size, power, mo
     assert sieved == _outcome(core.kernel_nonvanishing, f, 96, grid)
 
 
-# -- in-place Horner evaluation --------------------------------------------------
+# -- pointwise values and the kernel polish, bit for bit ------------------------
 
 
 def bits(a):
     """The raw bits of a complex or real array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-@settings(max_examples=150, deadline=None)
-@given(order=st.integers(1, 64), top=st.floats(0.0, 150.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_horner_matches_polyval_bit_for_bit(order, top, seed):
-    rng = np.random.default_rng(seed)
-    mods = 10.0 ** rng.uniform(-top, top, (order, 2))
-    lanes = mods * np.exp(2j * np.pi * rng.random((order, 2)))
-    lanes[rng.random((order, 2)) < 0.2] = 0.0
-    zs = np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
-    zs[:4] = [0.0, -0.5, 0.75j, -1.0]
-    reals = zs.real.copy()
-    for c in lanes.T:
-        # grid arrays, complex and real
-        assert np.array_equal(bits(core._horner(c, zs)), bits(np.polyval(c, zs)))
-        assert np.array_equal(bits(core._horner(c, reals)), bits(np.polyval(c, reals)))
-    for z in zs[:12]:
-        one = np.array([z])
-        want = [np.polyval(c, one) for c in lanes.T]
-        # one-element arrays, one lane and two lanes
-        assert np.array_equal(bits(core._horner(lanes[:, 0], one)), bits(want[0]))
-        assert np.array_equal(bits(core._horner(lanes, z)), bits(np.concatenate(want)))
-    both = np.stack([np.polyval(c, zs) for c in lanes.T], axis=1)
-    assert np.array_equal(bits(core._horner(lanes, zs[:, None])), bits(both))
 
 
 def test_zero_dimensional_z_gives_the_one_element_bits():

@@ -373,6 +373,40 @@ def test_evaluate_vectorized():
     assert np.allclose(ts.evaluate(s, z), z + z * z)
 
 
+def bits(a):
+    """The raw bits of a complex or real array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 64), top=st.floats(0.0, 150.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_horner_matches_polyval_bit_for_bit(order, top, seed):
+    # np.polyval takes the top power first, evaluate_coeffs the constant term first
+    rng = np.random.default_rng(seed)
+    mods = 10.0 ** rng.uniform(-top, top, (order, 2))
+    lanes = mods * np.exp(2j * np.pi * rng.random((order, 2)))
+    lanes[rng.random((order, 2)) < 0.2] = 0.0
+    zs = np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    zs[:4] = [0.0, -0.5, 0.75j, -1.0]
+    reals = zs.real.copy()
+    for c in lanes.T:
+        # grid arrays, complex and real
+        assert np.array_equal(bits(ts.evaluate_coeffs(c, zs)), bits(np.polyval(c[::-1], zs)))
+        assert np.array_equal(bits(ts.evaluate_coeffs(c, reals)),
+                              bits(np.polyval(c[::-1], reals)))
+    for z in zs[:12]:
+        one = np.array([z])
+        want = [np.polyval(c[::-1], one) for c in lanes.T]
+        # one-element arrays, one lane and two lanes
+        assert np.array_equal(bits(ts.evaluate_coeffs(lanes[:, 0], one)), bits(want[0]))
+        assert np.array_equal(bits(ts.evaluate_coeffs(lanes, z)), bits(np.concatenate(want)))
+    both = np.stack([np.polyval(c[::-1], zs) for c in lanes.T], axis=1)
+    assert np.array_equal(bits(ts.evaluate_coeffs(lanes, zs[:, None])), bits(both))
+    # the series wrapper on an array
+    s = ts.TruncatedSeries(lanes[:, 0])
+    assert np.array_equal(bits(ts.evaluate(s, zs)), bits(np.polyval(s.coeffs[::-1], zs)))
+
+
 # -- derivative ---------------------------------------------------------------
 
 

@@ -118,6 +118,14 @@ def test_deviation_on_circle():
         pytest.approx(0.5, abs=1e-12)
 
 
+def test_deviation_is_infinite_where_the_denominator_vanishes():
+    # A - B v = 0.5 - 0.5 = 0 exactly at v = -1; the guard returns inf before dividing
+    params = sub.JanowskiParams(0.5, -0.5)
+    with np.errstate(all="raise"):
+        assert sub.janowski_deviation([0.5, -1.0], params) == math.inf
+        assert sub.janowski_deviation([0.5], params) == pytest.approx(0.5 / 0.75)
+
+
 # -- operators ----------------------------------------------------------------------
 
 
