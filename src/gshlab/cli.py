@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -54,54 +55,43 @@ def _fmt(x: float) -> str:
 
 
 def _write_output(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            Path(path).write_text(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}") from exc
+    """Write text, newline-terminated, to ``path`` or stdout; a failed write is a usage error.
 
-
-def _emit_json(obj, path: str | None):
+    Stdout gets 4096-character pieces: a large write can end short and hide a
+    reader gone early (``| head``), where the buffer's flush raises.  A failed
+    stdout is pointed at the null device, to keep the flush at exit quiet.
+    """
+    text = text if text.endswith("\n") else text + "\n"
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:  # NaN or an infinity has no JSON form
-        raise InputInvariantError(f"result is not finite: {exc}") from exc
-    _write_output(text, path)
-
-
-def _emit_csv(header: list[str], rows: list[list], path: str | None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write_output("\n".join(lines), path)
-
-
-def _emit_markdown(header: list[str], rows: list[list], path: str | None,
-                   preamble: str = ""):
-    lines = []
-    if preamble:
-        lines.append(preamble)
-        lines.append("")
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join([" --- "] * len(header)) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row) + " |")
-    _write_output("\n".join(lines), path)
+        if path is None:
+            for i in range(0, len(text), 4096):
+                sys.stdout.write(text[i:i + 4096])
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text)
+    except OSError as exc:
+        if path is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _emit_table(fmt: str, header: list[str], rows: list[list], obj,
                 path: str | None, preamble: str = ""):
+    """Write ``obj`` as JSON, or ``header`` and ``rows`` as CSV or a markdown table."""
     if fmt == "json":
-        _emit_json(obj, path)
-    elif fmt == "csv":
-        _emit_csv(header, rows, path)
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # NaN or an infinity has no JSON form
+            raise InputInvariantError(f"result is not finite: {exc}") from exc
     else:
-        _emit_markdown(header, rows, path, preamble)
+        cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+        if fmt == "csv":
+            lines = [",".join(row) for row in [header, *cells]]
+        else:  # markdown; the separator row is a row of "---" cells
+            lines = [preamble, ""] if preamble else []
+            lines += ["| " + " | ".join(r) + " |" for r in [header, ["---"] * len(header), *cells]]
+        text = "\n".join(lines)
+    _write_output(text, path)
 
 
 def _load_json(path: str) -> dict:
@@ -422,10 +412,8 @@ def _cmd_plot_data(args) -> int:
             raise InputInvariantError(
                 f"z f'/f is not finite on |z| = {args.radius!r}: f(z)/z vanishes there; "
                 "plot-data needs another --radius")
-    lines = ["t,re,im"]
-    for ti, wi in zip(t, w):
-        lines.append(f"{_fmt(ti)},{_fmt(wi.real)},{_fmt(wi.imag)}")
-    _write_output("\n".join(lines), args.output)
+    rows = (f"{_fmt(ti)},{_fmt(wi.real)},{_fmt(wi.imag)}" for ti, wi in zip(t, w))
+    _write_output("\n".join(["t,re,im", *rows]), args.output)
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ truncation effect is the tail of ``f`` itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -558,8 +559,9 @@ class GrowthRecord:
                 "deriv_bound": self.deriv_bound, "covering": self.covering}
 
 
+@functools.cache
 def covering_radius() -> float:
-    """Radius exp(-Shi(1)) of the disk covered by every member's image."""
+    """Radius exp(-Shi(1)) of the disk covered by every member's image, computed once."""
     return math.exp(-_shi_checked(1.0))
 
 

@@ -106,9 +106,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, float, complex, np.number)):
-            out = np.zeros(self.order + 1, dtype=np.complex128)
-            out[0] = other
-            return TruncatedSeries(out)
+            return constant(other, self.order)
         return None
 
     def __add__(self, other):

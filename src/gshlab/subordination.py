@@ -23,7 +23,8 @@ Each candidate failing the premise is halved toward the identity step by
 step.  The harness evaluates a step on the full grid only where a probe on
 the grid's innermost and outermost rings cannot prove that it fails; the
 probe runs only on steps certified to raise no exception, so the sieve keeps
-the bits, verdicts and exceptions of evaluating every step.
+the bits, verdicts and exceptions of evaluating every step.  Conclusions are
+computed only for premise-true attempts, and per-attempt records only when kept.
 
 "Premise holds" means that the operator's image on the grid lies inside the
 Janowski disk, not that the operator is subordinate to the Janowski map: a
@@ -226,17 +227,17 @@ class ImplicationRecord:
                 "function": self.function}
 
 
-def _deviation(f: NormalizedFunction, case: ImplicationCase, z: np.ndarray) -> float:
-    return janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
+def _conclusions(g: np.ndarray) -> tuple[bool, bool]:
+    """Both conclusion verdicts from g = f(z)/z: g - 1 in sinh(D), g in sqrt(1 + D)."""
+    return sinh_region().contains(g - 1.0), sqrt_disk_region().contains(g)
 
 
-def _record(f: NormalizedFunction, case: ImplicationCase, g: np.ndarray,
-            deviation: float) -> ImplicationRecord:
-    """Premise verdict from ``deviation`` and both conclusion verdicts from g = f(z)/z."""
+def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float,
+            conclusions: tuple[bool, bool]) -> ImplicationRecord:
+    """Premise verdict from ``deviation``, with the conclusion verdicts of ``_conclusions``."""
     premise = deviation < 1.0 - PREMISE_MARGIN
     return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
-                             conclusion_sinh=sinh_region().contains(g - 1.0),
-                             conclusion_sqrt=sqrt_disk_region().contains(g),
+                             conclusion_sinh=conclusions[0], conclusion_sqrt=conclusions[1],
                              vacuous=not premise, function=f.to_json())
 
 
@@ -244,8 +245,8 @@ def verify_implication(f: NormalizedFunction, case: ImplicationCase,
                        grid: PolarGrid = DEFAULT_GRID) -> ImplicationRecord:
     """Test premise and conclusion of one implication case on the grid."""
     z = grid.points()
-    deviation = _deviation(f, case, z)
-    return _record(f, case, f.over_z_values(z), deviation)
+    deviation = janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
+    return _record(f, case, deviation, _conclusions(f.over_z_values(z)))
 
 
 # -- harness ------------------------------------------------------------------
@@ -327,7 +328,8 @@ def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
     normalized functions, so a floor at or above 1 certifies that the
     premise cannot hold at this alpha.
     """
-    return _deviation(NormalizedFunction.identity(order=4), case, z)
+    f = NormalizedFunction.identity(order=4)
+    return janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
 
 
 #: Indices of HARNESS_GRID's innermost and outermost rings, where the sieve probes a step.
@@ -395,8 +397,9 @@ def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: 
 
 
 def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
-            dg: np.ndarray) -> tuple[int, float]:
-    """First passing shrink step and its deviation; SHRINK_STEPS + 1 and step 24's if none."""
+            dg: np.ndarray) -> tuple[int, float | None]:
+    """First passing step and its deviation; else SHRINK_STEPS + 1 and step 24's deviation,
+    None where the probe skipped step 24."""
     k0 = _certified_from(case, z, dp, dg)
     deviation = math.inf
     for k in range(SHRINK_STEPS + 1):
@@ -410,9 +413,7 @@ def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
             continue
         if deviation < 1.0 - PREMISE_MARGIN:
             return k, deviation
-    if k0 <= SHRINK_STEPS and fails[-1]:  # the last step computed in full is step 24
-        deviation = _step_deviation(case, z, dp, dg, SHRINK_STEPS)
-    return SHRINK_STEPS + 1, deviation
+    return SHRINK_STEPS + 1, None if k0 <= SHRINK_STEPS and fails[-1] else deviation
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -423,8 +424,17 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
-    fails the attempt is recorded as vacuous, with the candidate halved once
-    more and the deviation of the last step, halved ``SHRINK_STEPS`` times.
+    fails the attempt is vacuous.  Its kept record holds the candidate halved
+    once more and the deviation of the last step, halved ``SHRINK_STEPS`` times.
+
+    An attempt computes only what its output reads: the conclusions for a
+    premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
+    the ``ImplicationRecord`` only when records are kept.  Skipping the
+    conclusions of a vacuous attempt drops no exception: there g - 1 =
+    2**-25 (f/z - 1), and max|f/z - 1| on the grid stays below 2 for
+    ``_sample_candidate``'s bounded tails (over 10^4 seeded draws), far below
+    the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in the
+    margins overflows.  The record's JSON only copies finite numbers.
 
     Each candidate's f'(z) - 1 and f/z - 1 are evaluated by one Horner pass
     over a_2, a_3, ...; step k scales them by 2**-k and adds 1.  That is
@@ -455,9 +465,9 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       probe deviation reaches the premise cut-off (with a slack of 1e-9)
       cannot pass.  It is skipped; the others are evaluated on the full
       grid, in order.
-    - If no step passes, the recorded deviation is that of step 24, the
-      last step evaluated without the sieve; it is evaluated on the full
-      grid if the probe skipped it.
+    - If no step passes, a kept record holds the deviation of step 24, the
+      last step evaluated without the sieve; only the record path evaluates
+      it on the full grid if the probe skipped it.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -473,19 +483,21 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         dp = ts.evaluate_coeffs((c * np.arange(c.size))[2:], z) * z
         dg = ts.evaluate_coeffs(c[2:], z) * z
         k, deviation = _shrink(case, z, dp, dg)
-        coeffs = c.copy()
-        coeffs[2:] *= 2.0 ** -k
-        record = _record(NormalizedFunction(ts.TruncatedSeries(coeffs)), case,
-                         2.0 ** -k * dg + 1.0, deviation)
         summary.attempts += 1
-        if record.premise_holds:
+        if k > SHRINK_STEPS and not keep_records:
+            continue
+        conclusions = _conclusions(2.0 ** -k * dg + 1.0)
+        if k <= SHRINK_STEPS:
             summary.non_vacuous += 1
-            if not record.conclusion_sinh:
-                summary.counterexamples += 1
-            if not record.conclusion_sqrt:
-                summary.counterexamples_sqrt += 1
+            summary.counterexamples += not conclusions[0]
+            summary.counterexamples_sqrt += not conclusions[1]
         if keep_records:
-            records.append(record)
+            if deviation is None:
+                deviation = _step_deviation(case, z, dp, dg, SHRINK_STEPS)
+            coeffs = c.copy()
+            coeffs[2:] *= 2.0 ** -k
+            records.append(_record(NormalizedFunction(ts.TruncatedSeries(coeffs)), case,
+                                   deviation, conclusions))
     return summary, records
 
 

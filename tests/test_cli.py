@@ -2,12 +2,16 @@ import argparse
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gshlab import cli
+from gshlab import cli, core
 from gshlab import subordination as sub
 from gshlab.core import NormalizedFunction
 
@@ -261,6 +265,22 @@ def test_growth_table(capsys):
     assert obj["rows"][3]["upper"] == pytest.approx(0.8301487057042349, abs=1e-10)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_growth_computes_the_covering_radius_once(fmt, monkeypatch, capsys):
+    # 4 default radii take two sine integrals each, and the covering radius one
+    # for the whole run; recomputing it for every row gives the same bytes
+    calls = []
+    shi_checked = core._shi_checked
+    monkeypatch.setattr(core, "_shi_checked", lambda x: calls.append(x) or shi_checked(x))
+    core.covering_radius.cache_clear()
+    code, out = run(capsys, "growth", "--format", fmt)
+    assert code == 0 and len(calls) == 9
+    calls.clear()
+    monkeypatch.setattr(core, "covering_radius", core.covering_radius.__wrapped__)
+    assert run(capsys, "growth", "--format", fmt) == (0, out)
+    assert len(calls) == 13
+
+
 def test_growth_bad_radius_exits_2(capsys):
     code, _ = run(capsys, "growth", "--radii", "1.5")
     assert code == 2
@@ -326,6 +346,30 @@ def test_verify_implications_include_cases(capsys):
         assert record["premise_holds"] == (record["deviation"] < 1.0 - sub.PREMISE_MARGIN)
     assert {r["premise_holds"] for r in report["cases"]} == {False, True}
     assert report["summaries"] == json.loads(plain)["summaries"]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("factor", ["0.5", "1.05", "1e7"])
+def test_verify_implications_summary_does_not_depend_on_kept_cases(seed, factor, capsys):
+    # without --include-cases the harness skips the records, the conclusions of
+    # vacuous attempts and step 24's deviation; the summaries must not change
+    argv = ["verify-implications", "--seed", str(seed), "--alpha-factor", factor]
+    code, out = run(capsys, *argv, "--include-cases")
+    plain_code, plain = run(capsys, *argv)
+    report, summary = json.loads(out), json.loads(plain)
+    assert code == plain_code == (3 if summary["counterexamples"] else 0)
+    assert report.pop("cases") and report == summary
+
+
+def test_sampled_candidate_tails_stay_far_below_the_overflow_scale():
+    # run_config skips the conclusion margins of vacuous attempts, where
+    # g - 1 = 2^-25 (f/z - 1); that drops no exception only while max|f/z - 1|
+    # stays far below the |w| of about 1e154 at which w * w overflows
+    z = sub.HARNESS_GRID.points()
+    largest = max(float(np.max(np.abs(sub._sample_candidate(
+        np.random.default_rng((seed, kind, i))).over_z_values(z) - 1.0)))
+        for seed in range(25) for kind in range(1, 5) for i in range(100))
+    assert 0.5 < largest < 2.0
 
 
 def test_verify_implications_overflowing_alpha_exits_2(tmp_path, capsys):
@@ -554,3 +598,37 @@ def test_removed_flag_exits_1(argv, capsys):
 def test_unparsable_value_exits_1(argv, capsys):
     assert cli.main(argv.split()) == 1
     assert "error: argument" in capsys.readouterr().err
+
+
+# -- a reader that closes stdout early ------------------------------------------------
+
+
+def _cli_process(argv, stdout):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable, "-m", "gshlab.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def test_reader_closing_stdout_after_the_first_line_exits_1():
+    # about 5.7 MB of output, far past a pipe's buffer, so the writer is still
+    # writing when the reader goes; no traceback, also not at interpreter shutdown
+    proc = _cli_process(["plot-data", "--curve", "sinh-boundary", "--resolution", "100000"],
+                        subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,re,im\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_stdout_closed_before_the_first_write_exits_1():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["thresholds", "--format", "markdown"], write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"

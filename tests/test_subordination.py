@@ -293,6 +293,11 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
     return summary, records
 
 
+def summary_path_matches(args, expected_summary):
+    """``run_config`` without kept records: the oracle's summary and no records."""
+    return sub.run_config(*args, keep_records=False) == (expected_summary, [])
+
+
 DEFINED_CONFIGS = [(kind, sub.JanowskiParams(a, b)) for a, b in sub.DEFAULT_CONFIGS
                    for kind in sub.OperatorKind
                    if sub.alpha_threshold(kind, sub.JanowskiParams(a, b)) is not None]
@@ -309,7 +314,9 @@ def test_shrink_ladder_matches_halving_loop(kind, params, factor, seed):
     # At factor 1e7, |alpha| > 2^20 and no shrink step is certified
     thr = sub.alpha_threshold(kind, params)
     args = (kind, params, factor * thr, thr, seed, 50, 400)
-    assert sub.run_config(*args, keep_records=True) == halving_loop(*args)
+    expected = halving_loop(*args)
+    assert sub.run_config(*args, keep_records=True) == expected
+    assert summary_path_matches(args, expected[0])
 
 
 def near_cut_alpha(kind, params):
@@ -331,6 +338,7 @@ def test_shrink_ladder_near_the_premise_cut_matches_halving_loop(kind, params):
     args = (kind, params, alpha, 1.0, 4, 20, 60)
     summary, records = sub.run_config(*args, keep_records=True)
     assert (summary, records) == halving_loop(*args)
+    assert summary_path_matches(args, summary)
     assert summary.non_vacuous > 0
 
 
@@ -353,7 +361,9 @@ def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
         dg = np.polyval(c[:1:-1], z) * z
         assert 6 <= sub._certified_from(case, z, dp, dg) <= 9
         args = (kind, params, factor * thr, thr, seed, 10, 30)
-        assert sub.run_config(*args, keep_records=True) == halving_loop(*args)
+        expected = halving_loop(*args)
+        assert sub.run_config(*args, keep_records=True) == expected
+        assert summary_path_matches(args, expected[0])
 
 
 @pytest.mark.parametrize("factor", [1e305, 1e307])
@@ -373,8 +383,10 @@ def test_shrink_ladder_under_raising_errstate_matches_halving_loop(kind, params,
 
     for seed in (0, 1):
         args = (kind, params, factor * thr, thr, seed, 2, 3)
-        assert (outcome(lambda: sub.run_config(*args, keep_records=True))
-                == outcome(lambda: halving_loop(*args)))
+        expected = outcome(lambda: halving_loop(*args))
+        assert outcome(lambda: sub.run_config(*args, keep_records=True)) == expected
+        summary = expected if isinstance(expected, str) else expected[0]
+        assert outcome(lambda: sub.run_config(*args, keep_records=False)[0]) == summary
 
 
 def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch):
@@ -397,8 +409,9 @@ def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch)
         args = (kind, params, alpha, 1.0, 0, 1, 1)
         with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
             halving_loop(*args)
-        with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
-            sub.run_config(*args)
+        for keep_records in (True, False):
+            with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+                sub.run_config(*args, keep_records=keep_records)
 
 
 def test_probe_matches_full_steps_at_the_ring_points():
@@ -452,6 +465,7 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
         args = (sub.OperatorKind(kind), params, 0.5 * thr, thr, 0, 3, 5)
         summary, records = sub.run_config(*args, keep_records=True)
         assert (summary, records) == halving_loop(*args)
+        assert summary_path_matches(args, summary)
         assert summary.attempts == len(records) > 0
         for record in records:
             assert record.premise_holds == (kind != 4)
