@@ -14,7 +14,8 @@ sufficient to reproduce the reported value, and a violation flag raised when
 the empirical maximum exceeds the claimed bound beyond tolerance.  Scans are
 seed-deterministic: sample i is drawn from the stream seeded by (seed, i), so
 doubling the sample budget keeps every earlier sample and never lowers a
-maximum.
+maximum.  A battery (``default_scan_suite``) passes one witness batch to all
+its scans; a single scan builds its own, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ POLISH_ROUNDS = 2
 #: Envelope grids: samples of c in [0, 2] and of y in [0, 1].
 ENVELOPE_C_SAMPLES = 201
 ENVELOPE_Y_SAMPLES = 101
+
+#: The default battery: its coefficient indices and its Fekete-Szego parameters.
+DEFAULT_COEFFICIENTS = (2, 3, 4, 5, 6)
+DEFAULT_FS_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -117,18 +122,17 @@ def claimed_bound(name: str, lam: complex = 1.0) -> float:
 def read_order(name: str) -> int:
     """Highest power of a member that the scan of ``name`` reads.
 
-    That is n for the coefficient ``aN``, at least 5, and 5 for the
-    functionals of ``core.FUNCTIONALS`` (``h31`` reads a_5).  The floor lets
-    the scans of a_2..a_5 share the named functionals' batch.  Member
-    construction is truncation-consistent to the bit (the order-m member
-    equals the first m + 1 coefficients of any higher-order one), so a
-    member built at this order gives every value, tie and witness exactly
-    as one built at any higher order.
+    That is n for the coefficient ``aN``, and the read order named beside
+    each formula of ``core.FUNCTIONALS``: 3 for ``fs``, 4 for ``t`` and
+    ``h22``, 5 for ``h31``.  Member construction is truncation-consistent to
+    the bit (the order-m member equals the first m + 1 coefficients of any
+    higher-order one), so a member built at this order gives every value,
+    tie and witness exactly as one built at any higher order.
     """
     if name in FUNCTIONALS:
-        return 5
+        return FUNCTIONALS[name][0]
     if name.startswith("a") and name[1:].isdigit():
-        return max(5, int(name[1:]))
+        return int(name[1:])
     raise ValueError(f"unknown functional {name!r}")
 
 
@@ -136,35 +140,26 @@ def _member_coeffs(omega: SchwarzSample, order: int) -> np.ndarray:
     return member_from_witness(omega, order).series.coeffs
 
 
-_BATCH_CACHE: dict[ScanConfig, tuple[list[SchwarzSample], np.ndarray]] = {}
+#: Always empty.  It stays only because the traced benchmark clears it
+#: (``bench/run.py``, ``forget_scan_batches``); a benchmark-only change deletes both.
+_BATCH_CACHE: dict = {}
 
 
 def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.ndarray]:
     """Witnesses for all sample indices of a config, and their members' a_0..a_order.
 
-    A config keeps one batch in the cache.  A request no wider than it gets
-    its leading columns, which are bitwise the members built at the
-    requested order; a wider request rebuilds it at the new order.
-    ``default_scan_suite`` builds it first at the highest order its battery
-    reads, so a battery builds one batch.
-
+    Every call builds a new batch.  A scan reads the leading columns it
+    needs, which are bitwise the members built at its own read order.
     Sample i is drawn from the stream seeded by (seed, i), so the batch of a
     smaller budget is a prefix of the batch of a larger one.
     """
-    cached = _BATCH_CACHE.get(cfg)
-    if cached is None or cached[1].shape[1] <= order:
-        witnesses = []
-        rows = np.empty((cfg.samples, order + 1), dtype=np.complex128)
-        for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, i))
-            omega = sample_schwarz(rng, max_zeros=MAX_ZEROS)
-            witnesses.append(omega)
-            rows[i] = _member_coeffs(omega, order)
-        if len(_BATCH_CACHE) > 8:
-            _BATCH_CACHE.clear()
-        cached = _BATCH_CACHE[cfg] = (witnesses, rows)
-    witnesses, rows = cached
-    return witnesses, rows[:, : order + 1]
+    witnesses = []
+    rows = np.empty((cfg.samples, order + 1), dtype=np.complex128)
+    for i in range(cfg.samples):
+        omega = sample_schwarz(np.random.default_rng((cfg.seed, i)), max_zeros=MAX_ZEROS)
+        witnesses.append(omega)
+        rows[i] = _member_coeffs(omega, order)
+    return witnesses, rows
 
 
 def _anchor_witnesses(cfg: ScanConfig, highest_power: int) -> list[SchwarzSample]:
@@ -222,8 +217,8 @@ def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0) -> floa
 
 # -- direct coefficient-body family ------------------------------------------
 
-#: The parametrization fixes c1..c3, hence a2..a4 and their functionals.
-_DIRECT_FUNCTIONALS = ("a2", "a3", "a4", "fs", "t", "h22")
+#: The parametrization fixes c1..c3, hence a2..a4 and what reads no further.
+_DIRECT_FUNCTIONALS = tuple(n for n in ("a2", "a3", "a4", *FUNCTIONALS) if read_order(n) <= 4)
 
 
 def _direct_coeffs(c1, x, z) -> tuple:
@@ -292,19 +287,19 @@ def _direct_family_max(name: str, lam: complex = 1.0):
 # -- scans --------------------------------------------------------------------
 
 
-def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> BoundEstimate:
+def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.ndarray,
+          lam: complex = 1.0) -> BoundEstimate:
     """Empirical maximum of |name| over the search families, against its claimed bound.
 
-    The best of the monomial anchors z^1..z^anchor_power and the random batch
-    is polished over its witness parameters.  The named functionals of a2..a4
-    also scan the direct family (the coefficient scans do not), and the larger
-    maximum wins.
+    The best of the monomial anchors (z^1..z^4 for a named functional,
+    z^1..z^max(5, n) for a_n, below ``cfg.order``) and the batch
+    ``witnesses`` is polished over its witness parameters.  The named
+    functionals of a2..a4 also scan the direct family (the coefficient scans
+    do not), and the larger maximum wins.
 
     The anchors, the batch and the polish objective all read members built
-    at ``read_order(name)``, the one rule for how far a functional reads.
-    The batch is that wide: the leading columns a_0..a_read_order of the
-    config's cached batch, which ``default_scan_suite`` builds at the
-    highest read order of its battery (see ``witness_batch``).
+    at ``read_order(name)``: of the batch's member coefficients ``rows``
+    (``witness_batch``, at that order or higher), only a_0..a_read_order.
 
     The anchors and the polish objective share a table, local to the call,
     keyed by the exact bytes of the witness (``_witness_key``); the batch's
@@ -315,7 +310,7 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
     deterministic, so every value is the one a build would give.
     """
     order = read_order(name)
-    witnesses, rows = witness_batch(cfg, order)
+    rows = rows[:, : order + 1]
     seen: dict[bytes, float] = {}
 
     def value(omega: SchwarzSample) -> float:
@@ -324,10 +319,9 @@ def _scan(name: str, cfg: ScanConfig, anchor_power: int, lam: complex = 1.0) -> 
             seen[key] = functional_value(name, _member_coeffs(omega, order), lam)
         return seen[key]
 
-    candidates = _anchor_witnesses(cfg, anchor_power)
+    candidates = _anchor_witnesses(cfg, 4 if name in FUNCTIONALS else max(5, order))
     values = [value(w) for w in candidates]
-    batch_vals = np.array([functional_value(name, rows[i], lam)
-                           for i in range(rows.shape[0])])
+    batch_vals = np.array([functional_value(name, row, lam) for row in rows])
     j = int(np.argmax(batch_vals))
     candidates.append(witnesses[j])
     values.append(seen.setdefault(_witness_key(witnesses[j]), float(batch_vals[j])))
@@ -360,10 +354,15 @@ def _check_coefficient(n: int, cfg: ScanConfig) -> None:
         raise ValueError(f"scan order {cfg.order} cannot expose a_{n}")
 
 
+def _check_functional_order(cfg: ScanConfig) -> None:
+    if cfg.order < 5:
+        raise ValueError("scan order must be at least 5")
+
+
 def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
     """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
     _check_coefficient(n, cfg)
-    return _scan(f"a{n}", cfg, anchor_power=max(5, n))
+    return _scan(f"a{n}", cfg, *witness_batch(cfg, n))
 
 
 def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
@@ -375,9 +374,8 @@ def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate
     """
     if kind not in FUNCTIONALS:
         raise ValueError(f"unknown scan kind {kind!r}")
-    if cfg.order < 5:
-        raise ValueError("scan order must be at least 5")
-    return _scan(kind, cfg, anchor_power=4, lam=lam)
+    _check_functional_order(cfg)
+    return _scan(kind, cfg, *witness_batch(cfg, read_order(kind)), lam)
 
 
 # -- the closed-form envelope of the h22 functional ---------------------------
@@ -434,21 +432,21 @@ def h22_envelope_profile() -> EnvelopeProfile:
     return EnvelopeProfile(cs=cs, values=values, argmax_c=argmax_c, max_value=max_value)
 
 
-def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = (2, 3, 4, 5, 6),
-                       fs_lams: tuple[complex, ...] = (0.0, 0.5, 1.0, 2.0)) -> list[BoundEstimate]:
+def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEFAULT_COEFFICIENTS,
+                       fs_lams: tuple[complex, ...] = DEFAULT_FS_LAMBDAS) -> list[BoundEstimate]:
     """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31.
 
-    Once the coefficient indices pass their checks, the battery's one witness
-    batch is built at the highest ``read_order`` of its functionals (6 for
-    the default battery); every scan reads its leading columns.
+    Once the coefficient indices and the order pass the standalone scans'
+    checks, one witness batch is built at the highest ``read_order`` of the
+    battery (6 for the default one) and passed to every scan, which reads its
+    leading columns; each estimate is its standalone scan's, bit for bit.
     """
     for n in coefficient_range:
         _check_coefficient(n, cfg)
+    _check_functional_order(cfg)
     names = [*(f"a{n}" for n in coefficient_range), *FUNCTIONALS]
-    witness_batch(cfg, max(read_order(name) for name in names))
-    out = [scan_coefficient_bound(n, cfg) for n in coefficient_range]
-    out.extend(hankel_scan("fs", cfg, lam) for lam in fs_lams)
-    out.append(hankel_scan("t", cfg))
-    out.append(hankel_scan("h22", cfg))
-    out.append(hankel_scan("h31", cfg))
+    batch = witness_batch(cfg, max(read_order(name) for name in names))
+    out = [_scan(f"a{n}", cfg, *batch) for n in coefficient_range]
+    out.extend(_scan("fs", cfg, *batch, lam) for lam in fs_lams)
+    out.extend(_scan(kind, cfg, *batch) for kind in ("t", "h22", "h31"))
     return out

@@ -219,10 +219,10 @@ def build_parser() -> _Parser:
     p.add_argument("--tolerance", default=1e-9,
                    type=_ranged(float, "tolerance", lambda t: 0.0 < t < math.inf,
                                 "be positive and finite"))
-    p.add_argument("--coefficients", default=(2, 3, 4, 5, 6),
+    p.add_argument("--coefficients", default=bd.DEFAULT_COEFFICIENTS,
                    type=_ranged_list(int, "coefficient index", lambda n: n >= 2, "be >= 2"),
                    help="comma list of distinct coefficient indices in [2, order] to scan")
-    p.add_argument("--fs-lambdas", default=(0.0, 0.5, 1.0, 2.0),
+    p.add_argument("--fs-lambdas", default=bd.DEFAULT_FS_LAMBDAS,
                    type=_ranged_list(float, "fs lambda", lambda v: math.isfinite(2.0 * v - 1.0),
                                      "keep 2 lambda - 1 finite"),
                    help="comma list of distinct real Fekete-Szego parameters")

@@ -464,17 +464,17 @@ def membership_report(f: NormalizedFunction, theta_samples: int = 512,
 
 # -- coefficient functionals -----------------------------------------------
 
-#: The signed coefficient functionals, over coefficients ``a`` indexed by power
-#: (``a[2]`` is a_2) and the Fekete-Szego parameter ``lam``.  Entries of ``a``
-#: may be scalars or arrays; callers take the modulus their own way, since the
-#: builtin ``abs`` of a numpy scalar and ``np.abs`` of an array can differ in
-#: the last bit.
+#: The signed coefficient functionals as (read order, formula): the highest power
+#: the formula reads, and the formula over coefficients ``a`` indexed by power
+#: (``a[2]`` is a_2) and the Fekete-Szego parameter ``lam``.  Entries of ``a`` may
+#: be scalars or arrays; callers take the modulus their own way, since the builtin
+#: ``abs`` of a numpy scalar and ``np.abs`` of an array can differ in the last bit.
 FUNCTIONALS = {
-    "fs": lambda a, lam: a[3] - lam * a[2] * a[2],
-    "t": lambda a, lam: a[4] - a[2] * a[3],
-    "h22": lambda a, lam: a[2] * a[4] - a[3] * a[3],
-    "h31": lambda a, lam: (a[3] * FUNCTIONALS["h22"](a, lam) - a[4] * FUNCTIONALS["t"](a, lam)
-                           + a[5] * (a[3] - a[2] * a[2])),
+    "fs": (3, lambda a, lam: a[3] - lam * a[2] * a[2]),
+    "t": (4, lambda a, lam: a[4] - a[2] * a[3]),
+    "h22": (4, lambda a, lam: a[2] * a[4] - a[3] * a[3]),
+    "h31": (5, lambda a, lam: (a[3] * FUNCTIONALS["h22"][1](a, lam)
+                               - a[4] * FUNCTIONALS["t"][1](a, lam) + a[5] * (a[3] - a[2] * a[2]))),
 }
 
 
@@ -484,7 +484,7 @@ def functional(name: str, a, lam: complex = 1.0):
         return a[int(name[1:])]
     if name not in FUNCTIONALS:
         raise ValueError(f"unknown functional {name!r}")
-    return FUNCTIONALS[name](a, complex(lam))
+    return FUNCTIONALS[name][1](a, complex(lam))
 
 
 @dataclass(frozen=True)

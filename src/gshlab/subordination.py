@@ -397,9 +397,9 @@ def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: 
 
 
 def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
-            dg: np.ndarray) -> tuple[int, float | None]:
-    """First passing step and its deviation; else SHRINK_STEPS + 1 and step 24's deviation,
-    None where the probe skipped step 24."""
+            dg: np.ndarray) -> tuple[int, bool, float | None]:
+    """First passing step, True and its deviation; else SHRINK_STEPS, False and step 24's
+    deviation, None where the probe skipped step 24."""
     k0 = _certified_from(case, z, dp, dg)
     deviation = math.inf
     for k in range(SHRINK_STEPS + 1):
@@ -412,8 +412,8 @@ def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
         except ZeroDivisorOnGrid:
             continue
         if deviation < 1.0 - PREMISE_MARGIN:
-            return k, deviation
-    return SHRINK_STEPS + 1, None if k0 <= SHRINK_STEPS and fails[-1] else deviation
+            return k, True, deviation
+    return SHRINK_STEPS, False, None if k0 <= SHRINK_STEPS and fails[-1] else deviation
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -424,14 +424,14 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
-    fails the attempt is vacuous.  Its kept record holds the candidate halved
-    once more and the deviation of the last step, halved ``SHRINK_STEPS`` times.
+    fails the attempt is vacuous.  Its kept record holds the candidate of the
+    last step (halved ``SHRINK_STEPS`` times) with its deviation and conclusions.
 
     An attempt computes only what its output reads: the conclusions for a
     premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
     the ``ImplicationRecord`` only when records are kept.  Skipping the
     conclusions of a vacuous attempt drops no exception: there g - 1 =
-    2**-25 (f/z - 1), and max|f/z - 1| on the grid stays below 2 for
+    2**-24 (f/z - 1), and max|f/z - 1| on the grid stays below 2 for
     ``_sample_candidate``'s bounded tails (over 10^4 seeded draws), far below
     the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in the
     margins overflows.  The record's JSON only copies finite numbers.
@@ -482,12 +482,12 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         c = _sample_candidate(rng).series.coeffs
         dp = ts.evaluate_coeffs((c * np.arange(c.size))[2:], z) * z
         dg = ts.evaluate_coeffs(c[2:], z) * z
-        k, deviation = _shrink(case, z, dp, dg)
+        k, passed, deviation = _shrink(case, z, dp, dg)
         summary.attempts += 1
-        if k > SHRINK_STEPS and not keep_records:
+        if not passed and not keep_records:
             continue
         conclusions = _conclusions(2.0 ** -k * dg + 1.0)
-        if k <= SHRINK_STEPS:
+        if passed:
             summary.non_vacuous += 1
             summary.counterexamples += not conclusions[0]
             summary.counterexamples_sqrt += not conclusions[1]

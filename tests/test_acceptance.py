@@ -104,16 +104,18 @@ def test_criterion_02_formula_pipeline_consistency():
 def test_criterion_03_coefficient_bounds(scan_cfg):
     start = time.monotonic()
     claimed = {2: 1.0, 3: 0.5, 4: 1 / 3, 5: 0.25}
+    # one battery, so one witness batch for the six coefficient scans
+    scans = dict(zip((2, 3, 4, 5, 6, 7),
+                     bd.default_scan_suite(scan_cfg, (2, 3, 4, 5, 6, 7), fs_lams=())))
     failures = []
     for n, bound in claimed.items():
-        est = bd.scan_coefficient_bound(n, scan_cfg)
+        est = scans[n]
         if est.empirical_max > bound + 1e-9 or est.attained_ratio < 0.999:
             failures.append((n, est.empirical_max, est.attained_ratio))
-    conjecture = {n: bd.scan_coefficient_bound(n, scan_cfg) for n in (6, 7)}
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0
     detail = ", ".join(
-        f"a{n} max {conjecture[n].empirical_max:.6f} vs {1 / (n - 1):.6f}"
+        f"a{n} max {scans[n].empirical_max:.6f} vs {1 / (n - 1):.6f}"
         for n in (6, 7))
     report(3, ok, "sharp coefficient bounds attained, none exceeded",
            f"conjectured orders reported: {detail}; {elapsed:.0f}s")
@@ -123,11 +125,12 @@ def test_criterion_03_coefficient_bounds(scan_cfg):
 
 def test_criterion_04_fekete_szego_and_t_functional(scan_cfg):
     failures = []
-    for lam in (0.0, 0.5, 1.0, 2.0, 1j):
-        est = bd.hankel_scan("fs", scan_cfg, lam=lam)
+    lams = (0.0, 0.5, 1.0, 2.0, 1j)
+    # one battery, so one witness batch for the Fekete-Szego scans and t
+    *fs_ests, t_est, _, _ = bd.default_scan_suite(scan_cfg, (), fs_lams=lams)
+    for lam, est in zip(lams, fs_ests):
         if est.empirical_max > est.claimed_bound + 1e-9:
             failures.append(("fs", lam, est.empirical_max))
-    t_est = bd.hankel_scan("t", scan_cfg)
     if t_est.empirical_max > 1 / 3 + 1e-9:
         failures.append(("t", None, t_est.empirical_max))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 8)
@@ -152,11 +155,11 @@ def test_criterion_05_h22_landscape_and_scan(scan_cfg):
         problems.append(
             f"claimed global max 1/4 at (0, 1); computed {max_value!r} at "
             f"({c_star!r}, {y_star!r})")
-    est = bd.hankel_scan("h22", scan_cfg)
+    # one battery, so one witness batch for the h22 and h31 scans
+    _, est, h31 = bd.default_scan_suite(scan_cfg, (), fs_lams=())
     if abs(est.empirical_max - 0.25) > 1e-12 or not est.violation:
         problems.append(f"h22 scan max {est.empirical_max!r}, "
                         f"violation={est.violation}")
-    h31 = bd.hankel_scan("h31", scan_cfg)
     report(5, not problems, "h22 envelope landscape and scan-detected violation",
            f"h31 reported max {h31.empirical_max:.6f} vs claimed 0.25; "
            + "; ".join(problems))

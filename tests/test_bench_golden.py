@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gshlab import bounds, cli
+from gshlab import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,7 +40,6 @@ def test_pool_job_matches_golden(tmp_path, workload, key):
         assert kinds[key % len(kinds)] == MEMBERSHIP_KEY_KINDS[key % 4]
     JOBS.write_inputs(workload, [key], tmp_path)
     argv = JOBS.argv_for(workload, key, tmp_path)
-    bounds._BATCH_CACHE.clear()
     code = cli.main(argv)
     golden = JOBS.load_golden(workload)[key]
     assert JOBS.check_job(workload, code, JOBS.output_path(argv), golden) is None

@@ -13,6 +13,19 @@ from gshlab.core import functional, member_from_witness
 
 CFG = bd.ScanConfig(samples=1500, seed=2)
 
+#: The Fekete-Szego parameters of the battery on CFG: the default four and 1j.
+FS_LAMS = (0.0, 0.5, 1.0, 2.0, 1j)
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """The estimates of the battery on CFG, by functional name, from one witness batch.
+
+    Each is its standalone scan's estimate to the bit
+    (``test_default_scan_suite_equals_its_standalone_scans``).
+    """
+    return {est.functional: est for est in bd.default_scan_suite(CFG, fs_lams=FS_LAMS)}
+
 
 # -- functional plumbing -------------------------------------------------------
 
@@ -157,36 +170,36 @@ def test_envelope_dominates_parametrized_functional():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_coefficient_scans_respect_claimed_bounds(n):
-    est = bd.scan_coefficient_bound(n, CFG)
+def test_coefficient_scans_respect_claimed_bounds(n, battery):
+    est = battery[f"a{n}"]
     assert est.empirical_max <= est.claimed_bound + CFG.tolerance
     assert est.attained_ratio >= 0.999
     assert not est.violation
 
 
-def test_conjecture_scan_reports_only():
-    est = bd.scan_coefficient_bound(6, CFG)
+def test_conjecture_scan_reports_only(battery):
+    est = battery["a6"]
     assert est.claimed_bound == pytest.approx(0.2)
     assert est.empirical_max <= est.claimed_bound + CFG.tolerance
 
 
-def test_h22_scan_detects_violation():
-    est = bd.hankel_scan("h22", CFG)
+def test_h22_scan_detects_violation(battery):
+    est = battery["h22"]
     assert est.empirical_max >= 0.25 - 1e-12
     assert est.violation
     assert est.claimed_bound == pytest.approx(1 / 36)
 
 
-def test_h31_scan_reports_without_violation():
-    est = bd.hankel_scan("h31", CFG)
+def test_h31_scan_reports_without_violation(battery):
+    est = battery["h31"]
     assert est.empirical_max <= 0.25 + 1e-9
     assert not est.violation
 
 
-def test_t_and_fs_scans_respect_bounds():
-    assert not bd.hankel_scan("t", CFG).violation
-    for lam in (0.0, 0.5, 1.0, 2.0, 1j):
-        est = bd.hankel_scan("fs", CFG, lam=lam)
+def test_t_and_fs_scans_respect_bounds(battery):
+    assert not battery["t"].violation
+    for lam in FS_LAMS:
+        est = battery[f"fs({lam})"]
         assert est.empirical_max <= est.claimed_bound + CFG.tolerance, lam
 
 
@@ -202,11 +215,10 @@ def test_scan_rejects_bad_inputs():
 # -- reproducibility ----------------------------------------------------------------
 
 
-def test_estimates_reproducible_from_witness():
+def test_estimates_reproducible_from_witness(battery):
     # every reported maximum is the value of its serialized witness, bit for bit
-    lams = (0.0, 0.5, 1.0, 2.0)
-    fs_lam = {f"fs({lam})": lam for lam in lams}
-    for est in bd.default_scan_suite(CFG, fs_lams=lams):
+    fs_lam = {f"fs({lam})": lam for lam in FS_LAMS}
+    for est in battery.values():
         name = "fs" if est.functional in fs_lam else est.functional
         again = bd.evaluate_witness(est.witness, name, fs_lam.get(est.functional, 1.0))
         assert again == est.empirical_max, est.functional
@@ -223,7 +235,6 @@ def test_scan_maxima_monotone_in_budget():
 
 def test_witness_batch_prefix_stable_under_budget_growth():
     # sample i comes from (seed, i), so a smaller budget's batch is a prefix
-    bd._BATCH_CACHE.clear()
     small_witnesses, small_rows = bd.witness_batch(bd.ScanConfig(samples=300, seed=8), 6)
     witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=600, seed=8), 6)
     assert rows.shape == (600, small_rows.shape[1])
@@ -234,9 +245,7 @@ def test_witness_batch_prefix_stable_under_budget_growth():
 @pytest.mark.parametrize("seed", [8, 9])
 def test_witness_batch_at_read_order_is_leading_columns_of_order_32(seed):
     cfg = bd.ScanConfig(samples=600, seed=seed)
-    bd._BATCH_CACHE.clear()
     _, narrow = bd.witness_batch(cfg, 6)
-    narrow = narrow.copy()
     _, wide = bd.witness_batch(cfg, 32)
     assert wide.shape == (600, 33)
     assert narrow.tobytes() == np.ascontiguousarray(wide[:, :7]).tobytes()
@@ -252,27 +261,74 @@ def draws(monkeypatch):
         return cara.sample_schwarz(rng, max_zeros=max_zeros)
 
     monkeypatch.setattr(bd, "sample_schwarz", counted)
-    bd._BATCH_CACHE.clear()
     return drawn
 
 
-def test_default_scan_suite_builds_one_batch(draws):
+@pytest.fixture
+def batches(monkeypatch):
+    """(config, order, row shape) of each ``witness_batch`` call while the test runs."""
+    calls = []
+    build = bd.witness_batch
+
+    def counted(cfg, order):
+        witnesses, rows = build(cfg, order)
+        calls.append((cfg, order, rows.shape))
+        return witnesses, rows
+
+    monkeypatch.setattr(bd, "witness_batch", counted)
+    return calls
+
+
+def test_default_scan_suite_builds_one_batch(draws, batches):
     cfg = bd.ScanConfig(samples=200, seed=3, order=32)
     bd.default_scan_suite(cfg)
     assert len(draws) == 200
-    assert list(bd._BATCH_CACHE) == [cfg]
-    assert bd._BATCH_CACHE[cfg][1].shape == (200, 7)
+    assert batches == [(cfg, 6, (200, 7))]
+    assert bd._BATCH_CACHE == {}
 
 
-def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, monkeypatch):
-    # the battery of `bounds-scan --coefficients 2..20 --order 32`; each scan
-    # only asks for its batch, as _scan does first, and skips the costly polish
-    monkeypatch.setattr(bd, "_scan", lambda name, cfg, anchor_power, lam=1.0:
-                        bd.witness_batch(cfg, bd.read_order(name)))
+def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, batches, monkeypatch):
+    # the battery of `bounds-scan --coefficients 2..20 --order 32`; the scans
+    # are skipped, since they only read the batch they are given
+    monkeypatch.setattr(bd, "_scan", lambda name, cfg, witnesses, rows, lam=1.0: None)
     cfg = bd.ScanConfig(samples=100, seed=4, order=32)
     bd.default_scan_suite(cfg, tuple(range(2, 21)))
     assert len(draws) == 100
-    assert bd._BATCH_CACHE[cfg][1].shape == (100, 21)
+    assert batches == [(cfg, 20, (100, 21))]
+
+
+@pytest.mark.parametrize("scan, order", [(lambda cfg: bd.scan_coefficient_bound(2, cfg), 2),
+                                         (lambda cfg: bd.scan_coefficient_bound(7, cfg), 7),
+                                         (lambda cfg: bd.hankel_scan("fs", cfg, 0.5), 3),
+                                         (lambda cfg: bd.hankel_scan("t", cfg), 4),
+                                         (lambda cfg: bd.hankel_scan("h31", cfg), 5)],
+                         ids=["a2", "a7", "fs", "t", "h31"])
+def test_standalone_scan_builds_its_own_batch_at_its_read_order(batches, scan, order):
+    cfg = bd.ScanConfig(samples=50, seed=5)
+    scan(cfg)
+    scan(cfg)
+    assert batches == [(cfg, order, (50, order + 1))] * 2
+    assert bd._BATCH_CACHE == {}
+
+
+def test_default_scan_suite_equals_its_standalone_scans():
+    # one shared batch at order 6 gives each scan the bits of its own batch
+    cfg = bd.ScanConfig(samples=120, seed=12, order=32)
+    lams = (0.0, 0.5, 2.0, 1j)
+    standalone = [*(bd.scan_coefficient_bound(n, cfg) for n in (2, 3, 4, 5, 6)),
+                  *(bd.hankel_scan("fs", cfg, lam) for lam in lams),
+                  *(bd.hankel_scan(kind, cfg) for kind in ("t", "h22", "h31"))]
+    assert bd.default_scan_suite(cfg, fs_lams=lams) == standalone
+
+
+@pytest.mark.parametrize("order, coefficients, message", [
+    (4, (2, 3), "scan order must be at least 5"),
+    (4, (2, 3, 4, 5, 6), "scan order 4 cannot expose a_5"),
+    (32, (1,), "n must be >= 2")])
+def test_default_scan_suite_checks_before_building_a_batch(draws, order, coefficients, message):
+    with pytest.raises(ValueError, match=message):
+        bd.default_scan_suite(bd.ScanConfig(samples=20, order=order), coefficients)
+    assert draws == []
 
 
 @pytest.mark.parametrize("scan", [lambda: bd.hankel_scan("h22", CFG),
@@ -290,7 +346,6 @@ def test_scan_builds_each_witness_once(monkeypatch, scan):
         return member_from_witness(omega, order)
 
     monkeypatch.setattr(bd, "member_from_witness", counted)
-    bd._BATCH_CACHE.clear()
     scan()
     assert len(builds) >= CFG.samples + 5
     assert max(collections.Counter(builds).values()) == 1
@@ -331,8 +386,9 @@ def test_direct_grid_is_a_fresh_meshgrid(monkeypatch, name, lam):
 
 
 def test_read_order_rule():
-    assert [bd.read_order(f"a{n}") for n in (2, 5, 6, 20)] == [5, 5, 6, 20]
-    assert {bd.read_order(name) for name in ("fs", "t", "h22", "h31")} == {5}
+    assert [bd.read_order(f"a{n}") for n in (2, 5, 6, 20)] == [2, 5, 6, 20]
+    assert [bd.read_order(name) for name in ("fs", "t", "h22", "h31")] == [3, 4, 4, 5]
+    assert bd._DIRECT_FUNCTIONALS == ("a2", "a3", "a4", "fs", "t", "h22")
     with pytest.raises(ValueError, match="unknown functional"):
         bd.read_order("nope")
 
@@ -344,8 +400,8 @@ def test_evaluate_witness_reads_high_coefficients():
     assert value == abs(member_from_witness(omega, 32).series.coeffs[20])
 
 
-def test_bound_estimate_json():
-    est = bd.scan_coefficient_bound(2, CFG)
+def test_bound_estimate_json(battery):
+    est = battery["a2"]
     obj = est.to_json()
     assert obj["functional"] == "a2"
     assert obj["witness"]["family"] in ("schwarz", "caratheodory")

@@ -363,7 +363,7 @@ def test_verify_implications_summary_does_not_depend_on_kept_cases(seed, factor,
 
 def test_sampled_candidate_tails_stay_far_below_the_overflow_scale():
     # run_config skips the conclusion margins of vacuous attempts, where
-    # g - 1 = 2^-25 (f/z - 1); that drops no exception only while max|f/z - 1|
+    # g - 1 = 2^-24 (f/z - 1); that drops no exception only while max|f/z - 1|
     # stays far below the |w| of about 1e154 at which w * w overflows
     z = sub.HARNESS_GRID.points()
     largest = max(float(np.max(np.abs(sub._sample_candidate(

@@ -252,7 +252,8 @@ def test_harness_deterministic():
 
 
 def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_attempts):
-    """Reference harness: ``operator_values`` on each candidate, its tail halved in place."""
+    """Reference harness: ``operator_values`` on each candidate, its tail halved in place
+    before each step after the first; a vacuous record keeps the last step's candidate."""
     case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = sub.HARNESS_GRID.points()
     summary = sub.ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
@@ -266,7 +267,9 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
         rng = np.random.default_rng((seed, int(kind), i))
         coeffs = sub._sample_candidate(rng).series.coeffs.copy()
         deviation = math.inf
-        for _ in range(sub.SHRINK_STEPS + 1):
+        for step in range(sub.SHRINK_STEPS + 1):
+            if step:
+                coeffs[2:] *= 0.5
             f = NormalizedFunction(TruncatedSeries(coeffs.copy()))
             try:
                 deviation = sub.janowski_deviation(sub.operator_values(f, kind, alpha, z),
@@ -276,7 +279,6 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
             else:
                 if deviation < 1.0 - sub.PREMISE_MARGIN:
                     break
-            coeffs[2:] *= 0.5
         f = NormalizedFunction(TruncatedSeries(coeffs))
         premise = deviation < 1.0 - sub.PREMISE_MARGIN
         g = f.over_z_values(z)
@@ -460,7 +462,7 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
     params = sub.JanowskiParams(0.5, -0.5)
     # kinds 2 and 3 pass at step 5, the first whose f/z has no zero on the grid;
     # kind 4 never passes
-    for kind, halvings in ((2, 5), (3, 5), (4, sub.SHRINK_STEPS + 1)):
+    for kind, halvings in ((2, 5), (3, 5), (4, sub.SHRINK_STEPS)):
         thr = sub.alpha_threshold(kind, params)
         args = (sub.OperatorKind(kind), params, 0.5 * thr, thr, 0, 3, 5)
         summary, records = sub.run_config(*args, keep_records=True)
@@ -470,6 +472,17 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
         for record in records:
             assert record.premise_holds == (kind != 4)
             assert record.function["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_kept_records_are_verify_implication_of_their_function(seed):
+    # each record, vacuous ones included, pairs its function with that
+    # function's own deviation and conclusions on the harness grid
+    records = sub.implication_harness(seed=seed, keep_records=True).records
+    assert any(r.vacuous for r in records) and any(not r.vacuous for r in records)
+    for r in records:
+        f = NormalizedFunction.from_json(r.function)
+        assert r == sub.verify_implication(f, r.case, sub.HARNESS_GRID)
 
 
 # -- derived operator identities -------------------------------------------------
