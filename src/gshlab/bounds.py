@@ -347,21 +347,19 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
                          violation=bool(best > claim + cfg.tolerance))
 
 
-def _check_coefficient(n: int, cfg: ScanConfig) -> None:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if cfg.order < n:
-        raise ValueError(f"scan order {cfg.order} cannot expose a_{n}")
-
-
-def _check_functional_order(cfg: ScanConfig) -> None:
-    if cfg.order < 5:
-        raise ValueError("scan order must be at least 5")
+def _check_scan_order(names, cfg: ScanConfig) -> None:
+    """Reject a coefficient below a_2 and a scan that reads past ``cfg.order``."""
+    for name in names:
+        k = read_order(name)
+        if k < 2:
+            raise ValueError("n must be >= 2")
+        if k > cfg.order:
+            raise ValueError(f"scan order {cfg.order} cannot expose a_{k}, read by {name}")
 
 
 def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
     """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
-    _check_coefficient(n, cfg)
+    _check_scan_order((f"a{n}",), cfg)
     return _scan(f"a{n}", cfg, *witness_batch(cfg, n))
 
 
@@ -374,7 +372,7 @@ def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate
     """
     if kind not in FUNCTIONALS:
         raise ValueError(f"unknown scan kind {kind!r}")
-    _check_functional_order(cfg)
+    _check_scan_order((kind,), cfg)
     return _scan(kind, cfg, *witness_batch(cfg, read_order(kind)), lam)
 
 
@@ -413,25 +411,6 @@ def h22_envelope_max() -> tuple[float, tuple[float, float]]:
                            (ENVELOPE_C_SAMPLES, ENVELOPE_Y_SAMPLES))
 
 
-@dataclass(frozen=True)
-class EnvelopeProfile:
-    """The envelope along y = 1, tabulated over [0, 2]."""
-
-    cs: np.ndarray
-    values: np.ndarray
-    argmax_c: float
-    max_value: float
-
-
-def h22_envelope_profile() -> EnvelopeProfile:
-    """Tabulate the y = 1 section of the envelope and locate its maximum."""
-    cs = np.linspace(0.0, 2.0, ENVELOPE_C_SAMPLES)
-    values = _h22_envelope_array(cs, np.ones_like(cs))
-    max_value, (argmax_c,) = refine_grid_max(
-        lambda x: _h22_envelope_array(x, np.ones_like(x)), [(0.0, 2.0)], (ENVELOPE_C_SAMPLES,))
-    return EnvelopeProfile(cs=cs, values=values, argmax_c=argmax_c, max_value=max_value)
-
-
 def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEFAULT_COEFFICIENTS,
                        fs_lams: tuple[complex, ...] = DEFAULT_FS_LAMBDAS) -> list[BoundEstimate]:
     """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31.
@@ -441,10 +420,8 @@ def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEF
     battery (6 for the default one) and passed to every scan, which reads its
     leading columns; each estimate is its standalone scan's, bit for bit.
     """
-    for n in coefficient_range:
-        _check_coefficient(n, cfg)
-    _check_functional_order(cfg)
     names = [*(f"a{n}" for n in coefficient_range), *FUNCTIONALS]
+    _check_scan_order(names, cfg)
     batch = witness_batch(cfg, max(read_order(name) for name in names))
     out = [_scan(f"a{n}", cfg, *batch) for n in coefficient_range]
     out.extend(_scan("fs", cfg, *batch, lam) for lam in fs_lams)

@@ -157,14 +157,6 @@ class SchwarzSample:
         return cls(rotation=1.0, zeros=(0.0,) * (power - 1))
 
 
-def from_schwarz(omega: SchwarzSample | ts.TruncatedSeries,
-                 order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
-    """Series of (1 + w)/(1 - w) for a Schwarz map w; constant term 1."""
-    w = omega.series(order) if isinstance(omega, SchwarzSample) else omega.truncate(order)
-    one = ts.constant(1.0, order)
-    return ts.div(one + w, one - w)
-
-
 # -- coefficient-body witnesses -------------------------------------------
 
 

@@ -165,25 +165,6 @@ def member_from_witness(omega: SchwarzSample | ts.TruncatedSeries,
     return NormalizedFunction(ts.TruncatedSeries(f))
 
 
-def extremal_fn(n: int, order: int = ts.DEFAULT_ORDER) -> NormalizedFunction:
-    """Sharpness witness for the n-th coefficient: the member built from w = z^(n-1).
-
-    Its coefficient a_n equals 1/(n-1) and a_2 .. a_(n-1) vanish.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if order < n:
-        raise ValueError(f"order {order} too small to expose coefficient {n}")
-    return member_from_witness(SchwarzSample.monomial(n - 1), order)
-
-
-def ratio_series(f: NormalizedFunction) -> ts.TruncatedSeries:
-    """Truncated series of z f'(z)/f(z); constant term 1."""
-    g = ts.shift_down(f.series)
-    num = g + ts.shift_up(ts.derivative(g)).truncate(g.order)
-    return ts.div(num, g)
-
-
 def coeffs_from_caratheodory(c) -> tuple[complex, complex, complex, complex]:
     """(a_2, a_3, a_4, a_5) of the member induced by coefficients c_1..c_4.
 
@@ -577,37 +558,3 @@ def growth_distortion(r: float) -> GrowthRecord:
         deriv_bound=(1.0 + math.sinh(r)) * upper / r,
         covering=covering_radius(),
     )
-
-
-# -- convexity ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComboSpec:
-    """Convex combination mu f1 + (1 - mu) f2 of two candidates."""
-
-    mu: float
-    f1: NormalizedFunction
-    f2: NormalizedFunction
-
-    def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
-
-    def combined(self) -> NormalizedFunction:
-        n = min(self.f1.order, self.f2.order)
-        coeffs = (self.mu * self.f1.series.coeffs[: n + 1]
-                  + (1.0 - self.mu) * self.f2.series.coeffs[: n + 1])
-        return NormalizedFunction(ts.TruncatedSeries(coeffs))
-
-
-def convex_combination_check(combo: ComboSpec, theta_samples: int = 512) -> SufficientVerdict:
-    """Check the sufficient condition for a convex combination of two members.
-
-    Both inputs must pass the sufficient test themselves; the combination
-    inherits it by subadditivity of the weighted coefficient sum.
-    """
-    for name, f in (("f1", combo.f1), ("f2", combo.f2)):
-        if not sufficient_membership(f, theta_samples).holds:
-            raise PreconditionNotMet(f"{name} does not pass the sufficient test")
-    return sufficient_membership(combo.combined(), theta_samples)

@@ -7,7 +7,7 @@
   (sufficient membership statistic, circle extrema of |sinh| and |cosh|).
 * :func:`refine_grid_max` maximizes a vectorized function on a box of any
   dimension by a grid and ``ZOOM_LEVELS`` local zooms around the running
-  argmax (the h22 envelope and its y = 1 profile).
+  argmax (the h22 envelope).
 * :func:`polish_coordinatewise` runs golden-section ascent one coordinate
   at a time inside box bounds (the scan and kernel-minimum polish).
 

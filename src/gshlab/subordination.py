@@ -532,67 +532,23 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
     return report
 
 
-# -- operator identities for derived conditions -------------------------------
+# -- the log-derivative identity ----------------------------------------------
 
 
-def _log_derivative_parts(g: NormalizedFunction, order: int):
-    """g/z and g' (constant 1), the factor 2 + z g''/g' - z g'/g and l = z^2 g'/g.
+def log_derivative_identity_residual(g: NormalizedFunction, order: int = 16) -> float:
+    """Max coefficient residual of z l' = (z^2 g'/g)(2 + z g''/g' - z g'/g).
 
-    g is padded to order + 2; the factor has order ``order``.
+    The identity lets a condition on g be read as an implication theorem
+    applied to the normalized function f = l = z^2 g'/g.  g is padded to
+    order + 2, and the factor 2 + z g''/g' - z g'/g has order ``order``.
     """
     work = g.series.truncate(order + 2)
     h = ts.shift_down(work)
     gp = ts.derivative(work)
     factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(ts.derivative(gp)), gp)
               - ts.div(gp, h))
-    return h, gp, factor, ts.shift_up(ts.div(gp, h))
-
-
-def log_derivative_transform(g: NormalizedFunction, order: int) -> ts.TruncatedSeries:
-    """Series of l = z^2 g'(z)/g(z), the substitution reducing derived conditions."""
-    return _log_derivative_parts(g, order)[3].truncate(min(order + 1, g.order))
-
-
-def log_derivative_identity_residual(g: NormalizedFunction, order: int = 16) -> float:
-    """Max coefficient residual of z l' = (z^2 g'/g)(2 + z g''/g' - z g'/g)."""
-    _, _, factor, l = _log_derivative_parts(g, order)
-    return _identity_residual(factor, l, order)
-
-
-def _identity_residual(factor: ts.TruncatedSeries, l: ts.TruncatedSeries, order: int) -> float:
+    l = ts.shift_up(ts.div(gp, h))
     lhs = ts.shift_up(ts.derivative(l)).truncate(order)
     rhs = ts.mul(l, factor)
     n = min(lhs.order, rhs.order)
     return float(np.max(np.abs(lhs.coeffs[: n + 1] - rhs.coeffs[: n + 1])))
-
-
-def membership_operator_series(g: NormalizedFunction, kind: OperatorKind | int,
-                               alpha: complex, order: int = 16) -> ts.TruncatedSeries:
-    """Series of the derived operator whose Janowski subordination forces membership.
-
-    The four kinds substitute l = z^2 g'/g into the base operators:
-
-        kind 1:  1 + alpha (z^2 g'/g)(2 + z g''/g' - z g'/g)
-        kind 2:  1 + alpha (2 + z g''/g' - z g'/g)
-        kind 3:  1 + alpha (g/(z g'))(2 + z g''/g' - z g'/g)
-        kind 4:  1 + alpha (g^2/(z^2 g'^2))(2 + z g''/g' - z g'/g)
-
-    Division guards raise when g' or g/z lose their unit constant term.  The
-    defining identity z l' = (z^2 g'/g)(2 + ...) is checked on every call.
-    """
-    kind = OperatorKind(kind)
-    h, gp, factor, l = _log_derivative_parts(g, order)
-    residual = _identity_residual(factor, l, order)
-    if residual > 1e-10:
-        raise ArithmeticError(f"operator identity residual {residual:.3e} exceeds 1e-10")
-    if kind is OperatorKind.Z_FPRIME:
-        core = ts.mul(l, factor)
-    elif kind is OperatorKind.RATIO:
-        core = factor
-    elif kind is OperatorKind.RATIO_SQUARED:
-        core = ts.mul(ts.div(h, gp).truncate(order), factor)
-    else:
-        hh = ts.mul(h, h)
-        gpgp = ts.mul(gp, gp)
-        core = ts.mul(ts.div(hh, gpgp).truncate(order), factor)
-    return (ts.constant(1.0, core.order) + alpha * core).truncate(order)

@@ -136,15 +136,11 @@ def test_envelope_increasing_in_y():
 
 
 def test_envelope_profile_values():
+    # the y = 1 section of the envelope
     _, section = _sympy_envelope()
-    prof = bd.h22_envelope_profile()
     for i in (0, 50, 100, 150, 200):
         c = sp.Rational(2 * i, 200)
-        assert prof.cs[i] == pytest.approx(float(c), abs=1e-15)
-        assert prof.values[i] == pytest.approx(float(section.subs(C, c)), abs=1e-14)
-    c_star = _section_argmax(section)
-    assert prof.max_value == pytest.approx(float(section.subs(C, c_star)), abs=1e-9)
-    assert prof.argmax_c == pytest.approx(float(c_star), abs=1e-4)
+        assert bd.h22_envelope(float(c), 1.0) == pytest.approx(float(section.subs(C, c)), abs=1e-14)
 
 
 def test_envelope_dominates_parametrized_functional():
@@ -322,13 +318,23 @@ def test_default_scan_suite_equals_its_standalone_scans():
 
 
 @pytest.mark.parametrize("order, coefficients, message", [
-    (4, (2, 3), "scan order must be at least 5"),
+    (4, (2, 3), "scan order 4 cannot expose a_5, read by h31"),
     (4, (2, 3, 4, 5, 6), "scan order 4 cannot expose a_5"),
     (32, (1,), "n must be >= 2")])
 def test_default_scan_suite_checks_before_building_a_batch(draws, order, coefficients, message):
     with pytest.raises(ValueError, match=message):
         bd.default_scan_suite(bd.ScanConfig(samples=20, order=order), coefficients)
     assert draws == []
+
+
+@pytest.mark.parametrize("kind, lam", [("fs", 0.0), ("fs", 2.0), ("t", 1.0), ("h22", 1.0)])
+def test_scan_runs_at_its_read_order(kind, lam):
+    # the order needs to reach only what the functional reads
+    order = bd.read_order(kind)
+    at_read_order = bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=order), lam)
+    assert at_read_order == bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=32), lam)
+    with pytest.raises(ValueError, match=f"scan order {order - 1} cannot expose a_{order}"):
+        bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=order - 1), lam)
 
 
 @pytest.mark.parametrize("scan", [lambda: bd.hankel_scan("h22", CFG),

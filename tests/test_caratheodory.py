@@ -54,26 +54,6 @@ def test_sample_validation():
 # -- Schwarz maps -------------------------------------------------------------
 
 
-def test_from_schwarz_identity_witness():
-    k = cara.from_schwarz(cara.SchwarzSample.monomial(1), 6)
-    assert abs(k[0] - 1.0) < 1e-14
-    assert np.allclose(k.coeffs[1:], 2.0, atol=1e-13)
-
-
-def test_from_schwarz_square_witness():
-    k = cara.from_schwarz(cara.SchwarzSample.monomial(2), 8)
-    assert np.allclose(k.coeffs[0::2], [1, 2, 2, 2, 2], atol=1e-13)
-    assert np.allclose(k.coeffs[1::2], 0.0, atol=1e-13)
-
-
-def test_from_schwarz_blaschke_factor():
-    omega = cara.SchwarzSample(rotation=1.0, zeros=(0.5,))
-    k = cara.from_schwarz(omega, 8)
-    # first witness coefficient is -0.5, so c_1 = -1
-    assert abs(k[1] - (-1.0)) < 1e-13
-    assert abs(k[1]) <= 2.0
-
-
 def test_schwarz_series_matches_pointwise_values():
     rng = np.random.default_rng(17)
     z = 0.4 * np.exp(2j * np.pi * rng.random(32))
@@ -91,19 +71,17 @@ def test_schwarz_boundary_property():
         assert abs(complex(omega.values(np.array([0.0]))[0])) == 0.0
 
 
-def test_from_schwarz_has_positive_real_part_on_grid():
+def test_schwarz_cayley_transform_has_positive_real_part_on_grid():
     rng = np.random.default_rng(29)
     radii = np.linspace(0.999 / 64, 0.999, 64)
     angles = np.exp(2j * np.pi * np.arange(64) / 64)
     grid = np.outer(radii, angles).ravel()
     for _ in range(25):
         omega = cara.sample_schwarz(rng)
-        k = cara.from_schwarz(omega, 48)
         # rational evaluation through the defining map, free of truncation
         w = omega.values(grid)
         vals = (1.0 + w) / (1.0 - w)
         assert float(np.min(vals.real)) > -1e-9
-        assert abs(k[0] - 1.0) < 1e-14
 
 
 # -- witness decomposition ----------------------------------------------------

@@ -485,15 +485,7 @@ def test_kept_records_are_verify_implication_of_their_function(seed):
         assert r == sub.verify_implication(f, r.case, sub.HARNESS_GRID)
 
 
-# -- derived operator identities -------------------------------------------------
-
-
-def test_operator_series_identity_kind_one():
-    g = NormalizedFunction.identity(20)
-    out = sub.membership_operator_series(g, 1, 0.5, order=16)
-    assert out[0] == pytest.approx(1.0)
-    assert out[1] == pytest.approx(0.5)
-    assert np.max(np.abs(out.coeffs[2:])) < 1e-14
+# -- the log-derivative identity -------------------------------------------------
 
 
 def test_log_derivative_identity_residuals():
@@ -505,18 +497,3 @@ def test_log_derivative_identity_residuals():
                    for _ in range(5)]
     for g in candidates:
         assert sub.log_derivative_identity_residual(g, 16) <= 1e-10
-
-
-def test_operator_series_matches_pointwise_operator():
-    # the derived kind-k series is the base operator applied to l = z^2 g'/g
-    rng = np.random.default_rng(67)
-    g = member_from_witness(cara.sample_schwarz(rng), 24)
-    order = 12
-    z = 0.2 * np.exp(2j * np.pi * np.arange(16) / 16)
-    l_series = sub.log_derivative_transform(g, 20)
-    l_fn = NormalizedFunction(l_series.truncate(18))
-    for kind in (1, 2, 3, 4):
-        derived = sub.membership_operator_series(g, kind, 0.7, order=order)
-        direct = sub.operator_values(l_fn, kind, 0.7, z)
-        series_vals = np.polyval(derived.coeffs[::-1], z)
-        assert np.max(np.abs(series_vals - direct)) < 1e-7
