@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import ZERO_MODULUS_CAP, SchwarzSample, coeffs_from_witnesses, sample_schwarz
-from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness
-from .refine import polish_coordinatewise, refine_grid_max
+from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness, read_order
+from .refine import polish_coordinatewise
 
 #: Most Blaschke zeros of a random witness (their modulus cap is
 #: ``caratheodory.ZERO_MODULUS_CAP``).
@@ -103,8 +103,8 @@ def functional_value(name: str, coeffs: np.ndarray, lam: complex = 1.0) -> float
 
 def claimed_bound(name: str, lam: complex = 1.0) -> float:
     """The stated sharp bound (or conjectured value) for a functional."""
-    if name.startswith("a") and name[1:].isdigit():
-        n = int(name[1:])
+    if name not in FUNCTIONALS:
+        n = read_order(name)
         if n < 2:
             raise ValueError("coefficient functionals start at a2")
         return 1.0 / (n - 1)
@@ -117,23 +117,6 @@ def claimed_bound(name: str, lam: complex = 1.0) -> float:
 
 
 # -- witness family -----------------------------------------------------------
-
-
-def read_order(name: str) -> int:
-    """Highest power of a member that the scan of ``name`` reads.
-
-    That is n for the coefficient ``aN``, and the read order named beside
-    each formula of ``core.FUNCTIONALS``: 3 for ``fs``, 4 for ``t`` and
-    ``h22``, 5 for ``h31``.  Member construction is truncation-consistent to
-    the bit (the order-m member equals the first m + 1 coefficients of any
-    higher-order one), so a member built at this order gives every value,
-    tie and witness exactly as one built at any higher order.
-    """
-    if name in FUNCTIONALS:
-        return FUNCTIONALS[name][0]
-    if name.startswith("a") and name[1:].isdigit():
-        return int(name[1:])
-    raise ValueError(f"unknown functional {name!r}")
 
 
 def _member_coeffs(omega: SchwarzSample, order: int) -> np.ndarray:
@@ -379,8 +362,8 @@ def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate
 # -- the closed-form envelope of the h22 functional ---------------------------
 
 
-def h22_envelope(c: float, y: float) -> float:
-    """Triangle-inequality envelope of |a2 a4 - a3^2| over the direct family.
+def h22_envelope(c, y):
+    """Triangle-inequality envelope of |a2 a4 - a3^2| over the direct family (scalars or arrays).
 
     The envelope is a polynomial in c in [0, 2] (the first coefficient of
     the positive-real-part function) and y in [0, 1] (the modulus of the
@@ -394,21 +377,23 @@ def h22_envelope(c: float, y: float) -> float:
     are in phase.  Along y = 1 it is (72 - 12 c^2 - c^4)/288, and its
     maximum over the rectangle is 1/4 at (0, 1).
     """
-    return float(_h22_envelope_array(np.asarray(c, float), np.asarray(y, float)))
-
-
-def _h22_envelope_array(c, y):
-    c = np.asarray(c, dtype=float)
-    y = np.asarray(y, dtype=float)
     gap = 4.0 - c * c
     return (0.5 * c ** 4 + 1.5 * (c * c + 12.0) * gap * y * y
             + 12.0 * c * gap * (1.0 - y * y)) / 288.0
 
 
 def h22_envelope_max() -> tuple[float, tuple[float, float]]:
-    """Grid maximum of the envelope over [0, 2] x [0, 1] with local zoom."""
-    return refine_grid_max(_h22_envelope_array, [(0.0, 2.0), (0.0, 1.0)],
-                           (ENVELOPE_C_SAMPLES, ENVELOPE_Y_SAMPLES))
+    """(max, argmax) of the envelope over [0, 2] x [0, 1]: the grid argmax, polished as in a scan.
+
+    The polish keeps the grid point unless it strictly gains.
+    """
+    cc, yy = np.meshgrid(np.linspace(0.0, 2.0, ENVELOPE_C_SAMPLES),
+                         np.linspace(0.0, 1.0, ENVELOPE_Y_SAMPLES), indexing="ij")
+    idx = np.unravel_index(np.argmax(h22_envelope(cc, yy)), cc.shape)
+    (c, y), best = polish_coordinatewise(lambda p: float(h22_envelope(*p)),
+                                         np.array([cc[idx], yy[idx]]),
+                                         [(0.0, 2.0), (0.0, 1.0)], rounds=POLISH_ROUNDS)
+    return best, (float(c), float(y))
 
 
 def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEFAULT_COEFFICIENTS,

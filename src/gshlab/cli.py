@@ -50,10 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_output(text: str, path: str | None):
     """Write text, newline-terminated, to ``path`` or stdout; a failed write is a usage error.
 
@@ -84,7 +80,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list], obj,
         except ValueError as exc:  # NaN or an infinity has no JSON form
             raise InputInvariantError(f"result is not finite: {exc}") from exc
     else:
-        cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+        cells = [[repr(float(v)) if isinstance(v, float) else str(v) for v in row] for row in rows]
         if fmt == "csv":
             lines = [",".join(row) for row in [header, *cells]]
         else:  # markdown; the separator row is a row of "---" cells
@@ -412,8 +408,8 @@ def _cmd_plot_data(args) -> int:
             raise InputInvariantError(
                 f"z f'/f is not finite on |z| = {args.radius!r}: f(z)/z vanishes there; "
                 "plot-data needs another --radius")
-    rows = (f"{_fmt(ti)},{_fmt(wi.real)},{_fmt(wi.imag)}" for ti, wi in zip(t, w))
-    _write_output("\n".join(["t,re,im", *rows]), args.output)
+    rows = [[ti, wi.real, wi.imag] for ti, wi in zip(t, w)]
+    _emit_table("csv", ["t", "re", "im"], rows, None, args.output)
     return EXIT_OK
 
 

@@ -459,30 +459,26 @@ FUNCTIONALS = {
 }
 
 
+def read_order(name: str) -> int:
+    """Highest power of a member that the functional ``name`` reads; the one parser of names.
+
+    That is n for the coefficient ``aN``, and the read order beside each
+    formula of :data:`FUNCTIONALS`.  Member construction is truncation-
+    consistent to the bit, so a member built at this order gives every
+    value, tie and witness exactly as one built at any higher order.
+    """
+    if name in FUNCTIONALS:
+        return FUNCTIONALS[name][0]
+    if name.startswith("a") and name[1:].isdigit():
+        return int(name[1:])
+    raise ValueError(f"unknown functional {name!r}")
+
+
 def functional(name: str, a, lam: complex = 1.0):
     """Signed value of the coefficient ``aN`` or of a functional in :data:`FUNCTIONALS`."""
-    if name.startswith("a") and name[1:].isdigit():
-        return a[int(name[1:])]
-    if name not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {name!r}")
-    return FUNCTIONALS[name][1](a, complex(lam))
-
-
-@dataclass(frozen=True)
-class HankelReport:
-    """Initial-coefficient functionals of a candidate function."""
-
-    fs: complex        # a3 - lam a2^2
-    t: complex         # a4 - a2 a3
-    h22: complex       # a2 a4 - a3^2
-    h31: complex       # third-order determinant from a2..a5
-
-
-def hankel_report(f: NormalizedFunction, lam: complex = 1.0) -> HankelReport:
-    if f.order < 5:
-        raise PreconditionNotMet("need coefficients up to a_5 (order >= 5)")
-    a = [f.coeff(k) for k in range(6)]
-    return HankelReport(**{name: functional(name, a, lam) for name in FUNCTIONALS})
+    if name in FUNCTIONALS:
+        return FUNCTIONALS[name][1](a, complex(lam))
+    return a[read_order(name)]
 
 
 # -- growth, distortion and covering ----------------------------------------

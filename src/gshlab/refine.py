@@ -1,15 +1,13 @@
-"""Local refinement of maxima: zoomed grids, golden section, coordinatewise polish.
+"""Local refinement of maxima: golden section and coordinatewise polish.
 
 * :func:`golden_max` maximizes a function of one variable on a bracket by
   golden section and returns the best point it evaluated.
 * :func:`grid_golden_max` takes the argmax of a vectorized function on a
   1-d grid and polishes it by golden section within one grid step
   (sufficient membership statistic, circle extrema of |sinh| and |cosh|).
-* :func:`refine_grid_max` maximizes a vectorized function on a box of any
-  dimension by a grid and ``ZOOM_LEVELS`` local zooms around the running
-  argmax (the h22 envelope).
 * :func:`polish_coordinatewise` runs golden-section ascent one coordinate
-  at a time inside box bounds (the scan and kernel-minimum polish).
+  at a time inside box bounds (the scan, kernel-minimum and h22-envelope
+  polish, each from the argmax of its own grid).
 
 Minimization is maximization of the negated function.  Every routine keeps
 the best value it has evaluated, so a refinement never reports less than
@@ -30,10 +28,6 @@ STEP_FLOOR = 1e-10
 
 #: Golden-section steps per coordinate of :func:`polish_coordinatewise`.
 POLISH_ITERS = 40
-
-#: Grid zoom: refinement levels, and the resolution gain of each level.
-ZOOM_LEVELS = 4
-ZOOM_FACTOR = 8
 
 
 def golden_max(fn: Callable[[float], float], lo: float, hi: float,
@@ -80,34 +74,6 @@ def grid_golden_max(fn_vec: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
     if vals[i] > v:
         x, v = float(xs[i]), float(vals[i])
     return x, v
-
-
-def refine_grid_max(fn_vec: Callable[..., np.ndarray],
-                    limits: Sequence[tuple[float, float]],
-                    shape: Sequence[int]) -> tuple[float, tuple[float, ...]]:
-    """Grid maximization on a box with iterated local zoom around the running argmax.
-
-    ``limits`` holds one (lo, hi) pair per axis and ``shape`` the number of
-    samples along each.  ``fn_vec`` receives one ``indexing="ij"`` meshgrid
-    array per axis and returns values of the same shape.  Each of the
-    ``ZOOM_LEVELS`` levels re-grids a window of two cells per axis around the
-    argmax, clipped to the box, at ``ZOOM_FACTOR`` times the resolution; a
-    level moves the argmax only on a strict gain.  Returns (max value, argmax).
-    """
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(limits, shape)]
-    widths = [(hi - lo) / max(n - 1, 1) for (lo, hi), n in zip(limits, shape)]
-    for level in range(ZOOM_LEVELS + 1):
-        if level:
-            windows = [(max(lo, x - w), min(hi, x + w))
-                       for (lo, hi), x, w in zip(limits, best_at, widths)]
-            axes = [np.linspace(a, b, 2 * ZOOM_FACTOR + 1) for a, b in windows]
-            widths = [(b - a) / (2 * ZOOM_FACTOR) for a, b in windows]
-        vals = np.asarray(fn_vec(*np.meshgrid(*axes, indexing="ij")), dtype=float)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if not level or vals[idx] > best:
-            best = float(vals[idx])
-            best_at = tuple(float(ax[k]) for ax, k in zip(axes, idx))
-    return best, best_at
 
 
 def polish_coordinatewise(fn: Callable[[np.ndarray], float], x0: np.ndarray,

@@ -134,7 +134,7 @@ def test_criterion_04_fekete_szego_and_t_functional(scan_cfg):
     if t_est.empirical_max > 1 / 3 + 1e-9:
         failures.append(("t", None, t_est.empirical_max))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 8)
-    fs_f0 = abs(core.hankel_report(f0, lam=1.0).fs)
+    fs_f0 = float(abs(core.functional("fs", f0.series.coeffs, 1.0)))
     exact = abs(fs_f0 - 0.5) < 1e-15
     ok = not failures and exact
     report(4, ok, "Fekete-Szego family and |a4 - a2 a3| within bounds",

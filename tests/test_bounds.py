@@ -9,7 +9,7 @@ import sympy as sp
 
 from gshlab import bounds as bd
 from gshlab import caratheodory as cara
-from gshlab.core import functional, member_from_witness
+from gshlab.core import functional, member_from_witness, read_order
 
 CFG = bd.ScanConfig(samples=1500, seed=2)
 
@@ -330,7 +330,7 @@ def test_default_scan_suite_checks_before_building_a_batch(draws, order, coeffic
 @pytest.mark.parametrize("kind, lam", [("fs", 0.0), ("fs", 2.0), ("t", 1.0), ("h22", 1.0)])
 def test_scan_runs_at_its_read_order(kind, lam):
     # the order needs to reach only what the functional reads
-    order = bd.read_order(kind)
+    order = read_order(kind)
     at_read_order = bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=order), lam)
     assert at_read_order == bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=32), lam)
     with pytest.raises(ValueError, match=f"scan order {order - 1} cannot expose a_{order}"):
@@ -392,11 +392,13 @@ def test_direct_grid_is_a_fresh_meshgrid(monkeypatch, name, lam):
 
 
 def test_read_order_rule():
-    assert [bd.read_order(f"a{n}") for n in (2, 5, 6, 20)] == [2, 5, 6, 20]
-    assert [bd.read_order(name) for name in ("fs", "t", "h22", "h31")] == [3, 4, 4, 5]
+    assert [read_order(f"a{n}") for n in (2, 5, 6, 20)] == [2, 5, 6, 20]
+    assert [read_order(name) for name in ("fs", "t", "h22", "h31")] == [3, 4, 4, 5]
     assert bd._DIRECT_FUNCTIONALS == ("a2", "a3", "a4", "fs", "t", "h22")
-    with pytest.raises(ValueError, match="unknown functional"):
-        bd.read_order("nope")
+    # the one parser of names: every reader of a name rejects an unknown one alike
+    for reader in (read_order, functools.partial(functional, a=np.ones(6)), bd.claimed_bound):
+        with pytest.raises(ValueError, match="unknown functional"):
+            reader("nope")
 
 
 def test_evaluate_witness_reads_high_coefficients():

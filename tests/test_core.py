@@ -451,25 +451,19 @@ def test_implication_chain_on_samples():
 
 
 def test_hankel_report_extremal(f0):
-    rep = core.hankel_report(f0, lam=1.0)
-    assert rep.fs == pytest.approx(-0.5, abs=1e-14)
-    assert rep.h22 == pytest.approx(-1.0 / 36.0, abs=1e-14)
+    a = f0.series.coeffs
+    assert core.functional("fs", a, 1.0) == pytest.approx(-0.5, abs=1e-14)
+    assert core.functional("h22", a) == pytest.approx(-1.0 / 36.0, abs=1e-14)
     # rational oracle on (1, 1/2, 2/9, 7/72)
     a2, a3, a4, a5 = Fraction(1), Fraction(1, 2), Fraction(2, 9), Fraction(7, 72)
     h31 = a3 * (a2 * a4 - a3 ** 2) - a4 * (a4 - a2 * a3) + a5 * (a3 - a2 ** 2)
     assert h31 == Fraction(-1, 1296)
-    assert rep.h31 == pytest.approx(float(h31), abs=1e-14)
+    assert core.functional("h31", a) == pytest.approx(float(h31), abs=1e-14)
 
 
 def test_hankel_report_square_witness():
     f = core.member_from_witness(SchwarzSample.monomial(2), 8)
-    rep = core.hankel_report(f)
-    assert rep.h22 == pytest.approx(-0.25, abs=1e-14)
-
-
-def test_hankel_requires_order_five():
-    with pytest.raises(core.PreconditionNotMet):
-        core.hankel_report(core.NormalizedFunction.identity(4))
+    assert core.functional("h22", f.series.coeffs) == pytest.approx(-0.25, abs=1e-14)
 
 
 # -- growth and covering ---------------------------------------------------------

@@ -1,14 +1,15 @@
 """Every public name under ``src/gshlab`` has a reader.
 
 A public module-level function or class, or a public method, must be loaded
-somewhere in ``src/``, be named in ``bench/*.py``, ``tests/test_acceptance.py``
-or ``tests/conftest.py`` (which decide the stated claims), or stand in
-``ORACLES`` with the reason it is kept.  A name that only its own unit tests
-call is not part of the program and is deleted with its tests.
+somewhere in ``src/``, be loaded by the code of ``bench/*.py``,
+``tests/test_acceptance.py`` or ``tests/conftest.py`` (which decide the stated
+claims), or stand in ``ORACLES`` with the reason it is kept.  A name that a
+reader mentions only in a comment, a docstring or a string is not read.  A
+name that only its own unit tests call is not part of the program and is
+deleted with its tests.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,10 +26,10 @@ ORACLES = {
 }
 
 
-def _readers() -> str:
+def _readers() -> list[str]:
     paths = [*sorted((ROOT / "bench").glob("*.py")),
              ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
-    return "\n".join(p.read_text() for p in paths)
+    return [p.read_text() for p in paths]
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
@@ -57,13 +58,12 @@ def loaded_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def unread_public_names(sources: list[str], readers: str) -> list[str]:
-    """Qualified public names of ``sources`` that no source loads and ``readers`` never names."""
+def unread_public_names(sources: list[str], readers: list[str]) -> list[str]:
+    """Qualified public names of ``sources`` that neither a source nor a reader loads."""
     trees = [ast.parse(text) for text in sources]
-    loaded = set().union(*map(loaded_names, trees))
-    named = set(re.findall(r"\w+", readers))
+    loaded = set().union(*(loaded_names(ast.parse(text)) for text in [*sources, *readers]))
     return sorted(qualified for tree in trees for qualified, name in public_definitions(tree)
-                  if name not in loaded and name not in named)
+                  if name not in loaded)
 
 
 def _sources() -> list[str]:
@@ -78,5 +78,14 @@ def test_every_public_name_has_a_reader_or_is_an_oracle():
 def test_an_unread_public_function_is_reported():
     extra = ("def unread_helper(x):\n    return x\n\n\n"
              "class Kept:\n    def unread_method(self):\n        pass\n")
-    unread = unread_public_names([*_sources(), extra], _readers() + "\nKept\n")
+    unread = unread_public_names([*_sources(), extra], [*_readers(), "Kept\n"])
     assert set(unread) - set(ORACLES) == {"unread_helper", "Kept.unread_method"}
+
+
+def test_a_name_only_in_a_readers_comment_is_reported():
+    extra = "def mentioned_helper(x):\n    return x\n"
+    reader = ('"""Calls mentioned_helper on its input."""\n'
+              "# mentioned_helper(1)\n"
+              'NAME = "mentioned_helper"\n')
+    unread = unread_public_names([*_sources(), extra], [*_readers(), reader])
+    assert set(unread) - set(ORACLES) == {"mentioned_helper"}

@@ -1,41 +1,35 @@
 import numpy as np
 import pytest
 
-from gshlab.refine import ZOOM_FACTOR, ZOOM_LEVELS, grid_golden_max, refine_grid_max
+from gshlab.refine import grid_golden_max, polish_coordinatewise
 
 
 def bump(x, y=0.0, centre=(0.3141, 0.2718)):
     return np.exp(-((x - centre[0]) ** 2 + 2.0 * (y - centre[1]) ** 2))
 
 
-def last_cell(lo, hi, samples):
-    return (hi - lo) / (samples - 1) / ZOOM_FACTOR ** ZOOM_LEVELS
-
-
-def test_refine_grid_max_finds_off_grid_argmax_on_one_axis():
-    value, (x,) = refine_grid_max(bump, [(-1.0, 1.0)], (21,))
-    assert abs(x - 0.3141) <= last_cell(-1.0, 1.0, 21)
-    assert value == pytest.approx(float(bump(0.3141)), abs=1e-9)
-    assert value == float(bump(x))
+def grid_then_polish(limits, shape):
+    """Argmax of ``bump`` on a grid over the box, polished coordinatewise inside it."""
+    axes = np.meshgrid(*(np.linspace(lo, hi, n) for (lo, hi), n in zip(limits, shape)),
+                       indexing="ij")
+    idx = np.unravel_index(np.argmax(bump(*axes)), axes[0].shape)
+    x, value = polish_coordinatewise(lambda p: float(bump(*p)),
+                                     np.array([ax[idx] for ax in axes]), limits)
+    return value, tuple(x)
 
 
 def test_refine_grid_max_finds_off_grid_argmax_on_two_axes():
-    value, (x, y) = refine_grid_max(bump, [(-1.0, 1.0), (0.0, 1.0)], (21, 11))
-    assert abs(x - 0.3141) <= last_cell(-1.0, 1.0, 21)
-    assert abs(y - 0.2718) <= last_cell(0.0, 1.0, 11)
+    value, (x, y) = grid_then_polish([(-1.0, 1.0), (0.0, 1.0)], (21, 11))
+    # neither coordinate of the maximum lies on the grid
+    assert abs(x - 0.3141) <= 1e-6
+    assert abs(y - 0.2718) <= 1e-6
     assert value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_one_axis_equals_two_axes_with_an_ignored_axis():
-    one = refine_grid_max(bump, [(-1.0, 1.0)], (21,))
-    two = refine_grid_max(lambda x, _: bump(x), [(-1.0, 1.0), (0.0, 1.0)], (21, 11))
-    assert one[0] == two[0]
-    assert one[1][0] == two[1][0]
+    assert value == float(bump(x, y))
 
 
 def test_refine_grid_max_never_leaves_the_box():
     # the maximum sits outside the box, so the argmax stays on its edge
-    value, (x, y) = refine_grid_max(bump, [(0.5, 1.0), (0.5, 1.0)], (6, 6))
+    value, (x, y) = grid_then_polish([(0.5, 1.0), (0.5, 1.0)], (6, 6))
     assert (x, y) == (0.5, 0.5)
     assert value == float(bump(0.5, 0.5))
 
