@@ -163,10 +163,9 @@ def _schwarz_params(omega: SchwarzSample):
 
 
 def _schwarz_from_params(params: np.ndarray) -> SchwarzSample:
-    rotation = cmath.exp(1j * params[0])
-    zeros = tuple(params[k] * cmath.exp(1j * params[k + 1])
-                  for k in range(1, len(params), 2))
-    return SchwarzSample(rotation=rotation, zeros=zeros)
+    p = params.tolist()
+    return SchwarzSample(rotation=cmath.exp(1j * p[0]),
+                         zeros=tuple(p[k] * cmath.exp(1j * p[k + 1]) for k in range(1, len(p), 2)))
 
 
 def _witness_key(omega: SchwarzSample) -> bytes:

@@ -109,19 +109,19 @@ class SchwarzSample:
             raise ValueError("Blaschke zeros must have modulus < 1")
 
     def series(self, order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
-        """Truncated series of the map: each factor (z - b)/(1 - conj(b) z) by series division."""
+        """Truncated series of the map.  Each factor (z - b)/(1 - conj(b) z) has
+        coefficients -b, 1 - conj(b) b, then conj(b) times the last: the steps of
+        series division by 1 - conj(b) z, one nonzero product per dot, with its
+        bits (a factor may differ in the sign of a zero; no convolution sum does)."""
         acc = np.zeros(order + 1, dtype=np.complex128)
         acc[0] = complex(self.rotation)
-        num = np.zeros(order + 2, dtype=np.complex128)
-        den = np.zeros(order + 2, dtype=np.complex128)
-        num[1] = den[0] = 1.0
-        for b in self.zeros:
-            b = complex(b)
-            num[0], den[1] = -b, -b.conjugate()
-            acc = np.convolve(acc, ts.div_coeffs(num[: order + 1], den[: order + 1]))[: order + 1]
-        out = np.zeros(order + 1, dtype=np.complex128)
-        out[1:] = acc[:order]
-        return ts.TruncatedSeries(out)
+        for b in map(complex, self.zeros):
+            factor, q = [-b], 1 - b.conjugate() * b
+            for _ in range(order):
+                factor.append(q)
+                q *= b.conjugate()
+            acc = np.convolve(acc, factor)[: order + 1]
+        return ts.TruncatedSeries(np.concatenate(([0j], acc[:order])))
 
     def values(self, z) -> np.ndarray:
         """Pointwise rational evaluation of the map (no truncation error)."""

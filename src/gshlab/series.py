@@ -19,9 +19,9 @@ operation is a pure function.
 Quotient, composition, exp, sinh, the integral and evaluation are computed
 by array kernels (``div_coeffs``, ``compose_coeffs``, ``exp_coeffs``,
 ``sinh_coeffs``, ``integrate_coeffs``, ``evaluate_coeffs``) on plain
-complex128 coefficient arrays; the series functions wrap them.  Code that
-chains several steps, such as member construction, calls the kernels and
-builds one series from the result.
+complex128 coefficient arrays, which the series functions wrap;
+``div_coeffs`` serves ``div`` only.  Member construction chains the kernels
+and builds one series from the result.
 
 Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
 (element 0 is the constant term); see :func:`to_pairs` / :func:`from_pairs`.
@@ -294,9 +294,9 @@ def compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 
     The inner constant term must be exactly zero, otherwise the result
     would need all (untracked) higher coefficients of the outer series.
-    Each Horner step, ``acc = convolve(acc, inner)[:n + 1] + lift`` with
-    ``lift`` the constant ``outer[k]`` padded by zeros, does the same
-    floating-point operations as ``mul(acc, inner) + outer[k]`` on series.
+    Each Horner step, ``acc = convolve(acc, inner)[:n + 1]`` and then
+    ``acc[0] += outer[k]``, has the bits of ``mul(acc, inner) + outer[k]``
+    on series: no convolution sum is -0.0, which adding 0.0 would change.
     """
     if inner[0] != 0:
         raise NonzeroInnerConstant(f"inner constant term must be exactly 0, got {inner[0]}")
@@ -304,10 +304,9 @@ def compose_coeffs(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     b = inner[: n + 1]
     acc = np.zeros(n + 1, dtype=np.complex128)
     acc[0] = outer[n]
-    lift = np.zeros(n + 1, dtype=np.complex128)
     for k in range(n - 1, -1, -1):
-        lift[0] = outer[k]
-        acc = np.convolve(acc, b)[: n + 1] + lift
+        acc = np.convolve(acc, b)[: n + 1]
+        acc[0] += outer[k]
     return acc
 
 

@@ -357,6 +357,34 @@ def test_scan_builds_each_witness_once(monkeypatch, scan):
     assert max(collections.Counter(builds).values()) == 1
 
 
+def _schwarz_from_numpy_params(params):
+    """The witness of a polish point with numpy scalar arithmetic (the oracle)."""
+    zeros = tuple(params[k] * cmath.exp(1j * params[k + 1]) for k in range(1, len(params), 2))
+    return cara.SchwarzSample(rotation=cmath.exp(1j * params[0]), zeros=zeros)
+
+
+def test_schwarz_from_params_keys_equal_the_numpy_scalar_route():
+    rng = np.random.default_rng(71)
+    for count in range(5):
+        for _ in range(200):
+            params = rng.uniform(0.0, 2.0 * math.pi, 1 + 2 * count)
+            params[1::2] = rng.uniform(0.0, cara.ZERO_MODULUS_CAP, count)
+            params[1::2][rng.random(count) < 0.3] = 0.0
+            want = bd._witness_key(_schwarz_from_numpy_params(params))
+            assert bd._witness_key(bd._schwarz_from_params(params)) == want, params
+    # a zero at the origin: its phase sets only the signs of its real and
+    # imaginary parts, both 0.0, so a quadrant of phases is one key and the
+    # polish's sweep of that phase meets the `seen` table
+    phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False) + 0.01
+    keys = [bd._witness_key(bd._schwarz_from_params(np.array([0.5, 0.0, t]))) for t in phases]
+    assert keys == [bd._witness_key(_schwarz_from_numpy_params(np.array([0.5, 0.0, t])))
+                    for t in phases]
+    by_quadrant = collections.defaultdict(set)
+    for t, key in zip(phases, keys):
+        by_quadrant[int(t // (math.pi / 2))].add(key)
+    assert sorted(map(len, by_quadrant.values())) == [1, 1, 1, 1]
+
+
 def _fresh_direct_meshgrid():
     cs = np.linspace(0.0, 2.0, bd.DIRECT_C_SAMPLES)
     ys = np.linspace(0.0, 1.0, bd.DIRECT_Y_SAMPLES)

@@ -63,6 +63,43 @@ def test_schwarz_series_matches_pointwise_values():
         assert np.max(np.abs(series_vals - omega.values(z))) < 1e-10
 
 
+def _series_by_division(omega, order):
+    """The Schwarz series with each Blaschke factor by series division (the oracle)."""
+    acc = np.zeros(order + 1, dtype=np.complex128)
+    acc[0] = complex(omega.rotation)
+    num = np.zeros(order + 2, dtype=np.complex128)
+    den = np.zeros(order + 2, dtype=np.complex128)
+    num[1] = den[0] = 1.0
+    for b in omega.zeros:
+        b = complex(b)
+        num[0], den[1] = -b, -b.conjugate()
+        acc = np.convolve(acc, ts.div_coeffs(num[: order + 1], den[: order + 1]))[: order + 1]
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[1:] = acc[:order]
+    return out
+
+
+_SIGNED_ZEROS = (0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0))
+
+
+@pytest.mark.parametrize("order", [0, 1, *range(2, 41)])
+def test_schwarz_series_equals_factor_division_bit_for_bit(order):
+    # 50 seeded witnesses per order, 2050 in all, with 0 to 4 zeros each
+    rng = np.random.default_rng((41, order))
+    witnesses = [cara.sample_schwarz(rng) for _ in range(50)]
+    witnesses += [cara.SchwarzSample.monomial(k) for k in range(1, 10)]
+    witnesses += [cara.SchwarzSample(rotation=r, zeros=(z,) * n)
+                  for r in (1.0, 1j, complex(-1.0, -0.0))
+                  for z in _SIGNED_ZEROS for n in (1, 2, 3)]
+    witnesses += [cara.SchwarzSample(rotation=1j, zeros=(0.5 + 0.25j, z, -0.5))
+                  for z in _SIGNED_ZEROS]
+    for omega in witnesses:
+        got = omega.series(order).coeffs
+        assert got.shape == (order + 1,)
+        # bytes, so that -0.0 and 0.0 differ
+        assert got.tobytes() == _series_by_division(omega, order).tobytes(), omega
+
+
 def test_schwarz_boundary_property():
     rng = np.random.default_rng(23)
     for _ in range(50):

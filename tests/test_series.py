@@ -279,6 +279,49 @@ def test_member_rejects_overflow_in_the_top_exp_coefficient():
 # -- exp and sinh -------------------------------------------------------------
 
 
+def _compose_with_lift(outer, inner):
+    """compose_coeffs with each Horner step adding a zero-padded constant (the oracle)."""
+    n = min(outer.size, inner.size) - 1
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    acc[0] = outer[n]
+    lift = np.zeros(n + 1, dtype=np.complex128)
+    for k in range(n - 1, -1, -1):
+        lift[0] = outer[k]
+        acc = np.convolve(acc, inner[: n + 1])[: n + 1] + lift
+    return acc
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 16, 32])
+def test_exp_and_sinh_equal_the_lift_horner_form_bit_for_bit(order):
+    rng = np.random.default_rng((61, order))
+    inners = []
+    for _ in range(40):
+        s = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        s *= 10.0 ** rng.uniform(-3, 1)
+        s[0] = 0.0
+        inners.append(s)
+    for pattern in range(4):
+        s = inners[pattern].copy()
+        s[0] = (-0.0, complex(-0.0, -0.0), 0.0, complex(0.0, -0.0))[pattern]
+        s[1 + pattern % 2::2] = complex(-0.0, -0.0)
+        inners.append(s)
+    inners.append(np.full(order + 1, complex(-0.0, -0.0)))
+    exp_table = ts._inverse_factorials(order)
+    sinh_table = np.where(np.arange(order + 1) % 2 == 1, exp_table, 0.0)
+    for s in inners:
+        assert np.array_equal(bits(ts.exp_coeffs(s)), bits(_compose_with_lift(exp_table, s)))
+        assert np.array_equal(bits(ts.sinh_coeffs(s)), bits(_compose_with_lift(sinh_table, s)))
+
+
+@pytest.mark.parametrize("w", [[0.0, 1e100], [0.0, 1e200], [0.0, 0.0, 1e160]])
+@pytest.mark.parametrize("order", [4, 8])
+def test_member_from_witness_rejects_an_overflowing_chain(w, order):
+    # sinh or exp overflows, at the top power only or below it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="series coefficients must be finite"):
+            member_from_witness(series(w, order=order), order)
+
+
 def test_exp_maclaurin():
     out = ts.exp(ts.identity(4))
     assert np.allclose(out.coeffs, [1, 1, 0.5, 1 / 6, 1 / 24])
