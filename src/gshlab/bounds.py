@@ -120,7 +120,7 @@ def claimed_bound(name: str, lam: complex = 1.0) -> float:
 
 
 def _member_coeffs(omega: SchwarzSample, order: int) -> np.ndarray:
-    return member_from_witness(omega, order).series.coeffs
+    return member_from_witness(omega, order).coeffs
 
 
 #: Always empty.  It stays only because the traced benchmark clears it

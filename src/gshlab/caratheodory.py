@@ -59,11 +59,12 @@ class HerglotzSample:
         n = np.asarray(self.nodes, dtype=complex)
         if w.size == 0 or w.size != n.size:
             raise ValueError("weights and nodes must be non-empty and equal length")
-        if np.any(w < -WEIGHT_SUM_TOL):
+        # each check is written so that NaN fails it
+        if not np.all(w >= -WEIGHT_SUM_TOL):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        if np.any(np.abs(n) > 1.0 + NODE_MODULUS_TOL):
+        if not np.all(np.abs(n) <= 1.0 + NODE_MODULUS_TOL):
             raise ValueError("nodes must lie in the closed unit disk")
 
     def coeffs(self, upto: int) -> np.ndarray:
@@ -75,13 +76,13 @@ class HerglotzSample:
         powers = eta[None, :] ** np.arange(1, upto + 1)[:, None]
         return 2.0 * (powers * w[None, :]).sum(axis=1)
 
-    def series(self, order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
+    def series(self, order: int = ts.DEFAULT_ORDER) -> np.ndarray:
         """Truncated series 1 + c_1 z + c_2 z^2 + ..."""
         out = np.zeros(order + 1, dtype=np.complex128)
         out[0] = 1.0
         if order >= 1:
             out[1:] = self.coeffs(order)
-        return ts.TruncatedSeries(out)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -103,12 +104,13 @@ class SchwarzSample:
     zeros: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if abs(abs(complex(self.rotation)) - 1.0) > NODE_MODULUS_TOL:
+        # each check is written so that NaN fails it
+        if not abs(abs(complex(self.rotation)) - 1.0) <= NODE_MODULUS_TOL:
             raise ValueError(f"rotation must be unimodular, got |{self.rotation}|")
-        if any(abs(complex(b)) >= 1.0 for b in self.zeros):
+        if not all(abs(complex(b)) < 1.0 for b in self.zeros):
             raise ValueError("Blaschke zeros must have modulus < 1")
 
-    def series(self, order: int = ts.DEFAULT_ORDER) -> ts.TruncatedSeries:
+    def series(self, order: int = ts.DEFAULT_ORDER) -> np.ndarray:
         """Truncated series of the map.  Each factor (z - b)/(1 - conj(b) z) has
         coefficients -b, 1 - conj(b) b, then conj(b) times the last: the steps of
         series division by 1 - conj(b) z, one nonzero product per dot, with its
@@ -121,7 +123,7 @@ class SchwarzSample:
                 factor.append(q)
                 q *= b.conjugate()
             acc = np.convolve(acc, factor)[: order + 1]
-        return ts.TruncatedSeries(np.concatenate(([0j], acc[:order])))
+        return np.concatenate(([0j], acc[:order]))
 
     def values(self, z) -> np.ndarray:
         """Pointwise rational evaluation of the map (no truncation error)."""

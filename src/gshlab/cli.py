@@ -110,7 +110,8 @@ def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
             return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
         if "weights" in obj:
             k = cara.HerglotzSample.from_json(obj).series(order)
-            return core.member_from_witness(ts.div(k - 1, k + 1), order)
+            one = ts.constant(1.0, order)
+            return core.member_from_witness(ts.div(k - one, k + one), order)
     except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
         raise InputInvariantError(f"{path}: {exc}") from exc
     raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")

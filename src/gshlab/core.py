@@ -14,6 +14,8 @@ and membership of an arbitrary candidate is probed three independent ways:
 * geometric containment of the values of ``z f'/f - 1`` in the sinh image
   of the disk.
 
+A function holds its coefficients a_0..a_N as one read-only complex128
+array, the representation of a truncated series in :mod:`gshlab.series`.
 Grid evaluations use exact pointwise rational arithmetic on the stored
 coefficients (never term-by-term division of truncated series), so the only
 truncation effect is the tail of ``f`` itself.
@@ -72,23 +74,27 @@ class PolarGrid:
 DEFAULT_GRID = PolarGrid()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedFunction:
-    """Candidate function with a_0 = 0 and a_1 = 1 exactly."""
+    """Candidate function with a_0 = 0 and a_1 = 1 exactly.
 
-    series: ts.TruncatedSeries
+    ``coeffs`` is its read-only series a_0..a_order.  Functions compare by
+    identity.
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = self.series.coeffs
+        c = self.coeffs
         if c.size < 2 or c[0] != 0 or c[1] != 1:
             raise ValueError("normalized function needs a_0 = 0 and a_1 = 1 exactly")
 
     @property
     def order(self) -> int:
-        return self.series.order
+        return self.coeffs.size - 1
 
     def coeff(self, n: int) -> complex:
-        return self.series[n]
+        return complex(self.coeffs[n])
 
     @classmethod
     def from_tail(cls, tail, order: int | None = None) -> "NormalizedFunction":
@@ -99,19 +105,19 @@ class NormalizedFunction:
         coeffs = np.zeros(order + 1, dtype=np.complex128)
         coeffs[1] = 1.0
         coeffs[2 : 2 + len(tail)] = tail[: max(order - 1, 0)]
-        return cls(ts.TruncatedSeries(coeffs))
+        return cls(ts.coefficients(coeffs))
 
     @classmethod
     def identity(cls, order: int = ts.DEFAULT_ORDER) -> "NormalizedFunction":
-        return cls(ts.identity(order))
+        return cls(ts.coefficients(ts.monomial(1, order)))
 
     @classmethod
     def koebe(cls, order: int = ts.DEFAULT_ORDER) -> "NormalizedFunction":
         """z/(1-z)^2, with coefficients a_n = n."""
-        return cls(ts.TruncatedSeries(np.arange(order + 1, dtype=float)))
+        return cls(ts.coefficients(np.arange(order + 1, dtype=float)))
 
     def to_json(self) -> dict:
-        return {"coeffs": ts.to_pairs(self.series)}
+        return {"coeffs": ts.to_pairs(self.coeffs)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalizedFunction":
@@ -121,11 +127,11 @@ class NormalizedFunction:
 
     def over_z_values(self, z) -> np.ndarray:
         """Values of f(z)/z at the array z."""
-        return ts.evaluate_coeffs(self.series.coeffs[1:], z)
+        return ts.evaluate(self.coeffs[1:], z)
 
     def derivative_values(self, z) -> np.ndarray:
         """Values of f'(z) at the array z."""
-        return ts.evaluate_coeffs((self.series.coeffs * np.arange(self.order + 1))[1:], z)
+        return ts.evaluate((self.coeffs * np.arange(self.order + 1))[1:], z)
 
     def ratio_values(self, z) -> np.ndarray:
         """Values of z f'(z)/f(z), computed as f'(z) / (f(z)/z)."""
@@ -142,27 +148,28 @@ def kernel_beta(theta: float) -> complex:
 # -- construction ----------------------------------------------------------
 
 
-def member_from_witness(omega: SchwarzSample | ts.TruncatedSeries,
+def member_from_witness(omega: SchwarzSample | np.ndarray,
                         order: int = ts.DEFAULT_ORDER) -> NormalizedFunction:
     """Class member with z f'/f = 1 + sinh(w) for the witness map w.
 
-    The witness may be a structured Schwarz sample or any truncated series
-    with zero constant term (for instance the zero series, which yields the
-    identity member).
+    The witness may be a structured Schwarz sample or the coefficients of
+    any truncated series with zero constant term (for instance the zero
+    series, which yields the identity member); the latter are checked and
+    padded or cut to ``order``.
 
-    The witness series goes through sinh, the integral and exp as plain
-    arrays, and one series is built at the end.  A non-finite value anywhere
-    in that chain reaches the exp coefficients at its own power, so checking
-    them all, the top one too (it falls off in the shift by z), rejects what
-    a check after each step would.
+    A non-finite value anywhere in the chain w -> sinh -> integral -> exp
+    reaches the exp coefficients at its own power, so checking them all,
+    the top one too (it falls off in the shift by z), rejects what a check
+    after each step would.
     """
-    w = omega.series(order) if isinstance(omega, SchwarzSample) else omega.truncate(order)
-    g = ts.exp_coeffs(ts.integrate_coeffs(ts.sinh_coeffs(w.coeffs)))
-    if not np.isfinite(g[order]):
+    w = omega.series(order) if isinstance(omega, SchwarzSample) else ts.coefficients(omega, order)
+    g = ts.exp(ts.integrate_over_t(ts.sinh(w)))
+    if not np.isfinite(g).all():
         raise ValueError("series coefficients must be finite")
     f = np.zeros(order + 1, dtype=np.complex128)
     f[1:] = g[:order]
-    return NormalizedFunction(ts.TruncatedSeries(f))
+    f.setflags(write=False)
+    return NormalizedFunction(f)
 
 
 def coeffs_from_caratheodory(c) -> tuple[complex, complex, complex, complex]:
@@ -198,7 +205,7 @@ class SufficientVerdict:
 
 
 def _sufficient_statistic(f: NormalizedFunction, thetas: np.ndarray) -> np.ndarray:
-    mods = np.abs(f.series.coeffs[2:])
+    mods = np.abs(f.coeffs[2:])
     if mods.size == 0:
         return np.zeros(np.shape(thetas))
     n = np.arange(2, f.order + 1, dtype=float)
@@ -336,12 +343,12 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     dr = grid.max_radius / grid.radial_samples
     dphi = 2.0 * math.pi / grid.theta_samples
     r0, phi0 = abs(best_z), cmath.phase(best_z)
-    c = f.series.coeffs
+    c = f.coeffs
     lanes = np.stack([(c * np.arange(c.size))[1:], c[1:]], axis=1)
 
     def objective(p):
         r = min(max(p[1], 1e-9), grid.max_radius)
-        fpz, gz = ts.evaluate_coeffs(lanes, r * cmath.exp(1j * p[2])).tolist()
+        fpz, gz = ts.evaluate(lanes, r * cmath.exp(1j * p[2])).tolist()
         return -abs(fpz - kernel_beta(p[0]) * (fpz - gz))
 
     p, neg = polish_coordinatewise(

@@ -479,9 +479,9 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         if summary.non_vacuous >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
-        c = _sample_candidate(rng).series.coeffs
-        dp = ts.evaluate_coeffs((c * np.arange(c.size))[2:], z) * z
-        dg = ts.evaluate_coeffs(c[2:], z) * z
+        c = _sample_candidate(rng).coeffs
+        dp = ts.evaluate((c * np.arange(c.size))[2:], z) * z
+        dg = ts.evaluate(c[2:], z) * z
         k, passed, deviation = _shrink(case, z, dp, dg)
         summary.attempts += 1
         if not passed and not keep_records:
@@ -496,7 +496,8 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                 deviation = _step_deviation(case, z, dp, dg, SHRINK_STEPS)
             coeffs = c.copy()
             coeffs[2:] *= 2.0 ** -k
-            records.append(_record(NormalizedFunction(ts.TruncatedSeries(coeffs)), case,
+            coeffs.setflags(write=False)
+            records.append(_record(NormalizedFunction(coeffs), case,
                                    deviation, conclusions))
     return summary, records
 
@@ -542,13 +543,12 @@ def log_derivative_identity_residual(g: NormalizedFunction, order: int = 16) -> 
     applied to the normalized function f = l = z^2 g'/g.  g is padded to
     order + 2, and the factor 2 + z g''/g' - z g'/g has order ``order``.
     """
-    work = g.series.truncate(order + 2)
-    h = ts.shift_down(work)
+    work = ts.coefficients(g.coeffs, order + 2)
     gp = ts.derivative(work)
-    factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(ts.derivative(gp)), gp)
-              - ts.div(gp, h))
-    l = ts.shift_up(ts.div(gp, h))
-    lhs = ts.shift_up(ts.derivative(l)).truncate(order)
-    rhs = ts.mul(l, factor)
-    n = min(lhs.order, rhs.order)
-    return float(np.max(np.abs(lhs.coeffs[: n + 1] - rhs.coeffs[: n + 1])))
+    ratio = ts.div(gp, ts.shift_down(work))  # z g'/g
+    size = order + 1
+    factor = (ts.constant(2.0, order) + ts.div(ts.shift_up(ts.derivative(gp)), gp)[:size]
+              - ratio[:size])
+    l = ts.shift_up(ratio)
+    lhs = ts.shift_up(ts.derivative(l))[:size]
+    return float(np.max(np.abs(lhs - ts.mul(l, factor))))

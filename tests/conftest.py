@@ -1,14 +1,7 @@
-import numpy as np
 import pytest
 
 from gshlab.caratheodory import SchwarzSample
 from gshlab.core import NormalizedFunction, member_from_witness
-
-
-def coeffs_close(a, b, tol):
-    """Max coefficientwise difference of two series up to the shared order."""
-    n = min(a.order, b.order)
-    return float(np.max(np.abs(a.coeffs[: n + 1] - b.coeffs[: n + 1]))) <= tol
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_criterion_02_formula_pipeline_consistency():
     start = time.monotonic()
     rng_order = 8
     one = ts.constant(1.0, rng_order)
-    sinh_outer = one + ts.sinh(ts.identity(rng_order))
+    sinh_outer = one + ts.sinh(ts.monomial(1, rng_order))
     worst_transfer = 0.0
     worst_composed = 0.0
     for i in range(1000):
@@ -91,7 +91,7 @@ def test_criterion_02_formula_pipeline_consistency():
             -3 * c1 ** 4 / 32 + 7 * c1 ** 2 * c2 / 16 - c1 * c3 / 2
             - c2 ** 2 / 4 + c4 / 2])
         worst_composed = max(worst_composed,
-                             float(np.max(np.abs(composed.coeffs[:5] - displayed))))
+                             float(np.max(np.abs(composed[:5] - displayed))))
     elapsed = time.monotonic() - start
     ok = worst_transfer <= 1e-10 and worst_composed <= 1e-10 and elapsed < 30.0
     report(2, ok, "coefficient transfer and composed expansion on 1000 witnesses",
@@ -134,7 +134,7 @@ def test_criterion_04_fekete_szego_and_t_functional(scan_cfg):
     if t_est.empirical_max > 1 / 3 + 1e-9:
         failures.append(("t", None, t_est.empirical_max))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 8)
-    fs_f0 = float(abs(core.functional("fs", f0.series.coeffs, 1.0)))
+    fs_f0 = float(abs(core.functional("fs", f0.coeffs, 1.0)))
     exact = abs(fs_f0 - 0.5) < 1e-15
     ok = not failures and exact
     report(4, ok, "Fekete-Szego family and |a4 - a2 a3| within bounds",
@@ -278,7 +278,7 @@ def test_criterion_11_growth_and_covering():
     quad_route = math.exp(-shi_by_quadrature(1.0))
     covering_err = abs(series_route - quad_route)
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 40)
-    value = ts.evaluate(f0.series, 0.5)
+    value = complex(ts.evaluate(f0.coeffs, 0.5))
     oracle = 0.5 * math.exp(shi_by_quadrature(0.5))
     value_err = abs(value - oracle)
     angles = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -288,7 +288,7 @@ def test_criterion_11_growth_and_covering():
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
             bound = core.growth_distortion(r).upper * (1 + 1e-8)
-            if float(np.max(np.abs(ts.evaluate(f.series, r * angles)))) > bound:
+            if float(np.max(np.abs(ts.evaluate(f.coeffs, r * angles)))) > bound:
                 envelope_ok = False
     ok = covering_err <= 1e-10 and value_err <= 1e-8 and envelope_ok
     report(11, ok, "growth envelope, derivative bound data and covering radius",

@@ -1,9 +1,11 @@
 """What the benchmark under ``bench/`` uses of the program still exists.
 
-``bench/run.py`` and ``bench/tracer.py`` reach into ``gshlab`` by name: the
-run record's helpers, the traced stages and every public callable the
-tracer wraps.  A rename under ``src/`` would otherwise break only
-``bench/run.py --trace 1``.  The test only reads the files under ``bench/``.
+``bench/run.py``, ``bench/tracer.py`` and ``bench/probes.py`` reach into
+``gshlab`` by name: the run record's helpers, the traced stages, every
+public callable the tracer wraps and the series and member calls the layer
+probes time.  A rename or a change of the series API under ``src/`` would
+otherwise break only ``bench/run.py --trace 1``.  The test only reads the
+files under ``bench/``.
 """
 
 import importlib
@@ -27,6 +29,7 @@ def _load(name):
 
 RUN = _load("run")
 TRACER = _load("tracer")
+PROBES = _load("probes")
 
 
 def test_run_record_helpers_run():
@@ -79,3 +82,17 @@ def test_tracer_remove_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def _one_call(fn, batches=5):
+    fn()
+    return 0.0
+
+
+def test_layer_probes_run(monkeypatch):
+    # one call per probe in place of timed batches
+    monkeypatch.setattr(PROBES, "_per_call_us", _one_call)
+    probes = PROBES.run_probes()
+    names = {f"{name}.n{n}" for n in PROBES.ORDERS
+             for name in ("series.exp_us", "series.sinh_us", "series.div_us", "core.member_us")}
+    assert set(probes) == names | {"regions.classify_us_per_point"}

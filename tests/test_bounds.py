@@ -32,7 +32,7 @@ def battery():
 
 def test_functional_values_on_known_member():
     f = member_from_witness(cara.SchwarzSample.monomial(1), 8)
-    c = f.series.coeffs
+    c = f.coeffs
     assert bd.functional_value("a2", c) == pytest.approx(1.0)
     assert bd.functional_value("h22", c) == pytest.approx(1 / 36)
     assert bd.functional_value("fs", c, lam=1.0) == pytest.approx(0.5)
@@ -433,7 +433,7 @@ def test_evaluate_witness_reads_high_coefficients():
     omega = cara.sample_schwarz(np.random.default_rng(21))
     witness = bd.witness_to_json(omega)
     value = bd.evaluate_witness(witness, "a20")
-    assert value == abs(member_from_witness(omega, 32).series.coeffs[20])
+    assert value == abs(member_from_witness(omega, 32).coeffs[20])
 
 
 def test_bound_estimate_json(battery):

@@ -139,6 +139,31 @@ def test_membership_overflowing_input_exits_2(coeffs, failure, tmp_path, capsys)
         assert not out.exists()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command", ["coeffs", "membership"])
+@pytest.mark.parametrize("obj, rule", [
+    ({"rotation": [NAN, 0.0], "zeros": []}, "rotation must be unimodular"),
+    ({"rotation": [1.0, 0.0], "zeros": [[0.25, 0.0], [0.0, NAN]]},
+     "Blaschke zeros must have modulus < 1"),
+    ({"weights": [0.5, NAN], "nodes": [[0.5, 0.0], [-0.5, 0.0]]},
+     "weights must be nonnegative"),
+    ({"weights": [0.5, 0.5], "nodes": [[0.5, 0.0], [NAN, 0.0]]},
+     "nodes must lie in the closed unit disk"),
+    ({"coeffs": [[0, 0], [1, 0], [0.25, NAN]]}, "series coefficients must be finite"),
+], ids=["schwarz-rotation", "schwarz-zero", "herglotz-weight", "herglotz-node", "coeffs"])
+def test_nan_in_an_input_file_exits_2_and_writes_nothing(command, obj, rule, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--input", str(path), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"invariant violation: {path}: {rule}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, rule", [
     ("--radial-samples 1000000000000",
      "theta-samples x radial-samples must be at most 1048576, got 512 x 1000000000000"),

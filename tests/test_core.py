@@ -48,7 +48,7 @@ def test_extremal_member_initial_coefficients(f0):
 
 def test_zero_witness_gives_identity():
     f = core.member_from_witness(ts.constant(0.0, 12), 12)
-    assert np.allclose(f.series.coeffs, ts.identity(12).coeffs)
+    assert np.allclose(f.coeffs, ts.monomial(1, 12))
 
 
 def test_square_witness_coefficients():
@@ -147,7 +147,7 @@ def test_composed_expansion_displayed_coefficients():
     rng = np.random.default_rng(33)
     order = 8
     one = ts.constant(1.0, order)
-    sinh_outer = one + ts.sinh(ts.identity(order))
+    sinh_outer = one + ts.sinh(ts.monomial(1, order))
     for _ in range(100):
         k = cara.sample_herglotz(rng)
         c = k.coeffs(4)
@@ -162,7 +162,7 @@ def test_composed_expansion_displayed_coefficients():
             -3 * c1 ** 4 / 32 + 7 * c1 ** 2 * c2 / 16 - c1 * c3 / 2
             - c2 ** 2 / 4 + c4 / 2,
         ]
-        assert np.max(np.abs(composed.coeffs[:5] - np.array(displayed))) < 1e-10
+        assert np.max(np.abs(composed[:5] - np.array(displayed))) < 1e-10
 
 
 # -- sufficient condition -------------------------------------------------------
@@ -331,12 +331,12 @@ def test_zero_dimensional_z_gives_the_one_element_bits():
                 assert isinstance(got, np.ndarray) and got.shape == ()
                 assert np.array_equal(bits(got), bits(values(np.array([z]))))
         assert np.array_equal(bits(f.over_z_values(np.array(z))),
-                              bits(np.polyval(f.series.coeffs[:0:-1], np.array(z))))
+                              bits(np.polyval(f.coeffs[:0:-1], np.array(z))))
 
 
 def reference_kernel_nonvanishing(f, theta_samples, grid):
     """Oracle: the kernel test as it stood with one np.polyval call per lane and point."""
-    c = f.series.coeffs
+    c = f.coeffs
     dc = (c * np.arange(c.size))[:0:-1]
     z = grid.points()
     fp = np.polyval(dc, z)
@@ -451,7 +451,7 @@ def test_implication_chain_on_samples():
 
 
 def test_hankel_report_extremal(f0):
-    a = f0.series.coeffs
+    a = f0.coeffs
     assert core.functional("fs", a, 1.0) == pytest.approx(-0.5, abs=1e-14)
     assert core.functional("h22", a) == pytest.approx(-1.0 / 36.0, abs=1e-14)
     # rational oracle on (1, 1/2, 2/9, 7/72)
@@ -463,7 +463,7 @@ def test_hankel_report_extremal(f0):
 
 def test_hankel_report_square_witness():
     f = core.member_from_witness(SchwarzSample.monomial(2), 8)
-    assert core.functional("h22", f.series.coeffs) == pytest.approx(-0.25, abs=1e-14)
+    assert core.functional("h22", f.coeffs) == pytest.approx(-0.25, abs=1e-14)
 
 
 # -- growth and covering ---------------------------------------------------------
@@ -526,7 +526,7 @@ def test_members_respect_growth_envelope():
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
             rec = core.growth_distortion(r)
-            vals = np.abs(ts.evaluate(f.series, r * angles))
+            vals = np.abs(ts.evaluate(f.coeffs, r * angles))
             assert float(np.max(vals)) <= rec.upper * (1 + 1e-8)
             assert float(np.min(vals)) >= rec.lower * (1 - 1e-8)
             slopes = np.abs(f.derivative_values(r * angles))
@@ -562,9 +562,75 @@ def test_normalized_function_validation():
     with pytest.raises(ValueError):
         core.NormalizedFunction(ts.constant(1.0, 4))
     with pytest.raises(ValueError):
-        core.NormalizedFunction(ts.TruncatedSeries([0, 1 + 1e-12, 0.5]))
+        core.NormalizedFunction(ts.coefficients([0, 1 + 1e-12, 0.5]))
 
 
 def test_normalized_function_json_round_trip(f0):
     back = core.NormalizedFunction.from_json(f0.to_json())
-    assert np.allclose(back.series.coeffs, f0.series.coeffs)
+    assert np.allclose(back.coeffs, f0.coeffs)
+
+
+def _harness_record_functions(monkeypatch):
+    """The functions behind the kept records of a short implication run."""
+    from gshlab import subordination as sub
+
+    seen = []
+    record = sub._record
+
+    def spy(f, *args):
+        seen.append(f)
+        return record(f, *args)
+
+    monkeypatch.setattr(sub, "_record", spy)
+    params = sub.JanowskiParams(1.0, 0.0)
+    kind = sub.OperatorKind(1)
+    threshold = sub.alpha_threshold(kind, params)
+    sub.run_config(kind, params, 1.05 * threshold, threshold, seed=0, target_non_vacuous=2,
+                   max_attempts=4, keep_records=True)
+    return seen
+
+
+def test_every_constructor_gives_read_only_finite_coefficients(monkeypatch):
+    made = {
+        "from_tail": core.NormalizedFunction.from_tail([0.3, 0.1j], order=8),
+        "identity": core.NormalizedFunction.identity(8),
+        "koebe": core.NormalizedFunction.koebe(8),
+        "from_json": core.NormalizedFunction.from_json({"coeffs": [[0, 0], [1, 0], [0.5, -0.25]]}),
+        "schwarz witness": core.member_from_witness(SchwarzSample(1j, (0.3, -0.2j)), 8),
+        "array witness": core.member_from_witness(np.array([0.0, 0.5, 0.25j]), 8),
+    }
+    records = _harness_record_functions(monkeypatch)
+    assert len(records) == 4
+    made.update((f"record {i}", f) for i, f in enumerate(records))
+    for name, f in made.items():
+        assert f.coeffs.dtype == np.complex128 and f.coeffs.ndim == 1, name
+        assert np.isfinite(f.coeffs).all(), name
+        assert not f.coeffs.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[2] = 7.0
+    assert made["array witness"].order == 8 and made["from_json"].order == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: core.NormalizedFunction.from_tail([0.25, v]),
+    lambda v: core.NormalizedFunction.from_json({"coeffs": [[0, 0], [1, 0], [0.5, v]]}),
+    lambda v: core.member_from_witness(np.array([0.0, 0.5, v]), 8),
+], ids=["from_tail", "from_json", "array witness"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constructors_reject_non_finite_coefficients(build, value):
+    with pytest.raises(ValueError, match="series coefficients must be finite"):
+        build(value)
+
+
+def test_an_array_witness_is_copied():
+    w = np.array([0.0, 0.5, 0.25j])
+    f = core.member_from_witness(w, 8)
+    before = f.coeffs.copy()
+    w[1] = 0.9
+    assert f.coeffs.tobytes() == before.tobytes()
+
+
+def test_normalized_functions_compare_by_identity():
+    f, g = core.NormalizedFunction.identity(8), core.NormalizedFunction.identity(8)
+    assert f == f and f != g
+    assert len({f, g, f}) == 2

@@ -22,7 +22,6 @@ ORACLES = {
     "verify_implication": "recomputes a kept implication record from its function alone",
     "sqrt_disk_boundary": "the true boundary of sqrt(1 + D), against which its region is tested",
     "SchwarzSample.boundary_max": "checks that a sampled witness has |w| <= 1 on the unit circle",
-    "integrate_over_t": "the series form of the integral that member construction runs on arrays",
 }
 
 

@@ -7,7 +7,7 @@ from gshlab import caratheodory as cara
 from gshlab import subordination as sub
 from gshlab.core import NormalizedFunction, PolarGrid, member_from_witness
 from gshlab.regions import sinh_region, sqrt_disk_region
-from gshlab.series import TruncatedSeries
+from gshlab.series import coefficients
 
 
 # -- circle extrema of |sinh| and |cosh| ---------------------------------------
@@ -265,12 +265,12 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
         if summary.non_vacuous >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
-        coeffs = sub._sample_candidate(rng).series.coeffs.copy()
+        coeffs = sub._sample_candidate(rng).coeffs.copy()
         deviation = math.inf
         for step in range(sub.SHRINK_STEPS + 1):
             if step:
                 coeffs[2:] *= 0.5
-            f = NormalizedFunction(TruncatedSeries(coeffs.copy()))
+            f = NormalizedFunction(coefficients(coeffs.copy()))
             try:
                 deviation = sub.janowski_deviation(sub.operator_values(f, kind, alpha, z),
                                                    params)
@@ -279,7 +279,7 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
             else:
                 if deviation < 1.0 - sub.PREMISE_MARGIN:
                     break
-        f = NormalizedFunction(TruncatedSeries(coeffs))
+        f = NormalizedFunction(coefficients(coeffs))
         premise = deviation < 1.0 - sub.PREMISE_MARGIN
         g = f.over_z_values(z)
         record = sub.ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
@@ -358,7 +358,7 @@ def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
     thr = sub.alpha_threshold(kind, params)
     for factor, seed in ((0.5, 0), (1.05, 1)):
         case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
-        c = large_tail(np.random.default_rng((seed, int(kind), 0))).series.coeffs
+        c = large_tail(np.random.default_rng((seed, int(kind), 0))).coeffs
         dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
         dg = np.polyval(c[:1:-1], z) * z
         assert 6 <= sub._certified_from(case, z, dp, dg) <= 9
@@ -428,7 +428,7 @@ def test_probe_matches_full_steps_at_the_ring_points():
                       near_cut_alpha(kind, params)):
             case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
             for scale in (1.0, 1.0, 8.0, 30.0):
-                c = sub._sample_candidate(rng).series.coeffs.copy()
+                c = sub._sample_candidate(rng).coeffs.copy()
                 c[2:] *= scale
                 dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
                 dg = np.polyval(c[:1:-1], z) * z
