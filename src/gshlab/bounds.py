@@ -14,8 +14,9 @@ sufficient to reproduce the reported value, and a violation flag raised when
 the empirical maximum exceeds the claimed bound beyond tolerance.  Scans are
 seed-deterministic: sample i is drawn from the stream seeded by (seed, i), so
 doubling the sample budget keeps every earlier sample and never lowers a
-maximum.  A battery (``default_scan_suite``) passes one witness batch to all
-its scans; a single scan builds its own, and nothing is kept between calls.
+maximum.  Every scan builds its members at its functional's ``read_order``.
+A battery (``default_scan_suite``) passes one witness batch to all its scans;
+``scan`` builds its own, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -54,23 +55,18 @@ DEFAULT_FS_LAMBDAS = (0.0, 0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Budget, seed, truncation order and violation tolerance of one extremal scan.
-
-    ``order`` is the highest coefficient a scan may expose, and it caps the
-    anchor powers; members are built only as far as each functional reads
-    (``read_order``).
-    """
+    """Budget, seed and violation tolerance of one extremal scan."""
 
     samples: int = 10_000
     seed: int = 0
-    order: int = 16
     tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # written so that NaN fails it
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,7 @@ def functional_value(name: str, coeffs: np.ndarray, lam: complex = 1.0) -> float
 def claimed_bound(name: str, lam: complex = 1.0) -> float:
     """The stated sharp bound (or conjectured value) for a functional."""
     if name not in FUNCTIONALS:
-        n = read_order(name)
-        if n < 2:
-            raise ValueError("coefficient functionals start at a2")
-        return 1.0 / (n - 1)
+        return 1.0 / (read_order(name) - 1)
     return {
         "fs": 0.5 * max(1.0, abs(2.0 * complex(lam) - 1.0)),
         "t": 1.0 / 3.0,
@@ -143,12 +136,6 @@ def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.
         witnesses.append(omega)
         rows[i] = _member_coeffs(omega, order)
     return witnesses, rows
-
-
-def _anchor_witnesses(cfg: ScanConfig, highest_power: int) -> list[SchwarzSample]:
-    """Monomial witnesses z^k; these realize every known sharpness case."""
-    top = min(highest_power, cfg.order - 1)
-    return [SchwarzSample.monomial(k) for k in range(1, top + 1)]
 
 
 def _schwarz_params(omega: SchwarzSample):
@@ -274,10 +261,10 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
     """Empirical maximum of |name| over the search families, against its claimed bound.
 
     The best of the monomial anchors (z^1..z^4 for a named functional,
-    z^1..z^max(5, n) for a_n, below ``cfg.order``) and the batch
-    ``witnesses`` is polished over its witness parameters.  The named
-    functionals of a2..a4 also scan the direct family (the coefficient scans
-    do not), and the larger maximum wins.
+    z^1..z^max(5, n) for a_n) and the batch ``witnesses`` is polished over
+    its witness parameters.  The named functionals of a2..a4 also scan the
+    direct family (the coefficient scans do not), and the larger maximum
+    wins.  The monomials realize every known sharpness case.
 
     The anchors, the batch and the polish objective all read members built
     at ``read_order(name)``: of the batch's member coefficients ``rows``
@@ -301,7 +288,8 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
             seen[key] = functional_value(name, _member_coeffs(omega, order), lam)
         return seen[key]
 
-    candidates = _anchor_witnesses(cfg, 4 if name in FUNCTIONALS else max(5, order))
+    top = 4 if name in FUNCTIONALS else max(5, order)
+    candidates = [SchwarzSample.monomial(k) for k in range(1, top + 1)]
     values = [value(w) for w in candidates]
     batch_vals = np.array([functional_value(name, row, lam) for row in rows])
     j = int(np.argmax(batch_vals))
@@ -329,33 +317,13 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
                          violation=bool(best > claim + cfg.tolerance))
 
 
-def _check_scan_order(names, cfg: ScanConfig) -> None:
-    """Reject a coefficient below a_2 and a scan that reads past ``cfg.order``."""
-    for name in names:
-        k = read_order(name)
-        if k < 2:
-            raise ValueError("n must be >= 2")
-        if k > cfg.order:
-            raise ValueError(f"scan order {cfg.order} cannot expose a_{k}, read by {name}")
+def scan(name: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
+    """``_scan`` of ``name`` on a witness batch of its own, built at ``read_order(name)``.
 
-
-def scan_coefficient_bound(n: int, cfg: ScanConfig) -> BoundEstimate:
-    """Empirical maximum of |a_n| over witness-built members vs 1/(n-1)."""
-    _check_scan_order((f"a{n}",), cfg)
-    return _scan(f"a{n}", cfg, *witness_batch(cfg, n))
-
-
-def hankel_scan(kind: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
-    """Empirical maximum of a coefficient functional against its claimed bound.
-
-    ``kind`` is one of ``h22``, ``h31``, ``fs`` (Fekete-Szego, parameter
-    ``lam``) or ``t`` (the functional a4 - a2 a3).  Both search families run
-    where applicable and the larger maximum wins.
+    ``name`` is ``aN`` (n >= 2), ``h22``, ``h31``, ``fs`` (Fekete-Szego,
+    parameter ``lam``) or ``t`` (a4 - a2 a3); ``read_order`` checks it first.
     """
-    if kind not in FUNCTIONALS:
-        raise ValueError(f"unknown scan kind {kind!r}")
-    _check_scan_order((kind,), cfg)
-    return _scan(kind, cfg, *witness_batch(cfg, read_order(kind)), lam)
+    return _scan(name, cfg, *witness_batch(cfg, read_order(name)), lam)
 
 
 # -- the closed-form envelope of the h22 functional ---------------------------
@@ -399,13 +367,12 @@ def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEF
                        fs_lams: tuple[complex, ...] = DEFAULT_FS_LAMBDAS) -> list[BoundEstimate]:
     """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31.
 
-    Once the coefficient indices and the order pass the standalone scans'
-    checks, one witness batch is built at the highest ``read_order`` of the
-    battery (6 for the default one) and passed to every scan, which reads its
-    leading columns; each estimate is its standalone scan's, bit for bit.
+    Once ``read_order`` accepts every name of the battery, one witness batch
+    is built at the highest read order (6 for the default one) and passed to
+    every scan, which reads its leading columns; each estimate is its
+    standalone ``scan``'s, bit for bit.
     """
     names = [*(f"a{n}" for n in coefficient_range), *FUNCTIONALS]
-    _check_scan_order(names, cfg)
     batch = witness_batch(cfg, max(read_order(name) for name in names))
     out = [_scan(f"a{n}", cfg, *batch) for n in coefficient_range]
     out.extend(_scan("fs", cfg, *batch, lam) for lam in fs_lams)

@@ -59,7 +59,10 @@ class HerglotzSample:
         n = np.asarray(self.nodes, dtype=complex)
         if w.size == 0 or w.size != n.size:
             raise ValueError("weights and nodes must be non-empty and equal length")
-        # each check is written so that NaN fails it
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if not np.all(np.isfinite(n)):
+            raise ValueError("nodes must be finite")
         if not np.all(w >= -WEIGHT_SUM_TOL):
             raise ValueError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:

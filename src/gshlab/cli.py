@@ -90,7 +90,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list], obj,
     _write_output(text, path)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -103,17 +103,18 @@ def _load_json(path: str) -> dict:
 
 def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
     obj = _load_json(path)
-    try:
-        if "coeffs" in obj:
-            return core.NormalizedFunction.from_json(obj)
-        if "rotation" in obj:
-            return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
-        if "weights" in obj:
-            k = cara.HerglotzSample.from_json(obj).series(order)
-            one = ts.constant(1.0, order)
-            return core.member_from_witness(ts.div(k - one, k + one), order)
-    except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
-        raise InputInvariantError(f"{path}: {exc}") from exc
+    if isinstance(obj, dict):
+        try:
+            if "coeffs" in obj:
+                return core.NormalizedFunction.from_json(obj)
+            if "rotation" in obj:
+                return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
+            if "weights" in obj:
+                k = cara.HerglotzSample.from_json(obj).series(order)
+                one = ts.constant(1.0, order)
+                return core.member_from_witness(ts.div(k - one, k + one), order)
+        except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
+            raise InputInvariantError(f"{path}: {exc}") from exc
     raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
 
 
@@ -313,12 +314,11 @@ def _cmd_bounds_scan(args) -> int:
                          ("fs lambda", args.fs_lambdas)):
         if len(set(values)) < len(values):
             raise InputInvariantError(f"{name} must not repeat, got {','.join(map(str, values))}")
-    cfg = bd.ScanConfig(samples=args.samples, seed=args.seed, order=args.order,
-                        tolerance=args.tolerance)
+    cfg = bd.ScanConfig(samples=args.samples, seed=args.seed, tolerance=args.tolerance)
     estimates = bd.default_scan_suite(cfg, args.coefficients, args.fs_lambdas)
     rows = [[e.functional, e.claimed_bound, e.empirical_max, e.attained_ratio,
              str(e.violation)] for e in estimates]
-    obj = {"config": {"samples": cfg.samples, "seed": cfg.seed, "order": cfg.order},
+    obj = {"config": {"samples": cfg.samples, "seed": cfg.seed, "order": args.order},
            "estimates": [e.to_json() for e in estimates]}
     _emit_table(args.format, ["functional", "claimed", "empirical", "ratio", "violation"],
                 rows, obj, args.output, preamble="claimed vs empirical bounds")

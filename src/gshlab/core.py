@@ -469,14 +469,17 @@ FUNCTIONALS = {
 def read_order(name: str) -> int:
     """Highest power of a member that the functional ``name`` reads; the one parser of names.
 
-    That is n for the coefficient ``aN``, and the read order beside each
-    formula of :data:`FUNCTIONALS`.  Member construction is truncation-
-    consistent to the bit, so a member built at this order gives every
-    value, tie and witness exactly as one built at any higher order.
+    That is n for the coefficient ``aN`` with n >= 2 (``a0`` and ``a1`` are
+    rejected), and the read order beside each formula of :data:`FUNCTIONALS`.
+    Member construction is truncation-consistent to the bit, so a member
+    built at this order gives every value, tie and witness exactly as one
+    built at any higher order.
     """
     if name in FUNCTIONALS:
         return FUNCTIONALS[name][0]
     if name.startswith("a") and name[1:].isdigit():
+        if int(name[1:]) < 2:
+            raise ValueError(f"coefficient functionals start at a2: n must be >= 2, got {name!r}")
         return int(name[1:])
     raise ValueError(f"unknown functional {name!r}")
 

@@ -84,8 +84,9 @@ class ImplicationCase:
     janowski: JanowskiParams
 
     def __post_init__(self):
-        if abs(complex(self.alpha)) == 0.0:
-            raise ValueError("alpha must be nonzero")
+        # written so that NaN fails it
+        if not 0.0 < abs(complex(self.alpha)) < math.inf:
+            raise ValueError("alpha must be finite and nonzero")
 
 
 # -- extrema of |sinh| and |cosh| on the unit circle -------------------------
@@ -397,11 +398,9 @@ def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: 
 
 
 def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
-            dg: np.ndarray) -> tuple[int, bool, float | None]:
-    """First passing step, True and its deviation; else SHRINK_STEPS, False and step 24's
-    deviation, None where the probe skipped step 24."""
+            dg: np.ndarray) -> int | None:
+    """First step whose deviation passes the premise, None if no step does."""
     k0 = _certified_from(case, z, dp, dg)
-    deviation = math.inf
     for k in range(SHRINK_STEPS + 1):
         if k == k0:
             fails = _probe_deviations(case, z, dp, dg, k0).max(axis=1) >= _PROBE_CUT
@@ -412,8 +411,8 @@ def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
         except ZeroDivisorOnGrid:
             continue
         if deviation < 1.0 - PREMISE_MARGIN:
-            return k, True, deviation
-    return SHRINK_STEPS, False, None if k0 <= SHRINK_STEPS and fails[-1] else deviation
+            return k
+    return None
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -429,11 +428,11 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     An attempt computes only what its output reads: the conclusions for a
     premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
-    the ``ImplicationRecord`` only when records are kept.  Skipping the
-    conclusions of a vacuous attempt drops no exception: there g - 1 =
-    2**-24 (f/z - 1), and max|f/z - 1| on the grid stays below 2 for
-    ``_sample_candidate``'s bounded tails (over 10^4 seeded draws), far below
-    the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in the
+    the ``ImplicationRecord`` and its step's deviation only when records are
+    kept.  Skipping the conclusions of a vacuous attempt drops no exception:
+    there g - 1 = 2**-24 (f/z - 1), and max|f/z - 1| on the grid stays below
+    2 for ``_sample_candidate``'s bounded tails (over 10^4 seeded draws), far
+    below the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in the
     margins overflows.  The record's JSON only copies finite numbers.
 
     Each candidate's f'(z) - 1 and f/z - 1 are evaluated by one Horner pass
@@ -465,9 +464,6 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       probe deviation reaches the premise cut-off (with a slack of 1e-9)
       cannot pass.  It is skipped; the others are evaluated on the full
       grid, in order.
-    - If no step passes, a kept record holds the deviation of step 24, the
-      last step evaluated without the sieve; only the record path evaluates
-      it on the full grid if the probe skipped it.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -482,18 +478,19 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         c = _sample_candidate(rng).coeffs
         dp = ts.evaluate((c * np.arange(c.size))[2:], z) * z
         dg = ts.evaluate(c[2:], z) * z
-        k, passed, deviation = _shrink(case, z, dp, dg)
+        k = _shrink(case, z, dp, dg)
+        passed = k is not None
         summary.attempts += 1
         if not passed and not keep_records:
             continue
+        k = k if passed else SHRINK_STEPS
         conclusions = _conclusions(2.0 ** -k * dg + 1.0)
         if passed:
             summary.non_vacuous += 1
             summary.counterexamples += not conclusions[0]
             summary.counterexamples_sqrt += not conclusions[1]
         if keep_records:
-            if deviation is None:
-                deviation = _step_deviation(case, z, dp, dg, SHRINK_STEPS)
+            deviation = _step_deviation(case, z, dp, dg, k)
             coeffs = c.copy()
             coeffs[2:] *= 2.0 ** -k
             coeffs.setflags(write=False)

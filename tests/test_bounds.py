@@ -201,11 +201,17 @@ def test_t_and_fs_scans_respect_bounds(battery):
 
 def test_scan_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        bd.scan_coefficient_bound(1, CFG)
+        bd.scan("a1", CFG)
     with pytest.raises(ValueError):
-        bd.hankel_scan("nope", CFG)
+        bd.scan("nope", CFG)
     with pytest.raises(ValueError):
         bd.ScanConfig(samples=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-9])
+def test_scan_config_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        bd.ScanConfig(tolerance=tolerance)
 
 
 # -- reproducibility ----------------------------------------------------------------
@@ -224,8 +230,8 @@ def test_scan_maxima_monotone_in_budget():
     small = bd.ScanConfig(samples=400, seed=6)
     large = bd.ScanConfig(samples=800, seed=6)
     for n in (2, 4):
-        lo = bd.scan_coefficient_bound(n, small).empirical_max
-        hi = bd.scan_coefficient_bound(n, large).empirical_max
+        lo = bd.scan(f"a{n}", small).empirical_max
+        hi = bd.scan(f"a{n}", large).empirical_max
         assert hi >= lo - 1e-12
 
 
@@ -276,7 +282,7 @@ def batches(monkeypatch):
 
 
 def test_default_scan_suite_builds_one_batch(draws, batches):
-    cfg = bd.ScanConfig(samples=200, seed=3, order=32)
+    cfg = bd.ScanConfig(samples=200, seed=3)
     bd.default_scan_suite(cfg)
     assert len(draws) == 200
     assert batches == [(cfg, 6, (200, 7))]
@@ -287,17 +293,17 @@ def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, batches
     # the battery of `bounds-scan --coefficients 2..20 --order 32`; the scans
     # are skipped, since they only read the batch they are given
     monkeypatch.setattr(bd, "_scan", lambda name, cfg, witnesses, rows, lam=1.0: None)
-    cfg = bd.ScanConfig(samples=100, seed=4, order=32)
+    cfg = bd.ScanConfig(samples=100, seed=4)
     bd.default_scan_suite(cfg, tuple(range(2, 21)))
     assert len(draws) == 100
     assert batches == [(cfg, 20, (100, 21))]
 
 
-@pytest.mark.parametrize("scan, order", [(lambda cfg: bd.scan_coefficient_bound(2, cfg), 2),
-                                         (lambda cfg: bd.scan_coefficient_bound(7, cfg), 7),
-                                         (lambda cfg: bd.hankel_scan("fs", cfg, 0.5), 3),
-                                         (lambda cfg: bd.hankel_scan("t", cfg), 4),
-                                         (lambda cfg: bd.hankel_scan("h31", cfg), 5)],
+@pytest.mark.parametrize("scan, order", [(lambda cfg: bd.scan("a2", cfg), 2),
+                                         (lambda cfg: bd.scan("a7", cfg), 7),
+                                         (lambda cfg: bd.scan("fs", cfg, 0.5), 3),
+                                         (lambda cfg: bd.scan("t", cfg), 4),
+                                         (lambda cfg: bd.scan("h31", cfg), 5)],
                          ids=["a2", "a7", "fs", "t", "h31"])
 def test_standalone_scan_builds_its_own_batch_at_its_read_order(batches, scan, order):
     cfg = bd.ScanConfig(samples=50, seed=5)
@@ -309,36 +315,35 @@ def test_standalone_scan_builds_its_own_batch_at_its_read_order(batches, scan, o
 
 def test_default_scan_suite_equals_its_standalone_scans():
     # one shared batch at order 6 gives each scan the bits of its own batch
-    cfg = bd.ScanConfig(samples=120, seed=12, order=32)
+    cfg = bd.ScanConfig(samples=120, seed=12)
     lams = (0.0, 0.5, 2.0, 1j)
-    standalone = [*(bd.scan_coefficient_bound(n, cfg) for n in (2, 3, 4, 5, 6)),
-                  *(bd.hankel_scan("fs", cfg, lam) for lam in lams),
-                  *(bd.hankel_scan(kind, cfg) for kind in ("t", "h22", "h31"))]
+    standalone = [*(bd.scan(f"a{n}", cfg) for n in (2, 3, 4, 5, 6)),
+                  *(bd.scan("fs", cfg, lam) for lam in lams),
+                  *(bd.scan(kind, cfg) for kind in ("t", "h22", "h31"))]
     assert bd.default_scan_suite(cfg, fs_lams=lams) == standalone
 
 
-@pytest.mark.parametrize("order, coefficients, message", [
-    (4, (2, 3), "scan order 4 cannot expose a_5, read by h31"),
-    (4, (2, 3, 4, 5, 6), "scan order 4 cannot expose a_5"),
-    (32, (1,), "n must be >= 2")])
-def test_default_scan_suite_checks_before_building_a_batch(draws, order, coefficients, message):
-    with pytest.raises(ValueError, match=message):
-        bd.default_scan_suite(bd.ScanConfig(samples=20, order=order), coefficients)
+def test_default_scan_suite_checks_before_building_a_batch(draws):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        bd.default_scan_suite(bd.ScanConfig(samples=20), (1,))
     assert draws == []
 
 
-@pytest.mark.parametrize("kind, lam", [("fs", 0.0), ("fs", 2.0), ("t", 1.0), ("h22", 1.0)])
-def test_scan_runs_at_its_read_order(kind, lam):
-    # the order needs to reach only what the functional reads
-    order = read_order(kind)
-    at_read_order = bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=order), lam)
-    assert at_read_order == bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=32), lam)
-    with pytest.raises(ValueError, match=f"scan order {order - 1} cannot expose a_{order}"):
-        bd.hankel_scan(kind, bd.ScanConfig(samples=200, seed=1, order=order - 1), lam)
+@pytest.mark.parametrize("reader", [read_order, bd.claimed_bound,
+                                    lambda name: bd.scan(name, bd.ScanConfig(samples=20))],
+                         ids=["read_order", "claimed_bound", "scan"])
+@pytest.mark.parametrize("name, message", [("a0", "n must be >= 2, got 'a0'"),
+                                           ("a1", "n must be >= 2, got 'a1'"),
+                                           ("nope", "unknown functional 'nope'")])
+def test_names_are_rejected_before_any_batch_is_built(draws, reader, name, message):
+    # read_order is the one check of a name: a0 and a1 are not functionals
+    with pytest.raises(ValueError, match=message):
+        reader(name)
+    assert draws == []
 
 
-@pytest.mark.parametrize("scan", [lambda: bd.hankel_scan("h22", CFG),
-                                  lambda: bd.scan_coefficient_bound(3, CFG)], ids=["h22", "a3"])
+@pytest.mark.parametrize("scan", [lambda: bd.scan("h22", CFG),
+                                  lambda: bd.scan("a3", CFG)], ids=["h22", "a3"])
 def test_scan_builds_each_witness_once(monkeypatch, scan):
     # the batch, the anchors and the polish of one scan build each
     # (witness bytes, order) once, an anchor met again by the polish included.

@@ -148,9 +148,9 @@ NAN = float("nan")
     ({"rotation": [1.0, 0.0], "zeros": [[0.25, 0.0], [0.0, NAN]]},
      "Blaschke zeros must have modulus < 1"),
     ({"weights": [0.5, NAN], "nodes": [[0.5, 0.0], [-0.5, 0.0]]},
-     "weights must be nonnegative"),
+     "weights must be finite"),
     ({"weights": [0.5, 0.5], "nodes": [[0.5, 0.0], [NAN, 0.0]]},
-     "nodes must lie in the closed unit disk"),
+     "nodes must be finite"),
     ({"coeffs": [[0, 0], [1, 0], [0.25, NAN]]}, "series coefficients must be finite"),
 ], ids=["schwarz-rotation", "schwarz-zero", "herglotz-weight", "herglotz-node", "coeffs"])
 def test_nan_in_an_input_file_exits_2_and_writes_nothing(command, obj, rule, tmp_path, capsys):
@@ -161,6 +161,22 @@ def test_nan_in_an_input_file_exits_2_and_writes_nothing(command, obj, rule, tmp
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"invariant violation: {path}: {rule}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["membership"],
+                                     ["plot-data", "--curve", "ratio-image"]],
+                         ids=["coeffs", "membership", "plot-data"])
+@pytest.mark.parametrize("text", ["[1, 2]", "5", "null", "true", '"coeffs"'])
+def test_an_input_file_that_is_not_an_object_exits_1_and_writes_nothing(command, text,
+                                                                        tmp_path, capsys):
+    path = tmp_path / "value.json"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    code = cli.main([*command, "--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected a function, Schwarz or Herglotz JSON object\n")
     assert not out.exists()
 
 
@@ -496,6 +512,20 @@ def test_bounds_scan_byte_identical(tmp_path, capsys):
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_bounds_scan_order_changes_only_its_config_record(capsys):
+    # every scan builds its members at its functional's read order, so
+    # --order only bounds --coefficients and is recorded in config
+    outs = {}
+    for order in ("8", "32", "128"):
+        code, out = run(capsys, "bounds-scan", "--samples", "100", "--seed", "5",
+                        "--coefficients", "2,3,4,5,6,7,8", "--order", order)
+        assert code == 0
+        outs[order] = json.loads(out)
+    assert [obj["config"]["order"] for obj in outs.values()] == [8, 32, 128]
+    estimates = {json.dumps(obj["estimates"]) for obj in outs.values()}
+    assert len(estimates) == 1
 
 
 @pytest.mark.parametrize("flag, values", [

@@ -17,8 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Public names kept for what an outside caller checks with them.
 ORACLES = {
     "evaluate_witness": "recomputes a reported scan value from its serialized witness alone",
-    "scan_coefficient_bound": "the standalone a_n scan that the shared-batch battery must equal",
-    "hankel_scan": "the standalone functional scan that the shared-batch battery must equal",
+    "scan": "the standalone scan that the shared-batch battery must equal",
     "verify_implication": "recomputes a kept implication record from its function alone",
     "sqrt_disk_boundary": "the true boundary of sqrt(1 + D), against which its region is tested",
     "SchwarzSample.boundary_max": "checks that a sampled witness has |w| <= 1 on the unit circle",

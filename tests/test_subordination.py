@@ -99,6 +99,14 @@ def test_janowski_params_validated():
         sub.JanowskiParams(1.2, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, complex(math.nan, 0.0), math.inf,
+                                   complex(0.0, -math.inf), 0.0])
+def test_implication_case_rejects_an_alpha_that_is_not_finite_and_nonzero(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+        sub.ImplicationCase(kind=sub.OperatorKind.RATIO, alpha=alpha,
+                            janowski=sub.JanowskiParams(1.0, 0.0))
+
+
 # -- deviation ---------------------------------------------------------------------
 
 
