@@ -196,7 +196,7 @@ def _direct_coeffs(c1, x, z) -> tuple:
     x = np.asarray(x, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     c2, c3 = coeffs_from_witnesses(c1, x, z)
-    return (0.0, 1.0, *coeffs_from_caratheodory((c1, c2, c3, 0.0))[:3])
+    return (0.0, 1.0, *coeffs_from_caratheodory((c1, c2, c3)))
 
 
 def _direct_values(name: str, c1, x, z, lam: complex = 1.0):

@@ -33,7 +33,7 @@ import numpy as np
 from . import series as ts
 from .caratheodory import SchwarzSample
 from .refine import grid_golden_max, polish_coordinatewise
-from .regions import sinh_boundary, sinh_boundary_distance, sinh_region
+from .regions import sinh_boundary, sinh_boundary_max_distance, sinh_region
 
 
 class PreconditionNotMet(ValueError):
@@ -172,15 +172,18 @@ def member_from_witness(omega: SchwarzSample | np.ndarray,
     return NormalizedFunction(f)
 
 
-def coeffs_from_caratheodory(c) -> tuple[complex, complex, complex, complex]:
-    """(a_2, a_3, a_4, a_5) of the member induced by coefficients c_1..c_4.
+def coeffs_from_caratheodory(c) -> tuple:
+    """(a_2, ..., a_{k+1}) of the member induced by the k = 3 or 4 coefficients c_1..c_k.
 
     The c_n may be scalars or arrays of one shape.
     """
-    c1, c2, c3, c4 = c
+    c1, c2, c3, *c4 = c
     a2 = c1 / 2.0
     a3 = c2 / 4.0
     a4 = c1 ** 3 / 144.0 - c1 * c2 / 24.0 + c3 / 6.0
+    if not c4:
+        return a2, a3, a4
+    (c4,) = c4
     a5 = (-5.0 * c1 ** 4 / 1152.0 + 5.0 * c1 ** 2 * c2 / 192.0
           - c1 * c3 / 24.0 - c2 ** 2 / 32.0 + c4 / 8.0)
     return a2, a3, a4, a5
@@ -251,8 +254,10 @@ class KernelVerdict:
                 "ratio_floor": self.ratio_floor}
 
 
-#: Theta rows per block of the kernel sieve.
-_KERNEL_BLOCK = 32
+#: Theta rows per block of the kernel sieve.  Any size gives the dense scan's
+#: bits; 64 was the fastest over the benchmark's membership inputs at the
+#: default grid (16 and 128 were slower).
+_KERNEL_BLOCK = 64
 
 #: Elements per temporary array of the kernel scan.
 _KERNEL_CHUNK = 2_000_000
@@ -316,24 +321,36 @@ def _kernel_grid_min(fp: np.ndarray, v: np.ndarray, betas: np.ndarray) -> tuple[
     return best
 
 
-def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
+def grid_values(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, f'(z), f(z)/z) over the polar grid: the values both grid tests read.
+
+    ``z`` runs ring by ring from the innermost, ``grid.theta_samples`` points
+    a ring.  f' is evaluated first, so under a raising ``np.errstate`` an
+    overflow fails where the kernel test's own grid pass failed.
+    """
+    z = grid.points()
+    return z, f.derivative_values(z), f.over_z_values(z)
+
+
+def kernel_nonvanishing(f: NormalizedFunction, values: tuple, theta_samples: int = 512,
                         grid: PolarGrid = DEFAULT_GRID) -> KernelVerdict:
     """Scan (1/z)(z f' - beta (z f' - f)) over the polar grid for every angle.
 
-    The value equals f'(z) - beta (f'(z) - f(z)/z), so no division is
-    involved.  The grid minimum comes from a sieve over blocks of angles
-    (``_kernel_grid_min``) that evaluates the formula only where a lower
-    bound lets the minimum lie, and returns the first minimum of the dense
-    scan with the same bits.  It is polished by coordinatewise
-    golden-section descent in (theta, radius, angle) so that an actual
-    kernel zero pulls the minimum below the tolerance even when it falls
-    between grid points; each polish point takes f' and f/z from one
-    two-lane Horner pass over the rows [n a_n, a_n], with the grid's bits.
+    ``values`` is ``grid_values(f, grid)``.  The kernel value equals
+    f'(z) - beta (f'(z) - f(z)/z), so no division is involved.  The grid
+    minimum comes from a sieve over blocks of angles (``_kernel_grid_min``)
+    that evaluates the formula only where a lower bound lets the minimum lie,
+    and returns the first minimum of the dense scan with the same bits.  It
+    is polished by coordinatewise golden-section descent in (theta, radius,
+    angle) so that an actual kernel zero pulls the minimum below the
+    tolerance even when it falls between grid points; each polish point takes
+    f' and f/z from one two-lane Horner pass over the rows [n a_n, a_n], with
+    the grid's bits.  Steps along theta leave z as it was, so the pass is
+    rerun only when the bits of (radius, angle) change from the last point.
     The verdict also needs f(z)/z away from zero (the beta = 1 variant).
     """
-    z = grid.points()
-    fp = f.derivative_values(z)
-    g = f.over_z_values(z)
+    z, fp, g = values
     v = fp - g
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
     betas = np.array([kernel_beta(t) for t in thetas])
@@ -345,10 +362,14 @@ def kernel_nonvanishing(f: NormalizedFunction, theta_samples: int = 512,
     r0, phi0 = abs(best_z), cmath.phase(best_z)
     c = f.coeffs
     lanes = np.stack([(c * np.arange(c.size))[1:], c[1:]], axis=1)
+    last = [None, None]  # the bits of (radius, angle) and the f', f/z there
 
     def objective(p):
-        r = min(max(p[1], 1e-9), grid.max_radius)
-        fpz, gz = ts.evaluate(lanes, r * cmath.exp(1j * p[2])).tolist()
+        key = p[1:].tobytes()
+        if key != last[0]:
+            r = min(max(p[1], 1e-9), grid.max_radius)
+            last[:] = key, ts.evaluate(lanes, r * cmath.exp(1j * p[2])).tolist()
+        fpz, gz = last[1]
         return -abs(fpz - kernel_beta(p[0]) * (fpz - gz))
 
     p, neg = polish_coordinatewise(
@@ -389,30 +410,36 @@ class GeometricVerdict:
                 "ambiguous_count": self.ambiguous_count}
 
 
-def geometric_membership(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
+def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
     """Geometric test: all sampled values of z f'/f - 1 inside the sinh image.
 
-    Containment is decided exactly, by |asinh w| < 1 (``regions.sinh_margin``).
-    Samples whose margin |asinh w| - 1 is within ``regions.BOUNDARY_TOL`` of 0
-    are ambiguous and conservatively force a non-member verdict (counted in
-    the result).  ``max_excursion`` is the largest distance of an outside
-    sample to a dense polygonal discretization of the boundary curve.
+    ``values`` is ``grid_values(f, grid)``.  Containment is decided exactly,
+    by |asinh w| < 1 (``regions.sinh_margin``).  Samples whose margin
+    |asinh w| - 1 is within ``regions.BOUNDARY_TOL`` of 0 are ambiguous and
+    conservatively force a non-member verdict (counted in the result).
+    ``max_excursion`` is the largest distance of an outside sample to a dense
+    polygonal discretization of the boundary curve.
+
+    The rings never see a zero of f/z inside the innermost one, where z f'/f
+    has a pole; the winding number of f/z along that ring (the sum of the
+    wrapped steps of its argument, over 2 pi) counts those zeros, and a count
+    other than 0 also forces a non-member verdict.
     """
     region = sinh_region()
-    z = grid.points()
-    g = f.over_z_values(z)
-    fp = f.derivative_values(z)
+    _, fp, g = values
     safe = np.abs(g) > 1e-12
     g_safe = np.where(safe, g, 1.0)
     far_outside = 2.0 * math.sinh(1.0)  # outside sinh(D): |sinh| <= sinh 1 on the disk
-    values = np.where(safe, (fp - g_safe) / g_safe, far_outside)
-    inside, ambiguous = region.classify(values)
+    w = np.where(safe, (fp - g_safe) / g_safe, far_outside)
+    inside, ambiguous = region.classify(w)
     outside = ~inside & ~ambiguous
-    member = bool(np.all(inside))
-    excursion = float(np.max(sinh_boundary_distance(values[outside]))) if np.any(outside) else 0.0
+    steps = np.diff(np.angle(g[: grid.theta_samples]), append=np.angle(g[0]))
+    zeros = np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
+    member = bool(np.all(inside) and zeros == 0)
+    excursion = sinh_boundary_max_distance(w[outside]) if np.any(outside) else 0.0
     # conservative lower bound on the samples' distance to the curve: the disk
     # of radius sin 1, the least |sinh| on the unit circle, lies in sinh(D)
-    margin = max(0.0, math.sin(1.0) - float(np.max(np.abs(values))))
+    margin = max(0.0, math.sin(1.0) - float(np.max(np.abs(w))))
     return GeometricVerdict(member=member,
                             max_excursion=excursion,
                             boundary_margin=margin,
@@ -442,11 +469,17 @@ class MembershipReport:
 
 def membership_report(f: NormalizedFunction, theta_samples: int = 512,
                       grid: PolarGrid = DEFAULT_GRID) -> MembershipReport:
-    """Run all three membership tests; the combined verdict is the geometric one."""
+    """Run all three membership tests; the combined verdict is the geometric one.
+
+    The grid values are computed once, after the sufficient test, and both
+    grid tests read them.
+    """
+    sufficient = sufficient_membership(f, theta_samples)
+    values = grid_values(f, grid)
     return MembershipReport(
-        sufficient=sufficient_membership(f, theta_samples),
-        kernel=kernel_nonvanishing(f, theta_samples, grid),
-        geometric=geometric_membership(f, grid),
+        sufficient=sufficient,
+        kernel=kernel_nonvanishing(f, values, theta_samples, grid),
+        geometric=geometric_membership(values, grid),
     )
 
 

@@ -5,8 +5,8 @@ disk under a fixed univalent map; their boundaries are smooth Jordan curves.
 Containment of sampled values is decided by an exact preimage test: each
 region carries a signed margin, negative inside, positive outside and zero on
 the curve (``sinh_margin``, ``sqrt_disk_margin``).  The only polygon left is
-the one ``sinh_boundary_distance`` builds along the boundary of sinh(D) for
-distances to that curve.
+the one ``sinh_boundary_distance`` and ``sinh_boundary_max_distance`` build
+along the boundary of sinh(D) for distances to that curve.
 """
 
 from __future__ import annotations
@@ -23,8 +23,18 @@ BOUNDARY_TOL = 1e-9
 
 _CHUNK = 1024
 
-#: Polygon segments per block of the distance sieve.
-_SEGMENT_BLOCK = 16
+#: Polygon segments per block of the distance sieve; it divides
+#: ``DEFAULT_CURVE_SAMPLES``.  Any such size gives the dense scan's bits; 32
+#: was the fastest on the outside samples of the benchmark's membership inputs
+#: (8 and 64 were slower).
+_SEGMENT_BLOCK = 32
+
+#: Polygon segments per block of the coarse bounds with which
+#: ``sinh_boundary_max_distance`` sieves the points; it divides
+#: ``DEFAULT_CURVE_SAMPLES``.  On the outside samples of the benchmark's
+#: membership inputs, 64 took about a quarter of the time of measuring every
+#: point (128 about the same, 32 and 256 more).
+_POINT_BLOCK = 64
 
 
 def sinh_boundary(t):
@@ -65,6 +75,17 @@ def sqrt_disk_margin(w: np.ndarray) -> np.ndarray:
     return np.where(w.real > 0, m, np.maximum(np.abs(m), -w.real))
 
 
+def _vertex_blocks(v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centre vertex of each block of ``size`` segments of the closed polygon ``v``, and its radius.
+
+    The radius is the largest distance from the centre to the block's vertices.
+    """
+    blocks = v.size // size
+    centres = v[size // 2 :: size]
+    corners = np.append(v, v[0])[np.arange(blocks)[:, None] * size + np.arange(size + 1)]
+    return centres, np.abs(corners - centres[:, None]).max(axis=1)
+
+
 def sinh_boundary_distance(points: np.ndarray) -> np.ndarray:
     """Distance from each point to the boundary of sinh(unit disk).
 
@@ -89,10 +110,7 @@ def sinh_boundary_distance(points: np.ndarray) -> np.ndarray:
     denom = np.where(denom == 0, 1.0, denom)
     blocks = DEFAULT_CURVE_SAMPLES // _SEGMENT_BLOCK
     x0, y0, dx, dy, denom = (a.reshape(blocks, _SEGMENT_BLOCK) for a in (x0, y0, dx, dy, denom))
-    centres = v[_SEGMENT_BLOCK // 2 :: _SEGMENT_BLOCK]
-    corners = np.append(v, v[0])[np.arange(blocks)[:, None] * _SEGMENT_BLOCK
-                                 + np.arange(_SEGMENT_BLOCK + 1)]
-    radii = np.abs(corners - centres[:, None]).max(axis=1)
+    centres, radii = _vertex_blocks(v, _SEGMENT_BLOCK)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     out = np.empty(pts.size, dtype=float)
     for lo in range(0, pts.size, _CHUNK):
@@ -108,6 +126,32 @@ def sinh_boundary_distance(points: np.ndarray) -> np.ndarray:
         d = np.hypot(px - t * dx[b], py - t * dy[b]).min(axis=1)
         out[lo : lo + _CHUNK] = np.minimum.reduceat(d, np.searchsorted(p, np.arange(chunk.size)))
     return out
+
+
+def sinh_boundary_max_distance(points: np.ndarray) -> float:
+    """The largest of ``sinh_boundary_distance(points)``, with its bits; ``points`` is non-empty.
+
+    Over blocks of ``_POINT_BLOCK`` segments, the least |p - c| over the
+    centre vertices c bounds the distance of p from above, and the least
+    |p - c| - R from below, as in ``sinh_boundary_distance``.  A point whose
+    upper bound, plus a slack of 1e-9 (1 + |p|), stays below the largest lower
+    bound less the same slack of its own point is strictly nearer the curve
+    than that point, so it cannot hold the maximum; only the other points are
+    measured.  NaN points are always measured.
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    v = sinh_boundary(np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False))
+    centres, radii = _vertex_blocks(v, _POINT_BLOCK)
+    upper = np.empty(pts.size)
+    lower = np.empty(pts.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, pts.size, _CHUNK):
+            dc = np.abs(pts[lo : lo + _CHUNK, None] - centres[None, :])
+            upper[lo : lo + _CHUNK] = dc.min(axis=1)
+            lower[lo : lo + _CHUNK] = (dc - radii[None, :]).min(axis=1)
+        slack = 1e-9 * (1.0 + np.abs(pts))
+        keep = ~(upper + slack < np.max(lower - slack))
+    return float(np.max(sinh_boundary_distance(pts[keep])))
 
 
 class CurveRegion:

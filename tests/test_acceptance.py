@@ -249,16 +249,16 @@ def test_criterion_10_membership_coherence():
         else:
             f = core.member_from_witness(cara.sample_schwarz(rng), 16)
         s = core.sufficient_membership(f, 128)
-        g = core.geometric_membership(f, grid)
-        k = core.kernel_nonvanishing(f, theta, grid)
+        values = core.grid_values(f, grid)
+        g = core.geometric_membership(values, grid)
+        k = core.kernel_nonvanishing(f, values, theta, grid)
         if s.holds and not g.member:
             chain_breaks.append(("sufficient->geometric", i))
         if g.member and not k.nonvanishing:
             chain_breaks.append(("geometric->kernel", i))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 32)
-    anchors_ok = (core.geometric_membership(f0, grid).member
-                  and core.geometric_membership(core.NormalizedFunction.identity(16),
-                                                grid).member)
+    anchors_ok = all(core.geometric_membership(core.grid_values(f, grid), grid).member
+                     for f in (f0, core.NormalizedFunction.identity(16)))
     koebe = core.NormalizedFunction.koebe(32)
     koebe_report = core.membership_report(koebe, 128, grid)
     koebe_ok = (not koebe_report.sufficient.holds

@@ -100,6 +100,18 @@ def test_membership_witness_input(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "member"
 
 
+def test_membership_zero_of_f_over_z_inside_the_innermost_ring(tmp_path, capsys):
+    # f/z = 1 + 1000 z vanishes at z = -0.001, inside the default grid's
+    # innermost ring, where no sample of z f'/f - 1 lies outside sinh(D)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"coeffs": [[0, 0], [1, 0], [1000, 0]]}))
+    code, out = run(capsys, "membership", "--input", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["geometric"]["verdict"], report["verdict"]) == ("non-member", "non-member")
+    assert report["geometric"]["outside_count"] == 0
+
+
 def test_membership_invalid_function_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"coeffs": [[0.1, 0.0], [1.0, 0.0]]}))

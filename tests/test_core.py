@@ -198,21 +198,28 @@ def test_sufficient_requires_theta_samples():
 # -- kernel test ------------------------------------------------------------------
 
 
+def kernel(f, theta_samples, grid):
+    return core.kernel_nonvanishing(f, core.grid_values(f, grid), theta_samples, grid)
+
+
+def geometric(f, grid):
+    return core.geometric_membership(core.grid_values(f, grid), grid)
+
+
 def test_kernel_identity_is_unit(identity_fn):
-    v = core.kernel_nonvanishing(identity_fn, theta_samples=128,
-                                 grid=core.PolarGrid(64, 16))
+    v = kernel(identity_fn, 128, core.PolarGrid(64, 16))
     assert v.nonvanishing
     assert v.min_modulus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_extremal_member_nonvanishing(f0):
-    v = core.kernel_nonvanishing(f0, theta_samples=128, grid=core.PolarGrid(128, 32))
+    v = kernel(f0, 128, core.PolarGrid(128, 32))
     assert v.nonvanishing
     assert v.min_modulus > 1e-4
 
 
 def test_kernel_koebe_zero_found(koebe):
-    v = core.kernel_nonvanishing(koebe, theta_samples=128, grid=core.PolarGrid(128, 32))
+    v = kernel(koebe, 128, core.PolarGrid(128, 32))
     assert not v.nonvanishing
     assert v.min_modulus <= 1e-6
     assert abs(v.argmin_z) < 1.0
@@ -238,11 +245,9 @@ def dense_kernel_grid_min(fp, v, betas):
 
 
 def _kernel_scan_inputs(f, theta_samples, grid):
-    z = grid.points()
-    fp = f.derivative_values(z)
-    v = fp - f.over_z_values(z)
+    _, fp, g = core.grid_values(f, grid)
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
-    return fp, v, np.array([core.kernel_beta(t) for t in thetas])
+    return fp, fp - g, np.array([core.kernel_beta(t) for t in thetas])
 
 
 def _sieve_functions(seed, count):
@@ -271,9 +276,9 @@ def test_kernel_sieve_matches_dense_scan(theta_samples, radial_samples, monkeypa
     for f in fs:
         args = _kernel_scan_inputs(f, theta_samples, grid)
         assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
-    sieved = [core.kernel_nonvanishing(f, theta_samples, grid) for f in fs[:6]]
+    sieved = [kernel(f, theta_samples, grid) for f in fs[:6]]
     monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
-    assert sieved == [core.kernel_nonvanishing(f, theta_samples, grid) for f in fs[:6]]
+    assert sieved == [kernel(f, theta_samples, grid) for f in fs[:6]]
 
 
 def test_kernel_sieve_over_column_chunks_matches_dense_scan(monkeypatch):
@@ -287,6 +292,20 @@ def test_kernel_sieve_over_column_chunks_matches_dense_scan(monkeypatch):
         assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
     args = _kernel_scan_inputs(core.NormalizedFunction.identity(8), 100, grid)
     assert core._kernel_grid_min(*args) == (1.0, 0, 0)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 101])
+def test_kernel_sieve_at_any_block_size_matches_dense_scan(block, monkeypatch):
+    # 101 rows is more than the 100 angles: one block holds them all
+    monkeypatch.setattr(core, "_KERNEL_BLOCK", block)
+    grid = core.PolarGrid(100, 24)
+    fs = _sieve_functions(block, 12)
+    for f in fs:
+        args = _kernel_scan_inputs(f, 100, grid)
+        assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
+    sieved = [kernel(f, 100, grid) for f in fs[:6]]
+    monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
+    assert sieved == [kernel(f, 100, grid) for f in fs[:6]]
 
 
 def _outcome(fn, *args):
@@ -306,9 +325,9 @@ def test_kernel_sieve_at_extreme_coefficients_matches_dense_scan(size, power, mo
     with np.errstate(over="ignore", invalid="ignore"):
         args = _kernel_scan_inputs(f, 96, grid)
     assert _outcome(core._kernel_grid_min, *args) == _outcome(dense_kernel_grid_min, *args)
-    sieved = _outcome(core.kernel_nonvanishing, f, 96, grid)
+    sieved = _outcome(kernel, f, 96, grid)
     monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
-    assert sieved == _outcome(core.kernel_nonvanishing, f, 96, grid)
+    assert sieved == _outcome(kernel, f, 96, grid)
 
 
 # -- pointwise values and the kernel polish, bit for bit ------------------------
@@ -379,7 +398,7 @@ def reference_kernel_nonvanishing(f, theta_samples, grid):
 def test_kernel_verdict_matches_per_point_polyval_reference(theta_samples, radial_samples):
     grid = core.PolarGrid(theta_samples, radial_samples)
     for f in _sieve_functions(theta_samples + radial_samples, 12):
-        assert (core.kernel_nonvanishing(f, theta_samples, grid)
+        assert (kernel(f, theta_samples, grid)
                 == reference_kernel_nonvanishing(f, theta_samples, grid)), f.to_json()
 
 
@@ -388,7 +407,7 @@ def test_kernel_verdict_matches_per_point_polyval_reference(theta_samples, radia
 def test_kernel_verdict_at_extreme_coefficients_matches_reference(size, power):
     f = core.NormalizedFunction.from_tail([0.0] * (power - 2) + [size], order=8)
     grid = core.PolarGrid(96, 24)
-    assert (_outcome(core.kernel_nonvanishing, f, 96, grid)
+    assert (_outcome(kernel, f, 96, grid)
             == _outcome(reference_kernel_nonvanishing, f, 96, grid))
 
 
@@ -397,8 +416,8 @@ def test_kernel_verdict_at_extreme_coefficients_matches_reference(size, power):
 
 def test_geometric_members(f0, identity_fn):
     grid = core.PolarGrid(128, 32)
-    assert core.geometric_membership(f0, grid).member
-    assert core.geometric_membership(identity_fn, grid).member
+    assert geometric(f0, grid).member
+    assert geometric(identity_fn, grid).member
 
 
 def test_geometric_koebe_excluded(koebe):
@@ -408,9 +427,20 @@ def test_geometric_koebe_excluded(koebe):
     assert exact == pytest.approx(18.0)
     truncated = abs(koebe.ratio_values(np.array([0.9]))[0] - 1.0)
     assert truncated > 2.0 * math.sinh(1.0)
-    verdict = core.geometric_membership(koebe, core.PolarGrid(128, 32))
+    verdict = geometric(koebe, core.PolarGrid(128, 32))
     assert not verdict.member
     assert verdict.outside_count > 0
+
+
+def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
+    # f/z = 1 + 1000 z vanishes at z = -0.001, inside the innermost ring
+    # (radius 0.995/64): every sample of z f'/f - 1 = 1000 z/(1 + 1000 z) lies
+    # inside sinh(D), and only the winding of f/z on that ring sees the pole
+    f = core.NormalizedFunction.from_tail([1000.0])
+    verdict = geometric(f, core.DEFAULT_GRID)
+    assert not verdict.member
+    assert (verdict.outside_count, verdict.ambiguous_count, verdict.max_excursion) == (0, 0, 0.0)
+    assert geometric(f, core.PolarGrid(100, 7)) == verdict
 
 
 # -- combined report ----------------------------------------------------------------
@@ -427,6 +457,35 @@ def test_membership_report_verdicts(f0, koebe):
     assert obj["geometric"]["verdict"] == "non-member"
 
 
+def test_membership_report_flags_a_zero_of_f_over_z_inside_the_innermost_ring():
+    # f = z + 1000 z^2 is no member; criterion 10's rule, geometric member =>
+    # kernel nonvanishing, holds for it
+    report = core.membership_report(core.NormalizedFunction.from_tail([1000.0]))
+    assert (report.geometric.verdict, report.verdict) == ("non-member", "non-member")
+    assert report.kernel.nonvanishing or not report.geometric.member
+
+
+def test_membership_report_makes_one_grid_pass_per_value(monkeypatch):
+    # f' and f/z once each over the grid; the kernel polish reruns its
+    # single-point pass only where the radius or angle moved: at most 1 + 9 x 42
+    # polish points less 3 x 41 steps along theta
+    rng = np.random.default_rng(29)
+    f = core.member_from_witness(cara.sample_schwarz(rng), 32)
+    sizes = []
+    evaluate = ts.evaluate
+
+    def counting(coeffs, z):
+        sizes.append(np.size(z))
+        return evaluate(coeffs, z)
+
+    monkeypatch.setattr(ts, "evaluate", counting)
+    core.membership_report(f)
+    grid_size = core.DEFAULT_GRID.theta_samples * core.DEFAULT_GRID.radial_samples
+    assert sizes.count(grid_size) == 2
+    assert sizes.count(1) <= 256
+    assert sizes.count(1) + 2 == len(sizes)
+
+
 def test_implication_chain_on_samples():
     # sufficient => geometric => kernel nonvanishing
     rng = np.random.default_rng(15)
@@ -439,8 +498,9 @@ def test_implication_chain_on_samples():
         else:
             f = core.member_from_witness(cara.sample_schwarz(rng), 16)
         s = core.sufficient_membership(f, 128)
-        g = core.geometric_membership(f, grid)
-        k = core.kernel_nonvanishing(f, 96, grid)
+        values = core.grid_values(f, grid)
+        g = core.geometric_membership(values, grid)
+        k = core.kernel_nonvanishing(f, values, 96, grid)
         if s.holds:
             assert g.member, f"sufficient held but geometric failed: {f.to_json()}"
         if g.member:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gshlab import regions
-from gshlab.core import NormalizedFunction, geometric_membership
+from gshlab.core import NormalizedFunction, geometric_membership, grid_values
 
 
 def test_sinh_boundary_values():
@@ -38,7 +38,7 @@ def test_radial_prefilter_bounds():
     assert np.all(regions.sinh_margin(math.sin(1.0) * (1.0 - 1e-9) * circle) < 0)
     assert np.all(regions.sinh_margin(math.sinh(1.0) * (1.0 + 1e-9) * circle) > 0)
     identity = NormalizedFunction.identity(16)
-    assert geometric_membership(identity).boundary_margin == math.sin(1.0)
+    assert geometric_membership(grid_values(identity)).boundary_margin == math.sin(1.0)
 
 
 def test_sinh_containment_matches_inverse_map_oracle():
@@ -190,6 +190,30 @@ def test_boundary_distance_sieve_matches_dense_scan(seed):
     assert regions.sinh_boundary_distance(pts[:0]).shape == (0,)
 
 
+@pytest.mark.parametrize("block", [1, 8, 32, 4096])
+def test_boundary_distance_sieve_at_any_block_size_matches_dense_scan(block, monkeypatch):
+    # the blocks tile the polygon, so a size must divide its vertex count
+    assert regions.DEFAULT_CURVE_SAMPLES % regions._SEGMENT_BLOCK == 0
+    assert regions.DEFAULT_CURVE_SAMPLES % block == 0
+    monkeypatch.setattr(regions, "_SEGMENT_BLOCK", block)
+    pts = _distance_points(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(regions.sinh_boundary_distance(pts), dense_boundary_distance(pts),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("block", [1, 64, 128, 4096])
+def test_boundary_max_distance_is_the_largest_distance(block, monkeypatch):
+    # bit for bit, NaN included, over the mixed samples and slices of them
+    assert regions.DEFAULT_CURVE_SAMPLES % regions._POINT_BLOCK == 0
+    monkeypatch.setattr(regions, "_POINT_BLOCK", block)
+    pts = _distance_points(block)
+    for sub in (pts, pts[:-12], pts[:800], pts[800:1700], pts[-12:], pts[:1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sieved, dense = regions.sinh_boundary_max_distance(sub), np.max(dense_boundary_distance(sub))
+        assert np.array_equal(sieved, dense, equal_nan=True)
+
+
 def _outcome(fn, points):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -205,8 +229,10 @@ def test_boundary_distance_sieve_at_extreme_points_matches_dense_scan(size):
     sieved, dense = _outcome(regions.sinh_boundary_distance, pts), _outcome(dense_boundary_distance, pts)
     if isinstance(dense, str):
         assert sieved == dense
+        assert _outcome(regions.sinh_boundary_max_distance, pts) == dense
     else:
         assert np.array_equal(sieved, dense)
+        assert _outcome(regions.sinh_boundary_max_distance, pts) == np.max(dense)
 
 
 def test_janowski_boundary_circle():
