@@ -173,7 +173,10 @@ def evaluate_witness(witness: dict, functional: str, lam: complex = 1.0) -> floa
     """Recompute a functional value from a serialized witness alone.
 
     A Schwarz witness builds its member at ``read_order(functional)``, the
-    order the scans read, so the value is the scan's to the bit.
+    order the scans read, so the value is the scan's to the bit.  Its
+    ``rotation`` and ``zeros`` must be JSON lists of JSON numbers, as
+    ``SchwarzSample.to_json`` writes them; a tuple, an array or a numpy
+    number there raises ValueError.
     """
     if witness["family"] == "schwarz":
         omega = SchwarzSample.from_json(witness)

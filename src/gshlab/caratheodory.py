@@ -95,8 +95,8 @@ class HerglotzSample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HerglotzSample":
-        return cls(weights=tuple(float(w) for w in obj["weights"]),
-                   nodes=tuple(complex(p[0], p[1]) for p in obj["nodes"]))
+        return cls(weights=tuple(ts.json_numbers(obj["weights"], "weights")),
+                   nodes=tuple(ts.json_numbers(obj["nodes"], "nodes", pairs=True)))
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,9 @@ class SchwarzSample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchwarzSample":
-        return cls(rotation=complex(obj["rotation"][0], obj["rotation"][1]),
-                   zeros=tuple(complex(p[0], p[1]) for p in obj["zeros"]))
+        rotation = ts.json_numbers(obj["rotation"], "rotation")
+        return cls(rotation=complex(rotation[0], rotation[1]),
+                   zeros=tuple(ts.json_numbers(obj["zeros"], "zeros", pairs=True)))
 
     @classmethod
     def monomial(cls, power: int) -> "SchwarzSample":

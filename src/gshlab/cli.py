@@ -295,7 +295,7 @@ def _cmd_membership(args) -> int:
     grid = core.PolarGrid(theta_samples=args.theta_samples,
                           radial_samples=args.radial_samples,
                           max_radius=args.max_radius)
-    report = core.membership_report(f, args.theta_samples, grid)
+    report = core.membership_report(f, grid)
     obj = report.to_json()
     rows = [["sufficient", report.sufficient.verdict, report.sufficient.statistic],
             ["kernel", report.kernel.verdict, report.kernel.min_modulus],

@@ -121,7 +121,7 @@ class NormalizedFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalizedFunction":
-        return cls(ts.from_pairs(obj["coeffs"]))
+        return cls(ts.coefficients(ts.json_numbers(obj["coeffs"], "coeffs", pairs=True)))
 
     # pointwise helpers (exact in the stored coefficients); a 0-d z gives z[None]'s bits
 
@@ -333,11 +333,12 @@ def grid_values(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID
     return z, f.derivative_values(z), f.over_z_values(z)
 
 
-def kernel_nonvanishing(f: NormalizedFunction, values: tuple, theta_samples: int = 512,
+def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
                         grid: PolarGrid = DEFAULT_GRID) -> KernelVerdict:
     """Scan (1/z)(z f' - beta (z f' - f)) over the polar grid for every angle.
 
-    ``values`` is ``grid_values(f, grid)``.  The kernel value equals
+    ``values`` is ``grid_values(f, grid)``; the angles theta of beta are the
+    grid's ``theta_samples`` equally spaced ones.  The kernel value equals
     f'(z) - beta (f'(z) - f(z)/z), so no division is involved.  The grid
     minimum comes from a sieve over blocks of angles (``_kernel_grid_min``)
     that evaluates the formula only where a lower bound lets the minimum lie,
@@ -352,13 +353,12 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple, theta_samples: int
     """
     z, fp, g = values
     v = fp - g
-    thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid.theta_samples, endpoint=False)
     betas = np.array([kernel_beta(t) for t in thetas])
     best, i, j = _kernel_grid_min(fp, v, betas)
     best_theta, best_z = (float(thetas[i]), complex(z[j])) if i >= 0 else (0.0, 0j)
-    dtheta = 2.0 * math.pi / theta_samples
+    dtheta = dphi = 2.0 * math.pi / grid.theta_samples
     dr = grid.max_radius / grid.radial_samples
-    dphi = 2.0 * math.pi / grid.theta_samples
     r0, phi0 = abs(best_z), cmath.phase(best_z)
     c = f.coeffs
     lanes = np.stack([(c * np.arange(c.size))[1:], c[1:]], axis=1)
@@ -467,18 +467,19 @@ class MembershipReport:
                 "verdict": self.verdict}
 
 
-def membership_report(f: NormalizedFunction, theta_samples: int = 512,
-                      grid: PolarGrid = DEFAULT_GRID) -> MembershipReport:
+def membership_report(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> MembershipReport:
     """Run all three membership tests; the combined verdict is the geometric one.
 
+    Each test samples ``grid.theta_samples`` angles, at least 64: the
+    sufficient test on the boundary of sinh(D), the kernel test for beta.
     The grid values are computed once, after the sufficient test, and both
     grid tests read them.
     """
-    sufficient = sufficient_membership(f, theta_samples)
+    sufficient = sufficient_membership(f, grid.theta_samples)
     values = grid_values(f, grid)
     return MembershipReport(
         sufficient=sufficient,
-        kernel=kernel_nonvanishing(f, values, theta_samples, grid),
+        kernel=kernel_nonvanishing(f, values, grid),
         geometric=geometric_membership(values, grid),
     )
 

@@ -5,8 +5,8 @@ disk under a fixed univalent map; their boundaries are smooth Jordan curves.
 Containment of sampled values is decided by an exact preimage test: each
 region carries a signed margin, negative inside, positive outside and zero on
 the curve (``sinh_margin``, ``sqrt_disk_margin``).  The only polygon left is
-the one ``sinh_boundary_distance`` and ``sinh_boundary_max_distance`` build
-along the boundary of sinh(D) for distances to that curve.
+the one ``sinh_boundary_max_distance`` builds along the boundary of sinh(D)
+for the largest distance of a set of points to that curve.
 """
 
 from __future__ import annotations
@@ -24,17 +24,10 @@ BOUNDARY_TOL = 1e-9
 _CHUNK = 1024
 
 #: Polygon segments per block of the distance sieve; it divides
-#: ``DEFAULT_CURVE_SAMPLES``.  Any such size gives the dense scan's bits; 32
-#: was the fastest on the outside samples of the benchmark's membership inputs
-#: (8 and 64 were slower).
-_SEGMENT_BLOCK = 32
-
-#: Polygon segments per block of the coarse bounds with which
-#: ``sinh_boundary_max_distance`` sieves the points; it divides
-#: ``DEFAULT_CURVE_SAMPLES``.  On the outside samples of the benchmark's
-#: membership inputs, 64 took about a quarter of the time of measuring every
-#: point (128 about the same, 32 and 256 more).
-_POINT_BLOCK = 64
+#: ``DEFAULT_CURVE_SAMPLES``.  Any such size gives the dense scan's bits; on
+#: the outside samples of the benchmark's membership inputs 64 was the fastest
+#: (32 and 128 were slower).
+_SEGMENT_BLOCK = 64
 
 
 def sinh_boundary(t):
@@ -75,73 +68,34 @@ def sqrt_disk_margin(w: np.ndarray) -> np.ndarray:
     return np.where(w.real > 0, m, np.maximum(np.abs(m), -w.real))
 
 
-def _vertex_blocks(v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centre vertex of each block of ``size`` segments of the closed polygon ``v``, and its radius.
-
-    The radius is the largest distance from the centre to the block's vertices.
-    """
-    blocks = v.size // size
-    centres = v[size // 2 :: size]
-    corners = np.append(v, v[0])[np.arange(blocks)[:, None] * size + np.arange(size + 1)]
-    return centres, np.abs(corners - centres[:, None]).max(axis=1)
-
-
-def sinh_boundary_distance(points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the boundary of sinh(unit disk).
+def sinh_boundary_max_distance(points: np.ndarray) -> float:
+    """Largest distance from ``points`` to the boundary of sinh(unit disk); ``points`` is non-empty.
 
     The curve is taken as the polygon through ``DEFAULT_CURVE_SAMPLES``
-    equally spaced vertices ``sinh_boundary(t)``.  Its segments are cut into
-    blocks of ``_SEGMENT_BLOCK``; a block lies within R of its centre vertex
-    c, R the largest distance from c to the block's vertices, so |p - c| - R
-    bounds the distance of p to each of its segments from below, and the
-    least |p - c| over all blocks bounds the point's distance from above.
-    Only the blocks whose lower bound does not exceed that upper bound by
-    more than a slack of 1e-9 (1 + |p|), far above the round-off of either
-    side, are measured, by the formula of the dense scan.  A block left out
-    is strictly farther than the nearest segment, so the minimum has the
-    bits of the dense scan; NaN and infinite points keep every block.
+    equally spaced vertices ``sinh_boundary(t)``, its segments cut into blocks
+    of ``_SEGMENT_BLOCK``.  A block lies within R of its centre vertex c, R the
+    largest distance from c to the block's vertices, so over the blocks the
+    least |p - c| bounds the distance of p from above and the least |p - c| - R
+    from below.  With a slack of 1e-9 (1 + |p|), far above the round-off of
+    either side, a point whose upper bound plus slack is below the largest
+    lower bound less its slack cannot hold the maximum, and for a point left,
+    a block whose lower bound exceeds the point's upper bound plus slack cannot
+    hold its nearest segment.  Only the remaining segments are measured, by the
+    dense scan's formula, which gives the dense scan's bits; NaN and infinite
+    points keep every block.  The bounds ignore floating-point errors; the
+    measure runs under the caller's ``np.errstate``.
     """
     v = sinh_boundary(np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False))
-    x0, y0 = v.real, v.imag
-    nxt = np.roll(v, -1)
-    dx = nxt.real - x0
-    dy = nxt.imag - y0
-    denom = dx * dx + dy * dy
-    denom = np.where(denom == 0, 1.0, denom)
+    step = np.roll(v, -1) - v  # no segment has length 0
     blocks = DEFAULT_CURVE_SAMPLES // _SEGMENT_BLOCK
-    x0, y0, dx, dy, denom = (a.reshape(blocks, _SEGMENT_BLOCK) for a in (x0, y0, dx, dy, denom))
-    centres, radii = _vertex_blocks(v, _SEGMENT_BLOCK)
+    x0, y0, dx, dy = (a.reshape(blocks, _SEGMENT_BLOCK)
+                      for a in (v.real, v.imag, step.real, step.imag))
+    denom = dx * dx + dy * dy
+    centres = v[_SEGMENT_BLOCK // 2 :: _SEGMENT_BLOCK]
+    corners = np.append(v, v[0])[np.arange(blocks)[:, None] * _SEGMENT_BLOCK
+                                 + np.arange(_SEGMENT_BLOCK + 1)]
+    radii = np.abs(corners - centres[:, None]).max(axis=1)
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    out = np.empty(pts.size, dtype=float)
-    for lo in range(0, pts.size, _CHUNK):
-        chunk = pts[lo : lo + _CHUNK]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dc = np.abs(chunk[:, None] - centres[None, :])
-            threshold = dc.min(axis=1) + 1e-9 * (1.0 + np.abs(chunk))
-            keep = ~(dc - radii[None, :] > threshold[:, None])
-        p, b = np.nonzero(keep)
-        px = chunk.real[p, None] - x0[b]
-        py = chunk.imag[p, None] - y0[b]
-        t = np.clip((px * dx[b] + py * dy[b]) / denom[b], 0.0, 1.0)
-        d = np.hypot(px - t * dx[b], py - t * dy[b]).min(axis=1)
-        out[lo : lo + _CHUNK] = np.minimum.reduceat(d, np.searchsorted(p, np.arange(chunk.size)))
-    return out
-
-
-def sinh_boundary_max_distance(points: np.ndarray) -> float:
-    """The largest of ``sinh_boundary_distance(points)``, with its bits; ``points`` is non-empty.
-
-    Over blocks of ``_POINT_BLOCK`` segments, the least |p - c| over the
-    centre vertices c bounds the distance of p from above, and the least
-    |p - c| - R from below, as in ``sinh_boundary_distance``.  A point whose
-    upper bound, plus a slack of 1e-9 (1 + |p|), stays below the largest lower
-    bound less the same slack of its own point is strictly nearer the curve
-    than that point, so it cannot hold the maximum; only the other points are
-    measured.  NaN points are always measured.
-    """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    v = sinh_boundary(np.linspace(0.0, 2.0 * np.pi, DEFAULT_CURVE_SAMPLES, endpoint=False))
-    centres, radii = _vertex_blocks(v, _POINT_BLOCK)
     upper = np.empty(pts.size)
     lower = np.empty(pts.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,8 +104,22 @@ def sinh_boundary_max_distance(points: np.ndarray) -> float:
             upper[lo : lo + _CHUNK] = dc.min(axis=1)
             lower[lo : lo + _CHUNK] = (dc - radii[None, :]).min(axis=1)
         slack = 1e-9 * (1.0 + np.abs(pts))
-        keep = ~(upper + slack < np.max(lower - slack))
-    return float(np.max(sinh_boundary_distance(pts[keep])))
+        threshold = upper + slack
+        keep = ~(threshold < np.max(lower - slack))
+    pts, threshold = pts[keep], threshold[keep]
+    out = np.empty(pts.size)
+    for lo in range(0, pts.size, _CHUNK):
+        chunk = pts[lo : lo + _CHUNK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dc = np.abs(chunk[:, None] - centres[None, :])
+            near = ~(dc - radii[None, :] > threshold[lo : lo + _CHUNK, None])
+        p, b = np.nonzero(near)
+        px = chunk.real[p, None] - x0[b]
+        py = chunk.imag[p, None] - y0[b]
+        t = np.clip((px * dx[b] + py * dy[b]) / denom[b], 0.0, 1.0)
+        d = np.hypot(px - t * dx[b], py - t * dy[b]).min(axis=1)
+        out[lo : lo + _CHUNK] = np.minimum.reduceat(d, np.searchsorted(p, np.arange(chunk.size)))
+    return float(np.max(out))
 
 
 class CurveRegion:

@@ -23,12 +23,14 @@ copy padded or cut to an order.  It is called where outside input enters a
 series, not on the arrays the operations build.
 
 Series serialize as a JSON array of ``[re, im]`` pairs indexed by power
-(element 0 is the constant term); see :func:`to_pairs` / :func:`from_pairs`.
+(element 0 is the constant term); see :func:`to_pairs`.  Such an array is
+read back by ``coefficients(json_numbers(pairs, field, pairs=True))``, where
+:func:`json_numbers` checks the numbers and names ``field`` in its errors.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -93,9 +95,26 @@ def monomial(k: int, order: int = DEFAULT_ORDER) -> np.ndarray:
     return out
 
 
-def from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    """Build a series from ``[[re, im], ...]`` (JSON wire format)."""
-    return coefficients([complex(p[0], p[1]) for p in pairs])
+def json_numbers(value, field: str, pairs: bool = False) -> list:
+    """The JSON array ``value`` of numbers as floats, or with ``pairs`` of
+    ``[re, im]`` arrays of numbers as complex numbers.
+
+    A number is a JSON int or float that fits a float.  Anything else where
+    an array or a number belongs, a string or a bool among them, raises
+    ValueError naming ``field``.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
+    if pairs:
+        return [complex(r[0], r[1])
+                for r in (json_numbers(p, f"{field}[{i}]") for i, p in enumerate(value))]
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{field}[{i}] must be a JSON number, got {type(x).__name__}")
+    try:
+        return [float(x) for x in value]
+    except OverflowError:
+        raise ValueError(f"{field} holds an int too large for a float") from None
 
 
 def to_pairs(s: np.ndarray) -> list[list[float]]:

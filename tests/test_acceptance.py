@@ -238,7 +238,6 @@ def test_criterion_09_inequality_suite():
 
 def test_criterion_10_membership_coherence():
     grid = core.PolarGrid(96, 16)
-    theta = 96
     chain_breaks = []
     for i in range(400):
         rng = np.random.default_rng((210, i))
@@ -251,7 +250,7 @@ def test_criterion_10_membership_coherence():
         s = core.sufficient_membership(f, 128)
         values = core.grid_values(f, grid)
         g = core.geometric_membership(values, grid)
-        k = core.kernel_nonvanishing(f, values, theta, grid)
+        k = core.kernel_nonvanishing(f, values, grid)
         if s.holds and not g.member:
             chain_breaks.append(("sufficient->geometric", i))
         if g.member and not k.nonvanishing:
@@ -260,7 +259,7 @@ def test_criterion_10_membership_coherence():
     anchors_ok = all(core.geometric_membership(core.grid_values(f, grid), grid).member
                      for f in (f0, core.NormalizedFunction.identity(16)))
     koebe = core.NormalizedFunction.koebe(32)
-    koebe_report = core.membership_report(koebe, 128, grid)
+    koebe_report = core.membership_report(koebe, grid)
     koebe_ok = (not koebe_report.sufficient.holds
                 and not koebe_report.kernel.nonvanishing
                 and not koebe_report.geometric.member)

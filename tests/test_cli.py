@@ -179,6 +179,41 @@ def test_nan_in_an_input_file_exits_2_and_writes_nothing(command, obj, rule, tmp
 @pytest.mark.parametrize("command", [["coeffs"], ["membership"],
                                      ["plot-data", "--curve", "ratio-image"]],
                          ids=["coeffs", "membership", "plot-data"])
+@pytest.mark.parametrize("obj, rule", [
+    ({"coeffs": [[0, 0], [1, 0], ["0.1", 0]]}, "coeffs[2][0] must be a JSON number, got str"),
+    ({"coeffs": [[0, 0], [True, False], [0.1, 0]]}, "coeffs[1][0] must be a JSON number, got bool"),
+    ({"coeffs": "[[0, 0], [1, 0]]"}, "coeffs must be a JSON array, got str"),
+    ({"rotation": ["1", 0], "zeros": []}, "rotation[0] must be a JSON number, got str"),
+    ({"rotation": [1, 0], "zeros": [[0.25, False]]}, "zeros[0][1] must be a JSON number, got bool"),
+    ({"rotation": [1, 0], "zeros": ["00"]}, "zeros[0] must be a JSON array, got str"),
+    ({"weights": "1", "nodes": [[0.5, 0]]}, "weights must be a JSON array, got str"),
+    ({"weights": [True], "nodes": [[0.5, 0]]}, "weights[0] must be a JSON number, got bool"),
+    ({"weights": [1], "nodes": [["0.5", 0]]}, "nodes[0][0] must be a JSON number, got str"),
+], ids=["coeffs-str", "coeffs-bool", "coeffs-array-str", "schwarz-rotation-str",
+        "schwarz-zero-bool", "schwarz-zero-str", "herglotz-weights-str", "herglotz-weight-bool",
+        "herglotz-node-str"])
+def test_a_string_or_bool_for_a_number_in_an_input_file_exits_2_and_writes_nothing(
+        command, obj, rule, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    code = cli.main([*command, "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"invariant violation: {path}: {rule}\n"
+    assert not out.exists()
+
+
+def test_an_integer_too_large_for_a_float_in_an_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"coeffs": [[0, 0], [1, 0], [1' + "0" * 400 + ", 0]]}")
+    assert cli.main(["coeffs", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"invariant violation: {path}: coeffs[2] holds an int too large for a float\n")
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["membership"],
+                                     ["plot-data", "--curve", "ratio-image"]],
+                         ids=["coeffs", "membership", "plot-data"])
 @pytest.mark.parametrize("text", ["[1, 2]", "5", "null", "true", '"coeffs"'])
 def test_an_input_file_that_is_not_an_object_exits_1_and_writes_nothing(command, text,
                                                                         tmp_path, capsys):

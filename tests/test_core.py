@@ -198,8 +198,8 @@ def test_sufficient_requires_theta_samples():
 # -- kernel test ------------------------------------------------------------------
 
 
-def kernel(f, theta_samples, grid):
-    return core.kernel_nonvanishing(f, core.grid_values(f, grid), theta_samples, grid)
+def kernel(f, grid):
+    return core.kernel_nonvanishing(f, core.grid_values(f, grid), grid)
 
 
 def geometric(f, grid):
@@ -207,19 +207,19 @@ def geometric(f, grid):
 
 
 def test_kernel_identity_is_unit(identity_fn):
-    v = kernel(identity_fn, 128, core.PolarGrid(64, 16))
+    v = kernel(identity_fn, core.PolarGrid(64, 16))
     assert v.nonvanishing
     assert v.min_modulus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_extremal_member_nonvanishing(f0):
-    v = kernel(f0, 128, core.PolarGrid(128, 32))
+    v = kernel(f0, core.PolarGrid(128, 32))
     assert v.nonvanishing
     assert v.min_modulus > 1e-4
 
 
 def test_kernel_koebe_zero_found(koebe):
-    v = kernel(koebe, 128, core.PolarGrid(128, 32))
+    v = kernel(koebe, core.PolarGrid(128, 32))
     assert not v.nonvanishing
     assert v.min_modulus <= 1e-6
     assert abs(v.argmin_z) < 1.0
@@ -276,9 +276,9 @@ def test_kernel_sieve_matches_dense_scan(theta_samples, radial_samples, monkeypa
     for f in fs:
         args = _kernel_scan_inputs(f, theta_samples, grid)
         assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
-    sieved = [kernel(f, theta_samples, grid) for f in fs[:6]]
+    sieved = [kernel(f, grid) for f in fs[:6]]
     monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
-    assert sieved == [kernel(f, theta_samples, grid) for f in fs[:6]]
+    assert sieved == [kernel(f, grid) for f in fs[:6]]
 
 
 def test_kernel_sieve_over_column_chunks_matches_dense_scan(monkeypatch):
@@ -303,9 +303,9 @@ def test_kernel_sieve_at_any_block_size_matches_dense_scan(block, monkeypatch):
     for f in fs:
         args = _kernel_scan_inputs(f, 100, grid)
         assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
-    sieved = [kernel(f, 100, grid) for f in fs[:6]]
+    sieved = [kernel(f, grid) for f in fs[:6]]
     monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
-    assert sieved == [kernel(f, 100, grid) for f in fs[:6]]
+    assert sieved == [kernel(f, grid) for f in fs[:6]]
 
 
 def _outcome(fn, *args):
@@ -325,9 +325,9 @@ def test_kernel_sieve_at_extreme_coefficients_matches_dense_scan(size, power, mo
     with np.errstate(over="ignore", invalid="ignore"):
         args = _kernel_scan_inputs(f, 96, grid)
     assert _outcome(core._kernel_grid_min, *args) == _outcome(dense_kernel_grid_min, *args)
-    sieved = _outcome(kernel, f, 96, grid)
+    sieved = _outcome(kernel, f, grid)
     monkeypatch.setattr(core, "_kernel_grid_min", dense_kernel_grid_min)
-    assert sieved == _outcome(kernel, f, 96, grid)
+    assert sieved == _outcome(kernel, f, grid)
 
 
 # -- pointwise values and the kernel polish, bit for bit ------------------------
@@ -398,7 +398,7 @@ def reference_kernel_nonvanishing(f, theta_samples, grid):
 def test_kernel_verdict_matches_per_point_polyval_reference(theta_samples, radial_samples):
     grid = core.PolarGrid(theta_samples, radial_samples)
     for f in _sieve_functions(theta_samples + radial_samples, 12):
-        assert (kernel(f, theta_samples, grid)
+        assert (kernel(f, grid)
                 == reference_kernel_nonvanishing(f, theta_samples, grid)), f.to_json()
 
 
@@ -407,7 +407,7 @@ def test_kernel_verdict_matches_per_point_polyval_reference(theta_samples, radia
 def test_kernel_verdict_at_extreme_coefficients_matches_reference(size, power):
     f = core.NormalizedFunction.from_tail([0.0] * (power - 2) + [size], order=8)
     grid = core.PolarGrid(96, 24)
-    assert (_outcome(kernel, f, 96, grid)
+    assert (_outcome(kernel, f, grid)
             == _outcome(reference_kernel_nonvanishing, f, 96, grid))
 
 
@@ -448,9 +448,9 @@ def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
 
 def test_membership_report_verdicts(f0, koebe):
     grid = core.PolarGrid(128, 32)
-    good = core.membership_report(f0, 128, grid)
+    good = core.membership_report(f0, grid)
     assert good.verdict == "member"
-    bad = core.membership_report(koebe, 128, grid)
+    bad = core.membership_report(koebe, grid)
     assert bad.verdict == "non-member"
     obj = bad.to_json()
     assert obj["kernel"]["verdict"] == "zero-found"
@@ -500,7 +500,7 @@ def test_implication_chain_on_samples():
         s = core.sufficient_membership(f, 128)
         values = core.grid_values(f, grid)
         g = core.geometric_membership(values, grid)
-        k = core.kernel_nonvanishing(f, values, 96, grid)
+        k = core.kernel_nonvanishing(f, values, grid)
         if s.holds:
             assert g.member, f"sufficient held but geometric failed: {f.to_json()}"
         if g.member:

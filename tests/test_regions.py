@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gshlab import regions
 from gshlab.core import NormalizedFunction, geometric_membership, grid_values
@@ -67,7 +68,7 @@ def test_sqrt_containment_matches_lemniscate_oracle():
     assert np.all(inside[margin] == oracle[margin])
 
 
-# the vertices of the polygon that sinh_boundary_distance measures against
+# the vertices of the polygon that sinh_boundary_max_distance measures against
 _SINH_VERTICES = regions.sinh_boundary(
     np.linspace(0.0, 2.0 * np.pi, regions.DEFAULT_CURVE_SAMPLES, endpoint=False))
 
@@ -110,7 +111,7 @@ def test_curve_between_polygon_vertices_is_ambiguous(region_fn, boundary):
     assert np.all(ambiguous)
     assert not np.any(inside)
     if boundary is regions.sinh_boundary:
-        assert np.max(regions.sinh_boundary_distance(midway)) > 100 * regions.BOUNDARY_TOL
+        assert regions.sinh_boundary_max_distance(midway) > 100 * regions.BOUNDARY_TOL
 
 
 def test_left_lemniscate_loop_is_outside_sqrt_region():
@@ -142,8 +143,7 @@ def test_contains_is_strict():
 
 
 def test_boundary_distance_zero_on_vertices():
-    d = regions.sinh_boundary_distance(_SINH_VERTICES[:16])
-    assert np.max(d) < 1e-12
+    assert regions.sinh_boundary_max_distance(_SINH_VERTICES[:16]) < 1e-12
 
 
 def dense_boundary_distance(points):
@@ -180,17 +180,24 @@ def _distance_points(seed):
          complex(inf, inf), complex(-inf, nan), complex(inf, -inf)]])
 
 
+def _single_point_distances(points):
+    """The distance of each point alone, through one-point calls."""
+    return np.array([regions.sinh_boundary_max_distance(points[i : i + 1])
+                     for i in range(points.size)])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_boundary_distance_sieve_matches_dense_scan(seed):
+    # one point at a time, only the block sieve acts
     pts = _distance_points(seed)
-    assert pts.size > 2 * regions._CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(regions.sinh_boundary_distance(pts), dense_boundary_distance(pts),
+        assert np.array_equal(_single_point_distances(pts), dense_boundary_distance(pts),
                               equal_nan=True)
-    assert regions.sinh_boundary_distance(pts[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        regions.sinh_boundary_max_distance(pts[:0])
 
 
-@pytest.mark.parametrize("block", [1, 8, 32, 4096])
+@pytest.mark.parametrize("block", [1, 8, 32, 64, 4096])
 def test_boundary_distance_sieve_at_any_block_size_matches_dense_scan(block, monkeypatch):
     # the blocks tile the polygon, so a size must divide its vertex count
     assert regions.DEFAULT_CURVE_SAMPLES % regions._SEGMENT_BLOCK == 0
@@ -198,20 +205,39 @@ def test_boundary_distance_sieve_at_any_block_size_matches_dense_scan(block, mon
     monkeypatch.setattr(regions, "_SEGMENT_BLOCK", block)
     pts = _distance_points(block)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(regions.sinh_boundary_distance(pts), dense_boundary_distance(pts),
+        assert np.array_equal(_single_point_distances(pts), dense_boundary_distance(pts),
                               equal_nan=True)
 
 
-@pytest.mark.parametrize("block", [1, 64, 128, 4096])
+@pytest.mark.parametrize("block", [1, 8, 64, 128, 4096])
 def test_boundary_max_distance_is_the_largest_distance(block, monkeypatch):
-    # bit for bit, NaN included, over the mixed samples and slices of them
-    assert regions.DEFAULT_CURVE_SAMPLES % regions._POINT_BLOCK == 0
-    monkeypatch.setattr(regions, "_POINT_BLOCK", block)
+    # bit for bit, NaN included, over the mixed samples and slices of them,
+    # more than one chunk of points among them
+    assert regions.DEFAULT_CURVE_SAMPLES % block == 0
+    monkeypatch.setattr(regions, "_SEGMENT_BLOCK", block)
     pts = _distance_points(block)
+    assert pts.size > 2 * regions._CHUNK
     for sub in (pts, pts[:-12], pts[:800], pts[800:1700], pts[-12:], pts[:1]):
         with np.errstate(over="ignore", invalid="ignore"):
             sieved, dense = regions.sinh_boundary_max_distance(sub), np.max(dense_boundary_distance(sub))
         assert np.array_equal(sieved, dense, equal_nan=True)
+
+
+# clouds of points around a random centre on, inside or outside the curve
+_clouds = st.tuples(
+    st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 3.0), st.floats(1e-12, 10.0),
+    st.integers(1, 2500), st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_clouds)
+def test_boundary_max_distance_of_point_clouds_matches_dense_scan(cloud):
+    angle, scale, spread, size, seed = cloud
+    rng = np.random.default_rng(seed)
+    centre = scale * regions.sinh_boundary(angle)
+    pts = centre + spread * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert np.array_equal(regions.sinh_boundary_max_distance(pts),
+                          np.max(dense_boundary_distance(pts)))
 
 
 def _outcome(fn, points):
@@ -224,15 +250,11 @@ def _outcome(fn, points):
 
 @pytest.mark.parametrize("size", [1e300, 5e305, 5e307, 8e307, 9e307, 1.5e308])
 def test_boundary_distance_sieve_at_extreme_points_matches_dense_scan(size):
-    # equal distances or the same exception
+    # equal distances or the same exception, for the whole set and for each point
     pts = np.concatenate([_SINH_VERTICES[:5] * 3.0, size * np.exp(1j * np.arange(4) * 0.7)])
-    sieved, dense = _outcome(regions.sinh_boundary_distance, pts), _outcome(dense_boundary_distance, pts)
-    if isinstance(dense, str):
-        assert sieved == dense
-        assert _outcome(regions.sinh_boundary_max_distance, pts) == dense
-    else:
-        assert np.array_equal(sieved, dense)
-        assert _outcome(regions.sinh_boundary_max_distance, pts) == np.max(dense)
+    for sub in [pts] + [pts[i : i + 1] for i in range(pts.size)]:
+        sieved = _outcome(regions.sinh_boundary_max_distance, sub)
+        assert sieved == _outcome(lambda p: np.max(dense_boundary_distance(p)), sub)
 
 
 def test_janowski_boundary_circle():
