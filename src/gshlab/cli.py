@@ -16,6 +16,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -101,21 +102,35 @@ def _load_json(path: str) -> object:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 
+#: The fields of each kind of input file; the first one marks a file of that kind.
+_INPUT_FIELDS = {"function": ("coeffs",), "Schwarz": ("rotation", "zeros"),
+                 "Herglotz": ("weights", "nodes")}
+
+
 def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
+    """The function that a function, Schwarz or Herglotz file describes.
+
+    The file holds the fields of one kind.  A function file is read at its
+    own order; ``order`` applies to the other two kinds.
+    """
     obj = _load_json(path)
-    if isinstance(obj, dict):
-        try:
-            if "coeffs" in obj:
-                return core.NormalizedFunction.from_json(obj)
-            if "rotation" in obj:
-                return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
-            if "weights" in obj:
-                k = cara.HerglotzSample.from_json(obj).series(order)
-                one = ts.constant(1.0, order)
-                return core.member_from_witness(ts.div(k - one, k + one), order)
-        except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
-            raise InputInvariantError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
+    if not isinstance(obj, dict) or not any(f[0] in obj for f in _INPUT_FIELDS.values()):
+        raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
+    kinds = [f"{kind} ({', '.join(f for f in fields if f in obj)})"
+             for kind, fields in _INPUT_FIELDS.items() if any(f in obj for f in fields)]
+    if len(kinds) > 1:
+        raise InputInvariantError(f"{path}: holds the fields of more than one kind of file: "
+                                  + ", ".join(kinds))
+    try:
+        if "coeffs" in obj:
+            return core.NormalizedFunction.from_json(obj)
+        if "rotation" in obj:
+            return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
+        k = cara.HerglotzSample.from_json(obj).series(order)
+        one = ts.constant(1.0, order)
+        return core.member_from_witness(ts.div(k - one, k + one), order)
+    except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
+        raise InputInvariantError(f"{path}: {exc}") from exc
 
 
 def _ranged(kind, name: str, ok, rule: str):
@@ -182,6 +197,7 @@ _SEED = _ranged(int, "seed", lambda n: n >= 0, "be >= 0")
 _FORMATS = ("json", "csv", "markdown")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="gsh-lab", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

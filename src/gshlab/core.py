@@ -259,8 +259,13 @@ class KernelVerdict:
 #: default grid (16 and 128 were slower).
 _KERNEL_BLOCK = 64
 
-#: Elements per temporary array of the kernel scan.
-_KERNEL_CHUNK = 2_000_000
+#: Elements per temporary array of the kernel scan: a span of the sieve holds
+#: the block-centre rows over this many grid points in all, its coarse pass as
+#: many, and a chunk of the dense fallback as many whole rows as fit (at least
+#: one).  Over the benchmark's membership inputs, run in one process, 2^14 and
+#: 2^13 took about 140 minor page faults a job, 2^15 190-690 and 2^16 1,900;
+#: 2^13 was no faster.
+_KERNEL_SPAN = 2 ** 14
 
 #: A grid point where |f'| + max|beta| |f' - f/z| reaches this may overflow the
 #: kernel formula for some angle; the scan then evaluates every pair.
@@ -274,19 +279,23 @@ def _kernel_grid_min(fp: np.ndarray, v: np.ndarray, betas: np.ndarray) -> tuple[
     below infinity.  The rows are cut into blocks of ``_KERNEL_BLOCK``
     betas.  With c the block's centre row and R = max |beta_i - beta_c| over
     it, the triangle inequality gives |fp - beta_i v| >= |fp - beta_c v| - R |v|.
-    Over each span of grid points (one span at the default grid and angles;
-    spans keep every temporary within ``_KERNEL_CHUNK`` elements) the centre
-    rows are evaluated first; U, the least of them or of the minimum found
-    so far, is a value the grid attains.  A block is evaluated at a point
-    only where its bound does not exceed U by more than a slack of
+    A coarse pass first evaluates the centre rows at every s-th grid point,
+    s the least stride that keeps the pass within ``_KERNEL_SPAN`` elements;
+    its least value is U.  The grid is then cut into spans of consecutive
+    points, each as wide as keeps its centre rows within ``_KERNEL_SPAN``
+    elements (the last span may be narrower).  In each span the centre rows
+    are evaluated, and the least of U, of them and of the minimum found so
+    far is a value the grid attains.  A block is evaluated at a point
+    only where its bound does not exceed that value by more than a slack of
     1e-9 (|fp| + max|beta| |v|), far above the round-off of either side, so
     every pair left out is strictly above the minimum.  The pairs that are
     evaluated use the one formula of the dense scan with beta as the first
     factor, so each value has the bits the dense scan gives, and the least
     (value, row, column) is the dense scan's first minimum in whatever order
     the blocks are visited.  Where some pair could overflow (or the values
-    are not finite) every pair is evaluated in the dense order, so a caller
-    raising on overflow sees the dense scan's first failure.
+    are not finite) every pair is evaluated in the dense order, in chunks of
+    whole rows, so a caller raising on overflow sees the dense scan's first
+    failure.
     """
     rows, n = betas.size, fp.size
     best = (math.inf, -1, -1)
@@ -302,7 +311,7 @@ def _kernel_grid_min(fp: np.ndarray, v: np.ndarray, betas: np.ndarray) -> tuple[
         av = np.abs(v)
         scale = np.abs(fp) + np.abs(betas).max() * av
     if not np.all(scale < _KERNEL_SCALE_CAP):
-        chunk = max(1, int(_KERNEL_CHUNK / max(n, 1)))
+        chunk = max(1, _KERNEL_SPAN // max(n, 1))
         for lo in range(0, rows, chunk):
             update(lo, min(lo + chunk, rows))
         return best
@@ -310,11 +319,13 @@ def _kernel_grid_min(fp: np.ndarray, v: np.ndarray, betas: np.ndarray) -> tuple[
     stops = np.minimum(starts + _KERNEL_BLOCK, rows)
     centres = (starts + stops) // 2
     radii = np.maximum.reduceat(np.abs(betas - np.repeat(betas[centres], stops - starts)), starts)
-    width = max(1, _KERNEL_CHUNK // max(starts.size, _KERNEL_BLOCK))
+    width = max(1, _KERNEL_SPAN // starts.size)
+    stride = -(-n // width)
+    coarse = float(np.abs(fp[None, ::stride] - betas[centres, None] * v[None, ::stride]).min())
     for lo in range(0, n, width):
         cols = slice(lo, lo + width)
         ec = np.abs(fp[None, cols] - betas[centres, None] * v[None, cols])
-        threshold = min(float(ec.min()), best[0]) + 1e-9 * scale[cols]
+        threshold = min(coarse, float(ec.min()), best[0]) + 1e-9 * scale[cols]
         keep = ~(ec - radii[:, None] * av[None, cols] > threshold)
         for b in np.flatnonzero(keep.any(axis=1)):
             update(starts[b], stops[b], lo + np.flatnonzero(keep[b]))
@@ -347,8 +358,9 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
     angle) so that an actual kernel zero pulls the minimum below the
     tolerance even when it falls between grid points; each polish point takes
     f' and f/z from one two-lane Horner pass over the rows [n a_n, a_n], with
-    the grid's bits.  Steps along theta leave z as it was, so the pass is
-    rerun only when the bits of (radius, angle) change from the last point.
+    the grid's bits.  The pass runs once per (radius, angle) the polish
+    meets, keyed by their bits: steps along theta, and points that golden
+    section or a later round visits again, reuse the values kept for them.
     The verdict also needs f(z)/z away from zero (the beta = 1 variant).
     """
     z, fp, g = values
@@ -362,14 +374,14 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
     r0, phi0 = abs(best_z), cmath.phase(best_z)
     c = f.coeffs
     lanes = np.stack([(c * np.arange(c.size))[1:], c[1:]], axis=1)
-    last = [None, None]  # the bits of (radius, angle) and the f', f/z there
+    seen = {}  # the bits of each (radius, angle) evaluated -> [f', f/z] there
 
     def objective(p):
         key = p[1:].tobytes()
-        if key != last[0]:
+        if key not in seen:
             r = min(max(p[1], 1e-9), grid.max_radius)
-            last[:] = key, ts.evaluate(lanes, r * cmath.exp(1j * p[2])).tolist()
-        fpz, gz = last[1]
+            seen[key] = ts.evaluate(lanes, r * cmath.exp(1j * p[2])).tolist()
+        fpz, gz = seen[key]
         return -abs(fpz - kernel_beta(p[0]) * (fpz - gz))
 
     p, neg = polish_coordinatewise(

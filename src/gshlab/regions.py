@@ -4,7 +4,8 @@ The subordination targets used across the package are images of the unit
 disk under a fixed univalent map; their boundaries are smooth Jordan curves.
 Containment of sampled values is decided by an exact preimage test: each
 region carries a signed margin, negative inside, positive outside and zero on
-the curve (``sinh_margin``, ``sqrt_disk_margin``).  The only polygon left is
+the curve (``sinh_margin``, ``sqrt_disk_margin``), and a disk inside it where
+the margin need not be computed.  The only polygon left is
 the one ``sinh_boundary_max_distance`` builds along the boundary of sinh(D)
 for the largest distance of a set of points to that curve.
 """
@@ -12,6 +13,7 @@ for the largest distance of a set of points to that curve.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -132,12 +134,21 @@ class CurveRegion:
         negative inside, positive outside, zero on the curve.
     anchor:
         A point known to lie inside the region.
+    inner_radius:
+        The radius of a disk about ``anchor`` on which the margin is at most
+        -1e-3.  ``classify`` calls a point of that disk inside without
+        computing its margin: a margin at most -1e-3 is negative and far more
+        than ``BOUNDARY_TOL`` from 0, and the round-off of the margin or of
+        |w - anchor| is far below that gap, so the point is inside and not
+        ambiguous either way.  The default 0 gives the empty disk.
     """
 
-    def __init__(self, margin: Callable[[np.ndarray], np.ndarray], anchor: complex = 0.0):
+    def __init__(self, margin: Callable[[np.ndarray], np.ndarray], anchor: complex = 0.0,
+                 inner_radius: float = 0.0):
         self.margin = margin
         self.anchor = complex(anchor)
-        if not self.contains(np.array([self.anchor])):
+        self.inner_radius = float(inner_radius)
+        if not margin(np.array([self.anchor]))[0] < -BOUNDARY_TOL:
             raise ValueError("anchor must lie strictly inside the curve")
 
     def classify(self, points: np.ndarray):
@@ -146,11 +157,17 @@ class CurveRegion:
         Returns ``(inside, ambiguous)`` boolean arrays.  A point is
         ambiguous when its margin is at most ``BOUNDARY_TOL`` in absolute
         value; ambiguous points are not counted as inside.  NaN and
-        infinite points are outside and not ambiguous.
+        infinite points are outside and not ambiguous.  Only the points
+        outside the inner disk have their margin computed.
         """
-        m = self.margin(np.asarray(points, dtype=np.complex128).ravel())
-        ambiguous = np.abs(m) <= BOUNDARY_TOL
-        return (m < 0) & ~ambiguous, ambiguous
+        pts = np.asarray(points, dtype=np.complex128).ravel()
+        inside = np.abs(pts - self.anchor) < self.inner_radius
+        rest = np.flatnonzero(~inside)
+        m = self.margin(pts[rest])
+        inside[rest] = m < -BOUNDARY_TOL
+        ambiguous = np.zeros(pts.size, dtype=bool)
+        ambiguous[rest] = np.abs(m) <= BOUNDARY_TOL
+        return inside, ambiguous
 
     def contains(self, points: np.ndarray) -> bool:
         """True when every point is strictly inside and none is ambiguous."""
@@ -160,11 +177,28 @@ class CurveRegion:
 
 @functools.cache
 def sinh_region() -> CurveRegion:
-    """Cached region sinh(unit disk), anchored at 0."""
-    return CurveRegion(sinh_margin, anchor=0.0)
+    """Cached region sinh(unit disk), anchored at 0.
+
+    Its inner disk is |w| < sin 0.999.  The least |sinh| on the circle
+    |zeta| = rho is sin rho, at zeta = +-i rho: on the circle,
+    |sinh(x + iy)|^2 = (cosh a - cos b)/2 with a = 2|x|, b = sqrt(4 rho^2 - a^2),
+    and its derivative in a^2 is (sinh(a)/a - sin(b)/b)/4 >= 0, so the least
+    is at x = 0.  sinh is univalent on the unit disk, so it maps the disk
+    |zeta| < rho onto a domain whose boundary keeps |w| >= sin rho, which holds
+    |w| < sin rho.  Every such w (rho = 0.999) is sinh(zeta) with |zeta| < 0.999,
+    and its margin |asinh w| - 1 = |zeta| - 1 is below -1e-3.
+    """
+    return CurveRegion(sinh_margin, anchor=0.0, inner_radius=math.sin(0.999))
 
 
 @functools.cache
 def sqrt_disk_region() -> CurveRegion:
-    """Cached region sqrt(1 + unit disk), anchored at 1."""
-    return CurveRegion(sqrt_disk_margin, anchor=1.0)
+    """Cached region sqrt(1 + unit disk), anchored at 1.
+
+    Its inner disk is |w - 1| < 0.999 (sqrt 2 - 1), a disk of radius
+    delta < sqrt 2 - 1, the distance from 1 to the curve.  With w = 1 + d
+    and |d| < delta, Re w > 0 and |w^2 - 1| = |2d + d^2| < (1 + delta)^2 - 1,
+    so the margin |w^2 - 1| - 1 is below (1 + delta)^2 - 2 = -0.00117.
+    """
+    return CurveRegion(sqrt_disk_margin, anchor=1.0,
+                       inner_radius=0.999 * (math.sqrt(2.0) - 1.0))

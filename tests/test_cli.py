@@ -67,6 +67,14 @@ def test_coeffs_witness_power_at_the_largest_order(capsys):
     assert row["im"] == 0.0
 
 
+def test_coeffs_of_a_function_file_do_not_depend_on_order(tmp_path, capsys):
+    # a function file is read at its own order (32 here); --order applies to witnesses
+    path = write_koebe(tmp_path)
+    tables = [run(capsys, "coeffs", "--input", path, "--order", order) for order in ("8", "128")]
+    assert tables[0] == tables[1]
+    assert json.loads(tables[0][1])["order"] == 32
+
+
 def test_coeffs_requires_source(capsys):
     code, _ = run(capsys, "coeffs")
     assert code == 1
@@ -224,6 +232,29 @@ def test_an_input_file_that_is_not_an_object_exits_1_and_writes_nothing(command,
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {path}: expected a function, Schwarz or Herglotz JSON object\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["membership"],
+                                     ["plot-data", "--curve", "ratio-image"]],
+                         ids=["coeffs", "membership", "plot-data"])
+@pytest.mark.parametrize("obj, kinds", [
+    ({"rotation": [1, 0], "zeros": [], "weights": "x"},
+     "Schwarz (rotation, zeros), Herglotz (weights)"),
+    ({"coeffs": [[0, 0], [1, 0], [0.1, 0]], "rotation": 5},
+     "function (coeffs), Schwarz (rotation)"),
+    ({"coeffs": [[0, 0], [1, 0]], "nodes": []}, "function (coeffs), Herglotz (nodes)"),
+], ids=["schwarz-herglotz", "function-schwarz", "function-herglotz-field"])
+def test_an_input_file_with_the_fields_of_two_kinds_exits_2_and_writes_nothing(
+        command, obj, kinds, tmp_path, capsys):
+    # each of these files used to be read as its first kind, the rest unchecked
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    code = cli.main([*command, "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"invariant violation: {path}: holds the fields of more than one kind of file: {kinds}\n")
     assert not out.exists()
 
 
@@ -601,6 +632,46 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["unknown-command"]) == 1
     assert cli.main(["coeffs", "--order", "4"]) == 2
     assert cli.main(["membership", "--input", "x.json", "--max-radius", "1.5"]) == 2
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_import_and_the_benchmark_set_up_build_no_parser():
+    # the parser is built by the first main call, not at import or by the lazy
+    # state a benchmark set-up primes
+    code = ("from gshlab import cli, core, regions\n"
+            "regions.sinh_region(); regions.sqrt_disk_region(); core.covering_radius()\n"
+            "print(cli.build_parser.cache_info().currsize)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_main_with_one_parser_matches_a_new_parser_per_call(tmp_path, capsys):
+    koebe = write_koebe(tmp_path)
+    job = ["membership", "--input", koebe, "--theta-samples", "64", "--radial-samples", "8"]
+
+    def run_sequence(name, fresh):
+        out = tmp_path / name
+        out.mkdir()
+        seen = []
+        for argv in (["unknown-command"], [*job, "--output", str(out / "first.json")],
+                     [*job, "--samples", "3"], [*job, "--max-radius", "1.5"],
+                     [*job, "--output", str(out / "again.json")]):
+            if fresh:
+                cli.build_parser.cache_clear()
+            seen.append((cli.main(argv), capsys.readouterr()))
+        return seen, [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]
+
+    cli.build_parser.cache_clear()
+    one = run_sequence("one", fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert one == run_sequence("new", fresh=True)
+    assert [code for code, _ in one[0]] == [1, 0, 1, 2, 0]
+    assert one[1][0][1] == one[1][1][1]
 
 
 # -- the settable surface ----------------------------------------------------------------

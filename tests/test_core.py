@@ -281,15 +281,36 @@ def test_kernel_sieve_matches_dense_scan(theta_samples, radial_samples, monkeypa
     assert sieved == [kernel(f, grid) for f in fs[:6]]
 
 
+def _planted(args, *pairs):
+    """Scan inputs with |fp - beta_i v| exactly 0 at each (row i, column j).
+
+    Column j gets v_j = 1 and fp_j = beta_i; given as (None, j), it gets
+    v_j = fp_j = 0, so every row ties at 0 there.
+    """
+    fp, v, betas = (a.copy() for a in args)
+    for i, j in pairs:
+        fp[j], v[j] = (0.0, 0.0) if i is None else (betas[i], 1.0)
+    return fp, v, betas
+
+
 def test_kernel_sieve_over_column_chunks_matches_dense_scan(monkeypatch):
-    # small temporaries split the grid into spans of points, and every angle
-    # block of a span is visited before the next span; the identity ties at
-    # every pair, so the first minimum is (1.0, 0, 0)
-    monkeypatch.setattr(core, "_KERNEL_CHUNK", 3000)
-    grid = core.PolarGrid(100, 24)
+    # 2000-element temporaries at 100 angles (blocks of 64 and 36 rows) give
+    # spans of 1000 points and a coarse pass over every 3rd point; the 2300
+    # points are a multiple of neither, and the last span holds 300.  Planted
+    # zeros put the minimum in the first span, in the last span, or at tied
+    # pairs, where the first in row-major order wins.
+    monkeypatch.setattr(core, "_KERNEL_SPAN", 2000)
+    grid = core.PolarGrid(100, 23)
+    plantings = {(): None, ((70, 3),): (0.0, 70, 3), ((10, 2299),): (0.0, 10, 2299),
+                 ((40, 0), (5, 2299)): (0.0, 5, 2299), ((99, 2050), (99, 1200)): (0.0, 99, 1200),
+                 ((None, 1500), (None, 7), (3, 2)): (0.0, 0, 7)}
     for f in _sieve_functions(7, 9):
-        args = _kernel_scan_inputs(f, 100, grid)
-        assert core._kernel_grid_min(*args) == dense_kernel_grid_min(*args), f.to_json()
+        for pairs, expected in plantings.items():
+            args = _planted(_kernel_scan_inputs(f, 100, grid), *pairs)
+            got = core._kernel_grid_min(*args)
+            assert got == dense_kernel_grid_min(*args), (f.to_json(), pairs)
+            assert expected is None or got == expected
+    # the identity ties at every pair, so the first minimum is (1.0, 0, 0)
     args = _kernel_scan_inputs(core.NormalizedFunction.identity(8), 100, grid)
     assert core._kernel_grid_min(*args) == (1.0, 0, 0)
 

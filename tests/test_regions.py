@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,66 @@ def test_contains_is_strict():
     region = regions.sinh_region()
     assert region.contains(np.array([0.0, 0.3 + 0.2j]))
     assert not region.contains(np.array([0.0, 2.0 + 0j]))
+
+
+# -- the inscribed disks ------------------------------------------------------------
+
+
+def _least_on_circle(fn, samples=1999):
+    """Least of fn(t) over t in [0, 2 pi): the grid minimum, then golden section at 40 digits."""
+    with mp.workdps(40):
+        step = 2 * mp.pi / samples
+        k = min(range(samples), key=lambda k: fn(k * step))
+        a, b = (k - 1) * step, (k + 1) * step
+        for _ in range(150):
+            c, d = b - (b - a) / mp.phi, a + (b - a) / mp.phi
+            a, b = (a, d) if fn(c) < fn(d) else (c, b)
+        return fn((a + b) / 2)
+
+
+@pytest.mark.parametrize("rho", ["0.5", "0.999", "1"])
+def test_least_sinh_modulus_on_a_circle_is_sin_rho(rho):
+    # the bound behind the inner disk |w| < sin 0.999 of sinh(D); 1999 angles
+    # miss the minimizers +-pi/2
+    with mp.workdps(40):
+        rho = mp.mpf(rho)
+        least = _least_on_circle(lambda t: abs(mp.sinh(rho * mp.expjpi(t / mp.pi))))
+        assert abs(least - mp.sin(rho)) < mp.mpf(10) ** -25
+
+
+def test_least_distance_from_1_to_the_sqrt_curve_is_sqrt2_minus_1():
+    with mp.workdps(40):
+        least = _least_on_circle(lambda t: abs(mp.sqrt(1 + mp.expjpi(t / mp.pi)) - 1))
+        assert abs(least - (mp.sqrt(2) - 1)) < mp.mpf(10) ** -25
+
+
+@pytest.mark.parametrize("region_fn, forward", _FORWARD)
+def test_inner_disk_changes_no_classification(region_fn, forward):
+    # the region against the same margin with no inner disk, on 10^5 points:
+    # shells at the inner radius and 1e-12 either side, shells at the curve
+    # and 1e-9 either side (in the preimage radius), a box and non-finite points
+    region = region_fn()
+    bare = regions.CurveRegion(region.margin, region.anchor)
+    r = region.inner_radius
+    assert bare.inner_radius == 0.0 < r
+    rng = np.random.default_rng(29)
+    e = np.exp(2j * np.pi * rng.random((6, 12_000)))
+    inner = region.anchor + np.array([[r - 1e-12], [r], [r + 1e-12]]) * e[:3]
+    curve = forward(np.array([[1.0 - 1e-9], [1.0], [1.0 + 1e-9]]) * e[3:])
+    box = region.anchor + rng.uniform(-1.3, 1.3, (27_992, 2)) @ np.array([1.0, 1.0j])
+    special = np.array([np.nan, complex(np.nan, 1.0), np.inf, complex(0.0, -np.inf),
+                        complex(np.inf, np.inf), region.anchor, region.anchor + r,
+                        region.anchor - 1j * r])
+    pts = np.concatenate([inner.ravel(), curve.ravel(), box, special])
+    assert pts.size == 100_000
+    got, want = region.classify(pts), bare.classify(pts)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    in_disk = np.abs(pts - region.anchor) < r
+    assert np.all(in_disk[:12_000]) and np.all(got[0][in_disk])
+    # the margin on the disk's rim, which the docstrings bound by -1e-3 (sinh
+    # reaches it at +-i sin 0.999, up to round-off)
+    rim = region.anchor + r * np.exp(1j * _T)
+    assert np.max(region.margin(rim)) < -1e-3 + 1e-12
 
 
 def test_boundary_distance_zero_on_vertices():
