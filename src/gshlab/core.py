@@ -422,6 +422,13 @@ class GeometricVerdict:
                 "ambiguous_count": self.ambiguous_count}
 
 
+def winding_number(ring: np.ndarray) -> float:
+    """Zeros inside a circle of a function analytic on its closed disk: the winding about 0
+    of its values ``ring`` at equally spaced angles (exact while no step turns by pi)."""
+    steps = np.diff(np.angle(ring), append=np.angle(ring[0]))
+    return np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
+
+
 def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
     """Geometric test: all sampled values of z f'/f - 1 inside the sinh image.
 
@@ -433,9 +440,8 @@ def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> Geome
     polygonal discretization of the boundary curve.
 
     The rings never see a zero of f/z inside the innermost one, where z f'/f
-    has a pole; the winding number of f/z along that ring (the sum of the
-    wrapped steps of its argument, over 2 pi) counts those zeros, and a count
-    other than 0 also forces a non-member verdict.
+    has a pole; ``winding_number`` of f/z along that ring counts those zeros,
+    and a count other than 0 also forces a non-member verdict.
     """
     region = sinh_region()
     _, fp, g = values
@@ -445,9 +451,7 @@ def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> Geome
     w = np.where(safe, (fp - g_safe) / g_safe, far_outside)
     inside, ambiguous = region.classify(w)
     outside = ~inside & ~ambiguous
-    steps = np.diff(np.angle(g[: grid.theta_samples]), append=np.angle(g[0]))
-    zeros = np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
-    member = bool(np.all(inside) and zeros == 0)
+    member = bool(np.all(inside) and winding_number(g[: grid.theta_samples]) == 0)
     excursion = sinh_boundary_max_distance(w[outside]) if np.any(outside) else 0.0
     # conservative lower bound on the samples' distance to the curve: the disk
     # of radius sin 1, the least |sinh| on the unit circle, lies in sinh(D)

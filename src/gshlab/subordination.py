@@ -13,20 +13,18 @@ When the operator is subordinate to a Janowski map (1 + A z)/(1 + B z) and
 lies under 1 + sinh z (for kind 3 a square-root target is also printed in
 the source material; both targets are evaluated and reported).  The harness
 samples candidate functions, tests the premise by the Janowski deviation of
-the operator values on a polar grid, tests the conclusion geometrically,
+the operator values on one circle, tests the conclusion geometrically,
 and counts counterexamples (premise true, conclusion false); it also
 reports when a configuration's premise is unsatisfiable at the scanned
-alpha, which happens whenever the deviation floor at the grid origin
-already reaches 1.
+alpha, which happens whenever the identity's deviation already reaches 1.
 
-Each candidate failing the premise is halved toward the identity step by
-step.  The harness evaluates a step on the full grid only where a probe on
-the grid's innermost and outermost rings cannot prove that it fails; the
-probe runs only on steps certified to raise no exception, so the sieve keeps
-the bits, verdicts and exceptions of evaluating every step.  Conclusions are
-computed only for premise-true attempts, and per-attempt records only when kept.
+By the open mapping theorem a function analytic on the closed disk |z| <=
+0.995 maps it into a Jordan domain (the Janowski disk, sinh(D), sqrt(1 + D))
+exactly when it maps the circle |z| = 0.995 there.  Kinds 2-4 divide by f/z,
+so a zero of f/z inside the circle (``core.winding_number``) fails the
+premise.  Candidates failing it are halved toward the identity step by step.
 
-"Premise holds" means that the operator's image on the grid lies inside the
+"Premise holds" means that the operator's image of the disk lies inside the
 Janowski disk, not that the operator is subordinate to the Janowski map: a
 subordination needs the value 1 at the origin, and for kinds 2-4 the coded
 operator equals 1 + alpha there for every normalized f.
@@ -43,7 +41,7 @@ import numpy as np
 from . import series as ts
 from .caratheodory import sample_schwarz
 from .core import (DEFAULT_GRID, NormalizedFunction, PolarGrid, PreconditionNotMet,
-                   member_from_witness)
+                   member_from_witness, winding_number)
 from .refine import grid_golden_max
 from .regions import sinh_boundary, sinh_region, sqrt_disk_region
 
@@ -233,10 +231,14 @@ def _conclusions(g: np.ndarray) -> tuple[bool, bool]:
     return sinh_region().contains(g - 1.0), sqrt_disk_region().contains(g)
 
 
-def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float,
+def _pole_inside(case: ImplicationCase, g: np.ndarray) -> bool:
+    """True when the operator divides by f/z, whose values g on a circle wind about 0."""
+    return case.kind != OperatorKind.Z_FPRIME and winding_number(g) != 0
+
+
+def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float, premise: bool,
             conclusions: tuple[bool, bool]) -> ImplicationRecord:
-    """Premise verdict from ``deviation``, with the conclusion verdicts of ``_conclusions``."""
-    premise = deviation < 1.0 - PREMISE_MARGIN
+    """Record of f with its premise verdict and the verdicts of ``_conclusions``."""
     return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
                              conclusion_sinh=conclusions[0], conclusion_sqrt=conclusions[1],
                              vacuous=not premise, function=f.to_json())
@@ -244,10 +246,13 @@ def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float,
 
 def verify_implication(f: NormalizedFunction, case: ImplicationCase,
                        grid: PolarGrid = DEFAULT_GRID) -> ImplicationRecord:
-    """Test premise and conclusion of one implication case on the grid."""
+    """Test premise and conclusion of one implication case on the grid; for kinds
+    2-4 a zero of f/z inside the grid's outer ring also fails the premise."""
     z = grid.points()
     deviation = janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
-    return _record(f, case, deviation, _conclusions(f.over_z_values(z)))
+    g = f.over_z_values(z)
+    premise = deviation < 1.0 - PREMISE_MARGIN and not _pole_inside(case, g[-grid.theta_samples:])
+    return _record(f, case, deviation, premise, _conclusions(g))
 
 
 # -- harness ------------------------------------------------------------------
@@ -303,9 +308,8 @@ class HarnessReport:
 
 DEFAULT_CONFIGS = ((1.0, 0.0), (0.5, -0.5), (0.8, 0.2))
 
-#: Grid used by the harness; coarser than the membership default because
-#: hundreds of candidate functions are scanned per configuration.
-HARNESS_GRID = PolarGrid(theta_samples=64, radial_samples=16, max_radius=0.995)
+#: The harness's one circle, which decides every verdict for its disk (module docstring).
+HARNESS_GRID = PolarGrid(theta_samples=64, radial_samples=1, max_radius=0.995)
 
 
 #: Truncation order of the harness's candidate functions.
@@ -332,13 +336,6 @@ def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
     f = NormalizedFunction.identity(order=4)
     return janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
 
-
-#: Indices of HARNESS_GRID's innermost and outermost rings, where the sieve probes a step.
-_PROBE_POINTS = np.r_[:HARNESS_GRID.theta_samples, -HARNESS_GRID.theta_samples:0]
-
-#: A probed step fails when some probe point's deviation reaches this: the premise
-#: cut-off with a relative slack for round-off between the probe and the full step.
-_PROBE_CUT = (1.0 - PREMISE_MARGIN) * (1.0 + 1e-9)
 
 #: Largest certified bound on |v - 1| for operator values v of a shrink step.
 _CERTIFIED_SPREAD = 2.0 ** 20
@@ -382,37 +379,33 @@ def _certified_from(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
     return int(uncertified[-1]) + 1 if uncertified.size else 0
 
 
-def _probe_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
-                      k0: int) -> np.ndarray:
-    """Per-point deviations of steps k0..SHRINK_STEPS at the ``_PROBE_POINTS`` of z.
-
-    One row per step, each the step's own operator and deviation expressions at
-    those points; inf where the denominator A - B v is below the 1e-300 at which
-    ``janowski_deviation`` returns inf.  Run without floating-point errors raised.
-    """
+def _suffix_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+                       k0: int) -> np.ndarray:
+    """Deviations of steps k0..SHRINK_STEPS on z, as maxima of one batch row per step,
+    with the bits of ``_step_deviation``: a denominator |A - B v| < 1e-300 gives inf.
+    Run without floating-point errors raised, so only for certified steps."""
     s = np.ldexp(1.0, -np.arange(k0, SHRINK_STEPS + 1))[:, None]
     with np.errstate(all="ignore"):
-        v = _step_values(case, z[_PROBE_POINTS], dp[_PROBE_POINTS], dg[_PROBE_POINTS], s)
+        v = _step_values(case, z, dp, dg, s)
         den = case.janowski.a - case.janowski.b * v
-        return np.where(np.abs(den) < 1e-300, math.inf, np.abs((v - 1.0) / den))
+        return np.where(np.abs(den) < 1e-300, math.inf, np.abs((v - 1.0) / den)).max(axis=1)
 
 
 def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
             dg: np.ndarray) -> int | None:
-    """First step whose deviation passes the premise, None if no step does."""
+    """First step that passes the premise, None if no step does."""
     k0 = _certified_from(case, z, dp, dg)
-    for k in range(SHRINK_STEPS + 1):
-        if k == k0:
-            fails = _probe_deviations(case, z, dp, dg, k0).max(axis=1) >= _PROBE_CUT
-        if k >= k0 and fails[k - k0]:
-            continue
+    for k in range(k0):
         try:
             deviation = _step_deviation(case, z, dp, dg, k)
         except ZeroDivisorOnGrid:
             continue
-        if deviation < 1.0 - PREMISE_MARGIN:
+        if deviation < 1.0 - PREMISE_MARGIN and not _pole_inside(case, 2.0 ** -k * dg + 1.0):
             return k
-    return None
+    if k0 > SHRINK_STEPS:
+        return None
+    passing = np.flatnonzero(_suffix_deviations(case, z, dp, dg, k0) < 1.0 - PREMISE_MARGIN)
+    return k0 + int(passing[0]) if passing.size else None
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -441,9 +434,10 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     Horner step commutes with a power-of-two scale while no value on the way
     is subnormal, and adding 1 makes the sign of a zero part the same.
 
-    The steps are sieved: a step is evaluated on the full grid only where a
-    cheap probe cannot prove that it fails, and the outcome, its bits and
-    any exception are those of evaluating every step in order.
+    A step passes when its deviation on the circle is below the cut-off and,
+    for kinds 2..4, its f/z has no zero inside the circle (``_pole_inside``).
+    The outcome, its bits and any exception are those of evaluating every
+    step in order:
 
     - Certificate (``_certified_from``): on a certified step |f/z| >= 1/2, so
       ``ZeroDivisorOnGrid`` cannot be raised, and |v - 1| <= 2^20.  Then no
@@ -451,19 +445,14 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       deviation divides only by denominators of modulus >= 1e-300, and
       numpy's complex division (Smith's method) gives a reciprocal factor of
       at most sqrt(2) 1e300, times a numerator of at most 2^21.  The bound
-      falls with the step, so the certified steps are a suffix k0..24, and
-      skipping one drops no exception.
-    - Steps below k0 are evaluated in order on the full grid, as without the
-      sieve, so an exception they raise is raised where it was.
-    - Probe (``_probe_deviations``): the certified steps are evaluated at
-      once on the innermost and the outermost ring of the grid.  For kinds
-      2..4 the deviation near the origin sits at the floor |alpha|/|A -
-      B(1 + alpha)|, and for kind 1 |alpha z f'| peaks on the outer ring.
-      The probe applies the step's own elementwise expressions to the same
-      values, so its points carry the full step's bits, and a step whose
-      probe deviation reaches the premise cut-off (with a slack of 1e-9)
-      cannot pass.  It is skipped; the others are evaluated on the full
-      grid, in order.
+      falls with the step, so the certified steps are a suffix k0..24.  They
+      need no count of zeros: 2^-k max|f/z - 1| <= 1/2 on the circle, so
+      f/z = 1 + 2^-k (f/z - 1) has no zero in its disk.
+    - Steps below k0 are evaluated one by one, so an exception they raise is
+      raised where it was.
+    - The certified suffix is one batch (``_suffix_deviations``), whose row
+      maxima are the steps' deviations.  Rows past the first passing one are
+      computed too: a shorter batch would be a second code path.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -495,7 +484,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
             coeffs[2:] *= 2.0 ** -k
             coeffs.setflags(write=False)
             records.append(_record(NormalizedFunction(coeffs), case,
-                                   deviation, conclusions))
+                                   deviation, passed, conclusions))
     return summary, records
 
 

@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gshlab import caratheodory as cara
 from gshlab import subordination as sub
-from gshlab.core import NormalizedFunction, PolarGrid, member_from_witness
+from gshlab.core import NormalizedFunction, PolarGrid, member_from_witness, winding_number
 from gshlab.regions import sinh_region, sqrt_disk_region
 from gshlab.series import coefficients
 
@@ -175,6 +177,33 @@ def test_verify_implication_vacuous_for_extremal(
     assert record.deviation > 1.0
 
 
+def large_tail(rng):
+    """A candidate with a_2 near 40, so that max|f/z - 1| is about 40 on the circle."""
+    a2, a3 = 40.0 + rng.normal(0.0, 1.0), rng.normal(0.0, 2.0) + 1j * rng.normal(0.0, 2.0)
+    return NormalizedFunction.from_tail([a2, a3], order=sub.CANDIDATE_ORDER)
+
+
+def zero_inside(coeffs) -> bool:
+    """f/z = 1 + a_2 z + a_3 z^2 + ... has a zero in |z| < 0.995, by ``np.roots``."""
+    return bool(np.any(np.abs(np.roots(coeffs[:0:-1])) < sub.HARNESS_GRID.max_radius))
+
+
+def test_verify_implication_fails_the_premise_where_f_over_z_has_a_zero_inside():
+    # kind 2 at (0.5, -0.5), alpha = 0.5 x threshold: the operator values of this
+    # f on the circle and on a 64 x 16 polar grid lie inside the Janowski disk,
+    # but f/z has a zero at about -0.025, where the operator has a pole
+    params = sub.JanowskiParams(0.5, -0.5)
+    case = sub.ImplicationCase(kind=sub.OperatorKind.RATIO,
+                               alpha=0.5 * sub.alpha_threshold(2, params), janowski=params)
+    f = large_tail(np.random.default_rng((0, 2, 0)))
+    assert zero_inside(f.coeffs)
+    for grid in (sub.HARNESS_GRID, PolarGrid(64, 16)):
+        record = sub.verify_implication(f, case, grid)
+        assert record.deviation < 1.0 - sub.PREMISE_MARGIN
+        assert not record.premise_holds and record.vacuous
+        assert not record.conclusion_sinh
+
+
 # -- harness ------------------------------------------------------------------------
 
 
@@ -261,7 +290,10 @@ def test_harness_deterministic():
 
 def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_attempts):
     """Reference harness: ``operator_values`` on each candidate, its tail halved in place
-    before each step after the first; a vacuous record keeps the last step's candidate."""
+    before each step after the first; a vacuous record keeps the last step's candidate.
+
+    For kinds 2-4 a step passes only when ``np.roots`` finds no zero of f/z inside
+    the circle, where the operator has a pole."""
     case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = sub.HARNESS_GRID.points()
     summary = sub.ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
@@ -274,7 +306,7 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
             break
         rng = np.random.default_rng((seed, int(kind), i))
         coeffs = sub._sample_candidate(rng).coeffs.copy()
-        deviation = math.inf
+        deviation, premise = math.inf, False
         for step in range(sub.SHRINK_STEPS + 1):
             if step:
                 coeffs[2:] *= 0.5
@@ -285,10 +317,11 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
             except sub.ZeroDivisorOnGrid:
                 pass
             else:
-                if deviation < 1.0 - sub.PREMISE_MARGIN:
+                premise = (deviation < 1.0 - sub.PREMISE_MARGIN
+                           and not (kind != 1 and zero_inside(coeffs)))
+                if premise:
                     break
         f = NormalizedFunction(coefficients(coeffs))
-        premise = deviation < 1.0 - sub.PREMISE_MARGIN
         g = f.over_z_values(z)
         record = sub.ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
                                        conclusion_sinh=sinh_region().contains(g - 1.0),
@@ -340,7 +373,7 @@ def near_cut_alpha(kind, params):
 @pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
 def test_shrink_ladder_near_the_premise_cut_matches_halving_loop(kind, params):
     # candidates pass only when nearly halved to the identity, with a deviation
-    # just below the cut-off, so a probe cutting early would skip the passing step
+    # just below the cut-off, so a cut-off off by round-off would skip the passing step
     alpha = near_cut_alpha(kind, params)
     case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     floor = sub._config_floor(case, sub.HARNESS_GRID.points())
@@ -356,11 +389,9 @@ def test_shrink_ladder_near_the_premise_cut_matches_halving_loop(kind, params):
 def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
         kind, params, monkeypatch):
     # a_2 near 40 makes max|f/z - 1| about 40 on the grid, so the certificate
-    # (2^-k max|f/z - 1| <= 1/2) first holds at step 7
-    def large_tail(rng):
-        a2, a3 = 40.0 + rng.normal(0.0, 1.0), rng.normal(0.0, 2.0) + 1j * rng.normal(0.0, 2.0)
-        return NormalizedFunction.from_tail([a2, a3], order=sub.CANDIDATE_ORDER)
-
+    # (2^-k max|f/z - 1| <= 1/2) first holds at step 7.  The early steps' f/z
+    # has a zero inside the circle, so those steps fail: their operator has a
+    # pole there, even where its values on the circle lie in the Janowski disk
     monkeypatch.setattr(sub, "_sample_candidate", large_tail)
     z = sub.HARNESS_GRID.points()
     thr = sub.alpha_threshold(kind, params)
@@ -374,6 +405,8 @@ def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
         expected = halving_loop(*args)
         assert sub.run_config(*args, keep_records=True) == expected
         assert summary_path_matches(args, expected[0])
+        assert not any(r.premise_holds and zero_inside(NormalizedFunction.from_json(
+            r.function).coeffs) for r in expected[1])
 
 
 @pytest.mark.parametrize("factor", [1e305, 1e307])
@@ -424,12 +457,11 @@ def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch)
                 sub.run_config(*args, keep_records=keep_records)
 
 
-def test_probe_matches_full_steps_at_the_ring_points():
-    # on every certified step the probe has the full step's per-point bits, and a
-    # step the probe fails has a full-grid deviation at or past the cut-off
+def certified_sweep():
+    """(case, dp, dg, k0) of seeded candidates, scaled by 1, 8 and 30, at five alphas
+    per defined configuration, where some step of the shrink ladder is certified."""
     z = sub.HARNESS_GRID.points()
     rng = np.random.default_rng(83)
-    checked = failed = 0
     for kind, params in DEFINED_CONFIGS:
         thr = sub.alpha_threshold(kind, params)
         for alpha in (0.5 * thr, 1.05 * thr, 3.0 * thr, -1.05 * thr,
@@ -441,38 +473,59 @@ def test_probe_matches_full_steps_at_the_ring_points():
                 dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
                 dg = np.polyval(c[:1:-1], z) * z
                 k0 = sub._certified_from(case, z, dp, dg)
-                if k0 > sub.SHRINK_STEPS:
-                    continue
-                probe = sub._probe_deviations(case, z, dp, dg, k0)
-                assert probe.shape == (sub.SHRINK_STEPS + 1 - k0, sub._PROBE_POINTS.size)
-                for k in range(k0, sub.SHRINK_STEPS + 1):
-                    fp = 2.0 ** -k * dp + 1.0
-                    g = None if kind is sub.OperatorKind.Z_FPRIME else 2.0 ** -k * dg + 1.0
-                    v = sub._operator(kind, alpha, z, fp, g)
-                    den = params.a - params.b * v
-                    full = np.where(np.abs(den) < 1e-300, np.inf, np.abs((v - 1.0) / den))
-                    assert np.array_equal(probe[k - k0], full[sub._PROBE_POINTS])
-                    deviation = sub.janowski_deviation(v, params)
-                    assert deviation == np.max(full)
-                    if np.max(probe[k - k0]) >= sub._PROBE_CUT:
-                        assert deviation >= 1.0 - sub.PREMISE_MARGIN
-                        failed += 1
-                    checked += 1
-    assert failed > 0 and checked > failed
+                if k0 <= sub.SHRINK_STEPS:
+                    yield case, dp, dg, k0
 
 
-def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
-    # f/z = 1 - 2^-k z / r0 vanishes at |z| = 2^k r0, which HARNESS_GRID samples
-    # for k = 0..4: the first five steps raise ZeroDivisorOnGrid and are skipped
-    r0 = float(np.abs(sub.HARNESS_GRID.points()[0]))
+def test_batched_suffix_rows_are_the_steps_own_deviations():
+    z = sub.HARNESS_GRID.points()
+    passed = failed = 0
+    for case, dp, dg, k0 in certified_sweep():
+        rows = sub._suffix_deviations(case, z, dp, dg, k0)
+        assert rows.shape == (sub.SHRINK_STEPS + 1 - k0,)
+        for k in range(k0, sub.SHRINK_STEPS + 1):
+            assert np.array_equal(rows[k - k0], sub._step_deviation(case, z, dp, dg, k))
+        passed += int(np.count_nonzero(rows < 1.0 - sub.PREMISE_MARGIN))
+        failed += int(np.count_nonzero(rows >= 1.0 - sub.PREMISE_MARGIN))
+    assert passed > 0 and failed > 0
+
+
+def test_certified_steps_have_no_zero_of_f_over_z_inside_the_circle():
+    # 2^-k max|f/z - 1| <= 1/2 on the circle keeps f/z in Re w >= 1/2
+    steps = 0
+    for case, dp, dg, k0 in certified_sweep():
+        for k in range(k0, sub.SHRINK_STEPS + 1):
+            assert winding_number(2.0 ** -k * dg + 1.0) == 0
+            steps += 1
+    assert steps > 0
+
+
+@pytest.mark.parametrize("r0, first_pass", [(0.06, 5), (0.995, 1)])
+def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch, r0, first_pass):
+    # f/z = 1 - 2^-k z / r0 vanishes at z = 2^k r0.  At r0 = 0.06 the zero lies
+    # inside the circle for k = 0..4, and its winding count fails those steps; at
+    # r0 = 0.995 it lies on the circle sample z = 0.995 for k = 0, which raises
+    # ZeroDivisorOnGrid.  Either way the failed steps are skipped
     monkeypatch.setattr(sub, "_sample_candidate",
                         lambda rng: NormalizedFunction.from_tail([-1.0 / r0], order=8))
+    z = sub.HARNESS_GRID.points()
+    dg = -z / r0
     params = sub.JanowskiParams(0.5, -0.5)
-    # kinds 2 and 3 pass at step 5, the first whose f/z has no zero on the grid;
-    # kind 4 never passes
-    for kind, halvings in ((2, 5), (3, 5), (4, sub.SHRINK_STEPS)):
+    # kinds 2 and 3 pass at the first step whose f/z has no zero in the closed
+    # disk; kind 4 never passes
+    for kind, halvings in ((2, first_pass), (3, first_pass), (4, sub.SHRINK_STEPS)):
         thr = sub.alpha_threshold(kind, params)
         args = (sub.OperatorKind(kind), params, 0.5 * thr, thr, 0, 3, 5)
+        case = sub.ImplicationCase(kind=args[0], alpha=args[2], janowski=params)
+        for k in range(first_pass):
+            if r0 < sub.HARNESS_GRID.max_radius:
+                assert sub._pole_inside(case, 2.0 ** -k * dg + 1.0)
+            else:
+                with pytest.raises(sub.ZeroDivisorOnGrid):
+                    sub._step_deviation(case, z, 2.0 * dg, dg, k)
+        if kind == 2 and r0 < sub.HARNESS_GRID.max_radius:
+            # the winding count, not the deviation, fails step 0
+            assert sub._step_deviation(case, z, 2.0 * dg, dg, 0) < 1.0 - sub.PREMISE_MARGIN
         summary, records = sub.run_config(*args, keep_records=True)
         assert (summary, records) == halving_loop(*args)
         assert summary_path_matches(args, summary)
@@ -480,6 +533,54 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch):
         for record in records:
             assert record.premise_holds == (kind != 4)
             assert record.function["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
+
+
+PREMISE_CONFIGS = [(kind, params) for kind, params in DEFINED_CONFIGS
+                   if kind is not sub.OperatorKind.Z_FPRIME]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(PREMISE_CONFIGS),
+       radius=st.floats(0.05, 0.9), angle=st.floats(-math.pi, math.pi),
+       b=st.complex_numbers(max_magnitude=0.5), factor=st.floats(0.01, 1.05))
+def test_a_planted_zero_of_f_over_z_inside_the_circle_never_passes_the_premise(
+        config, radius, angle, b, factor):
+    # f/z = (1 - z/z0)(1 + b z) vanishes at z0 inside the circle and nowhere on it
+    kind, params = config
+    z0 = radius * cmath.exp(1j * angle)
+    f = NormalizedFunction.from_tail([b - 1.0 / z0, -b / z0], order=sub.CANDIDATE_ORDER)
+    thr = sub.alpha_threshold(kind, params)
+    case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
+    assert not sub.verify_implication(f, case, sub.HARNESS_GRID).premise_holds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sub, "_sample_candidate", lambda rng: f)
+        _, records = sub.run_config(kind, params, factor * thr, thr, 0, 1, 1)
+    kept = NormalizedFunction.from_json(records[0].function)
+    assert not (records[0].premise_holds and zero_inside(kept.coeffs))
+    assert records[0].premise_holds <= (kept.coeffs[2] != f.coeffs[2])
+
+
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(kind, params):
+    # the image of the disk |z| <= 0.995 lies in a Jordan domain exactly when the
+    # image of its circle does, so the circle's verdicts are those of a polar grid
+    full = PolarGrid(64, 16)
+    thr = sub.alpha_threshold(kind, params)
+    rng = np.random.default_rng((29, int(kind)))
+    verdicts = set()
+    for i in range(300):
+        c = sub._sample_candidate(rng).coeffs.copy()
+        c[2:] *= (0.25, 1.0, 4.0)[i % 3]
+        if kind != 1 and zero_inside(c):
+            continue
+        f = NormalizedFunction(c)
+        case = sub.ImplicationCase(kind=kind, alpha=(0.5, 1.05)[i % 2] * thr, janowski=params)
+        circle = sub.verify_implication(f, case, sub.HARNESS_GRID)
+        grid = sub.verify_implication(f, case, full)
+        got = (circle.premise_holds, circle.conclusion_sinh, circle.conclusion_sqrt)
+        assert got == (grid.premise_holds, grid.conclusion_sinh, grid.conclusion_sqrt)
+        verdicts.add(got)
+    assert len(verdicts) >= 2
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
