@@ -3,8 +3,8 @@
 Each scan confronts a claimed bound with an empirical maximum over two
 families of admissible inputs:
 
-* members built from random Schwarz witnesses (plus deterministic monomial
-  anchors, which realize the known sharpness cases), and
+* members built from a witness batch: monomial anchors, which realize the
+  known sharpness cases, then random Schwarz witnesses; and
 * for functionals of a_2..a_4, a direct parametrization of the coefficient
   body (c in [0, 2], a unit-disk parameter x, a unimodular parameter z).
 
@@ -122,18 +122,18 @@ _BATCH_CACHE: dict = {}
 
 
 def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.ndarray]:
-    """Witnesses for all sample indices of a config, and their members' a_0..a_order.
+    """Anchors z^1..z^max(5, order), then a config's samples, and their members' a_0..a_order.
 
     Every call builds a new batch.  A scan reads the leading columns it
     needs, which are bitwise the members built at its own read order.
     Sample i is drawn from the stream seeded by (seed, i), so the batch of a
     smaller budget is a prefix of the batch of a larger one.
     """
-    witnesses = []
-    rows = np.empty((cfg.samples, order + 1), dtype=np.complex128)
-    for i in range(cfg.samples):
-        omega = sample_schwarz(np.random.default_rng((cfg.seed, i)), max_zeros=MAX_ZEROS)
-        witnesses.append(omega)
+    witnesses = [SchwarzSample.monomial(k) for k in range(1, max(5, order) + 1)]
+    witnesses += [sample_schwarz(np.random.default_rng((cfg.seed, i)), max_zeros=MAX_ZEROS)
+                  for i in range(cfg.samples)]
+    rows = np.empty((len(witnesses), order + 1), dtype=np.complex128)
+    for i, omega in enumerate(witnesses):
         rows[i] = _member_coeffs(omega, order)
     return witnesses, rows
 
@@ -263,27 +263,29 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
           lam: complex = 1.0) -> BoundEstimate:
     """Empirical maximum of |name| over the search families, against its claimed bound.
 
-    The best of the monomial anchors (z^1..z^4 for a named functional,
-    z^1..z^max(5, n) for a_n) and the batch ``witnesses`` is polished over
-    its witness parameters.  The named functionals of a2..a4 also scan the
-    direct family (the coefficient scans do not), and the larger maximum
-    wins.  The monomials realize every known sharpness case.
+    The first best of the batch ``witnesses`` (``witness_batch``: the
+    monomial anchors, then random witnesses) is polished over its witness
+    parameters.  The named functionals of a2..a4 also scan the direct
+    family (the coefficient scans do not), and the larger maximum wins.
 
-    The anchors, the batch and the polish objective all read members built
-    at ``read_order(name)``: of the batch's member coefficients ``rows``
-    (``witness_batch``, at that order or higher), only a_0..a_read_order.
+    The batch and the polish objective read members built at
+    ``read_order(name)``: of the batch's member coefficients ``rows`` (at
+    that order or higher), only a_0..a_read_order.  An anchor z^k with
+    k >= 5 (k >= n for a_n) scores exactly 0, as f/z is a series in z^k.
 
-    The anchors and the polish objective share a table, local to the call,
-    keyed by the exact bytes of the witness (``_witness_key``); the batch's
-    best witness enters it with its batch value.  A witness met again, such
-    as an anchor at the start of the polish, the phase of a Blaschke zero at
-    the origin, or a second polish round that repeats a first one without
-    gain, is looked up rather than built.  Member construction is
-    deterministic, so every value is the one a build would give.
+    The polish objective keeps a table, local to the call, keyed by the
+    exact bytes of the witness (``_witness_key``); the best batch witness
+    enters it with its batch value.  A witness met again, such as the start
+    of the polish, the phase of a Blaschke zero at the origin, or a second
+    polish round that repeats a first one without gain, is looked up rather
+    than built.  Member construction is deterministic, so every value is the
+    one a build would give.
     """
     order = read_order(name)
-    rows = rows[:, : order + 1]
-    seen: dict[bytes, float] = {}
+    batch_vals = np.array([functional_value(name, row, lam) for row in rows[:, : order + 1]])
+    j = int(np.argmax(batch_vals))
+    best_witness, best = witnesses[j], float(batch_vals[j])
+    seen = {_witness_key(best_witness): best}
 
     def value(omega: SchwarzSample) -> float:
         key = _witness_key(omega)
@@ -291,15 +293,6 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
             seen[key] = functional_value(name, _member_coeffs(omega, order), lam)
         return seen[key]
 
-    top = 4 if name in FUNCTIONALS else max(5, order)
-    candidates = [SchwarzSample.monomial(k) for k in range(1, top + 1)]
-    values = [value(w) for w in candidates]
-    batch_vals = np.array([functional_value(name, row, lam) for row in rows])
-    j = int(np.argmax(batch_vals))
-    candidates.append(witnesses[j])
-    values.append(seen.setdefault(_witness_key(witnesses[j]), float(batch_vals[j])))
-    k = int(np.argmax(values))
-    best_witness, best = candidates[k], float(values[k])
     params, bounds = _schwarz_params(best_witness)
 
     if len(params) > 1:
@@ -321,7 +314,7 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
 
 
 def scan(name: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
-    """``_scan`` of ``name`` on a witness batch of its own, built at ``read_order(name)``.
+    """``_scan`` of ``name`` on its own witness batch, anchors included, at ``read_order(name)``.
 
     ``name`` is ``aN`` (n >= 2), ``h22``, ``h31``, ``fs`` (Fekete-Szego,
     parameter ``lam``) or ``t`` (a4 - a2 a3); ``read_order`` checks it first.

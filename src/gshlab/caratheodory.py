@@ -151,8 +151,7 @@ class SchwarzSample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchwarzSample":
-        rotation = ts.json_numbers(obj["rotation"], "rotation")
-        return cls(rotation=complex(rotation[0], rotation[1]),
+        return cls(rotation=ts.json_pair(obj["rotation"], "rotation"),
                    zeros=tuple(ts.json_numbers(obj["zeros"], "zeros", pairs=True)))
 
     @classmethod

@@ -102,7 +102,7 @@ def _load_json(path: str) -> object:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 
-#: The fields of each kind of input file; the first one marks a file of that kind.
+#: The fields of each kind of input file.
 _INPUT_FIELDS = {"function": ("coeffs",), "Schwarz": ("rotation", "zeros"),
                  "Herglotz": ("weights", "nodes")}
 
@@ -110,26 +110,34 @@ _INPUT_FIELDS = {"function": ("coeffs",), "Schwarz": ("rotation", "zeros"),
 def _function_from_input(path: str, order: int) -> core.NormalizedFunction:
     """The function that a function, Schwarz or Herglotz file describes.
 
-    The file holds the fields of one kind.  A function file is read at its
-    own order; ``order`` applies to the other two kinds.
+    The file holds all the fields of one kind, and a field of any kind marks
+    it.  A function file is read at its own order; ``order`` applies to the
+    other two kinds.
     """
     obj = _load_json(path)
-    if not isinstance(obj, dict) or not any(f[0] in obj for f in _INPUT_FIELDS.values()):
+    keys = set(obj) if isinstance(obj, dict) else set()
+    kinds = {kind: [f for f in fields if f in keys] for kind, fields in _INPUT_FIELDS.items()
+             if not keys.isdisjoint(fields)}
+    if not kinds:
         raise UsageError(f"{path}: expected a function, Schwarz or Herglotz JSON object")
-    kinds = [f"{kind} ({', '.join(f for f in fields if f in obj)})"
-             for kind, fields in _INPUT_FIELDS.items() if any(f in obj for f in fields)]
     if len(kinds) > 1:
         raise InputInvariantError(f"{path}: holds the fields of more than one kind of file: "
-                                  + ", ".join(kinds))
+                                  + ", ".join(f"{kind} ({', '.join(held)})"
+                                              for kind, held in kinds.items()))
+    [(kind, held)] = kinds.items()
+    missing = [f for f in _INPUT_FIELDS[kind] if f not in held]
+    if missing:
+        raise InputInvariantError(f"{path}: a {kind} file holds {' and '.join(_INPUT_FIELDS[kind])}"
+                                  f"; this one has no {missing[0]}")
     try:
-        if "coeffs" in obj:
+        if kind == "function":
             return core.NormalizedFunction.from_json(obj)
-        if "rotation" in obj:
+        if kind == "Schwarz":
             return core.member_from_witness(cara.SchwarzSample.from_json(obj), order)
         k = cara.HerglotzSample.from_json(obj).series(order)
         one = ts.constant(1.0, order)
         return core.member_from_witness(ts.div(k - one, k + one), order)
-    except (KeyError, IndexError, TypeError, ValueError, ts.SeriesError) as exc:
+    except (TypeError, ValueError, ts.SeriesError) as exc:
         raise InputInvariantError(f"{path}: {exc}") from exc
 
 
@@ -212,10 +220,11 @@ def build_parser() -> _Parser:
         return p
 
     p = command("coeffs", "coefficient table from a witness or function file", order=True)
-    p.add_argument("--witness", type=_witness, default=None,
-                   help="'identity', 'zero' or 'z^K' with K in [1, 128] "
-                        "(a Schwarz JSON file goes to --input)")
-    p.add_argument("--input", default=None, help="function/witness JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--witness", type=_witness, default=None,
+                        help="'identity', 'zero' or 'z^K' with K in [1, 128] "
+                             "(a Schwarz JSON file goes to --input)")
+    source.add_argument("--input", default=None, help="function/witness JSON path")
 
     p = command("membership", "run the three membership tests", order=True)
     p.add_argument("--input", required=True)
@@ -289,10 +298,8 @@ def build_parser() -> _Parser:
 def _cmd_coeffs(args) -> int:
     if args.witness is not None:
         f = core.member_from_witness(args.witness, args.order)
-    elif args.input is not None:
-        f = _function_from_input(args.input, args.order)
     else:
-        raise UsageError("coeffs requires --witness or --input")
+        f = _function_from_input(args.input, args.order)
     rows = [[n, float(f.coeff(n).real), float(f.coeff(n).imag), float(abs(f.coeff(n)))]
             for n in range(1, f.order + 1)]
     obj = {"order": f.order,

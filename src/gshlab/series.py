@@ -97,7 +97,7 @@ def monomial(k: int, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 def json_numbers(value, field: str, pairs: bool = False) -> list:
     """The JSON array ``value`` of numbers as floats, or with ``pairs`` of
-    ``[re, im]`` arrays of numbers as complex numbers.
+    ``[re, im]`` pairs (``json_pair``) as complex numbers.
 
     A number is a JSON int or float that fits a float.  Anything else where
     an array or a number belongs, a string or a bool among them, raises
@@ -106,8 +106,7 @@ def json_numbers(value, field: str, pairs: bool = False) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
     if pairs:
-        return [complex(r[0], r[1])
-                for r in (json_numbers(p, f"{field}[{i}]") for i, p in enumerate(value))]
+        return [json_pair(p, f"{field}[{i}]") for i, p in enumerate(value)]
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"{field}[{i}] must be a JSON number, got {type(x).__name__}")
@@ -115,6 +114,14 @@ def json_numbers(value, field: str, pairs: bool = False) -> list:
         return [float(x) for x in value]
     except OverflowError:
         raise ValueError(f"{field} holds an int too large for a float") from None
+
+
+def json_pair(value, field: str) -> complex:
+    """The JSON array ``value`` of exactly two numbers, ``[re, im]``, as a complex number."""
+    re_im = json_numbers(value, field)
+    if len(re_im) != 2:
+        raise ValueError(f"{field} must be an [re, im] pair of two numbers, got {len(re_im)}")
+    return complex(*re_im)
 
 
 def to_pairs(s: np.ndarray) -> list[list[float]]:

@@ -236,21 +236,50 @@ def test_scan_maxima_monotone_in_budget():
 
 
 def test_witness_batch_prefix_stable_under_budget_growth():
-    # sample i comes from (seed, i), so a smaller budget's batch is a prefix
+    # the six anchors, then sample i from (seed, i): a smaller budget's batch is a prefix
     small_witnesses, small_rows = bd.witness_batch(bd.ScanConfig(samples=300, seed=8), 6)
     witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=600, seed=8), 6)
-    assert rows.shape == (600, small_rows.shape[1])
-    assert witnesses[:300] == small_witnesses
-    assert rows[:300].tobytes() == small_rows.tobytes()
+    assert small_rows.shape == (6 + 300, 7)
+    assert rows.shape == (6 + 600, 7)
+    assert witnesses[:306] == small_witnesses
+    assert rows[:306].tobytes() == small_rows.tobytes()
 
 
 @pytest.mark.parametrize("seed", [8, 9])
 def test_witness_batch_at_read_order_is_leading_columns_of_order_32(seed):
     cfg = bd.ScanConfig(samples=600, seed=seed)
+    # the batch at order 6 has the anchors z^1..z^6, the one at order 32 z^1..z^32
     _, narrow = bd.witness_batch(cfg, 6)
     _, wide = bd.witness_batch(cfg, 32)
-    assert wide.shape == (600, 33)
-    assert narrow.tobytes() == np.ascontiguousarray(wide[:, :7]).tobytes()
+    assert narrow.shape == (6 + 600, 7)
+    assert wide.shape == (32 + 600, 33)
+    assert narrow.tobytes() == np.concatenate([wide[:6, :7], wide[32:, :7]]).tobytes()
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_witness_batch_leads_with_the_monomial_anchors(order):
+    witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=3, seed=1), order)
+    anchors = max(5, order)
+    assert len(witnesses) == anchors + 3
+    for k in range(1, anchors + 1):
+        monomial = cara.SchwarzSample.monomial(k)
+        assert witnesses[k - 1] == monomial
+        assert rows[k - 1].tobytes() == member_from_witness(monomial, order).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name, lam", [*(("fs", lam) for lam in (0.0, 0.5, 1.0, 2.0, 1j, -3.0)),
+                                       ("t", 1.0), ("h22", 1.0), ("h31", 1.0),
+                                       *((f"a{n}", 1.0) for n in range(2, 11))])
+def test_an_anchor_beyond_what_a_functional_reads_scores_exactly_0(name, lam):
+    # for w = z^k, f/z is a power series in z^k: a_2..a_k are 0, a_(k+1) = 1/k
+    order = read_order(name)
+    first_zero = order if name.startswith("a") else 5
+    values = [bd.functional_value(name, member_from_witness(cara.SchwarzSample.monomial(k),
+                                                            order).coeffs, lam)
+              for k in range(1, 13)]
+    assert values[first_zero - 1:] == [0.0] * (13 - first_zero)
+    # an anchor before them scores above 0, so a zero anchor is never the first maximum
+    assert max(values[:first_zero - 1]) > 0.0
 
 
 @pytest.fixture
@@ -285,7 +314,7 @@ def test_default_scan_suite_builds_one_batch(draws, batches):
     cfg = bd.ScanConfig(samples=200, seed=3)
     bd.default_scan_suite(cfg)
     assert len(draws) == 200
-    assert batches == [(cfg, 6, (200, 7))]
+    assert batches == [(cfg, 6, (6 + 200, 7))]
     assert bd._BATCH_CACHE == {}
 
 
@@ -296,7 +325,7 @@ def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, batches
     cfg = bd.ScanConfig(samples=100, seed=4)
     bd.default_scan_suite(cfg, tuple(range(2, 21)))
     assert len(draws) == 100
-    assert batches == [(cfg, 20, (100, 21))]
+    assert batches == [(cfg, 20, (20 + 100, 21))]
 
 
 @pytest.mark.parametrize("scan, order", [(lambda cfg: bd.scan("a2", cfg), 2),
@@ -309,7 +338,7 @@ def test_standalone_scan_builds_its_own_batch_at_its_read_order(batches, scan, o
     cfg = bd.ScanConfig(samples=50, seed=5)
     scan(cfg)
     scan(cfg)
-    assert batches == [(cfg, order, (50, order + 1))] * 2
+    assert batches == [(cfg, order, (max(5, order) + 50, order + 1))] * 2
     assert bd._BATCH_CACHE == {}
 
 
@@ -345,9 +374,9 @@ def test_names_are_rejected_before_any_batch_is_built(draws, reader, name, messa
 @pytest.mark.parametrize("scan", [lambda: bd.scan("h22", CFG),
                                   lambda: bd.scan("a3", CFG)], ids=["h22", "a3"])
 def test_scan_builds_each_witness_once(monkeypatch, scan):
-    # the batch, the anchors and the polish of one scan build each
-    # (witness bytes, order) once, an anchor met again by the polish included.
-    # h22 polishes from the anchor z^2 (four anchors, then polish builds);
+    # the batch and the polish of one scan build each (witness bytes, order)
+    # once, the best witness met again by the polish included.  h22 polishes
+    # from the anchor z^2 (five anchors lead its batch, then polish builds);
     # a3's best is a batch witness without zeros, which is not polished
     builds = []
 

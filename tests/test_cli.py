@@ -76,8 +76,20 @@ def test_coeffs_of_a_function_file_do_not_depend_on_order(tmp_path, capsys):
 
 
 def test_coeffs_requires_source(capsys):
-    code, _ = run(capsys, "coeffs")
+    assert cli.main(["coeffs"]) == 1
+    assert capsys.readouterr().err == "error: one of the arguments --witness --input is required\n"
+
+
+def test_coeffs_with_both_a_witness_and_an_input_file_exits_1_and_writes_nothing(tmp_path,
+                                                                                 capsys):
+    # --input used to be ignored beside --witness
+    path = write_koebe(tmp_path)
+    out = tmp_path / "coeffs.json"
+    code = cli.main(["coeffs", "--witness", "z^2", "--input", path, "--output", str(out)])
     assert code == 1
+    assert capsys.readouterr().err == (
+        "error: argument --input: not allowed with argument --witness\n")
+    assert not out.exists()
 
 
 def test_coeffs_malformed_witness_file_exits_2(tmp_path, capsys):
@@ -255,6 +267,44 @@ def test_an_input_file_with_the_fields_of_two_kinds_exits_2_and_writes_nothing(
     assert code == 2
     assert capsys.readouterr().err == (
         f"invariant violation: {path}: holds the fields of more than one kind of file: {kinds}\n")
+    assert not out.exists()
+
+
+#: A valid file of each field that holds [re, im] pairs, with ``p`` as its first pair.
+_WITH_PAIR = {"coeffs[2]": lambda p: {"coeffs": [[0, 0], [1, 0], p]},
+              "rotation": lambda p: {"rotation": p, "zeros": []},
+              "zeros[0]": lambda p: {"rotation": [1, 0], "zeros": [p]},
+              "nodes[0]": lambda p: {"weights": [1.0], "nodes": [p]}}
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["membership"],
+                                     ["plot-data", "--curve", "ratio-image"]],
+                         ids=["coeffs", "membership", "plot-data"])
+@pytest.mark.parametrize("obj, rule", [
+    pytest.param({"zeros": []}, "a Schwarz file holds rotation and zeros; this one has no rotation",
+                 id="no-rotation"),
+    pytest.param({"rotation": [1, 0]},
+                 "a Schwarz file holds rotation and zeros; this one has no zeros", id="no-zeros"),
+    pytest.param({"nodes": [[0.5, 0]]},
+                 "a Herglotz file holds weights and nodes; this one has no weights",
+                 id="no-weights"),
+    pytest.param({"weights": [1.0]},
+                 "a Herglotz file holds weights and nodes; this one has no nodes", id="no-nodes"),
+    *(pytest.param(file(p), f"{name} must be an [re, im] pair of two numbers, got {len(p)}",
+                   id=f"{name}-pair-of-{len(p)}")
+      for name, file in _WITH_PAIR.items() for p in ([], [0.5], [0.3, 0, 7])),
+])
+def test_an_input_file_missing_a_field_or_with_a_bad_pair_exits_2_and_names_it(
+        command, obj, rule, tmp_path, capsys):
+    # any field marks a kind: {"zeros": []} used to exit 1 as no kind at all,
+    # and {"rotation": [1, 0]} to exit 2 with the bare KeyError text 'zeros';
+    # a pair's third number used to be dropped, and a lone one to raise IndexError
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    code = cli.main([*command, "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"invariant violation: {path}: {rule}\n"
     assert not out.exists()
 
 
