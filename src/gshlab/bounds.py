@@ -14,8 +14,12 @@ sufficient to reproduce the reported value, and a violation flag raised when
 the empirical maximum exceeds the claimed bound beyond tolerance.  Scans are
 seed-deterministic: sample i is drawn from the stream seeded by (seed, i), so
 doubling the sample budget keeps every earlier sample and never lowers a
-maximum.  Every scan builds its members at its functional's ``read_order``.
-A battery (``default_scan_suite``) passes one witness batch to all its scans;
+maximum.  The batch's coefficients are approximate (``core.member_rows``)
+and only sieve it: every reported value comes from a member built exactly
+(``member_from_witness``) at the functional's ``read_order``, and only the
+rows that can hold the maximum are built.  A battery
+(``default_scan_suite``) passes one witness batch, one table of the members
+built and one of the direct-family points computed to all its scans;
 ``scan`` builds its own, and nothing is kept between calls.
 """
 
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import ZERO_MODULUS_CAP, SchwarzSample, coeffs_from_witnesses, sample_schwarz
-from .core import FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness, read_order
+from .core import (FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness, member_rows,
+                   read_order)
 from .refine import polish_coordinatewise
 
 #: Most Blaschke zeros of a random witness (their modulus cap is
@@ -124,17 +129,21 @@ _BATCH_CACHE: dict = {}
 def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.ndarray]:
     """Anchors z^1..z^max(5, order), then a config's samples, and their members' a_0..a_order.
 
-    Every call builds a new batch.  A scan reads the leading columns it
-    needs, which are bitwise the members built at its own read order.
+    The rows come from ``member_rows``: approximate coefficients that rank
+    the batch and report no number (``_scan`` builds exactly each member
+    that can hold a maximum).  A row whose approximate coefficients are not
+    all finite is built exactly here, so a member that overflows raises
+    ValueError.  Every call builds a new batch.  A scan reads the leading
+    columns it needs, which are bitwise the rows at its own read order.
     Sample i is drawn from the stream seeded by (seed, i), so the batch of a
     smaller budget is a prefix of the batch of a larger one.
     """
     witnesses = [SchwarzSample.monomial(k) for k in range(1, max(5, order) + 1)]
     witnesses += [sample_schwarz(np.random.default_rng((cfg.seed, i)), max_zeros=MAX_ZEROS)
                   for i in range(cfg.samples)]
-    rows = np.empty((len(witnesses), order + 1), dtype=np.complex128)
-    for i, omega in enumerate(witnesses):
-        rows[i] = _member_coeffs(omega, order)
+    rows = member_rows(witnesses, order)
+    for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+        rows[i] = _member_coeffs(witnesses[i], order)
     return witnesses, rows
 
 
@@ -149,15 +158,10 @@ def _schwarz_params(omega: SchwarzSample):
     return np.array(params), bounds
 
 
-def _schwarz_from_params(params: np.ndarray) -> SchwarzSample:
+def _polish_witness(params: np.ndarray) -> tuple[complex, tuple[complex, ...]]:
+    """The rotation and zeros of the witness at a polish point, as Python complex numbers."""
     p = params.tolist()
-    return SchwarzSample(rotation=cmath.exp(1j * p[0]),
-                         zeros=tuple(p[k] * cmath.exp(1j * p[k + 1]) for k in range(1, len(p), 2)))
-
-
-def _witness_key(omega: SchwarzSample) -> bytes:
-    """The rotation and zeros of a witness as complex128 bytes; -0.0 and 0.0 differ."""
-    return np.array([omega.rotation, *omega.zeros], dtype=np.complex128).tobytes()
+    return cmath.exp(1j * p[0]), tuple(p[k] * cmath.exp(1j * p[k + 1]) for k in range(1, len(p), 2))
 
 
 def witness_to_json(omega: SchwarzSample) -> dict:
@@ -227,27 +231,26 @@ def _direct_grid() -> tuple[tuple[np.ndarray, ...], tuple]:
     return tuple(axes), coeffs
 
 
-def _direct_family_max(name: str, lam: complex = 1.0):
+def _direct_family_max(name: str, lam: complex, points: dict):
     """Grid maximum of |name| over the direct family, polished coordinatewise.
 
     The grid and its coefficients come from ``_direct_grid``; a scan computes
     only the functional on them, its modulus and the argmax.  The polish
-    looks up a point (c1, x, z) it has met before, by its exact bytes, as
-    ``_scan`` does a witness.
+    reads a_0..a_4 at a point (c1, x, z) from ``points``, the battery's
+    table keyed by the point's complex128 bytes, and computes them only on
+    a miss; each scan then takes its own functional of them.
     """
     (cc, yy, pp, zz), coeffs = _direct_grid()
     vals = np.abs(functional(name, coeffs, lam))
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     x0 = np.array([cc[idx], yy[idx], pp[idx], cmath.phase(complex(zz[idx])) % (2 * math.pi)])
 
-    seen: dict[bytes, float] = {}
-
     def score(p):
         c1, x, z = p[0], p[1] * cmath.exp(1j * p[2]), cmath.exp(1j * p[3])
         key = np.array([c1, x, z], dtype=np.complex128).tobytes()
-        if key not in seen:
-            seen[key] = float(_direct_values(name, c1, x, z, lam))
-        return seen[key]
+        if key not in points:
+            points[key] = _direct_coeffs(c1, x, z)
+        return float(np.abs(functional(name, points[key], lam)))
 
     bounds = [(0.0, 2.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)]
     p, best = polish_coordinatewise(score, x0, bounds, rounds=POLISH_ROUNDS)
@@ -258,52 +261,72 @@ def _direct_family_max(name: str, lam: complex = 1.0):
 
 # -- scans --------------------------------------------------------------------
 
+#: The batch sieve of ``_scan`` builds every row whose approximate value is
+#: within this margin, relative to 1 + U, of the exact value U of the
+#: approximate argmax.  Approximate and exact coefficients differ by about
+#: 1e-16, far below it.
+SIEVE_MARGIN = 1e-9
+
 
 def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.ndarray,
-          lam: complex = 1.0) -> BoundEstimate:
+          members: dict, points: dict, lam: complex = 1.0) -> BoundEstimate:
     """Empirical maximum of |name| over the search families, against its claimed bound.
 
     The first best of the batch ``witnesses`` (``witness_batch``: the
     monomial anchors, then random witnesses) is polished over its witness
     parameters.  The named functionals of a2..a4 also scan the direct
     family (the coefficient scans do not), and the larger maximum wins.
+    Every value is read from members built at ``read_order(name)``; an
+    anchor z^k with k >= 5 (k >= n for a_n) scores exactly 0, as f/z is a
+    series in z^k.
 
-    The batch and the polish objective read members built at
-    ``read_order(name)``: of the batch's member coefficients ``rows`` (at
-    that order or higher), only a_0..a_read_order.  An anchor z^k with
-    k >= 5 (k >= n for a_n) scores exactly 0, as f/z is a series in z^k.
+    The batch's approximate rows (``rows``, at that order or higher) only
+    sieve it.  Let U be the exact value of the row whose approximate value
+    is largest.  Every row whose approximate value is not below
+    U - SIEVE_MARGIN (1 + U), a NaN included, is built exactly, and the
+    first of them in row order with the largest exact value is the batch's
+    best.  A row left out is strictly below U, which is at most the exact
+    maximum, so the best is the first exact argmax of the whole batch.
 
-    The polish objective keeps a table, local to the call, keyed by the
-    exact bytes of the witness (``_witness_key``); the best batch witness
-    enters it with its batch value.  A witness met again, such as the start
-    of the polish, the phase of a Blaschke zero at the origin, or a second
-    polish round that repeats a first one without gain, is looked up rather
-    than built.  Member construction is deterministic, so every value is the
-    one a build would give.
+    ``members`` and ``points`` are the battery's tables, shared by its
+    scans.  ``members`` holds each member built, keyed by (order, rotation,
+    *zeros) as Python complex numbers, so -0.0 and 0.0 are one key: the
+    member pipeline only adds and multiplies, and divides by nonzero
+    constants, so the sign of a zero part changes only the sign of a zero
+    result, never |functional|.  The sieve and the polish objective read
+    it, and build a member (and, for the polish, its ``SchwarzSample``)
+    only on a miss.  ``points`` is ``_direct_family_max``'s.
     """
     order = read_order(name)
-    batch_vals = np.array([functional_value(name, row, lam) for row in rows[:, : order + 1]])
-    j = int(np.argmax(batch_vals))
-    best_witness, best = witnesses[j], float(batch_vals[j])
-    seen = {_witness_key(best_witness): best}
 
-    def value(omega: SchwarzSample) -> float:
-        key = _witness_key(omega)
-        if key not in seen:
-            seen[key] = functional_value(name, _member_coeffs(omega, order), lam)
-        return seen[key]
+    def value(rotation: complex, zeros: tuple, omega: SchwarzSample | None = None) -> float:
+        key = (order, rotation, *zeros)
+        if key not in members:
+            omega = omega or SchwarzSample(rotation=rotation, zeros=zeros)
+            members[key] = _member_coeffs(omega, order)
+        return functional_value(name, members[key], lam)
+
+    def batch_value(i: int) -> float:
+        omega = witnesses[i]
+        return value(complex(omega.rotation), tuple(map(complex, omega.zeros)), omega)
+
+    approx = np.abs(functional(name, rows.T, lam))
+    top = batch_value(int(np.argmax(approx)))
+    built = np.flatnonzero(~(approx < top - SIEVE_MARGIN * (1.0 + top)))
+    values = [batch_value(i) for i in built]
+    j = int(np.argmax(values))
+    best_witness, best = witnesses[built[j]], values[j]
 
     params, bounds = _schwarz_params(best_witness)
-
     if len(params) > 1:
-        params, polished = polish_coordinatewise(lambda p: value(_schwarz_from_params(p)),
+        params, polished = polish_coordinatewise(lambda p: value(*_polish_witness(p)),
                                                  params, bounds, rounds=POLISH_ROUNDS)
         if polished > best:
             best = polished
-            best_witness = _schwarz_from_params(params)
+            best_witness = SchwarzSample(*_polish_witness(params))
     witness = witness_to_json(best_witness)
     if name in FUNCTIONALS and name in _DIRECT_FUNCTIONALS:
-        direct_best, direct_witness = _direct_family_max(name, lam)
+        direct_best, direct_witness = _direct_family_max(name, lam, points)
         if direct_best > best:
             best, witness = direct_best, direct_witness
     claim = claimed_bound(name, lam)
@@ -314,12 +337,12 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
 
 
 def scan(name: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
-    """``_scan`` of ``name`` on its own witness batch, anchors included, at ``read_order(name)``.
+    """``_scan`` of ``name`` on its own witness batch and tables, at ``read_order(name)``.
 
     ``name`` is ``aN`` (n >= 2), ``h22``, ``h31``, ``fs`` (Fekete-Szego,
     parameter ``lam``) or ``t`` (a4 - a2 a3); ``read_order`` checks it first.
     """
-    return _scan(name, cfg, *witness_batch(cfg, read_order(name)), lam)
+    return _scan(name, cfg, *witness_batch(cfg, read_order(name)), {}, {}, lam)
 
 
 # -- the closed-form envelope of the h22 functional ---------------------------
@@ -365,11 +388,13 @@ def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEF
 
     Once ``read_order`` accepts every name of the battery, one witness batch
     is built at the highest read order (6 for the default one) and passed to
-    every scan, which reads its leading columns; each estimate is its
-    standalone ``scan``'s, bit for bit.
+    every scan, which reads its leading columns, with one member table and
+    one direct-family table (``_scan``), so each member and each direct
+    point is computed once per battery.  Each estimate is its standalone
+    ``scan``'s, bit for bit.
     """
     names = [*(f"a{n}" for n in coefficient_range), *FUNCTIONALS]
-    batch = witness_batch(cfg, max(read_order(name) for name in names))
+    batch = (*witness_batch(cfg, max(read_order(name) for name in names)), {}, {})
     out = [_scan(f"a{n}", cfg, *batch) for n in coefficient_range]
     out.extend(_scan("fs", cfg, *batch, lam) for lam in fs_lams)
     out.extend(_scan(kind, cfg, *batch) for kind in ("t", "h22", "h31"))

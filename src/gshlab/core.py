@@ -172,6 +172,60 @@ def member_from_witness(omega: SchwarzSample | np.ndarray,
     return NormalizedFunction(f)
 
 
+#: Witnesses per block of :func:`member_rows`.
+MEMBER_ROWS_BLOCK = 4096
+
+
+def member_rows(witnesses: list[SchwarzSample], order: int) -> np.ndarray:
+    """Approximate a_0..a_order of each Schwarz witness's member, one row per witness.
+
+    The rows only rank witnesses and never report a number: a row agrees
+    with ``member_from_witness(omega, order).coeffs`` to about 1e-16, not
+    bit for bit.  One vectorized pass per block of ``MEMBER_ROWS_BLOCK``
+    rows runs the power-series recurrences (Knuth, TAOCP vol. 2, 4.7): the
+    Blaschke factors as truncated products, the sinh/cosh pair of w by
+    k S_k = sum_j j w_j C_(k-j) and k C_k = sum_j j w_j S_(k-j), then
+    g = exp(integral of S(t)/t) by k g_k = sum_j S_j g_(k-j), and f = z g.
+    Column k reads only columns 0..k of its row, so the rows at a lower
+    order are the leading columns of the rows at a higher one, bit for bit,
+    whatever the block.  Non-finite values pass through.
+    """
+    rows = np.zeros((len(witnesses), order + 1), dtype=np.complex128)
+    for lo in range(0, len(witnesses), MEMBER_ROWS_BLOCK):
+        block = witnesses[lo : lo + MEMBER_ROWS_BLOCK]
+        rows[lo : lo + len(block), 1:] = _member_tails(block, order)
+    return rows
+
+
+def _member_tails(block: list[SchwarzSample], n: int) -> np.ndarray:
+    """g_0..g_(n-1) of f = z g for each witness of ``block``, as ``member_rows`` says."""
+    counts = np.array([len(omega.zeros) for omega in block])
+    zeros = np.zeros((len(block), counts.max()), dtype=np.complex128)
+    for i, omega in enumerate(block):
+        zeros[i, : counts[i]] = omega.zeros
+    p = np.zeros((len(block), n), dtype=np.complex128)
+    p[:, 0] = 1.0
+    for j in range(zeros.shape[1]):
+        # (z - b)/(1 - conj(b) z) is -b, then (1 - |b|^2) conj(b)^(k-1) at power k
+        idx = np.flatnonzero(counts > j)
+        b = zeros[idx, j, None]
+        factor = np.repeat(b.conj(), n, axis=1)
+        factor[:, :2] = np.concatenate([-b, 1.0 - b.conj() * b], axis=1)[:, :n]
+        factor[:, 1:] = np.cumprod(factor[:, 1:], axis=1)
+        q = p[idx]
+        p[idx] = np.stack([(q[:, : k + 1] * factor[:, k::-1]).sum(axis=1) for k in range(n)], 1)
+    w = np.zeros_like(p)
+    w[:, 1:] = np.array([complex(omega.rotation) for omega in block])[:, None] * p[:, :-1]
+    jw = w * np.arange(n)
+    s, c, g = np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
+    c[:, 0] = g[:, 0] = 1.0
+    for k in range(1, n):
+        s[:, k] = (jw[:, 1 : k + 1] * c[:, k - 1 :: -1]).sum(axis=1) / k
+        c[:, k] = (jw[:, 1 : k + 1] * s[:, k - 1 :: -1]).sum(axis=1) / k
+        g[:, k] = (s[:, 1 : k + 1] * g[:, k - 1 :: -1]).sum(axis=1) / k
+    return g
+
+
 def coeffs_from_caratheodory(c) -> tuple:
     """(a_2, ..., a_{k+1}) of the member induced by the k = 3 or 4 coefficients c_1..c_k.
 

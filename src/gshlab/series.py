@@ -30,6 +30,7 @@ read back by ``coefficients(json_numbers(pairs, field, pairs=True))``, where
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -234,13 +235,24 @@ def shift_down(s: np.ndarray) -> np.ndarray:
 # -- transcendental maps --------------------------------------------------
 
 
+@functools.cache
 def _inverse_factorials(order: int) -> np.ndarray:
-    """1/k! for k = 0..order, by successive division."""
+    """1/k! for k = 0..order, by successive division; read-only and built once per order."""
     out = np.empty(order + 1, dtype=np.complex128)
     inv_fact = 1.0
     for k in range(order + 1):
         out[k] = inv_fact
         inv_fact /= k + 1
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _odd_inverse_factorials(order: int) -> np.ndarray:
+    """1/k! for odd k and 0.0 for even k = 0..order; read-only and built once per order."""
+    out = _inverse_factorials(order).copy()
+    out[::2] = 0.0
+    out.setflags(write=False)
     return out
 
 
@@ -251,6 +263,4 @@ def exp(s: np.ndarray) -> np.ndarray:
 
 def sinh(s: np.ndarray) -> np.ndarray:
     """sinh of a series with constant term exactly 0: the odd 1/k! composed with it."""
-    table = _inverse_factorials(s.size - 1)
-    table[::2] = 0.0
-    return compose(table, s)
+    return compose(_odd_inverse_factorials(s.size - 1), s)

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from gshlab import bounds as bd
 from gshlab import caratheodory as cara
-from gshlab.core import functional, member_from_witness, read_order
+from gshlab.core import functional, member_from_witness, member_rows, read_order
 
 CFG = bd.ScanConfig(samples=1500, seed=2)
 
@@ -236,7 +237,8 @@ def test_scan_maxima_monotone_in_budget():
 
 
 def test_witness_batch_prefix_stable_under_budget_growth():
-    # the six anchors, then sample i from (seed, i): a smaller budget's batch is a prefix
+    # the six anchors, then sample i from (seed, i): a smaller budget's batch,
+    # its approximate rows included, is a prefix
     small_witnesses, small_rows = bd.witness_batch(bd.ScanConfig(samples=300, seed=8), 6)
     witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=600, seed=8), 6)
     assert small_rows.shape == (6 + 300, 7)
@@ -248,7 +250,8 @@ def test_witness_batch_prefix_stable_under_budget_growth():
 @pytest.mark.parametrize("seed", [8, 9])
 def test_witness_batch_at_read_order_is_leading_columns_of_order_32(seed):
     cfg = bd.ScanConfig(samples=600, seed=seed)
-    # the batch at order 6 has the anchors z^1..z^6, the one at order 32 z^1..z^32
+    # the batch at order 6 has the anchors z^1..z^6, the one at order 32 z^1..z^32;
+    # the approximate rows of the lower order are the leading columns, bit for bit
     _, narrow = bd.witness_batch(cfg, 6)
     _, wide = bd.witness_batch(cfg, 32)
     assert narrow.shape == (6 + 600, 7)
@@ -261,10 +264,40 @@ def test_witness_batch_leads_with_the_monomial_anchors(order):
     witnesses, rows = bd.witness_batch(bd.ScanConfig(samples=3, seed=1), order)
     anchors = max(5, order)
     assert len(witnesses) == anchors + 3
+    assert rows.tobytes() == member_rows(witnesses, order).tobytes()
     for k in range(1, anchors + 1):
         monomial = cara.SchwarzSample.monomial(k)
         assert witnesses[k - 1] == monomial
-        assert rows[k - 1].tobytes() == member_from_witness(monomial, order).coeffs.tobytes()
+        exact = member_from_witness(monomial, order).coeffs
+        assert np.max(np.abs(rows[k - 1] - exact)) < 1e-15
+
+
+def _overflowing_witness():
+    """The map 1e200 z, which is no Schwarz map: its member's sinh overflows at z^3."""
+    omega = cara.SchwarzSample()
+    object.__setattr__(omega, "rotation", 1e200)
+    return omega
+
+
+def test_witness_batch_builds_a_non_finite_row_exactly_so_an_overflow_raises(monkeypatch):
+    draw, build = cara.sample_schwarz, bd._member_coeffs
+    drawn, built = [], []
+
+    def planted(rng, max_zeros):
+        drawn.append(1)
+        return _overflowing_witness() if len(drawn) == 2 else draw(rng, max_zeros=max_zeros)
+
+    def counted(omega, order):
+        built.append(omega.rotation)
+        return build(omega, order)
+
+    monkeypatch.setattr(bd, "sample_schwarz", planted)
+    monkeypatch.setattr(bd, "_member_coeffs", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="must be finite"):
+            bd.witness_batch(bd.ScanConfig(samples=4, seed=1), 6)
+    # the non-finite row is the only one built exactly, and its build raises
+    assert built == [1e200]
 
 
 @pytest.mark.parametrize("name, lam", [*(("fs", lam) for lam in (0.0, 0.5, 1.0, 2.0, 1j, -3.0)),
@@ -321,7 +354,7 @@ def test_default_scan_suite_builds_one_batch(draws, batches):
 def test_wide_battery_builds_one_batch_at_its_highest_coefficient(draws, batches, monkeypatch):
     # the battery of `bounds-scan --coefficients 2..20 --order 32`; the scans
     # are skipped, since they only read the batch they are given
-    monkeypatch.setattr(bd, "_scan", lambda name, cfg, witnesses, rows, lam=1.0: None)
+    monkeypatch.setattr(bd, "_scan", lambda *args: None)
     cfg = bd.ScanConfig(samples=100, seed=4)
     bd.default_scan_suite(cfg, tuple(range(2, 21)))
     assert len(draws) == 100
@@ -371,52 +404,155 @@ def test_names_are_rejected_before_any_batch_is_built(draws, reader, name, messa
     assert draws == []
 
 
-@pytest.mark.parametrize("scan", [lambda: bd.scan("h22", CFG),
-                                  lambda: bd.scan("a3", CFG)], ids=["h22", "a3"])
-def test_scan_builds_each_witness_once(monkeypatch, scan):
-    # the batch and the polish of one scan build each (witness bytes, order)
-    # once, the best witness met again by the polish included.  h22 polishes
-    # from the anchor z^2 (five anchors lead its batch, then polish builds);
-    # a3's best is a batch witness without zeros, which is not polished
-    builds = []
+def _member_key(omega, order):
+    """The key of the scans' member table: the order, then the witness as Python complex numbers."""
+    return (order, complex(omega.rotation), *map(complex, omega.zeros))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The member table key of each member built by ``bounds`` while the test runs."""
+    built = []
 
     def counted(omega, order):
-        key = np.array([omega.rotation, *omega.zeros], dtype=np.complex128).tobytes()
-        builds.append((key, order))
+        built.append(_member_key(omega, order))
         return member_from_witness(omega, order)
 
     monkeypatch.setattr(bd, "member_from_witness", counted)
+    return built
+
+
+@pytest.mark.parametrize("scan", [lambda: bd.scan("h22", CFG),
+                                  lambda: bd.scan("a3", CFG)], ids=["h22", "a3"])
+def test_scan_builds_each_witness_once(builds, scan):
+    # the sieve and the polish of one scan build each (order, witness) once,
+    # the best witness met again by the polish included.  h22 polishes from
+    # the anchor z^2; a3's best is a batch witness without zeros, which is
+    # not polished, and the sieve builds every zero-free row, since each
+    # ties it to within an ulp.  No scan builds the whole batch.
     scan()
-    assert len(builds) >= CFG.samples + 5
+    assert 0 < len(builds) < CFG.samples
     assert max(collections.Counter(builds).values()) == 1
 
 
-def _schwarz_from_numpy_params(params):
-    """The witness of a polish point with numpy scalar arithmetic (the oracle)."""
+def test_a_battery_builds_each_member_and_each_direct_point_once(builds, monkeypatch):
+    points = []
+    direct = bd._direct_coeffs
+
+    def counted(c1, x, z):
+        if np.ndim(c1) == 0:  # a polish point, not the grid
+            points.append(np.array([c1, x, z], dtype=np.complex128).tobytes())
+        return direct(c1, x, z)
+
+    monkeypatch.setattr(bd, "_direct_coeffs", counted)
+    cfg = bd.ScanConfig(samples=300, seed=14)
+    bd.default_scan_suite(cfg, fs_lams=(0.0, 0.5, 1.0, 2.0, 1j))
+    # fs(0) and a3 polish the same members, and fs(0), fs(0.5) and fs(1) the same points
+    assert max(collections.Counter(builds).values()) == 1
+    assert max(collections.Counter(points).values()) == 1
+
+
+#: Every functional, with real and complex Fekete-Szego parameters.
+_SIEVE_FUNCTIONALS = [*((f"a{n}", 1.0) for n in range(2, 9)),
+                      *(("fs", lam) for lam in (0.0, 0.5, 1.0, 2.0, -1.0, 3.0, 1j, 0.25 - 3j)),
+                      ("t", 1.0), ("h22", 1.0), ("h31", 1.0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 12),
+       plants=st.lists(st.tuples(st.sampled_from(["duplicate", "zero-free", "anchor"]),
+                                 st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)), max_size=10))
+def test_the_sieve_picks_the_dense_first_argmax(seed, samples, plants):
+    # planted ties: copies of earlier rows, zero-free rows (each ties a2, a3
+    # and fs to within an ulp) and anchors, some with zeros at -0.0
+    rng = np.random.default_rng(seed)
+    witnesses = [cara.SchwarzSample.monomial(k) for k in range(1, 9)]
+    witnesses += [cara.sample_schwarz(rng) for _ in range(samples)]
+    for kind, at, pick in plants:
+        if kind == "duplicate":
+            omega = witnesses[pick % len(witnesses)]
+            new = cara.SchwarzSample(rotation=omega.rotation, zeros=omega.zeros)
+        elif kind == "zero-free":
+            new = cara.SchwarzSample(rotation=cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+        else:
+            zero = (0.0, -0.0, complex(-0.0, -0.0))[pick % 3]
+            new = cara.SchwarzSample(rotation=1.0, zeros=(zero,) * (pick % 8))
+        witnesses.insert(at % (len(witnesses) + 1), new)
+    rows = member_rows(witnesses, 8)
+    members = {}
+    for name, lam in _SIEVE_FUNCTIONALS:
+        order = read_order(name)
+        dense = [bd.functional_value(name, member_from_witness(omega, order).coeffs, lam)
+                 for omega in witnesses]
+        picked = []
+        with pytest.MonkeyPatch.context() as mp:
+            # no polish and no direct family: the estimate is the batch's best
+            mp.setattr(bd, "_schwarz_params",
+                       lambda omega: picked.append(omega) or (np.zeros(1), [(0.0, 1.0)]))
+            mp.setattr(bd, "_direct_family_max", lambda *args: (-math.inf, None))
+            est = bd._scan(name, CFG, witnesses, rows, members, {}, lam)
+        j = int(np.argmax(dense))
+        assert len(picked) == 1 and picked[0] is witnesses[j], (name, lam)
+        assert est.empirical_max == dense[j], (name, lam)
+
+
+def _polish_witness_with_numpy_scalars(params):
+    """The rotation and zeros of a polish point with numpy scalar arithmetic (the oracle)."""
     zeros = tuple(params[k] * cmath.exp(1j * params[k + 1]) for k in range(1, len(params), 2))
-    return cara.SchwarzSample(rotation=cmath.exp(1j * params[0]), zeros=zeros)
+    return cmath.exp(1j * params[0]), zeros
 
 
-def test_schwarz_from_params_keys_equal_the_numpy_scalar_route():
+def test_polish_witness_keys_equal_the_numpy_scalar_route():
     rng = np.random.default_rng(71)
     for count in range(5):
         for _ in range(200):
             params = rng.uniform(0.0, 2.0 * math.pi, 1 + 2 * count)
             params[1::2] = rng.uniform(0.0, cara.ZERO_MODULUS_CAP, count)
             params[1::2][rng.random(count) < 0.3] = 0.0
-            want = bd._witness_key(_schwarz_from_numpy_params(params))
-            assert bd._witness_key(bd._schwarz_from_params(params)) == want, params
+            rotation, zeros = bd._polish_witness(params)
+            want = _polish_witness_with_numpy_scalars(params)
+            assert (rotation, *zeros) == (want[0], *want[1]), params
     # a zero at the origin: its phase sets only the signs of its real and
-    # imaginary parts, both 0.0, so a quadrant of phases is one key and the
-    # polish's sweep of that phase meets the `seen` table
+    # imaginary parts, both 0.0, so the polish's whole sweep of that phase
+    # is one key of the member table
     phases = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False) + 0.01
-    keys = [bd._witness_key(bd._schwarz_from_params(np.array([0.5, 0.0, t]))) for t in phases]
-    assert keys == [bd._witness_key(_schwarz_from_numpy_params(np.array([0.5, 0.0, t])))
-                    for t in phases]
-    by_quadrant = collections.defaultdict(set)
-    for t, key in zip(phases, keys):
-        by_quadrant[int(t // (math.pi / 2))].add(key)
-    assert sorted(map(len, by_quadrant.values())) == [1, 1, 1, 1]
+    witnesses = [cara.SchwarzSample(*bd._polish_witness(np.array([0.5, 0.0, t]))) for t in phases]
+    assert len({(math.copysign(1, b.real), math.copysign(1, b.imag))
+                for omega in witnesses for b in omega.zeros}) > 1
+    assert len({_member_key(omega, 4) for omega in witnesses}) == 1
+
+
+def _signed_zero_twins(rng, count):
+    """Pairs of witnesses equal but for the signs of their zero real and imaginary parts."""
+    def flip(z):
+        def part(x):
+            return math.copysign(0.0, rng.choice([-1.0, 1.0])) if x == 0 else x
+        return complex(part(z.real), part(z.imag))
+
+    for _ in range(count):
+        rotation = complex(rng.choice([cmath.exp(1j * rng.uniform(0, 7)), 1, 1j, -1, -1j]))
+        zeros = []
+        for _ in range(rng.integers(0, 5)):
+            b = 0.7 * rng.random() * cmath.exp(1j * rng.uniform(0, 7))
+            zeros.append(rng.choice([b, complex(b.real, 0.0), complex(0.0, b.imag), 0j]))
+        yield (cara.SchwarzSample(rotation=rotation, zeros=tuple(map(complex, zeros))),
+               cara.SchwarzSample(rotation=flip(rotation), zeros=tuple(map(flip, map(complex, zeros)))))
+
+
+def test_witnesses_that_differ_in_signs_of_zeros_give_one_modulus():
+    # the member table keys them alike; every |functional| has the same bits
+    rng = np.random.default_rng(72)
+    lams = (0.0, 0.5, 1.0, 2.0, -1.0, 1j, 0.25 - 3j)
+    for omega, twin in _signed_zero_twins(rng, 150):
+        assert _member_key(omega, 6) == _member_key(twin, 6)
+        for order in range(2, 9):
+            a, b = (member_from_witness(w, order).coeffs for w in (omega, twin))
+            names = [f"a{n}" for n in range(2, order + 1)]
+            names += [name for name in ("t", "h22", "h31") if read_order(name) <= order]
+            for name in names:
+                assert bd.functional_value(name, a) == bd.functional_value(name, b), name
+            for lam in lams if order >= 3 else ():
+                assert bd.functional_value("fs", a, lam) == bd.functional_value("fs", b, lam)
 
 
 def _fresh_direct_meshgrid():
@@ -445,7 +581,7 @@ def test_direct_grid_is_a_fresh_meshgrid(monkeypatch, name, lam):
         return x0, score(x0)
 
     monkeypatch.setattr(bd, "polish_coordinatewise", start_only)
-    bd._direct_family_max(name, lam)
+    bd._direct_family_max(name, lam, {})
     x0 = [cc[idx], yy[idx], pp[idx], cmath.phase(complex(zz[idx])) % (2 * math.pi)]
     assert starts[0].tobytes() == np.array(x0).tobytes()
     for a in (*axes, *coeffs[2:]):

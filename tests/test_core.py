@@ -82,6 +82,53 @@ def test_witness_round_trip_200_samples():
         assert np.max(np.abs(f.ratio_values(z) - 1.0 - np.sinh(omega.values(z)))) < 1e-10
 
 
+def _row_witnesses():
+    """The anchors z^1..z^33 and random witnesses with 0..4 zeros, in a mixed order."""
+    rng = np.random.default_rng(44)
+    witnesses = [SchwarzSample.monomial(k) for k in range(1, 34)]
+    for count in range(5):
+        witnesses += [cara.sample_schwarz(rng, max_zeros=4) for _ in range(20)]
+        witnesses += [SchwarzSample(rotation=cmath.exp(1j * rng.uniform(0, 7)),
+                                    zeros=tuple(0.75 * rng.random(count)
+                                                * np.exp(1j * rng.uniform(0, 7, count))))
+                      for _ in range(8)]
+    return [witnesses[i] for i in rng.permutation(len(witnesses))]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 8, 12, 20, 32])
+def test_member_rows_agree_with_member_from_witness(order):
+    witnesses = _row_witnesses()
+    rows = core.member_rows(witnesses, order)
+    exact = np.array([core.member_from_witness(omega, order).coeffs for omega in witnesses])
+    assert rows.shape == (len(witnesses), order + 1)
+    assert np.max(np.abs(rows - exact)) < 1e-13
+
+
+def test_member_rows_at_a_lower_order_are_the_leading_columns():
+    witnesses = _row_witnesses()
+    assert (core.member_rows(witnesses, 6).tobytes()
+            == np.ascontiguousarray(core.member_rows(witnesses, 32)[:, :7]).tobytes())
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 10 ** 6])
+def test_member_rows_bits_do_not_depend_on_the_block(block, monkeypatch):
+    witnesses = _row_witnesses()
+    want = [core.member_rows([omega], 12).tobytes() for omega in witnesses]
+    monkeypatch.setattr(core, "MEMBER_ROWS_BLOCK", block)
+    assert [row.tobytes() for row in core.member_rows(witnesses, 12)] == want
+
+
+def test_member_rows_let_an_overflow_through():
+    # the witness 1e200 z is no Schwarz map; its sinh overflows at z^3
+    huge = SchwarzSample()
+    object.__setattr__(huge, "rotation", 1e200)
+    with pytest.raises(ValueError, match="must be finite"):
+        core.member_from_witness(huge, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = core.member_rows([SchwarzSample.monomial(2), huge], 6)
+    assert np.isfinite(rows[0]).all() and not np.isfinite(rows[1]).all()
+
+
 # -- ratio ---------------------------------------------------------------------
 
 
