@@ -169,10 +169,12 @@ class CurveRegion:
         ambiguous[rest] = np.abs(m) <= BOUNDARY_TOL
         return inside, ambiguous
 
-    def contains(self, points: np.ndarray) -> bool:
-        """True when every point is strictly inside and none is ambiguous."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """For each row of ``points`` (its last axis), True when every point is strictly
+        inside and none is ambiguous; one ``classify`` call for all rows."""
+        shape = np.shape(points)
         inside, ambiguous = self.classify(points)
-        return bool(np.all(inside) and not np.any(ambiguous))
+        return (inside & ~ambiguous).reshape(shape).all(axis=-1)
 
 
 @functools.cache

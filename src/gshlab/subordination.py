@@ -24,6 +24,17 @@ exactly when it maps the circle |z| = 0.995 there.  Kinds 2-4 divide by f/z,
 so a zero of f/z inside the circle (``core.winding_number``) fails the
 premise.  Candidates failing it are halved toward the identity step by step.
 
+The harness (``run_config``) draws and decides its candidates in blocks no
+longer than the attempts and premise-true cases still wanted, so it draws
+exactly the candidates that one-at-a-time sampling would.  It evaluates the
+steps that can raise one by one, in candidate order, under the caller's
+``np.errstate``, so an exception is raised where it would be.  The steps
+certified to raise nothing are first probed at 4 of the circle's 64 points:
+a step's deviation on the circle is at least its deviation at those points,
+so a probe at the cut-off or above (with a relative slack of 1e-9 for
+round-off) fails the step, and only a step left open is evaluated on the
+whole circle, which alone passes a step.
+
 "Premise holds" means that the operator's image of the disk lies inside the
 Janowski disk, not that the operator is subordinate to the Janowski map: a
 subordination needs the value 1 at the origin, and for kinds 2-4 the coded
@@ -173,12 +184,17 @@ def janowski_deviation(values, params: JanowskiParams) -> float:
     Infinite when some denominator vanishes.  The premise of an implication
     holds when this deviation stays below 1 - margin.
     """
-    v = np.asarray(values, dtype=np.complex128).ravel()
+    return float(_row_deviations(np.asarray(values, dtype=np.complex128).ravel(), params))
+
+
+def _row_deviations(v: np.ndarray, params: JanowskiParams) -> np.ndarray:
+    """``janowski_deviation`` of each row of v (its last axis): inf for a row with a
+    denominator |A - B v| < 1e-300, whose quotients are not computed."""
     den = params.a - params.b * v
-    bad = np.abs(den) < 1e-300
-    if np.any(bad):
-        return math.inf
-    return float(np.max(np.abs((v - 1.0) / den)))
+    finite = ~(np.abs(den) < 1e-300).any(axis=-1)
+    out = np.full(v.shape[:-1], math.inf)
+    out[finite] = np.abs((v[finite] - 1.0) / den[finite]).max(axis=-1)
+    return out
 
 
 def operator_values(f: NormalizedFunction, kind: OperatorKind | int,
@@ -186,17 +202,24 @@ def operator_values(f: NormalizedFunction, kind: OperatorKind | int,
     """Pointwise values of the kind's operator at the grid points z."""
     kind = OperatorKind(kind)
     fp = f.derivative_values(z)
-    g = None if kind is OperatorKind.Z_FPRIME else f.over_z_values(z)
+    g = None
+    if kind is not OperatorKind.Z_FPRIME:
+        g = f.over_z_values(z)
+        if np.any(_vanishes(g)):
+            raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
     return _operator(kind, alpha, z, fp, g)
+
+
+def _vanishes(g: np.ndarray) -> np.ndarray:
+    """Rows of g = f(z)/z (last axis on the grid) where |f/z| <= 1e-8 somewhere."""
+    return np.abs(g).min(axis=-1) <= 1e-8
 
 
 def _operator(kind: OperatorKind, alpha: complex, z: np.ndarray, fp: np.ndarray,
               g: np.ndarray | None) -> np.ndarray:
-    """The kind's operator from fp = f'(z) and g = f(z)/z (unused by kind 1)."""
+    """The kind's operator from fp = f'(z) and g = f(z)/z (unused by kind 1; not vanishing)."""
     if kind is OperatorKind.Z_FPRIME:
         return 1.0 + alpha * z * fp
-    if float(np.min(np.abs(g))) <= 1e-8:
-        raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
     return 1.0 + alpha * fp / g ** (int(kind) - 1)
 
 
@@ -226,8 +249,8 @@ class ImplicationRecord:
                 "function": self.function}
 
 
-def _conclusions(g: np.ndarray) -> tuple[bool, bool]:
-    """Both conclusion verdicts from g = f(z)/z: g - 1 in sinh(D), g in sqrt(1 + D)."""
+def _conclusions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both conclusion verdicts for each row of g = f(z)/z: g - 1 in sinh(D), g in sqrt(1 + D)."""
     return sinh_region().contains(g - 1.0), sqrt_disk_region().contains(g)
 
 
@@ -239,8 +262,9 @@ def _pole_inside(case: ImplicationCase, g: np.ndarray) -> bool:
 def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float, premise: bool,
             conclusions: tuple[bool, bool]) -> ImplicationRecord:
     """Record of f with its premise verdict and the verdicts of ``_conclusions``."""
-    return ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
-                             conclusion_sinh=conclusions[0], conclusion_sqrt=conclusions[1],
+    return ImplicationRecord(case=case, deviation=float(deviation), premise_holds=premise,
+                             conclusion_sinh=bool(conclusions[0]),
+                             conclusion_sqrt=bool(conclusions[1]),
                              vacuous=not premise, function=f.to_json())
 
 
@@ -340,24 +364,27 @@ def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
 #: Largest certified bound on |v - 1| for operator values v of a shrink step.
 _CERTIFIED_SPREAD = 2.0 ** 20
 
+#: Most candidates that ``run_config`` draws and decides as one block.
+_BLOCK_ROWS = 256
 
-def _step_values(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
-                 s) -> np.ndarray:
-    """Operator values of the shrink step with scale s at z: f' and f/z are s dp + 1, s dg + 1."""
-    fp = s * dp + 1.0
-    g = None if case.kind is OperatorKind.Z_FPRIME else s * dg + 1.0
-    return _operator(case.kind, case.alpha, z, fp, g)
+#: Certified steps are first probed at every this many-th circle point.
+_PROBE_STRIDE = 16
 
 
-def _step_deviation(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
-                    k: int) -> float:
-    """Janowski deviation of shrink step k on the grid z."""
-    return janowski_deviation(_step_values(case, z, dp, dg, 2.0 ** -k), case.janowski)
+def _tail_values(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f'(z) - 1 and f(z)/z - 1 on z for each row of candidate coefficients c, f' first,
+    each by one Horner pass over a_2, a_3, ... with the rows as lanes."""
+    def lanes(a):
+        return a[:, 2:].T[:, :, None]
+
+    dp = ts.evaluate(lanes(c * np.arange(c.shape[1])), z) * z
+    dg = ts.evaluate(lanes(c), z) * z
+    return dp, dg
 
 
 def _certified_from(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
-                    dg: np.ndarray) -> int:
-    """First step of the certified suffix of the shrink ladder (SHRINK_STEPS + 1 if none).
+                    dg: np.ndarray) -> np.ndarray:
+    """First step of the certified suffix of each row's shrink ladder (SHRINK_STEPS + 1 if none).
 
     Step k (s = 2^-k) is certified when s max|dg| <= 1/2, so that |f/z| >= 1/2 on
     the grid, and when, with a relative slack of 1e-9, a bound on |v - 1| for
@@ -367,45 +394,87 @@ def _certified_from(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
     """
     s = np.ldexp(1.0, -np.arange(SHRINK_STEPS + 1))
     with np.errstate(all="ignore"):
-        m_p = np.max(np.abs(dp))
-        m_g = np.max(np.abs(dg))
+        m_p = np.max(np.abs(dp), axis=-1, keepdims=True)
+        m_g = np.max(np.abs(dg), axis=-1, keepdims=True)
         alpha = abs(complex(case.alpha))
         if case.kind is OperatorKind.Z_FPRIME:
             bound = alpha * np.max(np.abs(z)) * (1.0 + s * m_p)
         else:
             bound = alpha * (1.0 + s * m_p) / (1.0 - s * m_g) ** (int(case.kind) - 1)
         certified = (s * m_g <= 0.5) & (bound * (1.0 + 1e-9) <= _CERTIFIED_SPREAD)
-    uncertified = np.flatnonzero(~certified)
-    return int(uncertified[-1]) + 1 if uncertified.size else 0
+    last_uncertified = SHRINK_STEPS - np.argmax(~certified[:, ::-1], axis=1)
+    return np.where(certified.all(axis=1), 0, last_uncertified + 1)
 
 
-def _suffix_deviations(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
-                       k0: int) -> np.ndarray:
-    """Deviations of steps k0..SHRINK_STEPS on z, as maxima of one batch row per step,
-    with the bits of ``_step_deviation``: a denominator |A - B v| < 1e-300 gives inf.
-    Run without floating-point errors raised, so only for certified steps."""
-    s = np.ldexp(1.0, -np.arange(k0, SHRINK_STEPS + 1))[:, None]
+def _step_rows(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+               s) -> tuple[np.ndarray, np.ndarray]:
+    """Janowski deviations of shrink steps, one per row of dp and dg (last axis on z),
+    and the mask of the rows where f/z vanishes (``_vanishes``).
+
+    The step with scale s (a number, or an array that broadcasts against the rows)
+    has f' = s dp + 1 and f/z = s dg + 1.  A row where f/z vanishes gets deviation
+    inf without its operator values being computed, so it raises nothing.
+    """
+    fp = s * dp + 1.0
+    if case.kind is OperatorKind.Z_FPRIME:
+        v = _operator(case.kind, case.alpha, z, fp, None)
+        return _row_deviations(v, case.janowski), np.zeros(fp.shape[:-1], dtype=bool)
+    g = s * dg + 1.0
+    vanishes = _vanishes(g)
+    keep = ~vanishes
+    deviation = np.full(vanishes.shape, math.inf)
+    deviation[keep] = _row_deviations(_operator(case.kind, case.alpha, z, fp[keep], g[keep]),
+                                      case.janowski)
+    return deviation, vanishes
+
+
+def _shrink_block(case: ImplicationCase, z: np.ndarray, c: np.ndarray,
+                  keep_records: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First passing step of each candidate (row of coefficients c), SHRINK_STEPS + 1
+    where no step passes; the deviation of that step (of step SHRINK_STEPS where none
+    passes, computed only when records are kept); and f/z - 1 on z.  See ``run_config``."""
+    cut = 1.0 - PREMISE_MARGIN
     with np.errstate(all="ignore"):
-        v = _step_values(case, z, dp, dg, s)
-        den = case.janowski.a - case.janowski.b * v
-        return np.where(np.abs(den) < 1e-300, math.inf, np.abs((v - 1.0) / den)).max(axis=1)
-
-
-def _shrink(case: ImplicationCase, z: np.ndarray, dp: np.ndarray,
-            dg: np.ndarray) -> int | None:
-    """First step that passes the premise, None if no step does."""
+        dp, dg = _tail_values(c, z)
     k0 = _certified_from(case, z, dp, dg)
-    for k in range(k0):
-        try:
-            deviation = _step_deviation(case, z, dp, dg, k)
-        except ZeroDivisorOnGrid:
-            continue
-        if deviation < 1.0 - PREMISE_MARGIN and not _pole_inside(case, 2.0 ** -k * dg + 1.0):
-            return k
-    if k0 > SHRINK_STEPS:
-        return None
-    passing = np.flatnonzero(_suffix_deviations(case, z, dp, dg, k0) < 1.0 - PREMISE_MARGIN)
-    return k0 + int(passing[0]) if passing.size else None
+    first = np.full(len(c), SHRINK_STEPS + 1)
+    deviation = np.full(len(c), math.nan)
+    finite = np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1)
+    for i in range(len(c)):  # what can raise, in candidate order
+        row = slice(i, i + 1)
+        if not finite[i]:
+            dp[row], dg[row] = _tail_values(c[row], z)
+        for k in range(min(int(k0[i]), SHRINK_STEPS + 1)):
+            dev, vanishes = _step_rows(case, z, dp[row], dg[row], 2.0 ** -k)
+            deviation[i] = dev[0]
+            if k == SHRINK_STEPS and vanishes[0] and keep_records:
+                # the kept record's candidate, whose operator_values raise this
+                raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
+            if dev[0] < cut and not _pole_inside(case, 2.0 ** -k * dg[i] + 1.0):
+                first[i] = k
+                break
+    # the certified steps of the rows left: a probe fails steps, the whole circle passes one
+    rows = np.flatnonzero((first > SHRINK_STEPS) & (k0 <= SHRINK_STEPS))
+    steps = np.arange(SHRINK_STEPS + 1)
+    with np.errstate(all="ignore"):
+        probe, _ = _step_rows(case, z[::_PROBE_STRIDE], dp[rows, None, ::_PROBE_STRIDE],
+                              dg[rows, None, ::_PROBE_STRIDE], np.ldexp(1.0, -steps)[:, None])
+        open_steps = (steps >= k0[rows, None]) & ~(probe >= cut * (1.0 + 1e-9))
+        while True:
+            undecided = open_steps.any(axis=1)
+            rows, open_steps = rows[undecided], open_steps[undecided]
+            if not rows.size:
+                break
+            k = np.argmax(open_steps, axis=1)
+            dev, _ = _step_rows(case, z, dp[rows], dg[rows], np.ldexp(1.0, -k)[:, None])
+            passed = dev < cut
+            first[rows[passed]], deviation[rows[passed]] = k[passed], dev[passed]
+            open_steps[np.arange(rows.size), k] = False
+            rows, open_steps = rows[~passed], open_steps[~passed]
+        if keep_records:
+            last = np.flatnonzero((first > SHRINK_STEPS) & (k0 <= SHRINK_STEPS))
+            deviation[last], _ = _step_rows(case, z, dp[last], dg[last], 2.0 ** -SHRINK_STEPS)
+    return first, deviation, dg
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -419,28 +488,44 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     fails the attempt is vacuous.  Its kept record holds the candidate of the
     last step (halved ``SHRINK_STEPS`` times) with its deviation and conclusions.
 
+    Candidates are drawn and decided in blocks of m = min(attempts left,
+    premise-true cases still wanted, ``_BLOCK_ROWS``).  An attempt adds at
+    most one premise-true case, so the one-at-a-time loop reaches every
+    candidate of a block: the draws, the counts and the records are the same.
+    Candidate i is drawn from its own ``default_rng((seed, kind, i))``.  A
+    block's draws all come before its first step; ``_sample_candidate``'s
+    bounded draws raise no floating-point error, so no exception moves.
+
     An attempt computes only what its output reads: the conclusions for a
     premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
     the ``ImplicationRecord`` and its step's deviation only when records are
-    kept.  Skipping the conclusions of a vacuous attempt drops no exception:
-    there g - 1 = 2**-24 (f/z - 1), and max|f/z - 1| on the grid stays below
-    2 for ``_sample_candidate``'s bounded tails (over 10^4 seeded draws), far
-    below the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in the
-    margins overflows.  The record's JSON only copies finite numbers.
+    kept.  The conclusions of a block are one ``classify`` call per region.
+    That, and skipping the conclusions of a vacuous attempt, raises or drops
+    no exception: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays
+    below 2 for ``_sample_candidate``'s bounded tails (a Tier-1 test draws
+    2,000), far below the |w| of about 1e154 where ``arcsinh(w)`` or
+    ``w * w - 1`` in the margins overflows.  The record's JSON only copies
+    finite numbers.
 
-    Each candidate's f'(z) - 1 and f/z - 1 are evaluated by one Horner pass
-    over a_2, a_3, ...; step k scales them by 2**-k and adds 1.  That is
-    bit for bit the Horner sum of the k-times halved candidate, because every
-    Horner step commutes with a power-of-two scale while no value on the way
-    is subnormal, and adding 1 makes the sign of a zero part the same.
+    A block's f'(z) - 1 and f/z - 1 come from one Horner pass each over
+    a_2, a_3, ..., the candidates as lanes (``_tail_values``); step k scales
+    them by 2**-k and adds 1.  That is bit for bit the Horner sum of the
+    k-times halved candidate, because every Horner step commutes with a
+    power-of-two scale while no value on the way is subnormal, and adding 1
+    makes the sign of a zero part the same.
 
     A step passes when its deviation on the circle is below the cut-off and,
     for kinds 2..4, its f/z has no zero inside the circle (``_pole_inside``).
     The outcome, its bits and any exception are those of evaluating every
-    step in order:
+    step of every candidate in order, except that an underflow in a batch is
+    not reported (the CLI raises on overflow, invalid and divide only):
 
+    - The block's Horner pass runs with floating-point errors ignored.  A
+      non-finite value stays non-finite through Horner, so a row that is
+      not all finite is exactly a row whose own pass would raise; it is
+      evaluated again alone, under the caller's ``np.errstate``, at its turn.
     - Certificate (``_certified_from``): on a certified step |f/z| >= 1/2, so
-      ``ZeroDivisorOnGrid`` cannot be raised, and |v - 1| <= 2^20.  Then no
+      f/z does not vanish on the grid, and |v - 1| <= 2^20.  Then no
       operation of the step can overflow, divide by zero or be invalid: the
       deviation divides only by denominators of modulus >= 1e-300, and
       numpy's complex division (Smith's method) gives a reciprocal factor of
@@ -448,11 +533,21 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       falls with the step, so the certified steps are a suffix k0..24.  They
       need no count of zeros: 2^-k max|f/z - 1| <= 1/2 on the circle, so
       f/z = 1 + 2^-k (f/z - 1) has no zero in its disk.
-    - Steps below k0 are evaluated one by one, so an exception they raise is
-      raised where it was.
-    - The certified suffix is one batch (``_suffix_deviations``), whose row
-      maxima are the steps' deviations.  Rows past the first passing one are
-      computed too: a shorter batch would be a second code path.
+    - Steps below k0 are evaluated one by one, candidate by candidate, under
+      the caller's ``np.errstate``, so an exception they raise is raised
+      where it was.  A step where f/z vanishes on the grid fails; when it is
+      step 24 of a kept vacuous record, ``ZeroDivisorOnGrid`` is raised, as
+      ``verify_implication`` of that record's function would.
+    - The certified steps of the candidates still undecided are probed at
+      every 16th circle point, all steps at once.  A step whose probe
+      deviation is at least (1 - ``PREMISE_MARGIN``)(1 + 1e-9) fails: its
+      deviation on the whole circle is a maximum over a superset of those
+      values, from the same formula on the same inputs, and the slack covers
+      any rounding by another code path.  Then each candidate's first step
+      left open is evaluated on the whole circle, all such candidates in one
+      batch, whose row maxima are the steps' deviations bit for bit; it
+      passes when that deviation is below the cut-off, and otherwise the
+      candidate's next open step is tried.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -460,31 +555,27 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                             threshold=threshold, floor_deviation=_config_floor(case, z))
     records: list[ImplicationRecord] = []
     attempts_cap = max_attempts if summary.premise_feasible else min(max_attempts, 25)
-    for i in range(attempts_cap):
-        if summary.non_vacuous >= target_non_vacuous:
-            break
-        rng = np.random.default_rng((seed, int(kind), i))
-        c = _sample_candidate(rng).coeffs
-        dp = ts.evaluate((c * np.arange(c.size))[2:], z) * z
-        dg = ts.evaluate(c[2:], z) * z
-        k = _shrink(case, z, dp, dg)
-        passed = k is not None
-        summary.attempts += 1
-        if not passed and not keep_records:
-            continue
-        k = k if passed else SHRINK_STEPS
-        conclusions = _conclusions(2.0 ** -k * dg + 1.0)
-        if passed:
-            summary.non_vacuous += 1
-            summary.counterexamples += not conclusions[0]
-            summary.counterexamples_sqrt += not conclusions[1]
+    while summary.attempts < attempts_cap and summary.non_vacuous < target_non_vacuous:
+        m = min(attempts_cap - summary.attempts, target_non_vacuous - summary.non_vacuous,
+                _BLOCK_ROWS)
+        c = np.array([_sample_candidate(np.random.default_rng((seed, int(kind), i))).coeffs
+                      for i in range(summary.attempts, summary.attempts + m)])
+        first, deviation, dg = _shrink_block(case, z, c, keep_records)
+        passed = first <= SHRINK_STEPS
+        k = np.minimum(first, SHRINK_STEPS)
+        rows = np.flatnonzero(passed | keep_records)
+        sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -k[rows])[:, None] * dg[rows] + 1.0)
+        summary.attempts += m
+        summary.non_vacuous += int(np.count_nonzero(passed))
+        summary.counterexamples += int(np.count_nonzero(~sinh_ok[passed[rows]]))
+        summary.counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok[passed[rows]]))
         if keep_records:
-            deviation = _step_deviation(case, z, dp, dg, k)
-            coeffs = c.copy()
-            coeffs[2:] *= 2.0 ** -k
-            coeffs.setflags(write=False)
-            records.append(_record(NormalizedFunction(coeffs), case,
-                                   deviation, passed, conclusions))
+            for i in range(m):
+                coeffs = c[i].copy()
+                coeffs[2:] *= 2.0 ** -int(k[i])
+                coeffs.setflags(write=False)
+                records.append(_record(NormalizedFunction(coeffs), case, deviation[i],
+                                       bool(passed[i]), (sinh_ok[i], sqrt_ok[i])))
     return summary, records
 
 

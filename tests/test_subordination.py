@@ -341,6 +341,19 @@ def summary_path_matches(args, expected_summary):
     return sub.run_config(*args, keep_records=False) == (expected_summary, [])
 
 
+def tail_values(c, z):
+    """f' - 1 and f/z - 1 of the coefficients c on z, by ``np.polyval``."""
+    return (np.polyval((c * np.arange(c.size))[:1:-1], z) * z, np.polyval(c[:1:-1], z) * z)
+
+
+def step_deviation(case, dp, dg, k):
+    """Deviation of shrink step k of one candidate on the harness circle, and whether
+    its f/z vanishes there; dp and dg are its f' - 1 and f/z - 1 on the circle."""
+    deviation, vanishes = sub._step_rows(case, sub.HARNESS_GRID.points(), dp[None], dg[None],
+                                         2.0 ** -k)
+    return deviation[0], vanishes[0]
+
+
 DEFINED_CONFIGS = [(kind, sub.JanowskiParams(a, b)) for a, b in sub.DEFAULT_CONFIGS
                    for kind in sub.OperatorKind
                    if sub.alpha_threshold(kind, sub.JanowskiParams(a, b)) is not None]
@@ -349,17 +362,23 @@ DEFINED_CONFIGS = [(kind, sub.JanowskiParams(a, b)) for a, b in sub.DEFAULT_CONF
 CONFIG_IDS = [f"{int(k)}-{p.a}-{p.b}" for k, p in DEFINED_CONFIGS]
 
 
+@pytest.mark.parametrize("budget", [(1, 1), (3, 7), (50, 25), (50, 400)],
+                         ids=lambda b: f"{b[0]}-of-{b[1]}")
 @pytest.mark.parametrize("factor, seed", [(1.05, 0), (0.5, 1), (3.0, 2), (1e7, 3)])
 @pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
-def test_shrink_ladder_matches_halving_loop(kind, params, factor, seed):
+def test_shrink_ladder_matches_halving_loop(kind, params, factor, seed, budget, monkeypatch):
     # same summary, deviations, verdicts and functions, compared exactly; the
     # default budget holds enough premise-true cases to catch a last-bit change.
-    # At factor 1e7, |alpha| > 2^20 and no shrink step is certified
+    # At factor 1e7, |alpha| > 2^20 and no shrink step is certified.  Blocks of 1
+    # and 7 candidates put block edges everywhere: a block must end on the
+    # attempt or premise-true budget exactly where the one-at-a-time loop stops
     thr = sub.alpha_threshold(kind, params)
-    args = (kind, params, factor * thr, thr, seed, 50, 400)
+    args = (kind, params, factor * thr, thr, seed, *budget)
     expected = halving_loop(*args)
-    assert sub.run_config(*args, keep_records=True) == expected
-    assert summary_path_matches(args, expected[0])
+    for rows in (sub._BLOCK_ROWS, 1, 7):
+        monkeypatch.setattr(sub, "_BLOCK_ROWS", rows)
+        assert sub.run_config(*args, keep_records=True) == expected
+        assert summary_path_matches(args, expected[0])
 
 
 def near_cut_alpha(kind, params):
@@ -398,9 +417,8 @@ def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
     for factor, seed in ((0.5, 0), (1.05, 1)):
         case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
         c = large_tail(np.random.default_rng((seed, int(kind), 0))).coeffs
-        dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
-        dg = np.polyval(c[:1:-1], z) * z
-        assert 6 <= sub._certified_from(case, z, dp, dg) <= 9
+        dp, dg = tail_values(c, z)
+        assert 6 <= sub._certified_from(case, z, dp[None], dg[None])[0] <= 9
         args = (kind, params, factor * thr, thr, seed, 10, 30)
         expected = halving_loop(*args)
         assert sub.run_config(*args, keep_records=True) == expected
@@ -432,6 +450,37 @@ def test_shrink_ladder_under_raising_errstate_matches_halving_loop(kind, params,
         assert outcome(lambda: sub.run_config(*args, keep_records=False)[0]) == summary
 
 
+SAMPLE_CANDIDATE = sub._sample_candidate
+
+
+def huge_at_attempt_2(rng):
+    """``_sample_candidate``, except that attempt 2 gets a_2 = ... = a_8 = 1e307, whose
+    Horner sum of f' overflows in an add on the circle."""
+    if rng.bit_generator.seed_seq.entropy[-1] == 2:
+        return NormalizedFunction.from_tail([1e307] * 7, order=sub.CANDIDATE_ORDER)
+    return SAMPLE_CANDIDATE(rng)
+
+
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_an_overflow_in_the_block_horner_pass_is_raised_at_its_attempt(
+        kind, params, monkeypatch):
+    # the block's Horner pass ignores errors; the overflowing row is evaluated
+    # again at its turn, after attempts 0 and 1, and raises halving_loop's error
+    monkeypatch.setattr(sub, "_sample_candidate", huge_at_attempt_2)
+    thr = sub.alpha_threshold(kind, params)
+    args = (kind, params, 0.5 * thr, thr, 0, 50, 5)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError) as expected:
+            halving_loop(*args)
+        assert str(expected.value) == "overflow encountered in add"
+        for rows in (sub._BLOCK_ROWS, 1, 7):
+            monkeypatch.setattr(sub, "_BLOCK_ROWS", rows)
+            for keep_records in (True, False):
+                with pytest.raises(FloatingPointError) as got:
+                    sub.run_config(*args, keep_records=keep_records)
+                assert str(got.value) == str(expected.value)
+
+
 def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch):
     # B = 1e-300 puts the pole of the Janowski deviation at v = 1e300.  Step 0 of
     # f = z + z^2/4 reaches v = 1 + 1e300 at z = 0.995, where (v - 1)/(A - B v)
@@ -446,9 +495,9 @@ def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch)
     case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with pytest.raises(FloatingPointError):
-            sub._step_deviation(case, z, dp, dg, 0)
-        assert sub._step_deviation(case, z, dp, dg, 1) > 1.0
-        assert sub._step_deviation(case, z, dp, dg, sub.SHRINK_STEPS) > 1.0
+            step_deviation(case, dp, dg, 0)
+        assert step_deviation(case, dp, dg, 1)[0] > 1.0
+        assert step_deviation(case, dp, dg, sub.SHRINK_STEPS)[0] > 1.0
         args = (kind, params, alpha, 1.0, 0, 1, 1)
         with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
             halving_loop(*args)
@@ -458,8 +507,9 @@ def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch)
 
 
 def certified_sweep():
-    """(case, dp, dg, k0) of seeded candidates, scaled by 1, 8 and 30, at five alphas
-    per defined configuration, where some step of the shrink ladder is certified."""
+    """(case, coefficients, dp, dg, k0) of seeded candidates, scaled by 1, 8 and 30, at
+    five alphas per defined configuration, where some step of the shrink ladder is
+    certified."""
     z = sub.HARNESS_GRID.points()
     rng = np.random.default_rng(83)
     for kind, params in DEFINED_CONFIGS:
@@ -470,42 +520,135 @@ def certified_sweep():
             for scale in (1.0, 1.0, 8.0, 30.0):
                 c = sub._sample_candidate(rng).coeffs.copy()
                 c[2:] *= scale
-                dp = np.polyval((c * np.arange(c.size))[:1:-1], z) * z
-                dg = np.polyval(c[:1:-1], z) * z
-                k0 = sub._certified_from(case, z, dp, dg)
+                dp, dg = tail_values(c, z)
+                k0 = int(sub._certified_from(case, z, dp[None], dg[None])[0])
                 if k0 <= sub.SHRINK_STEPS:
-                    yield case, dp, dg, k0
+                    yield case, c, dp, dg, k0
 
 
-def test_batched_suffix_rows_are_the_steps_own_deviations():
+def test_certified_step_rows_are_the_halved_candidates_own_deviations():
+    # one batch of certified steps, its rows' maxima each the deviation of the
+    # halved candidate from operator_values, bit for bit; and every step that
+    # the probe at every 16th circle point fails has a deviation at the cut or above
     z = sub.HARNESS_GRID.points()
-    passed = failed = 0
-    for case, dp, dg, k0 in certified_sweep():
-        rows = sub._suffix_deviations(case, z, dp, dg, k0)
-        assert rows.shape == (sub.SHRINK_STEPS + 1 - k0,)
-        for k in range(k0, sub.SHRINK_STEPS + 1):
-            assert np.array_equal(rows[k - k0], sub._step_deviation(case, z, dp, dg, k))
-        passed += int(np.count_nonzero(rows < 1.0 - sub.PREMISE_MARGIN))
-        failed += int(np.count_nonzero(rows >= 1.0 - sub.PREMISE_MARGIN))
-    assert passed > 0 and failed > 0
+    cut = 1.0 - sub.PREMISE_MARGIN
+    passed = failed = probe_failed = 0
+    for case, c, dp, dg, k0 in certified_sweep():
+        steps = np.arange(k0, sub.SHRINK_STEPS + 1)
+        s = np.ldexp(1.0, -steps)[:, None]
+        with np.errstate(all="ignore"):
+            rows, vanishes = sub._step_rows(case, z, dp[None], dg[None], s)
+            probe, _ = sub._step_rows(case, z[::16], dp[None, ::16], dg[None, ::16], s)
+        assert rows.shape == probe.shape == (sub.SHRINK_STEPS + 1 - k0,)
+        assert not vanishes.any()
+        for k, row in zip(steps, rows):
+            halved = c.copy()
+            halved[2:] *= 2.0 ** -int(k)
+            f = NormalizedFunction(coefficients(halved))
+            assert np.array_equal(row, sub.janowski_deviation(
+                sub.operator_values(f, case.kind, case.alpha, z), case.janowski))
+        fails = probe >= cut * (1.0 + 1e-9)
+        assert np.all(rows[fails] >= cut)
+        passed += int(np.count_nonzero(rows < cut))
+        failed += int(np.count_nonzero(rows >= cut))
+        probe_failed += int(np.count_nonzero(fails))
+    assert passed > 0 and probe_failed > 0 and failed > 0
 
 
 def test_certified_steps_have_no_zero_of_f_over_z_inside_the_circle():
     # 2^-k max|f/z - 1| <= 1/2 on the circle keeps f/z in Re w >= 1/2
     steps = 0
-    for case, dp, dg, k0 in certified_sweep():
+    for case, _, dp, dg, k0 in certified_sweep():
         for k in range(k0, sub.SHRINK_STEPS + 1):
             assert winding_number(2.0 ** -k * dg + 1.0) == 0
             steps += 1
     assert steps > 0
 
 
+def quartic_bump(a):
+    """f = z + a z^5, so that on |z| = r, f' - 1 = 5 a r^4 e^(4 i theta): the same at the
+    probe points theta = 0, pi/2, pi, 3 pi/2, and of the other sign at theta = pi/4."""
+    return NormalizedFunction.from_tail([0.0, 0.0, 0.0, a], order=sub.CANDIDATE_ORDER)
+
+
+def test_a_step_failing_only_between_the_probe_points_fails(monkeypatch):
+    # kind 1 at (1, 0): |v - 1| = |alpha| r |1 - 2^-k e^(4 i theta)/2| for 5 a r^4 = -1/2,
+    # least at the probe points and largest at theta = pi/4.  Steps 0-2 are certified
+    # and fail only between the probe points; step 3 passes
+    r = sub.HARNESS_GRID.max_radius
+    f = quartic_bump(-0.1 / r ** 4)
+    monkeypatch.setattr(sub, "_sample_candidate", lambda rng: f)
+    kind, params, alpha = sub.OperatorKind.Z_FPRIME, sub.JanowskiParams(1.0, 0.0), 0.9
+    case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    z = sub.HARNESS_GRID.points()
+    dp, dg = tail_values(f.coeffs, z)
+    cut = 1.0 - sub.PREMISE_MARGIN
+    assert sub._certified_from(case, z, dp[None], dg[None])[0] == 0
+    for k in range(3):
+        probe, _ = sub._step_rows(case, z[::16], dp[None, ::16], dg[None, ::16], 2.0 ** -k)
+        assert probe[0] < cut <= step_deviation(case, dp, dg, k)[0]
+    args = (kind, params, alpha, 1.0, 0, 1, 1)
+    summary, records = sub.run_config(*args, keep_records=True)
+    assert (summary, records) == halving_loop(*args)
+    assert summary_path_matches(args, summary)
+    assert records[0].premise_holds
+    assert records[0].function["coeffs"][5] == [-0.1 / r ** 4 / 8, 0.0]
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_a_probe_value_within_the_slack_of_the_cut_is_decided_on_the_whole_circle(
+        monkeypatch, side):
+    # 5 a r^4 = 1/2 puts the largest |v - 1| = |alpha| r 3/2 at the probe points; alpha
+    # puts it 5e-10 (relative) above or below the cut, within the probe's 1e-9 slack,
+    # so step 0 is evaluated on the whole circle: above the cut it fails there and
+    # step 1 passes, below it step 0 passes
+    r = sub.HARNESS_GRID.max_radius
+    f = quartic_bump(0.1 / r ** 4)
+    cut = 1.0 - sub.PREMISE_MARGIN
+    kind, params = sub.OperatorKind.Z_FPRIME, sub.JanowskiParams(1.0, 0.0)
+    alpha = cut * (1.0 + side * 5e-10) / (1.5 * r)
+    case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
+    z = sub.HARNESS_GRID.points()
+    dp, dg = tail_values(f.coeffs, z)
+    assert sub._certified_from(case, z, dp[None], dg[None])[0] == 0
+    probe, _ = sub._step_rows(case, z[::16], dp[None, ::16], dg[None, ::16], 1.0)
+    assert abs(probe[0] - cut) < 1e-9 * cut and (probe[0] >= cut) == (side > 0)
+    full_steps = []
+
+    def spy(case, z, dp, dg, s):
+        if z.size == sub.HARNESS_GRID.theta_samples:
+            full_steps.extend(np.broadcast_to(s, dp.shape[:-1] + (1,)).ravel().tolist())
+        return step_rows(case, z, dp, dg, s)
+
+    step_rows = sub._step_rows
+    monkeypatch.setattr(sub, "_step_rows", spy)
+    monkeypatch.setattr(sub, "_sample_candidate", lambda rng: f)
+    args = (kind, params, alpha, 1.0, 0, 1, 1)
+    summary, records = sub.run_config(*args, keep_records=True)
+    assert 1.0 in full_steps
+    assert (summary, records) == halving_loop(*args)
+    assert records[0].premise_holds
+    assert records[0].function["coeffs"][5] == [0.1 / r ** 4 / (2.0 if side > 0 else 1.0), 0.0]
+
+
+def test_sampled_candidates_keep_f_over_z_within_2_of_1_on_the_circle():
+    # run_config computes a block's conclusions in one batch and skips those of
+    # vacuous attempts; neither raises while |f/z - 1| on the circle stays far below
+    # the 1e154 where the region margins overflow.  2,000 of the harness's own draws
+    z = sub.HARNESS_GRID.points()
+    worst = max(float(np.max(np.abs(tail_values(sub._sample_candidate(
+        np.random.default_rng((seed, int(kind), i))).coeffs, z)[1])))
+        for seed in range(5) for kind in sub.OperatorKind for i in range(100))
+    assert worst < 2.0
+
+
 @pytest.mark.parametrize("r0, first_pass", [(0.06, 5), (0.995, 1)])
 def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch, r0, first_pass):
     # f/z = 1 - 2^-k z / r0 vanishes at z = 2^k r0.  At r0 = 0.06 the zero lies
     # inside the circle for k = 0..4, and its winding count fails those steps; at
-    # r0 = 0.995 it lies on the circle sample z = 0.995 for k = 0, which raises
-    # ZeroDivisorOnGrid.  Either way the failed steps are skipped
+    # r0 = 0.995 it lies on the circle sample z = 0.995 for k = 0, where the step's
+    # f/z vanishes on the grid (operator_values raises ZeroDivisorOnGrid there).
+    # Either way the failed steps are skipped
     monkeypatch.setattr(sub, "_sample_candidate",
                         lambda rng: NormalizedFunction.from_tail([-1.0 / r0], order=8))
     z = sub.HARNESS_GRID.points()
@@ -521,11 +664,10 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch, r0, firs
             if r0 < sub.HARNESS_GRID.max_radius:
                 assert sub._pole_inside(case, 2.0 ** -k * dg + 1.0)
             else:
-                with pytest.raises(sub.ZeroDivisorOnGrid):
-                    sub._step_deviation(case, z, 2.0 * dg, dg, k)
+                assert step_deviation(case, 2.0 * dg, dg, k) == (math.inf, True)
         if kind == 2 and r0 < sub.HARNESS_GRID.max_radius:
             # the winding count, not the deviation, fails step 0
-            assert sub._step_deviation(case, z, 2.0 * dg, dg, 0) < 1.0 - sub.PREMISE_MARGIN
+            assert step_deviation(case, 2.0 * dg, dg, 0)[0] < 1.0 - sub.PREMISE_MARGIN
         summary, records = sub.run_config(*args, keep_records=True)
         assert (summary, records) == halving_loop(*args)
         assert summary_path_matches(args, summary)
@@ -533,6 +675,28 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch, r0, firs
         for record in records:
             assert record.premise_holds == (kind != 4)
             assert record.function["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
+
+
+def test_a_kept_record_whose_last_step_vanishes_on_the_grid_raises(monkeypatch):
+    # f/z = 1 - 2^(24 - k) z / 0.995 has a zero inside the circle at steps 0-23, and
+    # step 24 vanishes at the circle sample z = 0.995.  No step is certified, every
+    # step fails, and the vacuous record's function has no operator values on the
+    # grid: keeping it raises, as verify_implication of that function does
+    r = sub.HARNESS_GRID.max_radius
+    f = NormalizedFunction.from_tail([-2.0 ** sub.SHRINK_STEPS / r], order=8)
+    monkeypatch.setattr(sub, "_sample_candidate", lambda rng: f)
+    params = sub.JanowskiParams(0.5, -0.5)
+    thr = sub.alpha_threshold(2, params)
+    args = (sub.OperatorKind.RATIO, params, 0.5 * thr, thr, 0, 1, 1)
+    with pytest.raises(sub.ZeroDivisorOnGrid):
+        sub.run_config(*args, keep_records=True)
+    summary, records = sub.run_config(*args, keep_records=False)
+    assert (summary.attempts, summary.non_vacuous, records) == (1, 0, [])
+    last = f.coeffs.copy()
+    last[2:] *= 2.0 ** -sub.SHRINK_STEPS
+    case = sub.ImplicationCase(kind=args[0], alpha=args[2], janowski=params)
+    with pytest.raises(sub.ZeroDivisorOnGrid):
+        sub.verify_implication(NormalizedFunction(last), case, sub.HARNESS_GRID)
 
 
 PREMISE_CONFIGS = [(kind, params) for kind, params in DEFINED_CONFIGS
