@@ -74,26 +74,6 @@ class ScanConfig:
             raise ValueError("tolerance must be positive and finite")
 
 
-@dataclass(frozen=True)
-class BoundEstimate:
-    """Empirical maximum of a functional against its claimed bound."""
-
-    functional: str
-    empirical_max: float
-    witness: dict
-    claimed_bound: float
-    attained_ratio: float
-    violation: bool
-
-    def to_json(self) -> dict:
-        return {"functional": self.functional,
-                "empirical_max": self.empirical_max,
-                "witness": self.witness,
-                "claimed_bound": self.claimed_bound,
-                "attained_ratio": self.attained_ratio,
-                "violation": self.violation}
-
-
 # -- functionals -------------------------------------------------------------
 
 
@@ -269,8 +249,14 @@ SIEVE_MARGIN = 1e-9
 
 
 def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.ndarray,
-          members: dict, points: dict, lam: complex = 1.0) -> BoundEstimate:
+          members: dict, points: dict, lam: complex = 1.0) -> dict:
     """Empirical maximum of |name| over the search families, against its claimed bound.
+
+    The estimate's keys: ``functional`` (``name``, or ``fs(lam)`` for the
+    Fekete-Szego functional), ``empirical_max``, ``witness`` (the serialized
+    witness that ``evaluate_witness`` turns back into that maximum),
+    ``claimed_bound``, ``attained_ratio`` (the maximum over the bound) and
+    ``violation`` (the maximum exceeds the bound by more than ``cfg.tolerance``).
 
     The first best of the batch ``witnesses`` (``witness_batch``: the
     monomial anchors, then random witnesses) is polished over its witness
@@ -330,13 +316,12 @@ def _scan(name: str, cfg: ScanConfig, witnesses: list[SchwarzSample], rows: np.n
         if direct_best > best:
             best, witness = direct_best, direct_witness
     claim = claimed_bound(name, lam)
-    return BoundEstimate(functional=f"fs({lam})" if name == "fs" else name,
-                         empirical_max=best, witness=witness, claimed_bound=claim,
-                         attained_ratio=best / claim,
-                         violation=bool(best > claim + cfg.tolerance))
+    return {"functional": f"fs({lam})" if name == "fs" else name, "empirical_max": best,
+            "witness": witness, "claimed_bound": claim, "attained_ratio": best / claim,
+            "violation": bool(best > claim + cfg.tolerance)}
 
 
-def scan(name: str, cfg: ScanConfig, lam: complex = 1.0) -> BoundEstimate:
+def scan(name: str, cfg: ScanConfig, lam: complex = 1.0) -> dict:
     """``_scan`` of ``name`` on its own witness batch and tables, at ``read_order(name)``.
 
     ``name`` is ``aN`` (n >= 2), ``h22``, ``h31``, ``fs`` (Fekete-Szego,
@@ -383,7 +368,7 @@ def h22_envelope_max() -> tuple[float, tuple[float, float]]:
 
 
 def default_scan_suite(cfg: ScanConfig, coefficient_range: tuple[int, ...] = DEFAULT_COEFFICIENTS,
-                       fs_lams: tuple[complex, ...] = DEFAULT_FS_LAMBDAS) -> list[BoundEstimate]:
+                       fs_lams: tuple[complex, ...] = DEFAULT_FS_LAMBDAS) -> list[dict]:
     """The standard battery: coefficient bounds, Fekete-Szego values, t, h22, h31.
 
     Once ``read_order`` accepts every name of the battery, one witness batch

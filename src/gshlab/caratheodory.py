@@ -19,7 +19,7 @@ an empirical regression suite over random samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,52 +165,38 @@ class SchwarzSample:
 # -- coefficient-body witnesses -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffWitnesses:
-    """Unit-disk parameters representing c_2 and c_3 in terms of c_1.
-
-    ``x`` reconstructs ``2 c2 = c1^2 + x (4 - c1^2)`` and ``z`` reconstructs
-    ``4 c3 = c1^3 + 2 (4 - c1^2) c1 x - (4 - c1^2) c1 x^2
-    + 2 (4 - c1^2)(1 - |x|^2) z``.  Either parameter may be flagged
-    degenerate when its defining equation does not determine it.
-    """
-
-    x: complex | None
-    z: complex | None
-    x_valid: bool
-    z_valid: bool
-    degenerate: bool
-
-
 #: Divisors below this amplify coefficient round-off past the validity slack,
 #: so the affected witness is flagged degenerate instead of reported as noise.
 _CONDITIONING_FLOOR = 1e-5
 
 
-def coeff_witnesses(c1: complex, c2: complex, c3: complex) -> CoeffWitnesses:
-    """Solve for the (x, z) representation of (c2, c3) given c1.
+def coeff_witnesses(c1: complex, c2: complex, c3: complex) -> dict:
+    """Solve for the unit-disk (x, z) representation of (c2, c3) given c1.
 
-    The defining identities hold with unit-disk witnesses when c1 is real
-    in [0, 2] (rotate the function first for complex c1).  Degenerate when
-    |c1| is 2 (both parameters undetermined), when |x| = 1 (only z
-    undetermined), or when a solve divisor is too small to resolve the
-    witness above coefficient round-off; validity flags check the
-    unit-disk constraint with a 1e-9 slack.
+    ``x`` reconstructs ``2 c2 = c1^2 + x (4 - c1^2)`` and ``z`` reconstructs
+    ``4 c3 = c1^3 + 2 (4 - c1^2) c1 x - (4 - c1^2) c1 x^2
+    + 2 (4 - c1^2)(1 - |x|^2) z``.  The identities hold with unit-disk
+    witnesses when c1 is real in [0, 2] (rotate the function first for
+    complex c1).  Degenerate when |c1| is 2 (both parameters undetermined),
+    when |x| = 1 (only z undetermined), or when a solve divisor is too small
+    to resolve the witness above coefficient round-off.
+
+    The record's keys: ``x`` and ``z`` (None where undetermined),
+    ``x_valid`` and ``z_valid`` (the parameter is determined and lies in the
+    unit disk, with a 1e-9 slack) and ``degenerate``.
     """
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     gap = 4.0 - c1 * c1
     if abs(abs(c1) - 2.0) <= WITNESS_MODULUS_TOL or abs(gap) <= _CONDITIONING_FLOOR:
-        return CoeffWitnesses(x=None, z=None, x_valid=False, z_valid=False,
-                              degenerate=True)
+        return {"x": None, "z": None, "x_valid": False, "z_valid": False, "degenerate": True}
     x = (2.0 * c2 - c1 * c1) / gap
     x_valid = abs(x) <= 1.0 + WITNESS_MODULUS_TOL
     slack = 1.0 - abs(x) ** 2
     if slack <= 1e-12 or 2.0 * abs(gap) * abs(slack) <= _CONDITIONING_FLOOR:
-        return CoeffWitnesses(x=x, z=None, x_valid=x_valid, z_valid=False,
-                              degenerate=True)
+        return {"x": x, "z": None, "x_valid": x_valid, "z_valid": False, "degenerate": True}
     z = (4.0 * c3 - c1 ** 3 - 2.0 * gap * c1 * x + gap * c1 * x * x) / (2.0 * gap * slack)
-    z_valid = abs(z) <= 1.0 + WITNESS_MODULUS_TOL
-    return CoeffWitnesses(x=x, z=z, x_valid=x_valid, z_valid=z_valid, degenerate=False)
+    return {"x": x, "z": z, "x_valid": x_valid, "z_valid": abs(z) <= 1.0 + WITNESS_MODULUS_TOL,
+            "degenerate": False}
 
 
 def rotate_to_real_first(c: np.ndarray) -> np.ndarray:
@@ -317,59 +303,27 @@ def sample_schwarz(rng: np.random.Generator, max_zeros: int = 4) -> SchwarzSampl
 # -- empirical inequality suite -------------------------------------------
 
 
-@dataclass
-class SuiteReport:
-    """Outcome of the randomized coefficient-inequality regression suite."""
-
-    samples: int
-    seed: int
-    violations: list[dict] = field(default_factory=list)
-    quartic_condition_hits: int = 0
-    degenerate_witnesses: int = 0
-
-    @property
-    def checks(self) -> dict[str, int]:
-        """Checks run, by name.
-
-        Every sample runs each check once, except the quartic one, which runs
-        only where its side condition holds.
-        """
-        counts = dict.fromkeys(("cubic", "fekete_szego_complex", "fekete_szego_real",
-                                "modulus", "witnesses"), self.samples)
-        counts["quartic"] = self.quartic_condition_hits
-        return counts
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_order": SUITE_MAX_ORDER,
-            "checks": dict(sorted(self.checks.items())),
-            "violations": self.violations,
-            "quartic_condition_hits": self.quartic_condition_hits,
-            "degenerate_witnesses": self.degenerate_witnesses,
-        }
-
-
 _SUITE_TOL = 1e-9
 
 
-def inequality_suite(samples: int, seed: int) -> SuiteReport:
+def inequality_suite(samples: int, seed: int) -> dict:
     """Check the sharp coefficient inequalities on random Herglotz samples.
 
     Violations are collected in the report (with the offending sample)
-    rather than raised; the expected count is zero.
+    rather than raised; the expected count is zero.  The report's keys:
+    ``samples``, ``seed``, ``max_order`` (``SUITE_MAX_ORDER``), ``checks``
+    (checks run, by name: every sample runs each check once, except the
+    quartic one, which runs only where its side condition holds),
+    ``violations`` (one record per failed check, with its kind and sample),
+    ``quartic_condition_hits`` and ``degenerate_witnesses``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = SuiteReport(samples=samples, seed=seed)
+    violations = []
+    quartic_hits = degenerate = 0
 
     def violation(kind, sample, **data):
-        report.violations.append({
+        violations.append({
             "kind": kind, "sample": sample.to_json(),
             **{k: (v if not isinstance(v, complex) else [v.real, v.imag])
                for k, v in data.items()},
@@ -413,7 +367,7 @@ def inequality_suite(samples: int, seed: int) -> SuiteReport:
             m = float(rng.uniform(0.0, 1.0))
             n = float(rng.uniform(-0.5, 0.5))
         if quartic_combination_condition(l, r, m, n):
-            report.quartic_condition_hits += 1
+            quartic_hits += 1
             val = quartic_combination_value(c, l, r, m, n)
             if val > 2.0 + _SUITE_TOL:
                 violation("quartic", sample, l=l, r=r, m=m, n=n, value=val)
@@ -421,15 +375,17 @@ def inequality_suite(samples: int, seed: int) -> SuiteReport:
         # the witness identities assume a real nonnegative first coefficient
         cr = rotate_to_real_first(c[:3])
         wit = coeff_witnesses(cr[0], cr[1], cr[2])
-        if wit.degenerate:
-            report.degenerate_witnesses += 1
-        if (wit.x is not None and not wit.x_valid) or \
-           (wit.z is not None and not wit.z_valid):
-            violation("witnesses", sample,
-                      x=wit.x if wit.x is not None else 0j,
-                      z=wit.z if wit.z is not None else 0j)
-        if wit.x is not None:
-            resid = abs(2.0 * cr[1] - cr[0] ** 2 - wit.x * (4.0 - cr[0] ** 2))
+        degenerate += wit["degenerate"]
+        x, z = wit["x"], wit["z"]
+        if (x is not None and not wit["x_valid"]) or (z is not None and not wit["z_valid"]):
+            violation("witnesses", sample, x=0j if x is None else x, z=0j if z is None else z)
+        if x is not None:
+            resid = abs(2.0 * cr[1] - cr[0] ** 2 - x * (4.0 - cr[0] ** 2))
             if resid > 1e-10:
                 violation("witness_reconstruction", sample, residual=resid)
-    return report
+    checks = dict.fromkeys(("cubic", "fekete_szego_complex", "fekete_szego_real", "modulus",
+                            "quartic", "witnesses"), samples)
+    checks["quartic"] = quartic_hits
+    return {"samples": samples, "seed": seed, "max_order": SUITE_MAX_ORDER, "checks": checks,
+            "violations": violations, "quartic_condition_hits": quartic_hits,
+            "degenerate_witnesses": degenerate}

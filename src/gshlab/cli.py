@@ -74,7 +74,11 @@ def _write_output(text: str, path: str | None):
 
 def _emit_table(fmt: str, header: list[str], rows: list[list], obj,
                 path: str | None, preamble: str = ""):
-    """Write ``obj`` as JSON, or ``header`` and ``rows`` as CSV or a markdown table."""
+    """Write ``obj`` as JSON, or ``header`` and ``rows`` as CSV or a markdown table.
+
+    A float cell is written as its repr, any other cell (a bool as True or
+    False) as its str.
+    """
     if fmt == "json":
         try:
             text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
@@ -319,12 +323,11 @@ def _cmd_membership(args) -> int:
                           radial_samples=args.radial_samples,
                           max_radius=args.max_radius)
     report = core.membership_report(f, grid)
-    obj = report.to_json()
-    rows = [["sufficient", report.sufficient.verdict, report.sufficient.statistic],
-            ["kernel", report.kernel.verdict, report.kernel.min_modulus],
-            ["geometric", report.geometric.verdict, report.geometric.max_excursion],
-            ["combined", report.verdict, ""]]
-    _emit_table(args.format, ["test", "verdict", "statistic"], rows, obj, args.output,
+    rows = [[test, report[test]["verdict"], report[test][key]]
+            for test, key in (("sufficient", "statistic"), ("kernel", "min_modulus"),
+                              ("geometric", "max_excursion"))]
+    rows.append(["combined", report["verdict"], ""])
+    _emit_table(args.format, ["test", "verdict", "statistic"], rows, report, args.output,
                 preamble="membership report")
     return EXIT_OK
 
@@ -339,10 +342,10 @@ def _cmd_bounds_scan(args) -> int:
             raise InputInvariantError(f"{name} must not repeat, got {','.join(map(str, values))}")
     cfg = bd.ScanConfig(samples=args.samples, seed=args.seed, tolerance=args.tolerance)
     estimates = bd.default_scan_suite(cfg, args.coefficients, args.fs_lambdas)
-    rows = [[e.functional, e.claimed_bound, e.empirical_max, e.attained_ratio,
-             str(e.violation)] for e in estimates]
+    rows = [[e[key] for key in ("functional", "claimed_bound", "empirical_max", "attained_ratio",
+                                "violation")] for e in estimates]
     obj = {"config": {"samples": cfg.samples, "seed": cfg.seed, "order": args.order},
-           "estimates": [e.to_json() for e in estimates]}
+           "estimates": estimates}
     _emit_table(args.format, ["functional", "claimed", "empirical", "ratio", "violation"],
                 rows, obj, args.output, preamble="claimed vs empirical bounds")
     return EXIT_OK
@@ -364,7 +367,7 @@ def _cmd_thresholds(args) -> int:
                             "threshold": sub.alpha_threshold(kind, params),
                             "b_form_differs": sub.threshold_b_form_differs(kind, params)})
     rows = [[r["kind"], r["A"], r["B"], "undefined" if r["threshold"] is None else r["threshold"],
-             str(r["b_form_differs"])] for r in records]
+             r["b_form_differs"]] for r in records]
     _emit_table(args.format, ["kind", "A", "B", "threshold", "b_form_differs"],
                 rows, {"thresholds": records}, args.output,
                 preamble="alpha thresholds (undefined when the denominator is not positive)")
@@ -373,24 +376,22 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_growth(args) -> int:
     records = [core.growth_distortion(r) for r in args.radii]
-    rows = [[rec.r, rec.lower, rec.upper, rec.deriv_bound] for rec in records]
+    header = ["r", "lower", "upper", "deriv_bound"]
     radius = core.covering_radius()
-    obj = {"covering_radius": radius, "rows": [rec.to_json() for rec in records]}
-    _emit_table(args.format, ["r", "lower", "upper", "deriv_bound"], rows, obj,
-                args.output, preamble=f"growth envelope (covering radius {radius!r})")
+    _emit_table(args.format, header, [[rec[key] for key in header] for rec in records],
+                {"covering_radius": radius, "rows": records}, args.output,
+                preamble=f"growth envelope (covering radius {radius!r})")
     return EXIT_OK
 
 
 def _cmd_lemma_suite(args) -> int:
     report = cara.inequality_suite(args.samples, args.seed)
-    obj = report.to_json()
-    rows = [[k, v] for k, v in sorted(report.checks.items())]
-    rows.append(["violations", report.violation_count])
-    rows.append(["quartic_condition_hits", report.quartic_condition_hits])
-    rows.append(["degenerate_witnesses", report.degenerate_witnesses])
-    _emit_table(args.format, ["check", "count"], rows, obj, args.output,
+    rows = [[k, v] for k, v in sorted(report["checks"].items())]
+    rows.append(["violations", len(report["violations"])])
+    rows += [[key, report[key]] for key in ("quartic_condition_hits", "degenerate_witnesses")]
+    _emit_table(args.format, ["check", "count"], rows, report, args.output,
                 preamble="coefficient-inequality suite")
-    return EXIT_CHECK_FAILED if report.violation_count else EXIT_OK
+    return EXIT_CHECK_FAILED if report["violations"] else EXIT_OK
 
 
 def _cmd_verify_implications(args) -> int:
@@ -398,14 +399,11 @@ def _cmd_verify_implications(args) -> int:
                                      target_non_vacuous=args.cases,
                                      max_attempts=args.max_attempts,
                                      keep_records=args.include_cases)
-    obj = report.to_json(include_cases=args.include_cases)
-    rows = [[s.kind, s.a, s.b, s.threshold, s.attempts, s.non_vacuous,
-             s.counterexamples, str(s.premise_feasible)] for s in report.summaries]
-    _emit_table(args.format,
-                ["kind", "A", "B", "threshold", "attempts", "non_vacuous",
-                 "counterexamples", "premise_feasible"],
-                rows, obj, args.output, preamble="implication harness")
-    return EXIT_CHECK_FAILED if report.counterexample_count else EXIT_OK
+    header = ["kind", "A", "B", "threshold", "attempts", "non_vacuous", "counterexamples",
+              "premise_feasible"]
+    rows = [[s[key] for key in header] for s in report["summaries"]]
+    _emit_table(args.format, header, rows, report, args.output, preamble="implication harness")
+    return EXIT_CHECK_FAILED if report["counterexamples"] else EXIT_OK
 
 
 def _cmd_plot_data(args) -> int:

@@ -246,21 +246,6 @@ def coeffs_from_caratheodory(c) -> tuple:
 # -- membership test 1: sufficient coefficient condition -------------------
 
 
-@dataclass(frozen=True)
-class SufficientVerdict:
-    holds: bool
-    statistic: float
-    argmax_theta: float
-
-    @property
-    def verdict(self) -> str:
-        return "holds" if self.holds else "inconclusive"
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "statistic": self.statistic,
-                "argmax_theta": self.argmax_theta}
-
-
 def _sufficient_statistic(f: NormalizedFunction, thetas: np.ndarray) -> np.ndarray:
     mods = np.abs(f.coeffs[2:])
     if mods.size == 0:
@@ -271,41 +256,24 @@ def _sufficient_statistic(f: NormalizedFunction, thetas: np.ndarray) -> np.ndarr
     return weights @ mods
 
 
-def sufficient_membership(f: NormalizedFunction, theta_samples: int = 512) -> SufficientVerdict:
+def sufficient_membership(f: NormalizedFunction, theta_samples: int = 512) -> dict:
     """Sufficient test: sup over angles of the weighted coefficient sum below 1.
 
     The weighted sum uses the coefficients up to the truncation order; the
-    condition is sufficient only, so a failure reads "inconclusive".
+    condition is sufficient only.  The record's keys: ``verdict`` ("holds"
+    when the sup is below 1, else "inconclusive"), ``statistic`` (the sup)
+    and ``argmax_theta`` (its angle, in [0, 2 pi)).
     """
     if theta_samples < 64:
         raise PreconditionNotMet("theta_samples must be >= 64")
     thetas = np.linspace(0.0, 2.0 * np.pi, theta_samples, endpoint=False)
     theta_star, s_star = grid_golden_max(lambda t: _sufficient_statistic(f, t), thetas,
                                          2.0 * np.pi / theta_samples)
-    return SufficientVerdict(holds=s_star < 1.0, statistic=s_star,
-                             argmax_theta=theta_star % (2.0 * math.pi))
+    return {"verdict": "holds" if s_star < 1.0 else "inconclusive", "statistic": s_star,
+            "argmax_theta": theta_star % (2.0 * math.pi)}
 
 
 # -- membership test 2: kernel nonvanishing --------------------------------
-
-
-@dataclass(frozen=True)
-class KernelVerdict:
-    nonvanishing: bool
-    min_modulus: float
-    argmin_theta: float
-    argmin_z: complex
-    ratio_floor: float
-
-    @property
-    def verdict(self) -> str:
-        return "nonvanishing" if self.nonvanishing else "zero-found"
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "min_modulus": self.min_modulus,
-                "argmin_theta": self.argmin_theta,
-                "argmin_z": [self.argmin_z.real, self.argmin_z.imag],
-                "ratio_floor": self.ratio_floor}
 
 
 #: Theta rows per block of the kernel sieve.  Any size gives the dense scan's
@@ -399,7 +367,7 @@ def grid_values(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID
 
 
 def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
-                        grid: PolarGrid = DEFAULT_GRID) -> KernelVerdict:
+                        grid: PolarGrid = DEFAULT_GRID) -> dict:
     """Scan (1/z)(z f' - beta (z f' - f)) over the polar grid for every angle.
 
     ``values`` is ``grid_values(f, grid)``; the angles theta of beta are the
@@ -416,6 +384,11 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
     meets, keyed by their bits: steps along theta, and points that golden
     section or a later round visits again, reuse the values kept for them.
     The verdict also needs f(z)/z away from zero (the beta = 1 variant).
+
+    The record's keys: ``verdict`` ("nonvanishing" when both the minimum
+    modulus ``min_modulus`` and ``ratio_floor``, the least |f(z)/z| on the
+    grid, exceed ``ZERO_TOL``, else "zero-found"), and the minimum's angle
+    ``argmin_theta`` and point ``argmin_z`` ([re, im]).
     """
     z, fp, g = values
     v = fp - g
@@ -449,31 +422,13 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
         best_theta = float(p[0]) % (2.0 * math.pi)
         best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
     ratio_floor = float(np.min(np.abs(g)))
-    return KernelVerdict(nonvanishing=bool(best > ZERO_TOL and ratio_floor > ZERO_TOL),
-                         min_modulus=best, argmin_theta=best_theta,
-                         argmin_z=best_z, ratio_floor=ratio_floor)
+    nonvanishing = best > ZERO_TOL and ratio_floor > ZERO_TOL
+    return {"verdict": "nonvanishing" if nonvanishing else "zero-found",
+            "min_modulus": best, "argmin_theta": best_theta,
+            "argmin_z": [best_z.real, best_z.imag], "ratio_floor": ratio_floor}
 
 
 # -- membership test 3: geometric containment ------------------------------
-
-
-@dataclass(frozen=True)
-class GeometricVerdict:
-    member: bool
-    max_excursion: float
-    boundary_margin: float
-    outside_count: int
-    ambiguous_count: int
-
-    @property
-    def verdict(self) -> str:
-        return "member" if self.member else "non-member"
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "max_excursion": self.max_excursion,
-                "boundary_margin": self.boundary_margin,
-                "outside_count": self.outside_count,
-                "ambiguous_count": self.ambiguous_count}
 
 
 def winding_number(ring: np.ndarray) -> float:
@@ -483,19 +438,23 @@ def winding_number(ring: np.ndarray) -> float:
     return np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
 
 
-def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> GeometricVerdict:
+def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> dict:
     """Geometric test: all sampled values of z f'/f - 1 inside the sinh image.
 
     ``values`` is ``grid_values(f, grid)``.  Containment is decided exactly,
     by |asinh w| < 1 (``regions.sinh_margin``).  Samples whose margin
     |asinh w| - 1 is within ``regions.BOUNDARY_TOL`` of 0 are ambiguous and
-    conservatively force a non-member verdict (counted in the result).
-    ``max_excursion`` is the largest distance of an outside sample to a dense
-    polygonal discretization of the boundary curve.
+    conservatively force a non-member verdict.
 
     The rings never see a zero of f/z inside the innermost one, where z f'/f
     has a pole; ``winding_number`` of f/z along that ring counts those zeros,
     and a count other than 0 also forces a non-member verdict.
+
+    The record's keys: ``verdict`` ("member" or "non-member"),
+    ``max_excursion`` (the largest distance of an outside sample to a dense
+    polygonal discretization of the boundary curve, 0 when none is outside),
+    ``boundary_margin`` (a lower bound on the samples' distance to the curve,
+    0 when unknown), and ``outside_count`` and ``ambiguous_count``.
     """
     region = sinh_region()
     _, fp, g = values
@@ -505,53 +464,34 @@ def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> Geome
     w = np.where(safe, (fp - g_safe) / g_safe, far_outside)
     inside, ambiguous = region.classify(w)
     outside = ~inside & ~ambiguous
-    member = bool(np.all(inside) and winding_number(g[: grid.theta_samples]) == 0)
+    member = np.all(inside) and winding_number(g[: grid.theta_samples]) == 0
     excursion = sinh_boundary_max_distance(w[outside]) if np.any(outside) else 0.0
     # conservative lower bound on the samples' distance to the curve: the disk
     # of radius sin 1, the least |sinh| on the unit circle, lies in sinh(D)
     margin = max(0.0, math.sin(1.0) - float(np.max(np.abs(w))))
-    return GeometricVerdict(member=member,
-                            max_excursion=excursion,
-                            boundary_margin=margin,
-                            outside_count=int(np.count_nonzero(outside)),
-                            ambiguous_count=int(np.count_nonzero(ambiguous)))
+    return {"verdict": "member" if member else "non-member", "max_excursion": excursion,
+            "boundary_margin": margin, "outside_count": int(np.count_nonzero(outside)),
+            "ambiguous_count": int(np.count_nonzero(ambiguous))}
 
 
 # -- combined report --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    sufficient: SufficientVerdict
-    kernel: KernelVerdict
-    geometric: GeometricVerdict
-
-    @property
-    def verdict(self) -> str:
-        return self.geometric.verdict
-
-    def to_json(self) -> dict:
-        return {"sufficient": self.sufficient.to_json(),
-                "kernel": self.kernel.to_json(),
-                "geometric": self.geometric.to_json(),
-                "verdict": self.verdict}
-
-
-def membership_report(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> MembershipReport:
+def membership_report(f: NormalizedFunction, grid: PolarGrid = DEFAULT_GRID) -> dict:
     """Run all three membership tests; the combined verdict is the geometric one.
 
     Each test samples ``grid.theta_samples`` angles, at least 64: the
     sufficient test on the boundary of sinh(D), the kernel test for beta.
     The grid values are computed once, after the sufficient test, and both
-    grid tests read them.
+    grid tests read them.  The record's keys: ``sufficient``, ``kernel`` and
+    ``geometric``, the three tests' records, and ``verdict``, the geometric one.
     """
     sufficient = sufficient_membership(f, grid.theta_samples)
     values = grid_values(f, grid)
-    return MembershipReport(
-        sufficient=sufficient,
-        kernel=kernel_nonvanishing(f, values, grid),
-        geometric=geometric_membership(values, grid),
-    )
+    kernel = kernel_nonvanishing(f, values, grid)
+    geometric = geometric_membership(values, grid)
+    return {"sufficient": sufficient, "kernel": kernel, "geometric": geometric,
+            "verdict": geometric["verdict"]}
 
 
 # -- coefficient functionals -----------------------------------------------
@@ -637,34 +577,21 @@ def extremal_value(r: float) -> float:
     return r * math.exp(_shi_checked(abs(r)) * (1.0 if r >= 0 else -1.0))
 
 
-@dataclass(frozen=True)
-class GrowthRecord:
-    r: float
-    lower: float        # -f0(-r)
-    upper: float        # f0(r)
-    deriv_bound: float  # (1 + sinh r) f0(r) / r
-    covering: float     # exp(-Shi(1)), radius of the covered disk
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "lower": self.lower, "upper": self.upper,
-                "deriv_bound": self.deriv_bound, "covering": self.covering}
-
-
 @functools.cache
 def covering_radius() -> float:
     """Radius exp(-Shi(1)) of the disk covered by every member's image, computed once."""
     return math.exp(-_shi_checked(1.0))
 
 
-def growth_distortion(r: float) -> GrowthRecord:
-    """Growth envelope, derivative bound and covering radius at |z| = r."""
+def growth_distortion(r: float) -> dict:
+    """Growth envelope, derivative bound and covering radius at |z| = r.
+
+    The record's keys: ``r``, ``lower`` (-f0(-r)), ``upper`` (f0(r)),
+    ``deriv_bound`` ((1 + sinh r) f0(r)/r) and ``covering`` (exp(-Shi(1)), the
+    radius of the disk that every member's image covers), f0 the extremal member.
+    """
     if not 0.0 < r < 1.0:
         raise PreconditionNotMet("r must lie in (0, 1)")
     upper = extremal_value(r)
-    return GrowthRecord(
-        r=float(r),
-        lower=-extremal_value(-r),
-        upper=upper,
-        deriv_bound=(1.0 + math.sinh(r)) * upper / r,
-        covering=covering_radius(),
-    )
+    return {"r": float(r), "lower": -extremal_value(-r), "upper": upper,
+            "deriv_bound": (1.0 + math.sinh(r)) * upper / r, "covering": covering_radius()}

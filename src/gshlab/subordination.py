@@ -44,15 +44,15 @@ operator equals 1 + alpha there for every normalized f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from . import series as ts
 from .caratheodory import sample_schwarz
-from .core import (DEFAULT_GRID, NormalizedFunction, PolarGrid, PreconditionNotMet,
-                   member_from_witness, winding_number)
+from .core import (NormalizedFunction, PolarGrid, PreconditionNotMet, member_from_witness,
+                   winding_number)
 from .refine import grid_golden_max
 from .regions import sinh_boundary, sinh_region, sqrt_disk_region
 
@@ -101,18 +101,6 @@ class ImplicationCase:
 # -- extrema of |sinh| and |cosh| on the unit circle -------------------------
 
 
-@dataclass(frozen=True)
-class TrigExtrema:
-    sinh_min: float
-    sinh_max: float
-    cosh_min: float
-    cosh_max: float
-    sinh_argmin: float
-    sinh_argmax: float
-    cosh_argmin: float
-    cosh_argmax: float
-
-
 def circle_sinh_abs(theta):
     return np.abs(sinh_boundary(theta))
 
@@ -121,11 +109,13 @@ def circle_cosh_abs(theta):
     return np.abs(np.cosh(np.exp(1j * np.asarray(theta, dtype=float))))
 
 
-def trig_extrema(theta_samples: int = 2048) -> TrigExtrema:
+def trig_extrema(theta_samples: int = 2048) -> dict:
     """Extrema of |sinh e^(i theta)| and |cosh e^(i theta)| on [-pi, pi].
 
     Grid scan with golden-section refinement; the extrema equal sin 1,
-    sinh 1, cos 1 and cosh 1, attained at angles 0, +-pi and +-pi/2.
+    sinh 1, cos 1 and cosh 1, attained at angles 0, +-pi and +-pi/2.  The
+    record's keys: ``sinh_min``, ``sinh_max``, ``cosh_min`` and ``cosh_max``,
+    and the angle of each, ``sinh_argmin`` and so on.
     """
     if theta_samples < 1024:
         raise ValueError("theta_samples must be >= 1024")
@@ -136,13 +126,11 @@ def trig_extrema(theta_samples: int = 2048) -> TrigExtrema:
         x, v = grid_golden_max(lambda t: sign * fn(t), thetas, step)
         return x, sign * v
 
-    s_argmax, s_max = refined(circle_sinh_abs, 1.0)
-    s_argmin, s_min = refined(circle_sinh_abs, -1.0)
-    c_argmax, c_max = refined(circle_cosh_abs, 1.0)
-    c_argmin, c_min = refined(circle_cosh_abs, -1.0)
-    return TrigExtrema(sinh_min=s_min, sinh_max=s_max, cosh_min=c_min, cosh_max=c_max,
-                       sinh_argmin=s_argmin, sinh_argmax=s_argmax,
-                       cosh_argmin=c_argmin, cosh_argmax=c_argmax)
+    out = {}
+    for name, fn in (("sinh", circle_sinh_abs), ("cosh", circle_cosh_abs)):
+        for end, sign in (("max", 1.0), ("min", -1.0)):
+            out[f"{name}_arg{end}"], out[f"{name}_{end}"] = refined(fn, sign)
+    return out
 
 
 # -- thresholds ---------------------------------------------------------------
@@ -225,28 +213,8 @@ def _operator(kind: OperatorKind, alpha: complex, z: np.ndarray, fp: np.ndarray,
 
 # -- single-case verification -------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ImplicationRecord:
-    case: ImplicationCase
-    deviation: float
-    premise_holds: bool
-    conclusion_sinh: bool
-    conclusion_sqrt: bool
-    vacuous: bool
-    function: dict
-
-    def to_json(self) -> dict:
-        return {"kind": int(self.case.kind), "A": self.case.janowski.a,
-                "B": self.case.janowski.b,
-                "alpha": [complex(self.case.alpha).real, complex(self.case.alpha).imag],
-                "deviation": self.deviation,
-                "premise_holds": self.premise_holds,
-                "conclusion_holds": self.conclusion_sinh,
-                "conclusion_sinh": self.conclusion_sinh,
-                "conclusion_sqrt": self.conclusion_sqrt,
-                "vacuous": self.vacuous,
-                "function": self.function}
+#: The harness's one circle, which decides every verdict for its disk (module docstring).
+HARNESS_GRID = PolarGrid(theta_samples=64, radial_samples=1, max_radius=0.995)
 
 
 def _conclusions(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,19 +227,36 @@ def _pole_inside(case: ImplicationCase, g: np.ndarray) -> bool:
     return case.kind != OperatorKind.Z_FPRIME and winding_number(g) != 0
 
 
+def _alpha_pair(alpha: complex) -> list[float]:
+    return [complex(alpha).real, complex(alpha).imag]
+
+
 def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float, premise: bool,
-            conclusions: tuple[bool, bool]) -> ImplicationRecord:
-    """Record of f with its premise verdict and the verdicts of ``_conclusions``."""
-    return ImplicationRecord(case=case, deviation=float(deviation), premise_holds=premise,
-                             conclusion_sinh=bool(conclusions[0]),
-                             conclusion_sqrt=bool(conclusions[1]),
-                             vacuous=not premise, function=f.to_json())
+            conclusions: tuple[bool, bool]) -> dict:
+    """Record of f with its premise verdict and the verdicts of ``_conclusions``.
+
+    Its keys: the case's ``kind``, ``A``, ``B`` and ``alpha`` ([re, im]);
+    ``deviation``; ``premise_holds`` and ``vacuous``, its negation;
+    ``conclusion_sinh`` (f/z - 1 in sinh(D)), also written as
+    ``conclusion_holds``; ``conclusion_sqrt`` (f/z in sqrt(1 + D)); and
+    ``function``, the JSON of f.
+    """
+    sinh_ok = bool(conclusions[0])
+    return {"kind": int(case.kind), "A": case.janowski.a, "B": case.janowski.b,
+            "alpha": _alpha_pair(case.alpha), "deviation": float(deviation),
+            "premise_holds": premise, "conclusion_holds": sinh_ok, "conclusion_sinh": sinh_ok,
+            "conclusion_sqrt": bool(conclusions[1]), "vacuous": not premise,
+            "function": f.to_json()}
 
 
 def verify_implication(f: NormalizedFunction, case: ImplicationCase,
-                       grid: PolarGrid = DEFAULT_GRID) -> ImplicationRecord:
-    """Test premise and conclusion of one implication case on the grid; for kinds
-    2-4 a zero of f/z inside the grid's outer ring also fails the premise."""
+                       grid: PolarGrid = HARNESS_GRID) -> dict:
+    """``_record`` of f: premise and conclusion of one implication case on the grid.
+
+    For kinds 2-4 a zero of f/z inside the grid's outer ring also fails the
+    premise.  The default grid is the harness's circle, so a kept harness
+    record is ``verify_implication`` of its function and case.
+    """
     z = grid.points()
     deviation = janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
     g = f.over_z_values(z)
@@ -282,58 +267,7 @@ def verify_implication(f: NormalizedFunction, case: ImplicationCase,
 # -- harness ------------------------------------------------------------------
 
 
-@dataclass
-class ConfigSummary:
-    kind: int
-    a: float
-    b: float
-    alpha: complex
-    threshold: float
-    attempts: int = 0
-    non_vacuous: int = 0
-    counterexamples: int = 0
-    counterexamples_sqrt: int = 0
-    floor_deviation: float = 0.0
-
-    @property
-    def premise_feasible(self) -> bool:
-        """False when even the identity candidate's deviation floor reaches 1."""
-        return self.floor_deviation < 1.0 - PREMISE_MARGIN
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "A": self.a, "B": self.b,
-                "alpha": [complex(self.alpha).real, complex(self.alpha).imag],
-                "threshold": self.threshold,
-                "attempts": self.attempts, "non_vacuous": self.non_vacuous,
-                "counterexamples": self.counterexamples,
-                "counterexamples_sqrt": self.counterexamples_sqrt,
-                "floor_deviation": self.floor_deviation,
-                "premise_feasible": self.premise_feasible}
-
-
-@dataclass
-class HarnessReport:
-    summaries: list[ConfigSummary] = field(default_factory=list)
-    records: list[ImplicationRecord] = field(default_factory=list)
-    undefined: list[dict] = field(default_factory=list)
-
-    @property
-    def counterexample_count(self) -> int:
-        return sum(s.counterexamples for s in self.summaries)
-
-    def to_json(self, include_cases: bool = False) -> dict:
-        out = {"summaries": [s.to_json() for s in self.summaries],
-               "undefined_thresholds": self.undefined,
-               "counterexamples": self.counterexample_count}
-        if include_cases:
-            out["cases"] = [r.to_json() for r in self.records]
-        return out
-
-
 DEFAULT_CONFIGS = ((1.0, 0.0), (0.5, -0.5), (0.8, 0.2))
-
-#: The harness's one circle, which decides every verdict for its disk (module docstring).
-HARNESS_GRID = PolarGrid(theta_samples=64, radial_samples=1, max_radius=0.995)
 
 
 #: Truncation order of the harness's candidate functions.
@@ -480,8 +414,17 @@ def _shrink_block(case: ImplicationCase, z: np.ndarray, c: np.ndarray,
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                threshold: float, seed: int, target_non_vacuous: int = 50,
                max_attempts: int = 400,
-               keep_records: bool = True) -> tuple[ConfigSummary, list[ImplicationRecord]]:
+               keep_records: bool = True) -> tuple[dict, list[dict]]:
     """Sample candidates for one configuration until enough premise-true cases.
+
+    Returns the configuration's summary and its kept records (``_record``;
+    none unless ``keep_records``).  The summary's keys: ``kind``, ``A``,
+    ``B``, ``alpha`` ([re, im]) and ``threshold``; ``attempts``,
+    ``non_vacuous`` (premise-true attempts), ``counterexamples`` and
+    ``counterexamples_sqrt`` (premise-true attempts whose sinh or sqrt
+    conclusion fails); ``floor_deviation`` (``_config_floor``); and
+    ``premise_feasible``, false when that floor reaches the cut-off
+    1 - ``PREMISE_MARGIN``, in which case at most 25 attempts are made.
 
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
@@ -498,7 +441,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     An attempt computes only what its output reads: the conclusions for a
     premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
-    the ``ImplicationRecord`` and its step's deviation only when records are
+    the record and its step's deviation only when records are
     kept.  The conclusions of a block are one ``classify`` call per region.
     That, and skipping the conclusions of a vacuous attempt, raises or drops
     no exception: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays
@@ -551,24 +494,24 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
-    summary = ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
-                            threshold=threshold, floor_deviation=_config_floor(case, z))
-    records: list[ImplicationRecord] = []
-    attempts_cap = max_attempts if summary.premise_feasible else min(max_attempts, 25)
-    while summary.attempts < attempts_cap and summary.non_vacuous < target_non_vacuous:
-        m = min(attempts_cap - summary.attempts, target_non_vacuous - summary.non_vacuous,
-                _BLOCK_ROWS)
+    floor = _config_floor(case, z)
+    feasible = floor < 1.0 - PREMISE_MARGIN
+    records = []
+    attempts = non_vacuous = counterexamples = counterexamples_sqrt = 0
+    attempts_cap = max_attempts if feasible else min(max_attempts, 25)
+    while attempts < attempts_cap and non_vacuous < target_non_vacuous:
+        m = min(attempts_cap - attempts, target_non_vacuous - non_vacuous, _BLOCK_ROWS)
         c = np.array([_sample_candidate(np.random.default_rng((seed, int(kind), i))).coeffs
-                      for i in range(summary.attempts, summary.attempts + m)])
+                      for i in range(attempts, attempts + m)])
         first, deviation, dg = _shrink_block(case, z, c, keep_records)
         passed = first <= SHRINK_STEPS
         k = np.minimum(first, SHRINK_STEPS)
         rows = np.flatnonzero(passed | keep_records)
         sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -k[rows])[:, None] * dg[rows] + 1.0)
-        summary.attempts += m
-        summary.non_vacuous += int(np.count_nonzero(passed))
-        summary.counterexamples += int(np.count_nonzero(~sinh_ok[passed[rows]]))
-        summary.counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok[passed[rows]]))
+        attempts += m
+        non_vacuous += int(np.count_nonzero(passed))
+        counterexamples += int(np.count_nonzero(~sinh_ok[passed[rows]]))
+        counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok[passed[rows]]))
         if keep_records:
             for i in range(m):
                 coeffs = c[i].copy()
@@ -576,25 +519,33 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                 coeffs.setflags(write=False)
                 records.append(_record(NormalizedFunction(coeffs), case, deviation[i],
                                        bool(passed[i]), (sinh_ok[i], sqrt_ok[i])))
+    summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": _alpha_pair(alpha),
+               "threshold": threshold, "attempts": attempts, "non_vacuous": non_vacuous,
+               "counterexamples": counterexamples, "counterexamples_sqrt": counterexamples_sqrt,
+               "floor_deviation": floor, "premise_feasible": feasible}
     return summary, records
 
 
 def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
                         target_non_vacuous: int = 50, max_attempts: int = 400,
-                        keep_records: bool = False) -> HarnessReport:
+                        keep_records: bool = False) -> dict:
     """Run every kind on each ``DEFAULT_CONFIGS`` pair whose threshold is defined.
 
     Every scanned alpha (``alpha_factor`` times a threshold) is checked to be
-    finite before any configuration runs.
+    finite before any configuration runs.  The report's keys: ``summaries``
+    (``run_config``'s, in config then kind order), ``undefined_thresholds``
+    (the ``kind``, ``A`` and ``B`` of each pair skipped), ``counterexamples``
+    (their sum over the summaries) and, only when ``keep_records``, ``cases``
+    (every kept record, in the summaries' order).
     """
-    report = HarnessReport()
+    summaries, records, undefined = [], [], []
     runs = []
     for a, b in DEFAULT_CONFIGS:
         params = JanowskiParams(a, b)
         for kind in OperatorKind:
             threshold = alpha_threshold(kind, params)
             if threshold is None:
-                report.undefined.append({"kind": int(kind), "A": a, "B": b})
+                undefined.append({"kind": int(kind), "A": a, "B": b})
                 continue
             alpha = alpha_factor * threshold
             if not math.isfinite(alpha):
@@ -602,11 +553,15 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
                     f"alpha = {alpha_factor!r} x {threshold!r} is not finite")
             runs.append((kind, params, alpha, threshold))
     for kind, params, alpha, threshold in runs:
-        summary, records = run_config(kind, params, alpha, threshold,
-                                      seed=seed, target_non_vacuous=target_non_vacuous,
-                                      max_attempts=max_attempts, keep_records=keep_records)
-        report.summaries.append(summary)
-        report.records.extend(records)
+        summary, kept = run_config(kind, params, alpha, threshold,
+                                   seed=seed, target_non_vacuous=target_non_vacuous,
+                                   max_attempts=max_attempts, keep_records=keep_records)
+        summaries.append(summary)
+        records.extend(kept)
+    report = {"summaries": summaries, "undefined_thresholds": undefined,
+              "counterexamples": sum(s["counterexamples"] for s in summaries)}
+    if keep_records:
+        report["cases"] = records
     return report
 
 

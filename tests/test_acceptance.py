@@ -110,12 +110,12 @@ def test_criterion_03_coefficient_bounds(scan_cfg):
     failures = []
     for n, bound in claimed.items():
         est = scans[n]
-        if est.empirical_max > bound + 1e-9 or est.attained_ratio < 0.999:
-            failures.append((n, est.empirical_max, est.attained_ratio))
+        if est["empirical_max"] > bound + 1e-9 or est["attained_ratio"] < 0.999:
+            failures.append((n, est["empirical_max"], est["attained_ratio"]))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 300.0
     detail = ", ".join(
-        f"a{n} max {scans[n].empirical_max:.6f} vs {1 / (n - 1):.6f}"
+        f"a{n} max {scans[n]['empirical_max']:.6f} vs {1 / (n - 1):.6f}"
         for n in (6, 7))
     report(3, ok, "sharp coefficient bounds attained, none exceeded",
            f"conjectured orders reported: {detail}; {elapsed:.0f}s")
@@ -129,10 +129,10 @@ def test_criterion_04_fekete_szego_and_t_functional(scan_cfg):
     # one battery, so one witness batch for the Fekete-Szego scans and t
     *fs_ests, t_est, _, _ = bd.default_scan_suite(scan_cfg, (), fs_lams=lams)
     for lam, est in zip(lams, fs_ests):
-        if est.empirical_max > est.claimed_bound + 1e-9:
-            failures.append(("fs", lam, est.empirical_max))
-    if t_est.empirical_max > 1 / 3 + 1e-9:
-        failures.append(("t", None, t_est.empirical_max))
+        if est["empirical_max"] > est["claimed_bound"] + 1e-9:
+            failures.append(("fs", lam, est["empirical_max"]))
+    if t_est["empirical_max"] > 1 / 3 + 1e-9:
+        failures.append(("t", None, t_est["empirical_max"]))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 8)
     fs_f0 = float(abs(core.functional("fs", f0.coeffs, 1.0)))
     exact = abs(fs_f0 - 0.5) < 1e-15
@@ -157,11 +157,11 @@ def test_criterion_05_h22_landscape_and_scan(scan_cfg):
             f"({c_star!r}, {y_star!r})")
     # one battery, so one witness batch for the h22 and h31 scans
     _, est, h31 = bd.default_scan_suite(scan_cfg, (), fs_lams=())
-    if abs(est.empirical_max - 0.25) > 1e-12 or not est.violation:
-        problems.append(f"h22 scan max {est.empirical_max!r}, "
-                        f"violation={est.violation}")
+    if abs(est["empirical_max"] - 0.25) > 1e-12 or not est["violation"]:
+        problems.append(f"h22 scan max {est['empirical_max']!r}, "
+                        f"violation={est['violation']}")
     report(5, not problems, "h22 envelope landscape and scan-detected violation",
-           f"h31 reported max {h31.empirical_max:.6f} vs claimed 0.25; "
+           f"h31 reported max {h31['empirical_max']:.6f} vs claimed 0.25; "
            + "; ".join(problems))
     assert not problems, problems
 
@@ -170,10 +170,10 @@ def test_criterion_06_trig_extrema():
     ext = sub.trig_extrema(2048)
     closed = {"sinh_min": math.sin(1.0), "sinh_max": math.sinh(1.0),
               "cosh_min": math.cos(1.0), "cosh_max": math.cosh(1.0)}
-    errs = {k: abs(getattr(ext, k) - v) for k, v in closed.items()}
+    errs = {k: abs(ext[k] - v) for k, v in closed.items()}
     roots = np.array([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
     arg_ok = all(
-        float(np.min(np.abs(roots - getattr(ext, name)))) < 1e-3
+        float(np.min(np.abs(roots - ext[name]))) < 1e-3
         for name in ("sinh_argmin", "sinh_argmax", "cosh_argmin", "cosh_argmax"))
     ok = max(errs.values()) <= 1e-8 and arg_ok
     report(6, ok, "circle extrema of |sinh| and |cosh| match closed forms",
@@ -207,16 +207,16 @@ def test_criterion_08_implication_harness():
                                        max_attempts=400)
     elapsed = time.monotonic() - start
     problems = []
-    for s in report_h.summaries:
-        tag = f"kind {s.kind} (A,B)=({s.a},{s.b})"
-        if s.non_vacuous < 50:
+    for s in report_h["summaries"]:
+        tag = f"kind {s['kind']} (A,B)=({s['A']},{s['B']})"
+        if s["non_vacuous"] < 50:
             problems.append(
-                f"{tag}: {s.non_vacuous} premise-true cases of 50 required "
-                f"(deviation floor at the origin {s.floor_deviation:.3f}; "
+                f"{tag}: {s['non_vacuous']} premise-true cases of 50 required "
+                f"(deviation floor at the origin {s['floor_deviation']:.3f}; "
                 f"a floor >= 1 makes the premise unsatisfiable)")
-        if s.counterexamples:
+        if s["counterexamples"]:
             problems.append(
-                f"{tag}: {s.counterexamples} premise-true cases with the "
+                f"{tag}: {s['counterexamples']} premise-true cases with the "
                 f"sinh conclusion false (genuine counterexamples)")
     ok = not problems and elapsed < 300.0
     report(8, ok, "implication harness: 50 premise-true cases per "
@@ -228,12 +228,12 @@ def test_criterion_08_implication_harness():
 
 def test_criterion_09_inequality_suite():
     suite = cara.inequality_suite(10_000, seed=0)
-    ok = suite.violation_count == 0 and suite.quartic_condition_hits > 0
+    ok = len(suite["violations"]) == 0 and suite["quartic_condition_hits"] > 0
     report(9, ok, "coefficient-inequality suite clean on 10^4 samples",
-           f"quartic condition exercised {suite.quartic_condition_hits} times, "
-           f"{suite.degenerate_witnesses} degenerate witnesses flagged")
-    assert suite.violation_count == 0, suite.violations[:3]
-    assert suite.quartic_condition_hits > 0
+           f"quartic condition exercised {suite['quartic_condition_hits']} times, "
+           f"{suite['degenerate_witnesses']} degenerate witnesses flagged")
+    assert len(suite["violations"]) == 0, suite["violations"][:3]
+    assert suite["quartic_condition_hits"] > 0
 
 
 def test_criterion_10_membership_coherence():
@@ -251,18 +251,18 @@ def test_criterion_10_membership_coherence():
         values = core.grid_values(f, grid)
         g = core.geometric_membership(values, grid)
         k = core.kernel_nonvanishing(f, values, grid)
-        if s.holds and not g.member:
+        if s["verdict"] == "holds" and g["verdict"] != "member":
             chain_breaks.append(("sufficient->geometric", i))
-        if g.member and not k.nonvanishing:
+        if g["verdict"] == "member" and k["verdict"] != "nonvanishing":
             chain_breaks.append(("geometric->kernel", i))
     f0 = core.member_from_witness(cara.SchwarzSample.monomial(1), 32)
-    anchors_ok = all(core.geometric_membership(core.grid_values(f, grid), grid).member
-                     for f in (f0, core.NormalizedFunction.identity(16)))
+    anchors_ok = all(core.geometric_membership(core.grid_values(f, grid), grid)["verdict"]
+                     == "member" for f in (f0, core.NormalizedFunction.identity(16)))
     koebe = core.NormalizedFunction.koebe(32)
     koebe_report = core.membership_report(koebe, grid)
-    koebe_ok = (not koebe_report.sufficient.holds
-                and not koebe_report.kernel.nonvanishing
-                and not koebe_report.geometric.member)
+    koebe_ok = (koebe_report["sufficient"]["verdict"] == "inconclusive"
+                and koebe_report["kernel"]["verdict"] == "zero-found"
+                and koebe_report["geometric"]["verdict"] == "non-member")
     ok = not chain_breaks and anchors_ok and koebe_ok
     report(10, ok, "sufficient => geometric => kernel on 400 samples; "
                    "anchor members and the excluded comparison function agree",
@@ -286,7 +286,7 @@ def test_criterion_11_growth_and_covering():
         rng = np.random.default_rng((211, i))
         f = core.member_from_witness(cara.sample_schwarz(rng), 40)
         for r in (0.25, 0.5, 0.75, 0.95):
-            bound = core.growth_distortion(r).upper * (1 + 1e-8)
+            bound = core.growth_distortion(r)["upper"] * (1 + 1e-8)
             if float(np.max(np.abs(ts.evaluate(f.coeffs, r * angles)))) > bound:
                 envelope_ok = False
     ok = covering_err <= 1e-10 and value_err <= 1e-8 and envelope_ok

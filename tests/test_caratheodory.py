@@ -145,20 +145,20 @@ def test_schwarz_cayley_transform_has_positive_real_part_on_grid():
 
 def test_witnesses_degenerate_at_extreme_first_coefficient():
     wit = cara.coeff_witnesses(2.0, 2.0, 2.0)
-    assert wit.degenerate and wit.x is None and wit.z is None
+    assert wit["degenerate"] and wit["x"] is None and wit["z"] is None
 
 
 def test_witnesses_unit_x_flags_z_degenerate():
     wit = cara.coeff_witnesses(0.0, 2.0, 0.0)
-    assert wit.x == pytest.approx(1.0)
-    assert wit.x_valid and wit.degenerate and wit.z is None
+    assert wit["x"] == pytest.approx(1.0)
+    assert wit["x_valid"] and wit["degenerate"] and wit["z"] is None
 
 
 def test_witnesses_interior_point():
     wit = cara.coeff_witnesses(1.0, 1.0, 1.0)
-    assert wit.x == pytest.approx(1.0 / 3.0)
-    assert wit.z == pytest.approx(0.25)
-    assert wit.x_valid and wit.z_valid and not wit.degenerate
+    assert wit["x"] == pytest.approx(1.0 / 3.0)
+    assert wit["z"] == pytest.approx(0.25)
+    assert wit["x_valid"] and wit["z_valid"] and not wit["degenerate"]
 
 
 def test_witness_round_trip():
@@ -167,9 +167,9 @@ def test_witness_round_trip():
         k = cara.sample_herglotz(rng)
         c = k.coeffs(3)
         wit = cara.coeff_witnesses(c[0], c[1], c[2])
-        if wit.degenerate:
+        if wit["degenerate"]:
             continue
-        c2, c3 = cara.coeffs_from_witnesses(c[0], wit.x, wit.z)
+        c2, c3 = cara.coeffs_from_witnesses(c[0], wit["x"], wit["z"])
         assert abs(c2 - c[1]) < 1e-10
         assert abs(c3 - c[2]) < 1e-9
 
@@ -222,9 +222,9 @@ def test_cubic_bound_dominates_samples():
 
 def test_suite_no_violations():
     report = cara.inequality_suite(3000, seed=1)
-    assert report.violation_count == 0
-    assert report.quartic_condition_hits > 100
-    assert report.checks["modulus"] == 3000
+    assert len(report["violations"]) == 0
+    assert report["quartic_condition_hits"] > 100
+    assert report["checks"]["modulus"] == 3000
 
 
 def test_suite_boundary_sample_saturates_modulus():
@@ -236,15 +236,13 @@ def test_suite_boundary_sample_saturates_modulus():
     assert abs(c[1] - 0.5 * c[0] ** 2) <= cara.fekete_szego_bound_complex(0.5) + 1e-12
 
 
-def test_suite_deterministic_across_worker_counts(monkeypatch):
-    # the suite runs on the calling thread, so GSH_LAB_THREADS has no effect
-    monkeypatch.setenv("GSH_LAB_THREADS", "1")
-    a = cara.inequality_suite(500, seed=9).to_json()
-    monkeypatch.setenv("GSH_LAB_THREADS", "4")
-    b = cara.inequality_suite(500, seed=9).to_json()
+def test_suite_is_seed_deterministic_and_a_larger_budget_only_adds_samples():
+    # the same seed gives the same report twice
+    a = cara.inequality_suite(500, seed=9)
+    b = cara.inequality_suite(500, seed=9)
     assert a == b
     # sample i comes from (seed, i), so a larger budget only adds samples
-    half = cara.inequality_suite(250, seed=9).to_json()
+    half = cara.inequality_suite(250, seed=9)
     assert a["checks"]["modulus"] == 500 and half["checks"]["modulus"] == 250
     for key, count in half["checks"].items():
         assert a["checks"][key] >= count

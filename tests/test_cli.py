@@ -455,32 +455,72 @@ def test_growth_bad_radius_exits_2(capsys):
     assert code == 2
 
 
-# -- markdown tables ------------------------------------------------------------------
+# -- tables ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("argv, key, header, preamble", [
-    (["thresholds"], "thresholds", "| kind | A | B | threshold | b_form_differs |",
-     "alpha thresholds (undefined when the denominator is not positive)"),
-    (["growth"], "rows", "| r | lower | upper | deriv_bound |",
-     "growth envelope (covering radius 0.3474095709321509)"),
-    (["coeffs", "--witness", "z^3", "--order", "8"], "coeffs", "| n | re | im | abs |",
-     "coefficient table"),
-])
-def test_markdown_table(argv, key, header, preamble, capsys):
-    code, out = run(capsys, *argv, "--format", "markdown")
-    assert code == 0
-    _, js = run(capsys, *argv)
-    records = json.loads(js)[key]
-    lines = out.splitlines()
-    width = header.count("|") - 1
-    assert lines[:4] == [preamble, "", header, "|" + "|".join([" --- "] * width) + "|"]
-    rows = lines[4:]
-    assert len(rows) == len(records) > 0
-    first = header.split(" | ")[0].removeprefix("| ")
-    for row, record in zip(rows, records):
-        cells = row.split(" | ")
-        assert row.startswith("| ") and row.endswith(" |") and len(cells) == width
-        assert cells[0].removeprefix("| ") == repr(record[first])
+def _cell(value) -> str:
+    """A table cell as the JSON value reads: the repr of a float, the str of anything else."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+#: Each table command on one small configuration: its argv (KOEBE stands for a
+#: Koebe function file), its markdown preamble, its header, and the rows that its
+#: decoded JSON record implies.
+TABLE_COMMANDS = {
+    "coeffs": (["coeffs", "--witness", "z^3", "--order", "8"], "coefficient table",
+               ["n", "re", "im", "abs"],
+               lambda o: [[c["n"], c["re"], c["im"], c["abs"]] for c in o["coeffs"]]),
+    "membership": (["membership", "--input", "KOEBE", "--theta-samples", "64",
+                    "--radial-samples", "4"], "membership report",
+                   ["test", "verdict", "statistic"],
+                   lambda o: [[test, o[test]["verdict"], o[test][key]]
+                              for test, key in (("sufficient", "statistic"),
+                                                ("kernel", "min_modulus"),
+                                                ("geometric", "max_excursion"))]
+                   + [["combined", o["verdict"], ""]]),
+    "bounds-scan": (["bounds-scan", "--samples", "50", "--coefficients", "2,3",
+                     "--fs-lambdas", "0.5"], "claimed vs empirical bounds",
+                    ["functional", "claimed", "empirical", "ratio", "violation"],
+                    lambda o: [[e["functional"], e["claimed_bound"], e["empirical_max"],
+                                e["attained_ratio"], e["violation"]] for e in o["estimates"]]),
+    "thresholds": (["thresholds"],
+                   "alpha thresholds (undefined when the denominator is not positive)",
+                   ["kind", "A", "B", "threshold", "b_form_differs"],
+                   lambda o: [[r["kind"], r["A"], r["B"],
+                               "undefined" if r["threshold"] is None else r["threshold"],
+                               r["b_form_differs"]] for r in o["thresholds"]]),
+    "growth": (["growth", "--radii", "0.25,0.5"],
+               "growth envelope (covering radius 0.3474095709321509)",
+               ["r", "lower", "upper", "deriv_bound"],
+               lambda o: [[r["r"], r["lower"], r["upper"], r["deriv_bound"]] for r in o["rows"]]),
+    "lemma-suite": (["lemma-suite", "--samples", "100", "--seed", "1"],
+                    "coefficient-inequality suite", ["check", "count"],
+                    lambda o: [*sorted(o["checks"].items()), ["violations", len(o["violations"])],
+                               ["quartic_condition_hits", o["quartic_condition_hits"]],
+                               ["degenerate_witnesses", o["degenerate_witnesses"]]]),
+    "verify-implications": (["verify-implications", "--cases", "2", "--max-attempts", "5",
+                             "--seed", "3"], "implication harness",
+                            ["kind", "A", "B", "threshold", "attempts", "non_vacuous",
+                             "counterexamples", "premise_feasible"],
+                            lambda o: [[s["kind"], s["A"], s["B"], s["threshold"], s["attempts"],
+                                        s["non_vacuous"], s["counterexamples"],
+                                        s["premise_feasible"]] for s in o["summaries"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_COMMANDS))
+def test_csv_and_markdown_rows_carry_the_values_of_the_json_record(name, tmp_path, capsys):
+    argv, preamble, header, rows_of = TABLE_COMMANDS[name]
+    argv = [write_koebe(tmp_path) if a == "KOEBE" else a for a in argv]
+    code, js = run(capsys, *argv)
+    expected = [[_cell(v) for v in row] for row in rows_of(json.loads(js))]
+    assert expected
+    csv_code, csv = run(capsys, *argv, "--format", "csv")
+    md_code, md = run(capsys, *argv, "--format", "markdown")
+    assert code == csv_code == md_code
+    assert [line.split(",") for line in csv.splitlines()] == [header, *expected]
+    table = [header, ["---"] * len(header), *expected]
+    assert md.splitlines() == [preamble, "", *("| " + " | ".join(r) + " |" for r in table)]
 
 
 # -- suite and harness ----------------------------------------------------------------

@@ -217,23 +217,23 @@ def test_composed_expansion_displayed_coefficients():
 
 def test_sufficient_identity_holds(identity_fn):
     v = core.sufficient_membership(identity_fn)
-    assert v.holds and v.statistic == pytest.approx(0.0, abs=1e-15)
+    assert v["verdict"] == "holds" and v["statistic"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sufficient_small_quadratic():
     f = core.NormalizedFunction.from_tail([0.1], order=8)
     v = core.sufficient_membership(f)
     expected = 0.1 * (1.0 + math.sinh(1.0)) / math.sinh(1.0)
-    assert v.holds
-    assert v.statistic == pytest.approx(expected, abs=1e-8)
-    assert v.argmax_theta == pytest.approx(math.pi, abs=1e-3)
+    assert v["verdict"] == "holds"
+    assert v["statistic"] == pytest.approx(expected, abs=1e-8)
+    assert v["argmax_theta"] == pytest.approx(math.pi, abs=1e-3)
 
 
 def test_sufficient_large_quadratic_inconclusive():
     f = core.NormalizedFunction.from_tail([0.6], order=8)
     v = core.sufficient_membership(f)
-    assert not v.holds
-    assert v.statistic == pytest.approx(0.6 * (1 + math.sinh(1)) / math.sinh(1),
+    assert v["verdict"] == "inconclusive"
+    assert v["statistic"] == pytest.approx(0.6 * (1 + math.sinh(1)) / math.sinh(1),
                                         abs=1e-7)
 
 
@@ -255,21 +255,21 @@ def geometric(f, grid):
 
 def test_kernel_identity_is_unit(identity_fn):
     v = kernel(identity_fn, core.PolarGrid(64, 16))
-    assert v.nonvanishing
-    assert v.min_modulus == pytest.approx(1.0, abs=1e-12)
+    assert v["verdict"] == "nonvanishing"
+    assert v["min_modulus"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_extremal_member_nonvanishing(f0):
     v = kernel(f0, core.PolarGrid(128, 32))
-    assert v.nonvanishing
-    assert v.min_modulus > 1e-4
+    assert v["verdict"] == "nonvanishing"
+    assert v["min_modulus"] > 1e-4
 
 
 def test_kernel_koebe_zero_found(koebe):
     v = kernel(koebe, core.PolarGrid(128, 32))
-    assert not v.nonvanishing
-    assert v.min_modulus <= 1e-6
-    assert abs(v.argmin_z) < 1.0
+    assert v["verdict"] == "zero-found"
+    assert v["min_modulus"] <= 1e-6
+    assert abs(complex(*v["argmin_z"])) < 1.0
 
 
 # -- kernel sieve against the dense scan ---------------------------------------------
@@ -455,10 +455,10 @@ def reference_kernel_nonvanishing(f, theta_samples, grid):
         best_theta = float(p[0]) % (2.0 * math.pi)
         best_z = min(max(p[1], 1e-9), grid.max_radius) * cmath.exp(1j * p[2])
     ratio_floor = float(np.min(np.abs(g)))
-    nonvanishing = bool(best > core.ZERO_TOL and ratio_floor > core.ZERO_TOL)
-    return core.KernelVerdict(nonvanishing=nonvanishing,
-                              min_modulus=best, argmin_theta=best_theta,
-                              argmin_z=best_z, ratio_floor=ratio_floor)
+    nonvanishing = best > core.ZERO_TOL and ratio_floor > core.ZERO_TOL
+    return {"verdict": "nonvanishing" if nonvanishing else "zero-found", "min_modulus": best,
+            "argmin_theta": best_theta, "argmin_z": [best_z.real, best_z.imag],
+            "ratio_floor": ratio_floor}
 
 
 @pytest.mark.parametrize("theta_samples, radial_samples",
@@ -484,8 +484,8 @@ def test_kernel_verdict_at_extreme_coefficients_matches_reference(size, power):
 
 def test_geometric_members(f0, identity_fn):
     grid = core.PolarGrid(128, 32)
-    assert geometric(f0, grid).member
-    assert geometric(identity_fn, grid).member
+    assert geometric(f0, grid)["verdict"] == "member"
+    assert geometric(identity_fn, grid)["verdict"] == "member"
 
 
 def test_geometric_koebe_excluded(koebe):
@@ -496,8 +496,8 @@ def test_geometric_koebe_excluded(koebe):
     truncated = abs(koebe.ratio_values(np.array([0.9]))[0] - 1.0)
     assert truncated > 2.0 * math.sinh(1.0)
     verdict = geometric(koebe, core.PolarGrid(128, 32))
-    assert not verdict.member
-    assert verdict.outside_count > 0
+    assert verdict["verdict"] == "non-member"
+    assert verdict["outside_count"] > 0
 
 
 def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
@@ -506,8 +506,9 @@ def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
     # inside sinh(D), and only the winding of f/z on that ring sees the pole
     f = core.NormalizedFunction.from_tail([1000.0])
     verdict = geometric(f, core.DEFAULT_GRID)
-    assert not verdict.member
-    assert (verdict.outside_count, verdict.ambiguous_count, verdict.max_excursion) == (0, 0, 0.0)
+    assert verdict["verdict"] == "non-member"
+    counts = [verdict[k] for k in ("outside_count", "ambiguous_count", "max_excursion")]
+    assert counts == [0, 0, 0.0]
     assert geometric(f, core.PolarGrid(100, 7)) == verdict
 
 
@@ -517,20 +518,20 @@ def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
 def test_membership_report_verdicts(f0, koebe):
     grid = core.PolarGrid(128, 32)
     good = core.membership_report(f0, grid)
-    assert good.verdict == "member"
+    assert good["verdict"] == "member"
     bad = core.membership_report(koebe, grid)
-    assert bad.verdict == "non-member"
-    obj = bad.to_json()
-    assert obj["kernel"]["verdict"] == "zero-found"
-    assert obj["geometric"]["verdict"] == "non-member"
+    assert bad["verdict"] == "non-member"
+    assert bad["kernel"]["verdict"] == "zero-found"
+    assert bad["geometric"]["verdict"] == "non-member"
 
 
 def test_membership_report_flags_a_zero_of_f_over_z_inside_the_innermost_ring():
     # f = z + 1000 z^2 is no member; criterion 10's rule, geometric member =>
     # kernel nonvanishing, holds for it
     report = core.membership_report(core.NormalizedFunction.from_tail([1000.0]))
-    assert (report.geometric.verdict, report.verdict) == ("non-member", "non-member")
-    assert report.kernel.nonvanishing or not report.geometric.member
+    assert (report["geometric"]["verdict"], report["verdict"]) == ("non-member", "non-member")
+    assert (report["kernel"]["verdict"] == "nonvanishing"
+            or report["geometric"]["verdict"] != "member")
 
 
 def test_membership_report_makes_one_grid_pass_per_value(monkeypatch):
@@ -569,10 +570,10 @@ def test_implication_chain_on_samples():
         values = core.grid_values(f, grid)
         g = core.geometric_membership(values, grid)
         k = core.kernel_nonvanishing(f, values, grid)
-        if s.holds:
-            assert g.member, f"sufficient held but geometric failed: {f.to_json()}"
-        if g.member:
-            assert k.nonvanishing, f"member with vanishing kernel: {f.to_json()}"
+        if s["verdict"] == "holds":
+            assert g["verdict"] == "member", f"sufficient held, geometric failed: {f.to_json()}"
+        if g["verdict"] == "member":
+            assert k["verdict"] == "nonvanishing", f"member with vanishing kernel: {f.to_json()}"
 
 
 # -- functionals --------------------------------------------------------------------
@@ -624,16 +625,16 @@ def test_growth_record_values():
     rec = core.growth_distortion(0.5)
     shi_half, _ = quad(lambda t: math.sinh(t) / t if t else 1.0, 0, 0.5,
                        epsabs=1e-13, epsrel=1e-13)
-    assert rec.upper == pytest.approx(0.5 * math.exp(shi_half), abs=1e-12)
-    assert rec.upper == pytest.approx(0.8301487057042349, abs=1e-10)
-    assert rec.lower == pytest.approx(0.5 * math.exp(-shi_half), abs=1e-12)
-    assert rec.deriv_bound == pytest.approx((1 + math.sinh(0.5)) * rec.upper / 0.5)
-    assert rec.covering == pytest.approx(0.3474095709321509, abs=1e-10)
+    assert rec["upper"] == pytest.approx(0.5 * math.exp(shi_half), abs=1e-12)
+    assert rec["upper"] == pytest.approx(0.8301487057042349, abs=1e-10)
+    assert rec["lower"] == pytest.approx(0.5 * math.exp(-shi_half), abs=1e-12)
+    assert rec["deriv_bound"] == pytest.approx((1 + math.sinh(0.5)) * rec["upper"] / 0.5)
+    assert rec["covering"] == pytest.approx(0.3474095709321509, abs=1e-10)
 
 
 def test_growth_normalization_limit():
     rec = core.growth_distortion(1e-4)
-    assert rec.upper / 1e-4 == pytest.approx(1.0, abs=2e-4)
+    assert rec["upper"] / 1e-4 == pytest.approx(1.0, abs=2e-4)
 
 
 def test_growth_domain_checked():
@@ -655,10 +656,10 @@ def test_members_respect_growth_envelope():
         for r in (0.25, 0.5, 0.75, 0.95):
             rec = core.growth_distortion(r)
             vals = np.abs(ts.evaluate(f.coeffs, r * angles))
-            assert float(np.max(vals)) <= rec.upper * (1 + 1e-8)
-            assert float(np.min(vals)) >= rec.lower * (1 - 1e-8)
+            assert float(np.max(vals)) <= rec["upper"] * (1 + 1e-8)
+            assert float(np.min(vals)) >= rec["lower"] * (1 - 1e-8)
             slopes = np.abs(f.derivative_values(r * angles))
-            assert float(np.max(slopes)) <= rec.deriv_bound * (1 + 1e-8)
+            assert float(np.max(slopes)) <= rec["deriv_bound"] * (1 + 1e-8)
 
 
 def test_growth_lower_bound_peaks_at_the_radius_of_starlikeness():
@@ -679,7 +680,7 @@ def test_growth_lower_bound_peaks_at_the_radius_of_starlikeness():
         assert abs(f0_prime) < mp.mpf(10) ** -40
     f0 = core.member_from_witness(SchwarzSample.monomial(1), 40)
     assert abs(f0.derivative_values(np.array([-math.asinh(1.0)]))[0]) < 1e-15
-    assert core.growth_distortion(float(peak)).lower == pytest.approx(0.351135655693728,
+    assert core.growth_distortion(float(peak))["lower"] == pytest.approx(0.351135655693728,
                                                                       abs=1e-15)
 
 

@@ -40,7 +40,7 @@ def test_radial_prefilter_bounds():
     assert np.all(regions.sinh_margin(math.sin(1.0) * (1.0 - 1e-9) * circle) < 0)
     assert np.all(regions.sinh_margin(math.sinh(1.0) * (1.0 + 1e-9) * circle) > 0)
     identity = NormalizedFunction.identity(16)
-    assert geometric_membership(grid_values(identity)).boundary_margin == math.sin(1.0)
+    assert geometric_membership(grid_values(identity))["boundary_margin"] == math.sin(1.0)
 
 
 def test_sinh_containment_matches_inverse_map_oracle():

@@ -1,9 +1,10 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gshlab import caratheodory as cara
 from gshlab import subordination as sub
@@ -17,19 +18,19 @@ from gshlab.series import coefficients
 
 def test_trig_extrema_closed_forms():
     ext = sub.trig_extrema(2048)
-    assert ext.sinh_min == pytest.approx(math.sin(1.0), abs=1e-8)
-    assert ext.sinh_max == pytest.approx(math.sinh(1.0), abs=1e-8)
-    assert ext.cosh_min == pytest.approx(math.cos(1.0), abs=1e-8)
-    assert ext.cosh_max == pytest.approx(math.cosh(1.0), abs=1e-8)
+    assert ext["sinh_min"] == pytest.approx(math.sin(1.0), abs=1e-8)
+    assert ext["sinh_max"] == pytest.approx(math.sinh(1.0), abs=1e-8)
+    assert ext["cosh_min"] == pytest.approx(math.cos(1.0), abs=1e-8)
+    assert ext["cosh_max"] == pytest.approx(math.cosh(1.0), abs=1e-8)
 
 
 def test_trig_extrema_argmins_at_axis_angles():
     ext = sub.trig_extrema(4096)
     half_pi = math.pi / 2
-    assert min(abs(abs(ext.sinh_argmin) - half_pi), abs(ext.sinh_argmin)) < 1e-4
-    assert min(abs(ext.sinh_argmax), abs(abs(ext.sinh_argmax) - math.pi)) < 1e-4
-    assert abs(abs(ext.cosh_argmin) - half_pi) < 1e-4
-    assert min(abs(ext.cosh_argmax), abs(abs(ext.cosh_argmax) - math.pi)) < 1e-4
+    assert min(abs(abs(ext["sinh_argmin"]) - half_pi), abs(ext["sinh_argmin"])) < 1e-4
+    assert min(abs(ext["sinh_argmax"]), abs(abs(ext["sinh_argmax"]) - math.pi)) < 1e-4
+    assert abs(abs(ext["cosh_argmin"]) - half_pi) < 1e-4
+    assert min(abs(ext["cosh_argmax"]), abs(abs(ext["cosh_argmax"]) - math.pi)) < 1e-4
 
 
 def test_trig_profiles_even():
@@ -159,10 +160,10 @@ def test_verify_implication_identity_case():
     case = sub.ImplicationCase(kind=sub.OperatorKind.RATIO, alpha=0.3,
                                janowski=sub.JanowskiParams(1.0, 0.0))
     record = sub.verify_implication(NormalizedFunction.identity(8), case)
-    assert record.premise_holds
-    assert record.deviation == pytest.approx(0.3, abs=1e-12)
-    assert record.conclusion_sinh
-    assert not record.vacuous
+    assert record["premise_holds"]
+    assert record["deviation"] == pytest.approx(0.3, abs=1e-12)
+    assert record["conclusion_sinh"]
+    assert not record["vacuous"]
 
 
 def test_verify_implication_vacuous_for_extremal(
@@ -173,8 +174,8 @@ def test_verify_implication_vacuous_for_extremal(
     case = sub.ImplicationCase(kind=sub.OperatorKind.RATIO, alpha=alpha,
                                janowski=params)
     record = sub.verify_implication(f0, case, PolarGrid(64, 16))
-    assert record.vacuous and not record.premise_holds
-    assert record.deviation > 1.0
+    assert record["vacuous"] and not record["premise_holds"]
+    assert record["deviation"] > 1.0
 
 
 def large_tail(rng):
@@ -184,8 +185,17 @@ def large_tail(rng):
 
 
 def zero_inside(coeffs) -> bool:
-    """f/z = 1 + a_2 z + a_3 z^2 + ... has a zero in |z| < 0.995, by ``np.roots``."""
-    return bool(np.any(np.abs(np.roots(coeffs[:0:-1])) < sub.HARNESS_GRID.max_radius))
+    """f/z = 1 + a_2 z + a_3 z^2 + ... has a zero in |z| < 0.995, by ``np.roots``.
+
+    The highest-power coefficients of modulus below 1e-300 are dropped first:
+    ``np.roots`` divides by the top coefficient, and a subnormal one gives its
+    companion matrix infinite entries.  Such a term cannot move a zero across
+    |z| = 0.995 for the inputs here, whose planted zeros lie at |z0| <= 0.9 and
+    |1/b| >= 2.
+    """
+    c = coeffs[:0:-1]
+    c = c[np.argmax(np.abs(c) >= 1e-300):]
+    return bool(np.any(np.abs(np.roots(c)) < sub.HARNESS_GRID.max_radius))
 
 
 def test_verify_implication_fails_the_premise_where_f_over_z_has_a_zero_inside():
@@ -199,9 +209,9 @@ def test_verify_implication_fails_the_premise_where_f_over_z_has_a_zero_inside()
     assert zero_inside(f.coeffs)
     for grid in (sub.HARNESS_GRID, PolarGrid(64, 16)):
         record = sub.verify_implication(f, case, grid)
-        assert record.deviation < 1.0 - sub.PREMISE_MARGIN
-        assert not record.premise_holds and record.vacuous
-        assert not record.conclusion_sinh
+        assert record["deviation"] < 1.0 - sub.PREMISE_MARGIN
+        assert not record["premise_holds"] and record["vacuous"]
+        assert not record["conclusion_sinh"]
 
 
 # -- harness ------------------------------------------------------------------------
@@ -209,18 +219,18 @@ def test_verify_implication_fails_the_premise_where_f_over_z_has_a_zero_inside()
 
 def test_harness_feasibility_floors():
     report = sub.implication_harness(seed=3, target_non_vacuous=10, max_attempts=40)
-    by_key = {(s.kind, s.a, s.b): s for s in report.summaries}
+    by_key = {(s["kind"], s["A"], s["B"]): s for s in report["summaries"]}
     # at alpha = 1.05 x threshold the (1, 0) premises cannot hold for any
     # normalized function: the operator already deviates past 1 at the origin
     for kind in (1, 2, 3, 4):
         s = by_key[(kind, 1.0, 0.0)]
-        assert not s.premise_feasible
-        assert s.non_vacuous == 0
-    assert not by_key[(4, 0.5, -0.5)].premise_feasible
-    assert by_key[(2, 0.5, -0.5)].premise_feasible
-    assert by_key[(3, 0.5, -0.5)].premise_feasible
+        assert not s["premise_feasible"]
+        assert s["non_vacuous"] == 0
+    assert not by_key[(4, 0.5, -0.5)]["premise_feasible"]
+    assert by_key[(2, 0.5, -0.5)]["premise_feasible"]
+    assert by_key[(3, 0.5, -0.5)]["premise_feasible"]
     # undefined thresholds are skipped, not run
-    assert {(u["kind"], u["A"], u["B"]) for u in report.undefined} == {
+    assert {(u["kind"], u["A"], u["B"]) for u in report["undefined_thresholds"]} == {
         (1, 0.5, -0.5), (1, 0.8, 0.2), (2, 0.8, 0.2), (3, 0.8, 0.2), (4, 0.8, 0.2)}
 
 
@@ -230,8 +240,8 @@ def test_harness_collects_nonvacuous_cases_where_feasible():
     summary, records = sub.run_config(sub.OperatorKind.RATIO_SQUARED, params,
                                       1.05 * thr, thr, seed=5,
                                       target_non_vacuous=25, max_attempts=200)
-    assert summary.non_vacuous >= 25
-    assert summary.counterexamples == 0
+    assert summary["non_vacuous"] >= 25
+    assert summary["counterexamples"] == 0
 
 
 def test_harness_detects_genuine_counterexample():
@@ -244,12 +254,12 @@ def test_harness_detects_genuine_counterexample():
     summary, records = sub.run_config(sub.OperatorKind.RATIO, params, alpha, thr,
                                       seed=3, target_non_vacuous=50,
                                       max_attempts=400, keep_records=True)
-    bad = [r for r in records if r.premise_holds and not r.conclusion_sinh]
-    assert summary.counterexamples == len(bad) > 0
+    bad = [r for r in records if r["premise_holds"] and not r["conclusion_sinh"]]
+    assert summary["counterexamples"] == len(bad) > 0
     # verify one counterexample rigorously: the deviation is analytic on the
     # closed disk (no poles), so its supremum sits on |z| = 1, and the
     # conclusion failure is confirmed by the inverse-map oracle well inside
-    f = NormalizedFunction.from_json(bad[0].function)
+    f = NormalizedFunction.from_json(bad[0]["function"])
     t = np.linspace(0, 2 * np.pi, 20000, endpoint=False)
     boundary = np.exp(1j * t)
     dev = sub.janowski_deviation(sub.operator_values(f, 2, alpha, boundary), params)
@@ -265,16 +275,17 @@ def test_harness_reports_sqrt_target_verdicts():
                                       1.05 * thr, thr, seed=7,
                                       target_non_vacuous=10, max_attempts=80,
                                       keep_records=True)
-    assert any(r.premise_holds for r in records)
+    assert any(r["premise_holds"] for r in records)
     for r in records:
-        assert isinstance(r.conclusion_sqrt, bool)
-        assert r.to_json()["conclusion_sqrt"] == r.conclusion_sqrt
+        assert isinstance(r["conclusion_sqrt"], bool)
+        assert r["conclusion_holds"] is r["conclusion_sinh"]
+        assert json.loads(json.dumps(r)) == r
 
 
 def test_harness_summaries_in_config_then_kind_order():
     # DEFAULT_CONFIGS outer, OperatorKind inner; undefined thresholds skipped
     report = sub.implication_harness(seed=2, target_non_vacuous=2, max_attempts=4)
-    assert [(s.kind, s.a, s.b) for s in report.summaries] == [
+    assert [(s["kind"], s["A"], s["B"]) for s in report["summaries"]] == [
         (1, 1.0, 0.0), (2, 1.0, 0.0), (3, 1.0, 0.0), (4, 1.0, 0.0),
         (2, 0.5, -0.5), (3, 0.5, -0.5), (4, 0.5, -0.5)]
 
@@ -282,7 +293,7 @@ def test_harness_summaries_in_config_then_kind_order():
 def test_harness_deterministic():
     a = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
     b = sub.implication_harness(seed=11, target_non_vacuous=5, max_attempts=20)
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
 # -- shrink ladder ------------------------------------------------------------------
@@ -296,13 +307,15 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
     the circle, where the operator has a pole."""
     case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = sub.HARNESS_GRID.points()
-    summary = sub.ConfigSummary(kind=int(kind), a=params.a, b=params.b, alpha=alpha,
-                                threshold=threshold,
-                                floor_deviation=sub._config_floor(case, z))
+    floor = sub._config_floor(case, z)
+    feasible = floor < 1.0 - sub.PREMISE_MARGIN
+    summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": [alpha, 0.0],
+               "threshold": threshold, "attempts": 0, "non_vacuous": 0, "counterexamples": 0,
+               "counterexamples_sqrt": 0, "floor_deviation": floor, "premise_feasible": feasible}
     records = []
-    cap = max_attempts if summary.premise_feasible else min(max_attempts, 25)
+    cap = max_attempts if feasible else min(max_attempts, 25)
     for i in range(cap):
-        if summary.non_vacuous >= target_non_vacuous:
+        if summary["non_vacuous"] >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
         coeffs = sub._sample_candidate(rng).coeffs.copy()
@@ -323,15 +336,16 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
                     break
         f = NormalizedFunction(coefficients(coeffs))
         g = f.over_z_values(z)
-        record = sub.ImplicationRecord(case=case, deviation=deviation, premise_holds=premise,
-                                       conclusion_sinh=sinh_region().contains(g - 1.0),
-                                       conclusion_sqrt=sqrt_disk_region().contains(g),
-                                       vacuous=not premise, function=f.to_json())
-        summary.attempts += 1
+        sinh_ok = sinh_region().contains(g - 1.0)
+        record = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": [alpha, 0.0],
+                  "deviation": deviation, "premise_holds": premise, "conclusion_holds": sinh_ok,
+                  "conclusion_sinh": sinh_ok, "conclusion_sqrt": sqrt_disk_region().contains(g),
+                  "vacuous": not premise, "function": f.to_json()}
+        summary["attempts"] += 1
         if premise:
-            summary.non_vacuous += 1
-            summary.counterexamples += not record.conclusion_sinh
-            summary.counterexamples_sqrt += not record.conclusion_sqrt
+            summary["non_vacuous"] += 1
+            summary["counterexamples"] += not record["conclusion_sinh"]
+            summary["counterexamples_sqrt"] += not record["conclusion_sqrt"]
         records.append(record)
     return summary, records
 
@@ -401,7 +415,7 @@ def test_shrink_ladder_near_the_premise_cut_matches_halving_loop(kind, params):
     summary, records = sub.run_config(*args, keep_records=True)
     assert (summary, records) == halving_loop(*args)
     assert summary_path_matches(args, summary)
-    assert summary.non_vacuous > 0
+    assert summary["non_vacuous"] > 0
 
 
 @pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
@@ -423,8 +437,8 @@ def test_shrink_ladder_with_certified_suffix_mid_ladder_matches_halving_loop(
         expected = halving_loop(*args)
         assert sub.run_config(*args, keep_records=True) == expected
         assert summary_path_matches(args, expected[0])
-        assert not any(r.premise_holds and zero_inside(NormalizedFunction.from_json(
-            r.function).coeffs) for r in expected[1])
+        assert not any(r["premise_holds"] and zero_inside(NormalizedFunction.from_json(
+            r["function"]).coeffs) for r in expected[1])
 
 
 @pytest.mark.parametrize("factor", [1e305, 1e307])
@@ -591,8 +605,8 @@ def test_a_step_failing_only_between_the_probe_points_fails(monkeypatch):
     summary, records = sub.run_config(*args, keep_records=True)
     assert (summary, records) == halving_loop(*args)
     assert summary_path_matches(args, summary)
-    assert records[0].premise_holds
-    assert records[0].function["coeffs"][5] == [-0.1 / r ** 4 / 8, 0.0]
+    assert records[0]["premise_holds"]
+    assert records[0]["function"]["coeffs"][5] == [-0.1 / r ** 4 / 8, 0.0]
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -627,8 +641,8 @@ def test_a_probe_value_within_the_slack_of_the_cut_is_decided_on_the_whole_circl
     summary, records = sub.run_config(*args, keep_records=True)
     assert 1.0 in full_steps
     assert (summary, records) == halving_loop(*args)
-    assert records[0].premise_holds
-    assert records[0].function["coeffs"][5] == [0.1 / r ** 4 / (2.0 if side > 0 else 1.0), 0.0]
+    assert records[0]["premise_holds"]
+    assert records[0]["function"]["coeffs"][5] == [0.1 / r ** 4 / (2.0 if side > 0 else 1.0), 0.0]
 
 
 def test_sampled_candidates_keep_f_over_z_within_2_of_1_on_the_circle():
@@ -671,10 +685,10 @@ def test_shrink_ladder_skips_steps_where_f_over_z_vanishes(monkeypatch, r0, firs
         summary, records = sub.run_config(*args, keep_records=True)
         assert (summary, records) == halving_loop(*args)
         assert summary_path_matches(args, summary)
-        assert summary.attempts == len(records) > 0
+        assert summary["attempts"] == len(records) > 0
         for record in records:
-            assert record.premise_holds == (kind != 4)
-            assert record.function["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
+            assert record["premise_holds"] == (kind != 4)
+            assert record["function"]["coeffs"][2] == [-2.0 ** -halvings / r0, 0.0]
 
 
 def test_a_kept_record_whose_last_step_vanishes_on_the_grid_raises(monkeypatch):
@@ -691,7 +705,7 @@ def test_a_kept_record_whose_last_step_vanishes_on_the_grid_raises(monkeypatch):
     with pytest.raises(sub.ZeroDivisorOnGrid):
         sub.run_config(*args, keep_records=True)
     summary, records = sub.run_config(*args, keep_records=False)
-    assert (summary.attempts, summary.non_vacuous, records) == (1, 0, [])
+    assert (summary["attempts"], summary["non_vacuous"], records) == (1, 0, [])
     last = f.coeffs.copy()
     last[2:] *= 2.0 ** -sub.SHRINK_STEPS
     case = sub.ImplicationCase(kind=args[0], alpha=args[2], janowski=params)
@@ -707,6 +721,9 @@ PREMISE_CONFIGS = [(kind, params) for kind, params in DEFINED_CONFIGS
 @given(config=st.sampled_from(PREMISE_CONFIGS),
        radius=st.floats(0.05, 0.9), angle=st.floats(-math.pi, math.pi),
        b=st.complex_numbers(max_magnitude=0.5), factor=st.floats(0.01, 1.05))
+# a subnormal b: the top coefficient -b/z0 of the kept candidate is subnormal
+@example(config=(sub.OperatorKind.RATIO, sub.JanowskiParams(1.0, 0.0)), radius=0.09375,
+         angle=0.0, b=5e-324 + 0j, factor=0.125)
 def test_a_planted_zero_of_f_over_z_inside_the_circle_never_passes_the_premise(
         config, radius, angle, b, factor):
     # f/z = (1 - z/z0)(1 + b z) vanishes at z0 inside the circle and nowhere on it
@@ -715,13 +732,13 @@ def test_a_planted_zero_of_f_over_z_inside_the_circle_never_passes_the_premise(
     f = NormalizedFunction.from_tail([b - 1.0 / z0, -b / z0], order=sub.CANDIDATE_ORDER)
     thr = sub.alpha_threshold(kind, params)
     case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
-    assert not sub.verify_implication(f, case, sub.HARNESS_GRID).premise_holds
+    assert not sub.verify_implication(f, case, sub.HARNESS_GRID)["premise_holds"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sub, "_sample_candidate", lambda rng: f)
         _, records = sub.run_config(kind, params, factor * thr, thr, 0, 1, 1)
-    kept = NormalizedFunction.from_json(records[0].function)
-    assert not (records[0].premise_holds and zero_inside(kept.coeffs))
-    assert records[0].premise_holds <= (kept.coeffs[2] != f.coeffs[2])
+    kept = NormalizedFunction.from_json(records[0]["function"])
+    assert not (records[0]["premise_holds"] and zero_inside(kept.coeffs))
+    assert records[0]["premise_holds"] <= (kept.coeffs[2] != f.coeffs[2])
 
 
 @pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
@@ -741,8 +758,8 @@ def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(k
         case = sub.ImplicationCase(kind=kind, alpha=(0.5, 1.05)[i % 2] * thr, janowski=params)
         circle = sub.verify_implication(f, case, sub.HARNESS_GRID)
         grid = sub.verify_implication(f, case, full)
-        got = (circle.premise_holds, circle.conclusion_sinh, circle.conclusion_sqrt)
-        assert got == (grid.premise_holds, grid.conclusion_sinh, grid.conclusion_sqrt)
+        got = (circle["premise_holds"], circle["conclusion_sinh"], circle["conclusion_sqrt"])
+        assert got == (grid["premise_holds"], grid["conclusion_sinh"], grid["conclusion_sqrt"])
         verdicts.add(got)
     assert len(verdicts) >= 2
 
@@ -750,12 +767,16 @@ def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(k
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_kept_records_are_verify_implication_of_their_function(seed):
     # each record, vacuous ones included, pairs its function with that
-    # function's own deviation and conclusions on the harness grid
-    records = sub.implication_harness(seed=seed, keep_records=True).records
-    assert any(r.vacuous for r in records) and any(not r.vacuous for r in records)
+    # function's own deviation and conclusions on the harness grid, which is
+    # verify_implication's default grid
+    records = sub.implication_harness(seed=seed, keep_records=True)["cases"]
+    assert any(r["vacuous"] for r in records) and any(not r["vacuous"] for r in records)
     for r in records:
-        f = NormalizedFunction.from_json(r.function)
-        assert r == sub.verify_implication(f, r.case, sub.HARNESS_GRID)
+        f = NormalizedFunction.from_json(r["function"])
+        case = sub.ImplicationCase(kind=sub.OperatorKind(r["kind"]), alpha=complex(*r["alpha"]),
+                                   janowski=sub.JanowskiParams(r["A"], r["B"]))
+        assert r == sub.verify_implication(f, case, sub.HARNESS_GRID)
+        assert r == sub.verify_implication(f, case)
 
 
 # -- the log-derivative identity -------------------------------------------------

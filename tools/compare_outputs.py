@@ -1,0 +1,97 @@
+"""Compare the command-line outputs of two source trees, byte for byte.
+
+    python3 tools/compare_outputs.py PARENT CHANGE
+
+Runs one list of ``gsh-lab`` commands (``commands``) in each tree, each
+command in its own ``python -m gshlab.cli`` process with that tree's ``src``
+on ``PYTHONPATH``, ``WORKERS`` commands at a time, and prints every command
+whose exit code, or whose sha256 of stdout or of stderr, differs between the
+trees.  The ``membership`` and ``ratio-image`` inputs are the 48 pool files
+of the benchmark, written once by CHANGE's ``bench/jobs.py`` and read by both
+trees.  Exits 0 when every command matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+FORMATS = ("json", "csv", "markdown")
+WORKERS = 2
+
+
+def commands(inputs: list[Path]) -> list[list[str]]:
+    """The command list: every command that a byte-identical change must leave unchanged."""
+    out = [["coeffs", "--witness", "z^2", "--format", fmt] for fmt in FORMATS]
+    out += [["membership", "--input", str(path), "--format", fmt]
+            for path in inputs for fmt in ("json", "csv")]
+    out += [["bounds-scan", "--samples", "200", "--seed", str(seed)] for seed in range(10)]
+    out += [["thresholds"], ["thresholds", "--A", "0.5", "--B", "-0.5"], ["growth"]]
+    out += [["lemma-suite", "--samples", "300", "--seed", str(seed), "--format", fmt]
+            for seed in range(5) for fmt in FORMATS]
+    out += [["verify-implications", "--seed", str(seed), *extra]
+            for seed in range(10) for extra in ([], ["--include-cases"])]
+    out += [["plot-data", "--curve", "sinh-boundary"], ["plot-data", "--curve", "janowski"],
+            ["plot-data", "--curve", "ratio-image", "--input", str(inputs[0])]]
+    # the table formats of the other commands, one configuration each
+    out += [[*argv, "--format", fmt] for fmt in ("csv", "markdown")
+            for argv in (["bounds-scan", "--samples", "200"], ["thresholds"], ["growth"],
+                         ["verify-implications"])]
+    out.append(["membership", "--input", str(inputs[0]), "--format", "markdown"])
+    return out
+
+
+def write_inputs(tree: Path, workdir: Path) -> list[Path]:
+    """The membership pool inputs of ``tree``'s benchmark, written to ``workdir``."""
+    spec = importlib.util.spec_from_file_location("pool_jobs", tree / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    keys = jobs.pool_keys("membership")
+    jobs.write_inputs("membership", keys, workdir)
+    return [jobs.input_path(key, workdir) for key in keys]
+
+
+def run(tree: Path, argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    """Exit code and the sha256 of stdout and of stderr of one command in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    done = subprocess.run([sys.executable, "-m", "gshlab.cli", *argv], cwd=workdir, env=env,
+                          capture_output=True, timeout=600)
+    return (done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+            hashlib.sha256(done.stderr).hexdigest())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        todo = commands(write_inputs(args.change, workdir))
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(lambda a: (run(args.parent, a, workdir),
+                                               run(args.change, a, workdir)), todo))
+    differ = 0
+    for command, (old, new) in zip(todo, results):
+        if old != new:
+            differ += 1
+            fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new)
+                      if a != b]
+            print(f"DIFFERS ({', '.join(fields)}; exit {old[0]} -> {new[0]}): "
+                  f"gsh-lab {' '.join(command)}")
+    codes = Counter(new[0] for _, new in results)
+    tally = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items()))
+    print(f"{len(todo)} commands ({tally} in CHANGE), {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
