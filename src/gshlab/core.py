@@ -431,11 +431,14 @@ def kernel_nonvanishing(f: NormalizedFunction, values: tuple,
 # -- membership test 3: geometric containment ------------------------------
 
 
-def winding_number(ring: np.ndarray) -> float:
+def winding_number(ring: np.ndarray) -> float | np.ndarray:
     """Zeros inside a circle of a function analytic on its closed disk: the winding about 0
-    of its values ``ring`` at equally spaced angles (exact while no step turns by pi)."""
-    steps = np.diff(np.angle(ring), append=np.angle(ring[0]))
-    return np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
+    of its values ``ring`` at equally spaced angles (exact while no step turns by pi), one
+    count per row of ``ring`` (its last axis)."""
+    angles = np.angle(ring)
+    steps = np.diff(angles, axis=-1, append=angles[..., :1])
+    return np.rint(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi, axis=-1)
+                   / (2.0 * math.pi))
 
 
 def geometric_membership(values: tuple, grid: PolarGrid = DEFAULT_GRID) -> dict:

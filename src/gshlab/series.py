@@ -126,7 +126,7 @@ def json_pair(value, field: str) -> complex:
 
 
 def to_pairs(s: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in s]
+    return np.ascontiguousarray(s, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 # -- core operations ------------------------------------------------------

@@ -24,16 +24,13 @@ exactly when it maps the circle |z| = 0.995 there.  Kinds 2-4 divide by f/z,
 so a zero of f/z inside the circle (``core.winding_number``) fails the
 premise.  Candidates failing it are halved toward the identity step by step.
 
-The harness (``run_config``) draws and decides its candidates in blocks no
-longer than the attempts and premise-true cases still wanted, so it draws
-exactly the candidates that one-at-a-time sampling would.  It evaluates the
-steps that can raise one by one, in candidate order, under the caller's
-``np.errstate``, so an exception is raised where it would be.  The steps
-certified to raise nothing are first probed at 4 of the circle's 64 points:
-a step's deviation on the circle is at least its deviation at those points,
-so a probe at the cut-off or above (with a relative slack of 1e-9 for
-round-off) fails the step, and only a step left open is evaluated on the
-whole circle, which alone passes a step.
+The harness (``run_config``, which gives the proofs) decides its candidates
+in blocks that draw exactly what one-at-a-time sampling would.  The steps that
+a certificate (``_certified_from``) does not clear run one by one, in
+candidate order; the certified steps are probed at 4 of the circle's 64
+points, which can only fail a step, and the whole circle decides the rest.
+One batched builder (``_records``) then makes a decided block's kept records;
+``verify_implication`` is its one-row case.
 
 "Premise holds" means that the operator's image of the disk lies inside the
 Janowski disk, not that the operator is subordinate to the Janowski map: a
@@ -231,37 +228,42 @@ def _alpha_pair(alpha: complex) -> list[float]:
     return [complex(alpha).real, complex(alpha).imag]
 
 
-def _record(f: NormalizedFunction, case: ImplicationCase, deviation: float, premise: bool,
-            conclusions: tuple[bool, bool]) -> dict:
-    """Record of f with its premise verdict and the verdicts of ``_conclusions``.
+def _records(case: ImplicationCase, c: np.ndarray) -> list[dict]:
+    """Record of each row of coefficients c on ``HARNESS_GRID``; raises
+    ``ZeroDivisorOnGrid`` where a kind 2-4 row's f/z vanishes there, as
+    ``operator_values`` does.
 
-    Its keys: the case's ``kind``, ``A``, ``B`` and ``alpha`` ([re, im]);
-    ``deviation``; ``premise_holds`` and ``vacuous``, its negation;
-    ``conclusion_sinh`` (f/z - 1 in sinh(D)), also written as
+    A record's keys: the case's ``kind``, ``A``, ``B`` and ``alpha`` ([re, im]);
+    ``deviation``; ``premise_holds`` (deviation below 1 - ``PREMISE_MARGIN``
+    and, for kinds 2-4, no zero of f/z inside the circle) and ``vacuous``, its
+    negation; ``conclusion_sinh`` (f/z - 1 in sinh(D)), also written as
     ``conclusion_holds``; ``conclusion_sqrt`` (f/z in sqrt(1 + D)); and
-    ``function``, the JSON of f.
+    ``function``, the JSON of the row's function.
     """
-    sinh_ok = bool(conclusions[0])
-    return {"kind": int(case.kind), "A": case.janowski.a, "B": case.janowski.b,
-            "alpha": _alpha_pair(case.alpha), "deviation": float(deviation),
-            "premise_holds": premise, "conclusion_holds": sinh_ok, "conclusion_sinh": sinh_ok,
-            "conclusion_sqrt": bool(conclusions[1]), "vacuous": not premise,
-            "function": f.to_json()}
+    z = HARNESS_GRID.points()
+    dp, dg = _tail_values(c, z)
+    deviation, vanishes = _step_rows(case, z, dp, dg, 1.0)
+    if vanishes.any():
+        raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
+    g = dg + 1.0
+    premise = deviation < 1.0 - PREMISE_MARGIN
+    if case.kind is not OperatorKind.Z_FPRIME:
+        premise[premise] = winding_number(g[premise]) == 0
+    sinh_ok, sqrt_ok = _conclusions(g)
+    kind, a, b = int(case.kind), case.janowski.a, case.janowski.b
+    return [{"kind": kind, "A": a, "B": b, "alpha": _alpha_pair(case.alpha), "deviation": dev,
+             "premise_holds": ok, "conclusion_holds": sinh, "conclusion_sinh": sinh,
+             "conclusion_sqrt": sqrt, "vacuous": not ok,
+             "function": NormalizedFunction(row).to_json()}
+            for dev, ok, sinh, sqrt, row in zip(deviation.tolist(), premise.tolist(),
+                                                sinh_ok.tolist(), sqrt_ok.tolist(), c)]
 
 
-def verify_implication(f: NormalizedFunction, case: ImplicationCase,
-                       grid: PolarGrid = HARNESS_GRID) -> dict:
-    """``_record`` of f: premise and conclusion of one implication case on the grid.
-
-    For kinds 2-4 a zero of f/z inside the grid's outer ring also fails the
-    premise.  The default grid is the harness's circle, so a kept harness
-    record is ``verify_implication`` of its function and case.
-    """
-    z = grid.points()
-    deviation = janowski_deviation(operator_values(f, case.kind, case.alpha, z), case.janowski)
-    g = f.over_z_values(z)
-    premise = deviation < 1.0 - PREMISE_MARGIN and not _pole_inside(case, g[-grid.theta_samples:])
-    return _record(f, case, deviation, premise, _conclusions(g))
+def verify_implication(f: NormalizedFunction, case: ImplicationCase) -> dict:
+    """Premise and conclusions of one implication case for f on ``HARNESS_GRID``: the
+    one-row case of ``_records``, so a kept harness record is ``verify_implication``
+    of its function and case."""
+    return _records(case, f.coeffs[None])[0]
 
 
 # -- harness ------------------------------------------------------------------
@@ -362,28 +364,22 @@ def _step_rows(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndar
     return deviation, vanishes
 
 
-def _shrink_block(case: ImplicationCase, z: np.ndarray, c: np.ndarray,
-                  keep_records: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shrink_block(case: ImplicationCase, z: np.ndarray,
+                  c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First passing step of each candidate (row of coefficients c), SHRINK_STEPS + 1
-    where no step passes; the deviation of that step (of step SHRINK_STEPS where none
-    passes, computed only when records are kept); and f/z - 1 on z.  See ``run_config``."""
+    where no step passes, and f/z - 1 on z.  See ``run_config``."""
     cut = 1.0 - PREMISE_MARGIN
     with np.errstate(all="ignore"):
         dp, dg = _tail_values(c, z)
     k0 = _certified_from(case, z, dp, dg)
     first = np.full(len(c), SHRINK_STEPS + 1)
-    deviation = np.full(len(c), math.nan)
     finite = np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1)
     for i in range(len(c)):  # what can raise, in candidate order
         row = slice(i, i + 1)
         if not finite[i]:
             dp[row], dg[row] = _tail_values(c[row], z)
         for k in range(min(int(k0[i]), SHRINK_STEPS + 1)):
-            dev, vanishes = _step_rows(case, z, dp[row], dg[row], 2.0 ** -k)
-            deviation[i] = dev[0]
-            if k == SHRINK_STEPS and vanishes[0] and keep_records:
-                # the kept record's candidate, whose operator_values raise this
-                raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
+            dev, _ = _step_rows(case, z, dp[row], dg[row], 2.0 ** -k)
             if dev[0] < cut and not _pole_inside(case, 2.0 ** -k * dg[i] + 1.0):
                 first[i] = k
                 break
@@ -402,13 +398,10 @@ def _shrink_block(case: ImplicationCase, z: np.ndarray, c: np.ndarray,
             k = np.argmax(open_steps, axis=1)
             dev, _ = _step_rows(case, z, dp[rows], dg[rows], np.ldexp(1.0, -k)[:, None])
             passed = dev < cut
-            first[rows[passed]], deviation[rows[passed]] = k[passed], dev[passed]
+            first[rows[passed]] = k[passed]
             open_steps[np.arange(rows.size), k] = False
             rows, open_steps = rows[~passed], open_steps[~passed]
-        if keep_records:
-            last = np.flatnonzero((first > SHRINK_STEPS) & (k0 <= SHRINK_STEPS))
-            deviation[last], _ = _step_rows(case, z, dp[last], dg[last], 2.0 ** -SHRINK_STEPS)
-    return first, deviation, dg
+    return first, dg
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -417,7 +410,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
                keep_records: bool = True) -> tuple[dict, list[dict]]:
     """Sample candidates for one configuration until enough premise-true cases.
 
-    Returns the configuration's summary and its kept records (``_record``;
+    Returns the configuration's summary and its kept records (``_records``;
     none unless ``keep_records``).  The summary's keys: ``kind``, ``A``,
     ``B``, ``alpha`` ([re, im]) and ``threshold``; ``attempts``,
     ``non_vacuous`` (premise-true attempts), ``counterexamples`` and
@@ -429,7 +422,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     Candidates failing the premise are rescaled toward the identity (tail
     coefficients halved) up to ``SHRINK_STEPS`` times; if the premise still
     fails the attempt is vacuous.  Its kept record holds the candidate of the
-    last step (halved ``SHRINK_STEPS`` times) with its deviation and conclusions.
+    last step (halved ``SHRINK_STEPS`` times).
 
     Candidates are drawn and decided in blocks of m = min(attempts left,
     premise-true cases still wanted, ``_BLOCK_ROWS``).  An attempt adds at
@@ -438,17 +431,6 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     Candidate i is drawn from its own ``default_rng((seed, kind, i))``.  A
     block's draws all come before its first step; ``_sample_candidate``'s
     bounded draws raise no floating-point error, so no exception moves.
-
-    An attempt computes only what its output reads: the conclusions for a
-    premise-true attempt, from g = 2**-k (f/z - 1) + 1 at its step k, and
-    the record and its step's deviation only when records are
-    kept.  The conclusions of a block are one ``classify`` call per region.
-    That, and skipping the conclusions of a vacuous attempt, raises or drops
-    no exception: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays
-    below 2 for ``_sample_candidate``'s bounded tails (a Tier-1 test draws
-    2,000), far below the |w| of about 1e154 where ``arcsinh(w)`` or
-    ``w * w - 1`` in the margins overflows.  The record's JSON only copies
-    finite numbers.
 
     A block's f'(z) - 1 and f/z - 1 come from one Horner pass each over
     a_2, a_3, ..., the candidates as lanes (``_tail_values``); step k scales
@@ -478,9 +460,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       f/z = 1 + 2^-k (f/z - 1) has no zero in its disk.
     - Steps below k0 are evaluated one by one, candidate by candidate, under
       the caller's ``np.errstate``, so an exception they raise is raised
-      where it was.  A step where f/z vanishes on the grid fails; when it is
-      step 24 of a kept vacuous record, ``ZeroDivisorOnGrid`` is raised, as
-      ``verify_implication`` of that record's function would.
+      where it was.  A step where f/z vanishes on the grid fails.
     - The certified steps of the candidates still undecided are probed at
       every 16th circle point, all steps at once.  A step whose probe
       deviation is at least (1 - ``PREMISE_MARGIN``)(1 + 1e-9) fails: its
@@ -491,6 +471,24 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       batch, whose row maxima are the steps' deviations bit for bit; it
       passes when that deviation is below the cut-off, and otherwise the
       candidate's next open step is tried.
+
+    The counts read the conclusions of the premise-true attempts only, from
+    g = 2**-k (f/z - 1) + 1 at each one's step k, in one ``classify`` call
+    per region.  When records are kept, ``_records`` then evaluates every
+    candidate of the block at its step (step 24 for a vacuous one) from the
+    halved coefficients.  By the Horner argument its inputs are the step's
+    bit for bit, so its deviations and verdicts are the decided ones (a
+    certified step has no zero of f/z inside), and its Horner pass raises
+    nothing that the candidate's own pass did not.  Neither conclusion batch
+    raises: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays below
+    2 for ``_sample_candidate``'s bounded tails (a Tier-1 test draws 2,000),
+    far below the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in
+    the margins overflows.  The record's JSON only copies finite numbers.
+
+    So only a kept vacuous candidate whose step-24 f/z vanishes on the grid
+    moves an exception: ``_records`` raises ``ZeroDivisorOnGrid`` after the
+    whole block is decided, so an error of a later candidate comes first.  No
+    drawn candidate does: max|f/z - 1| < 2 keeps its step-24 f/z within 2^-23 of 1.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
     z = HARNESS_GRID.points()
@@ -503,22 +501,17 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         m = min(attempts_cap - attempts, target_non_vacuous - non_vacuous, _BLOCK_ROWS)
         c = np.array([_sample_candidate(np.random.default_rng((seed, int(kind), i))).coeffs
                       for i in range(attempts, attempts + m)])
-        first, deviation, dg = _shrink_block(case, z, c, keep_records)
+        first, dg = _shrink_block(case, z, c)
         passed = first <= SHRINK_STEPS
-        k = np.minimum(first, SHRINK_STEPS)
-        rows = np.flatnonzero(passed | keep_records)
-        sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -k[rows])[:, None] * dg[rows] + 1.0)
+        sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -first[passed])[:, None] * dg[passed] + 1.0)
         attempts += m
         non_vacuous += int(np.count_nonzero(passed))
-        counterexamples += int(np.count_nonzero(~sinh_ok[passed[rows]]))
-        counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok[passed[rows]]))
+        counterexamples += int(np.count_nonzero(~sinh_ok))
+        counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok))
         if keep_records:
-            for i in range(m):
-                coeffs = c[i].copy()
-                coeffs[2:] *= 2.0 ** -int(k[i])
-                coeffs.setflags(write=False)
-                records.append(_record(NormalizedFunction(coeffs), case, deviation[i],
-                                       bool(passed[i]), (sinh_ok[i], sqrt_ok[i])))
+            c[:, 2:] *= np.ldexp(1.0, -np.minimum(first, SHRINK_STEPS))[:, None]
+            c.setflags(write=False)
+            records += _records(case, c)
     summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": _alpha_pair(alpha),
                "threshold": threshold, "attempts": attempts, "non_vacuous": non_vacuous,
                "counterexamples": counterexamples, "counterexamples_sqrt": counterexamples_sqrt,

@@ -512,6 +512,24 @@ def test_geometric_counts_a_zero_of_f_over_z_inside_the_innermost_ring():
     assert geometric(f, core.PolarGrid(100, 7)) == verdict
 
 
+def test_winding_number_counts_each_row_as_a_one_row_call():
+    # random rows of polynomial values, and rows (z - z0)(1 + b z) with one planted
+    # zero z0 inside the circle and |b| < 1, on 64 angles at radius 0.995
+    rng = np.random.default_rng(47)
+    z = core.PolarGrid(64, 1).points()
+    c = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
+    random_rows = np.polynomial.polynomial.polyval(z, c.T, tensor=True)
+    z0 = 0.99 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
+    b = 0.9 * rng.random(100) * np.exp(2j * np.pi * rng.random(100))
+    planted = (z - z0[:, None]) * (1.0 + b[:, None] * z)
+    for rows in (random_rows, planted):
+        counts = core.winding_number(rows)
+        assert counts.shape == (len(rows),)
+        assert [core.winding_number(row) for row in rows] == counts.tolist()
+    assert len(set(core.winding_number(random_rows).tolist())) > 1
+    assert np.all(core.winding_number(planted) == 1)
+
+
 # -- combined report ----------------------------------------------------------------
 
 
@@ -700,17 +718,17 @@ def test_normalized_function_json_round_trip(f0):
 
 
 def _harness_record_functions(monkeypatch):
-    """The functions behind the kept records of a short implication run."""
+    """The functions that the kept records of a short implication run write out."""
     from gshlab import subordination as sub
 
     seen = []
-    record = sub._record
+    to_json = core.NormalizedFunction.to_json
 
-    def spy(f, *args):
+    def spy(f):
         seen.append(f)
-        return record(f, *args)
+        return to_json(f)
 
-    monkeypatch.setattr(sub, "_record", spy)
+    monkeypatch.setattr(core.NormalizedFunction, "to_json", spy)
     params = sub.JanowskiParams(1.0, 0.0)
     kind = sub.OperatorKind(1)
     threshold = sub.alpha_threshold(kind, params)

@@ -156,6 +156,25 @@ def test_operator_zero_divisor_guard():
         sub.operator_values(f, 2, 1.0, grid.points())
 
 
+def oracle_record(f, case, grid=sub.HARNESS_GRID):
+    """``verify_implication``'s record of f on a polar grid, from the scalar route:
+    ``operator_values``, ``janowski_deviation``, ``over_z_values``, a winding count of
+    f/z along the outer ring and the two regions' ``contains``."""
+    z = grid.points()
+    deviation = sub.janowski_deviation(sub.operator_values(f, case.kind, case.alpha, z),
+                                       case.janowski)
+    g = f.over_z_values(z)
+    premise = bool(deviation < 1.0 - sub.PREMISE_MARGIN
+                   and (case.kind == 1 or winding_number(g[-grid.theta_samples:]) == 0))
+    sinh_ok = bool(sinh_region().contains(g - 1.0))
+    alpha = complex(case.alpha)
+    return {"kind": int(case.kind), "A": case.janowski.a, "B": case.janowski.b,
+            "alpha": [alpha.real, alpha.imag], "deviation": deviation, "premise_holds": premise,
+            "conclusion_holds": sinh_ok, "conclusion_sinh": sinh_ok,
+            "conclusion_sqrt": bool(sqrt_disk_region().contains(g)), "vacuous": not premise,
+            "function": f.to_json()}
+
+
 def test_verify_implication_identity_case():
     case = sub.ImplicationCase(kind=sub.OperatorKind.RATIO, alpha=0.3,
                                janowski=sub.JanowskiParams(1.0, 0.0))
@@ -173,9 +192,9 @@ def test_verify_implication_vacuous_for_extremal(
     alpha = sub.alpha_threshold(2, params)
     case = sub.ImplicationCase(kind=sub.OperatorKind.RATIO, alpha=alpha,
                                janowski=params)
-    record = sub.verify_implication(f0, case, PolarGrid(64, 16))
-    assert record["vacuous"] and not record["premise_holds"]
-    assert record["deviation"] > 1.0
+    for record in (sub.verify_implication(f0, case), oracle_record(f0, case, PolarGrid(64, 16))):
+        assert record["vacuous"] and not record["premise_holds"]
+        assert record["deviation"] > 1.0
 
 
 def large_tail(rng):
@@ -207,8 +226,7 @@ def test_verify_implication_fails_the_premise_where_f_over_z_has_a_zero_inside()
                                alpha=0.5 * sub.alpha_threshold(2, params), janowski=params)
     f = large_tail(np.random.default_rng((0, 2, 0)))
     assert zero_inside(f.coeffs)
-    for grid in (sub.HARNESS_GRID, PolarGrid(64, 16)):
-        record = sub.verify_implication(f, case, grid)
+    for record in (sub.verify_implication(f, case), oracle_record(f, case, PolarGrid(64, 16))):
         assert record["deviation"] < 1.0 - sub.PREMISE_MARGIN
         assert not record["premise_holds"] and record["vacuous"]
         assert not record["conclusion_sinh"]
@@ -635,12 +653,14 @@ def test_a_probe_value_within_the_slack_of_the_cut_is_decided_on_the_whole_circl
         return step_rows(case, z, dp, dg, s)
 
     step_rows = sub._step_rows
-    monkeypatch.setattr(sub, "_step_rows", spy)
     monkeypatch.setattr(sub, "_sample_candidate", lambda rng: f)
     args = (kind, params, alpha, 1.0, 0, 1, 1)
     summary, records = sub.run_config(*args, keep_records=True)
-    assert 1.0 in full_steps
     assert (summary, records) == halving_loop(*args)
+    # the summary path decides without building records, which evaluate at s = 1 too
+    monkeypatch.setattr(sub, "_step_rows", spy)
+    assert sub.run_config(*args, keep_records=False) == (summary, [])
+    assert 1.0 in full_steps
     assert records[0]["premise_holds"]
     assert records[0]["function"]["coeffs"][5] == [0.1 / r ** 4 / (2.0 if side > 0 else 1.0), 0.0]
 
@@ -710,7 +730,29 @@ def test_a_kept_record_whose_last_step_vanishes_on_the_grid_raises(monkeypatch):
     last[2:] *= 2.0 ** -sub.SHRINK_STEPS
     case = sub.ImplicationCase(kind=args[0], alpha=args[2], janowski=params)
     with pytest.raises(sub.ZeroDivisorOnGrid):
-        sub.verify_implication(NormalizedFunction(last), case, sub.HARNESS_GRID)
+        sub.verify_implication(NormalizedFunction(last), case)
+
+
+def test_a_vanishing_kept_record_is_raised_after_its_block_is_decided(monkeypatch):
+    # attempt 0 is the candidate above, whose kept step-24 f/z vanishes on the grid;
+    # attempt 1 overflows in its own Horner pass.  The records are built once the
+    # whole block is decided, so in one block the overflow is raised first, and in
+    # blocks of one candidate the vanishing record is.  A one-at-a-time loop would
+    # raise ZeroDivisorOnGrid at attempt 0 either way; no drawn candidate comes near
+    r = sub.HARNESS_GRID.max_radius
+    vanishing = NormalizedFunction.from_tail([-2.0 ** sub.SHRINK_STEPS / r], order=8)
+    huge = NormalizedFunction.from_tail([1e307] * 7, order=sub.CANDIDATE_ORDER)
+    monkeypatch.setattr(sub, "_sample_candidate",
+                        lambda rng: huge if rng.bit_generator.seed_seq.entropy[-1] else vanishing)
+    params = sub.JanowskiParams(0.5, -0.5)
+    thr = sub.alpha_threshold(2, params)
+    args = (sub.OperatorKind.RATIO, params, 0.5 * thr, thr, 0, 50, 2)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+            sub.run_config(*args, keep_records=True)
+        monkeypatch.setattr(sub, "_BLOCK_ROWS", 1)
+        with pytest.raises(sub.ZeroDivisorOnGrid):
+            sub.run_config(*args, keep_records=True)
 
 
 PREMISE_CONFIGS = [(kind, params) for kind, params in DEFINED_CONFIGS
@@ -732,7 +774,7 @@ def test_a_planted_zero_of_f_over_z_inside_the_circle_never_passes_the_premise(
     f = NormalizedFunction.from_tail([b - 1.0 / z0, -b / z0], order=sub.CANDIDATE_ORDER)
     thr = sub.alpha_threshold(kind, params)
     case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
-    assert not sub.verify_implication(f, case, sub.HARNESS_GRID)["premise_holds"]
+    assert not sub.verify_implication(f, case)["premise_holds"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sub, "_sample_candidate", lambda rng: f)
         _, records = sub.run_config(kind, params, factor * thr, thr, 0, 1, 1)
@@ -756,8 +798,8 @@ def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(k
             continue
         f = NormalizedFunction(c)
         case = sub.ImplicationCase(kind=kind, alpha=(0.5, 1.05)[i % 2] * thr, janowski=params)
-        circle = sub.verify_implication(f, case, sub.HARNESS_GRID)
-        grid = sub.verify_implication(f, case, full)
+        circle = sub.verify_implication(f, case)
+        grid = oracle_record(f, case, full)
         got = (circle["premise_holds"], circle["conclusion_sinh"], circle["conclusion_sqrt"])
         assert got == (grid["premise_holds"], grid["conclusion_sinh"], grid["conclusion_sqrt"])
         verdicts.add(got)
@@ -767,16 +809,44 @@ def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(k
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_kept_records_are_verify_implication_of_their_function(seed):
     # each record, vacuous ones included, pairs its function with that
-    # function's own deviation and conclusions on the harness grid, which is
-    # verify_implication's default grid
+    # function's own deviation and conclusions on the harness circle, bit for
+    # bit those of verify_implication and of the scalar oracle
     records = sub.implication_harness(seed=seed, keep_records=True)["cases"]
     assert any(r["vacuous"] for r in records) and any(not r["vacuous"] for r in records)
     for r in records:
         f = NormalizedFunction.from_json(r["function"])
         case = sub.ImplicationCase(kind=sub.OperatorKind(r["kind"]), alpha=complex(*r["alpha"]),
                                    janowski=sub.JanowskiParams(r["A"], r["B"]))
-        assert r == sub.verify_implication(f, case, sub.HARNESS_GRID)
-        assert r == sub.verify_implication(f, case)
+        assert json.dumps(r) == json.dumps(sub.verify_implication(f, case))
+        assert json.dumps(r) == json.dumps(oracle_record(f, case))
+
+
+def undrawn_functions():
+    """Functions that the harness never draws: f0 = z e^(Shi z) at order 32, the Koebe
+    function at order 20, and z + a z^n for n = 2..7, with f/z = 1 + a z^(n-1) zero-free on
+    the closed disk for the smaller a and vanishing inside the circle for the larger."""
+    yield "f0", member_from_witness(cara.SchwarzSample.monomial(1), 32)
+    yield "koebe", NormalizedFunction.koebe(20)
+    for n in range(2, 8):
+        for a in (0.05, 0.3j, -0.6, 1.5 * cmath.exp(0.7j)):
+            yield f"z + {a} z^{n}", NormalizedFunction.from_tail(
+                [0.0] * (n - 2) + [a], order=sub.CANDIDATE_ORDER)
+
+
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS, ids=CONFIG_IDS)
+def test_verify_implication_is_the_scalar_oracle_on_functions_the_harness_never_draws(
+        kind, params):
+    # verify_implication shares the harness's code, so the scalar route checks it,
+    # bit for bit, on the records of both verdicts
+    thr = sub.alpha_threshold(kind, params)
+    premises = set()
+    for name, f in undrawn_functions():
+        for factor in (0.05, 0.5, 1.05, -2.0):
+            case = sub.ImplicationCase(kind=kind, alpha=factor * thr, janowski=params)
+            record = sub.verify_implication(f, case)
+            assert json.dumps(record) == json.dumps(oracle_record(f, case)), (name, factor)
+            premises.add(record["premise_holds"])
+    assert premises == {True, False}
 
 
 # -- the log-derivative identity -------------------------------------------------

@@ -39,6 +39,12 @@ def commands(inputs: list[Path]) -> list[list[str]]:
             for seed in range(5) for fmt in FORMATS]
     out += [["verify-implications", "--seed", str(seed), *extra]
             for seed in range(10) for extra in ([], ["--include-cases"])]
+    # kept records where no shrink step is certified (1e7), where most are (0.5), where
+    # blocks end on the premise-true and attempt budgets, and an overflow that exits 2
+    out += [["verify-implications", "--seed", str(seed), "--include-cases", *extra]
+            for extra in (["--alpha-factor", "1e7"], ["--alpha-factor", "0.5"],
+                          ["--cases", "3", "--max-attempts", "7"]) for seed in range(3)]
+    out.append(["verify-implications", "--alpha-factor", "1e307"])
     out += [["plot-data", "--curve", "sinh-boundary"], ["plot-data", "--curve", "janowski"],
             ["plot-data", "--curve", "ratio-image", "--input", str(inputs[0])]]
     # the table formats of the other commands, one configuration each
