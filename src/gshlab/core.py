@@ -179,11 +179,14 @@ MEMBER_ROWS_BLOCK = 4096
 def member_rows(witnesses: list[SchwarzSample], order: int) -> np.ndarray:
     """Approximate a_0..a_order of each Schwarz witness's member, one row per witness.
 
-    The rows only rank witnesses and never report a number: a row agrees
-    with ``member_from_witness(omega, order).coeffs`` to about 1e-16, not
-    bit for bit.  One vectorized pass per block of ``MEMBER_ROWS_BLOCK``
-    rows runs the power-series recurrences (Knuth, TAOCP vol. 2, 4.7): the
-    Blaschke factors as truncated products, the sinh/cosh pair of w by
+    A row agrees with ``member_from_witness(omega, order).coeffs`` to about
+    1e-16, not bit for bit.  The rows rank a scan's witnesses, which report
+    only exactly built members, and they are the implication harness's
+    Schwarz candidates, whose kept records report them.
+
+    One vectorized pass per block of ``MEMBER_ROWS_BLOCK`` rows runs the
+    power-series recurrences (Knuth, TAOCP vol. 2, 4.7): the Blaschke
+    factors as truncated products, the sinh/cosh pair of w by
     k S_k = sum_j j w_j C_(k-j) and k C_k = sum_j j w_j S_(k-j), then
     g = exp(integral of S(t)/t) by k g_k = sum_j S_j g_(k-j), and f = z g.
     Column k reads only columns 0..k of its row, so the rows at a lower

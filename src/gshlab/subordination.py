@@ -25,7 +25,8 @@ so a zero of f/z inside the circle (``core.winding_number``) fails the
 premise.  Candidates failing it are halved toward the identity step by step.
 
 The harness (``run_config``, which gives the proofs) decides its candidates
-in blocks that draw exactly what one-at-a-time sampling would.  The steps that
+in blocks that draw exactly what one-at-a-time sampling would, and builds a
+block's Schwarz members in one ``core.member_rows`` call.  The steps that
 a certificate (``_certified_from``) does not clear run one by one, in
 candidate order; the certified steps are probed at 4 of the circle's 64
 points, which can only fail a step, and the whole circle decides the rest.
@@ -47,9 +48,8 @@ from enum import IntEnum
 import numpy as np
 
 from . import series as ts
-from .caratheodory import sample_schwarz
-from .core import (NormalizedFunction, PolarGrid, PreconditionNotMet, member_from_witness,
-                   winding_number)
+from .caratheodory import SchwarzSample, sample_schwarz
+from .core import NormalizedFunction, PolarGrid, PreconditionNotMet, member_rows, winding_number
 from .refine import grid_golden_max
 from .regions import sinh_boundary, sinh_region, sqrt_disk_region
 
@@ -228,8 +228,10 @@ def _alpha_pair(alpha: complex) -> list[float]:
     return [complex(alpha).real, complex(alpha).imag]
 
 
-def _records(case: ImplicationCase, c: np.ndarray) -> list[dict]:
-    """Record of each row of coefficients c on ``HARNESS_GRID``; raises
+def _records(case: ImplicationCase, c: np.ndarray, dp: np.ndarray,
+             dg: np.ndarray) -> list[dict]:
+    """Record of each row of coefficients c on ``HARNESS_GRID``, given the row's f' - 1
+    and f/z - 1 there (dp and dg, as ``_tail_values`` gives them); raises
     ``ZeroDivisorOnGrid`` where a kind 2-4 row's f/z vanishes there, as
     ``operator_values`` does.
 
@@ -241,7 +243,6 @@ def _records(case: ImplicationCase, c: np.ndarray) -> list[dict]:
     ``function``, the JSON of the row's function.
     """
     z = HARNESS_GRID.points()
-    dp, dg = _tail_values(c, z)
     deviation, vanishes = _step_rows(case, z, dp, dg, 1.0)
     if vanishes.any():
         raise ZeroDivisorOnGrid("f(z)/z vanishes on the grid")
@@ -261,9 +262,10 @@ def _records(case: ImplicationCase, c: np.ndarray) -> list[dict]:
 
 def verify_implication(f: NormalizedFunction, case: ImplicationCase) -> dict:
     """Premise and conclusions of one implication case for f on ``HARNESS_GRID``: the
-    one-row case of ``_records``, so a kept harness record is ``verify_implication``
-    of its function and case."""
-    return _records(case, f.coeffs[None])[0]
+    one-row case of ``_records``, from f's own Horner pass, so a kept harness record is
+    ``verify_implication`` of its function and case."""
+    c = f.coeffs[None]
+    return _records(case, c, *_tail_values(c, HARNESS_GRID.points()))[0]
 
 
 # -- harness ------------------------------------------------------------------
@@ -276,13 +278,36 @@ DEFAULT_CONFIGS = ((1.0, 0.0), (0.5, -0.5), (0.8, 0.2))
 CANDIDATE_ORDER = 8
 
 
-def _sample_candidate(rng: np.random.Generator) -> NormalizedFunction:
+def _sample_candidate(rng: np.random.Generator) -> NormalizedFunction | SchwarzSample:
+    """One harness candidate drawn from rng, unbuilt: with probability 1/2 the polynomial
+    z + a_2 z^2 + ... + a_d z^d (d = 2..6, a_n = (x + iy)/n with x, y normal of deviation
+    0.15), else a Schwarz witness with at most two zeros, whose member ``_candidate_rows``
+    builds."""
     if rng.random() < 0.5:
         degree = int(rng.integers(2, 7))
         tail = [(rng.normal(0.0, 0.15) + 1j * rng.normal(0.0, 0.15)) / n
                 for n in range(2, degree + 1)]
         return NormalizedFunction.from_tail(tail, order=CANDIDATE_ORDER)
-    return member_from_witness(sample_schwarz(rng, max_zeros=2), order=CANDIDATE_ORDER)
+    return sample_schwarz(rng, max_zeros=2)
+
+
+def _candidate_rows(drawn: list[NormalizedFunction | SchwarzSample]) -> np.ndarray:
+    """Writable coefficients a_0..a_CANDIDATE_ORDER of each drawn candidate, one row each:
+    a function's own, and the members of all the Schwarz witnesses from one
+    ``member_rows`` call.  Raises ``member_from_witness``'s ValueError when a row is not
+    finite."""
+    rows = np.zeros((len(drawn), CANDIDATE_ORDER + 1), dtype=np.complex128)
+    witnesses = []
+    for i, d in enumerate(drawn):
+        if isinstance(d, SchwarzSample):
+            witnesses.append(i)
+        else:
+            rows[i] = d.coeffs
+    if witnesses:
+        rows[witnesses] = member_rows([drawn[i] for i in witnesses], CANDIDATE_ORDER)
+    if not np.isfinite(rows).all():
+        raise ValueError("series coefficients must be finite")
+    return rows
 
 
 def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
@@ -365,9 +390,9 @@ def _step_rows(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndar
 
 
 def _shrink_block(case: ImplicationCase, z: np.ndarray,
-                  c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First passing step of each candidate (row of coefficients c), SHRINK_STEPS + 1
-    where no step passes, and f/z - 1 on z.  See ``run_config``."""
+    where no step passes, and f' - 1 and f/z - 1 on z.  See ``run_config``."""
     cut = 1.0 - PREMISE_MARGIN
     with np.errstate(all="ignore"):
         dp, dg = _tail_values(c, z)
@@ -401,7 +426,7 @@ def _shrink_block(case: ImplicationCase, z: np.ndarray,
             first[rows[passed]] = k[passed]
             open_steps[np.arange(rows.size), k] = False
             rows, open_steps = rows[~passed], open_steps[~passed]
-    return first, dg
+    return first, dp, dg
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -428,9 +453,15 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     premise-true cases still wanted, ``_BLOCK_ROWS``).  An attempt adds at
     most one premise-true case, so the one-at-a-time loop reaches every
     candidate of a block: the draws, the counts and the records are the same.
-    Candidate i is drawn from its own ``default_rng((seed, kind, i))``.  A
-    block's draws all come before its first step; ``_sample_candidate``'s
-    bounded draws raise no floating-point error, so no exception moves.
+    Candidate i is drawn from its own ``default_rng((seed, kind, i))``
+    (``_sample_candidate``), and then the block is built at once
+    (``_candidate_rows``): its Schwarz witnesses' members come from one
+    ``core.member_rows`` call, which agrees with ``member_from_witness`` to
+    round-off, not bit for bit.  A row that is not finite raises
+    ``member_from_witness``'s ValueError once the block is drawn, before its
+    first step, as a build at each draw would: drawing raises nothing.  The
+    bounded draws and their members raise no floating-point error (a Schwarz
+    witness's coefficients have modulus at most 1), so no exception moves.
 
     A block's f'(z) - 1 and f/z - 1 come from one Horner pass each over
     a_2, a_3, ..., the candidates as lanes (``_tail_values``); step k scales
@@ -474,12 +505,15 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
 
     The counts read the conclusions of the premise-true attempts only, from
     g = 2**-k (f/z - 1) + 1 at each one's step k, in one ``classify`` call
-    per region.  When records are kept, ``_records`` then evaluates every
-    candidate of the block at its step (step 24 for a vacuous one) from the
-    halved coefficients.  By the Horner argument its inputs are the step's
-    bit for bit, so its deviations and verdicts are the decided ones (a
-    certified step has no zero of f/z inside), and its Horner pass raises
-    nothing that the candidate's own pass did not.  Neither conclusion batch
+    per region.  When records are kept, every candidate of the block is
+    recorded at its step (step 24 for a vacuous one): its tail is halved that
+    many times, and ``_records`` reads the block's f' - 1 and f/z - 1 scaled
+    by the same power of two, which by the Horner argument are the halved
+    candidate's own Horner sums once 1 is added.  A row that is not all
+    finite (the caller ignores floating-point errors) gets its own pass from
+    the halved coefficients.  So the records' deviations and verdicts are the
+    decided ones (a certified step has no zero of f/z inside), and each
+    record is ``verify_implication`` of its function.  Neither conclusion batch
     raises: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays below
     2 for ``_sample_candidate``'s bounded tails (a Tier-1 test draws 2,000),
     far below the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in
@@ -499,9 +533,9 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     attempts_cap = max_attempts if feasible else min(max_attempts, 25)
     while attempts < attempts_cap and non_vacuous < target_non_vacuous:
         m = min(attempts_cap - attempts, target_non_vacuous - non_vacuous, _BLOCK_ROWS)
-        c = np.array([_sample_candidate(np.random.default_rng((seed, int(kind), i))).coeffs
-                      for i in range(attempts, attempts + m)])
-        first, dg = _shrink_block(case, z, c)
+        c = _candidate_rows([_sample_candidate(np.random.default_rng((seed, int(kind), i)))
+                             for i in range(attempts, attempts + m)])
+        first, dp, dg = _shrink_block(case, z, c)
         passed = first <= SHRINK_STEPS
         sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -first[passed])[:, None] * dg[passed] + 1.0)
         attempts += m
@@ -509,9 +543,14 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         counterexamples += int(np.count_nonzero(~sinh_ok))
         counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok))
         if keep_records:
-            c[:, 2:] *= np.ldexp(1.0, -np.minimum(first, SHRINK_STEPS))[:, None]
+            scale = np.ldexp(1.0, -np.minimum(first, SHRINK_STEPS))[:, None]
+            c[:, 2:] *= scale
             c.setflags(write=False)
-            records += _records(case, c)
+            dp, dg = scale * dp, scale * dg
+            redo = ~(np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1))
+            if redo.any():
+                dp[redo], dg[redo] = _tail_values(c[redo], z)
+            records += _records(case, c, dp, dg)
     summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": _alpha_pair(alpha),
                "threshold": threshold, "attempts": attempts, "non_vacuous": non_vacuous,
                "counterexamples": counterexamples, "counterexamples_sqrt": counterexamples_sqrt,

@@ -1,7 +1,14 @@
 import pytest
 
+from gshlab import subordination as sub
 from gshlab.caratheodory import SchwarzSample
 from gshlab.core import NormalizedFunction, member_from_witness
+
+
+def harness_candidate_row(rng):
+    """Writable coefficients of the implication-harness candidate drawn from rng, built as
+    ``run_config`` builds a block: ``_sample_candidate``, then ``_candidate_rows``."""
+    return sub._candidate_rows([sub._sample_candidate(rng)])[0]
 
 
 @pytest.fixture(scope="session")

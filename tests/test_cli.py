@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import harness_candidate_row
 
 from gshlab import cli, core
 from gshlab import subordination as sub
@@ -575,8 +576,8 @@ def test_sampled_candidate_tails_stay_far_below_the_overflow_scale():
     # g - 1 = 2^-24 (f/z - 1); that drops no exception only while max|f/z - 1|
     # stays far below the |w| of about 1e154 at which w * w overflows
     z = sub.HARNESS_GRID.points()
-    largest = max(float(np.max(np.abs(sub._sample_candidate(
-        np.random.default_rng((seed, kind, i))).over_z_values(z) - 1.0)))
+    largest = max(float(np.max(np.abs(NormalizedFunction(harness_candidate_row(
+        np.random.default_rng((seed, kind, i)))).over_z_values(z) - 1.0)))
         for seed in range(25) for kind in range(1, 5) for i in range(100))
     assert 0.5 < largest < 2.0
 

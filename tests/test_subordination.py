@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import harness_candidate_row
 from hypothesis import example, given, settings, strategies as st
 
 from gshlab import caratheodory as cara
@@ -336,7 +337,7 @@ def halving_loop(kind, params, alpha, threshold, seed, target_non_vacuous, max_a
         if summary["non_vacuous"] >= target_non_vacuous:
             break
         rng = np.random.default_rng((seed, int(kind), i))
-        coeffs = sub._sample_candidate(rng).coeffs.copy()
+        coeffs = harness_candidate_row(rng)
         deviation, premise = math.inf, False
         for step in range(sub.SHRINK_STEPS + 1):
             if step:
@@ -513,6 +514,23 @@ def test_an_overflow_in_the_block_horner_pass_is_raised_at_its_attempt(
                 assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS[:2], ids=CONFIG_IDS[:2])
+def test_a_row_that_overflows_unraised_is_recorded_from_its_halved_candidate(
+        kind, params, monkeypatch):
+    # with errors ignored, attempt 2's f' - 1 stays infinite in the block's pass and
+    # every step fails; its record reads the step-24 candidate's own finite Horner
+    # sums (for kinds 3 and 4 the operator overflows there too, to a NaN deviation)
+    monkeypatch.setattr(sub, "_sample_candidate", huge_at_attempt_2)
+    thr = sub.alpha_threshold(kind, params)
+    args = (kind, params, 0.5 * thr, thr, 0, 50, 5)
+    with np.errstate(all="ignore"):
+        expected = halving_loop(*args)
+        assert expected[1][2]["vacuous"] and math.isfinite(expected[1][2]["deviation"])
+        for rows in (sub._BLOCK_ROWS, 1, 7):
+            monkeypatch.setattr(sub, "_BLOCK_ROWS", rows)
+            assert sub.run_config(*args, keep_records=True) == expected
+
+
 def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch):
     # B = 1e-300 puts the pole of the Janowski deviation at v = 1e300.  Step 0 of
     # f = z + z^2/4 reaches v = 1 + 1e300 at z = 0.995, where (v - 1)/(A - B v)
@@ -550,7 +568,7 @@ def certified_sweep():
                       near_cut_alpha(kind, params)):
             case = sub.ImplicationCase(kind=kind, alpha=alpha, janowski=params)
             for scale in (1.0, 1.0, 8.0, 30.0):
-                c = sub._sample_candidate(rng).coeffs.copy()
+                c = harness_candidate_row(rng)
                 c[2:] *= scale
                 dp, dg = tail_values(c, z)
                 k0 = int(sub._certified_from(case, z, dp[None], dg[None])[0])
@@ -670,8 +688,8 @@ def test_sampled_candidates_keep_f_over_z_within_2_of_1_on_the_circle():
     # vacuous attempts; neither raises while |f/z - 1| on the circle stays far below
     # the 1e154 where the region margins overflow.  2,000 of the harness's own draws
     z = sub.HARNESS_GRID.points()
-    worst = max(float(np.max(np.abs(tail_values(sub._sample_candidate(
-        np.random.default_rng((seed, int(kind), i))).coeffs, z)[1])))
+    worst = max(float(np.max(np.abs(tail_values(harness_candidate_row(
+        np.random.default_rng((seed, int(kind), i))), z)[1])))
         for seed in range(5) for kind in sub.OperatorKind for i in range(100))
     assert worst < 2.0
 
@@ -792,7 +810,7 @@ def test_circle_verdicts_match_the_full_grid_where_f_over_z_has_no_zero_inside(k
     rng = np.random.default_rng((29, int(kind)))
     verdicts = set()
     for i in range(300):
-        c = sub._sample_candidate(rng).coeffs.copy()
+        c = harness_candidate_row(rng)
         c[2:] *= (0.25, 1.0, 4.0)[i % 3]
         if kind != 1 and zero_inside(c):
             continue
@@ -847,6 +865,79 @@ def test_verify_implication_is_the_scalar_oracle_on_functions_the_harness_never_
             assert json.dumps(record) == json.dumps(oracle_record(f, case)), (name, factor)
             premises.add(record["premise_holds"])
     assert premises == {True, False}
+
+
+# -- the block build of the harness's candidates ------------------------------------
+
+
+def candidate_built_alone(rng):
+    """A harness candidate with ``_sample_candidate``'s draws, built on its own: a
+    polynomial by ``from_tail`` and a Schwarz witness's member by ``member_from_witness``."""
+    if rng.random() < 0.5:
+        degree = int(rng.integers(2, 7))
+        tail = [(rng.normal(0.0, 0.15) + 1j * rng.normal(0.0, 0.15)) / n
+                for n in range(2, degree + 1)]
+        return NormalizedFunction.from_tail(tail, order=sub.CANDIDATE_ORDER)
+    return member_from_witness(cara.sample_schwarz(rng, max_zeros=2), order=sub.CANDIDATE_ORDER)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.05, 2.0])
+def test_block_built_candidates_give_the_reports_of_candidates_built_alone(factor, monkeypatch):
+    # member_rows agrees with member_from_witness to round-off, not bit for bit: the
+    # summaries are identical, every verdict of a kept record is equal, and the
+    # coefficients and deviations differ by round-off only
+    schwarz_rows = 0
+    for seed in range(0, 40, 4):
+        got = sub.implication_harness(seed=seed, alpha_factor=factor, keep_records=True)
+        assert sub.implication_harness(seed=seed, alpha_factor=factor) == {
+            key: value for key, value in got.items() if key != "cases"}
+        with monkeypatch.context() as mp:
+            mp.setattr(sub, "_sample_candidate", candidate_built_alone)
+            want = sub.implication_harness(seed=seed, alpha_factor=factor, keep_records=True)
+        assert got["summaries"] == want["summaries"]
+        assert len(got["cases"]) == len(want["cases"]) > 0
+        for r, w in zip(got["cases"], want["cases"]):
+            assert ({k: v for k, v in r.items() if k not in ("deviation", "function")}
+                    == {k: v for k, v in w.items() if k not in ("deviation", "function")})
+            assert abs(r["deviation"] - w["deviation"]) <= 1e-14 * w["deviation"]
+            c = NormalizedFunction.from_json(r["function"]).coeffs
+            c_alone = NormalizedFunction.from_json(w["function"]).coeffs
+            assert np.max(np.abs(c - c_alone)) <= 1e-15
+            schwarz_rows += not np.array_equal(c, c_alone)
+    assert schwarz_rows > 0
+
+
+def overflowing_witness_at_attempt_2(rng):
+    """``_sample_candidate``, except that attempt 2 gets the witness 1e200 z, no Schwarz
+    map, whose member's coefficients overflow."""
+    if rng.bit_generator.seed_seq.entropy[-1] == 2:
+        huge = cara.SchwarzSample()
+        object.__setattr__(huge, "rotation", 1e200)
+        return huge
+    return SAMPLE_CANDIDATE(rng)
+
+
+@pytest.mark.parametrize("rows, decided_first", [(256, 0), (1, 2), (7, 0)])
+def test_a_non_finite_candidate_row_raises_before_its_block_is_decided(
+        rows, decided_first, monkeypatch):
+    # member_from_witness raised at the draw of attempt 2; the block build raises
+    # its ValueError once the block is drawn, before the block's first step
+    monkeypatch.setattr(sub, "_sample_candidate", overflowing_witness_at_attempt_2)
+    monkeypatch.setattr(sub, "_BLOCK_ROWS", rows)
+    decided = []
+    shrink_block = sub._shrink_block
+
+    def counted(case, z, c):
+        decided.append(len(c))
+        return shrink_block(case, z, c)
+
+    monkeypatch.setattr(sub, "_shrink_block", counted)
+    params = sub.JanowskiParams(0.5, -0.5)
+    thr = sub.alpha_threshold(2, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^series coefficients must be finite$"):
+            sub.run_config(sub.OperatorKind.RATIO, params, 0.5 * thr, thr, 0, 50, 20)
+    assert len(decided) == decided_first
 
 
 # -- the log-derivative identity -------------------------------------------------

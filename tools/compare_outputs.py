@@ -6,8 +6,11 @@ Runs one list of ``gsh-lab`` commands (``commands``) in each tree, each
 command in its own ``python -m gshlab.cli`` process with that tree's ``src``
 on ``PYTHONPATH``, ``WORKERS`` commands at a time, and prints every command
 whose exit code, or whose sha256 of stdout or of stderr, differs between the
-trees.  The ``membership`` and ``ratio-image`` inputs are the 48 pool files
-of the benchmark, written once by CHANGE's ``bench/jobs.py`` and read by both
+trees.  When both stdouts of such a command are JSON, it also prints whether
+their strings, booleans and structure are equal, and the largest relative
+drift of their numbers with its field path (``json_drift``).  The
+``membership`` and ``ratio-image`` inputs are the 48 pool files of the
+benchmark, written once by CHANGE's ``bench/jobs.py`` and read by both
 trees.  Exits 0 when every command matches, 1 otherwise.
 """
 
@@ -16,6 +19,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -65,13 +70,54 @@ def write_inputs(tree: Path, workdir: Path) -> list[Path]:
     return [jobs.input_path(key, workdir) for key in keys]
 
 
-def run(tree: Path, argv: list[str], workdir: Path) -> tuple[int, str, str]:
-    """Exit code and the sha256 of stdout and of stderr of one command in ``tree``."""
+def run(tree: Path, argv: list[str], workdir: Path) -> tuple[tuple[int, str, str], bytes]:
+    """Exit code and the sha256 of stdout and of stderr of one command in ``tree``, and
+    its stdout."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     done = subprocess.run([sys.executable, "-m", "gshlab.cli", *argv], cwd=workdir, env=env,
                           capture_output=True, timeout=600)
     return (done.returncode, hashlib.sha256(done.stdout).hexdigest(),
-            hashlib.sha256(done.stderr).hexdigest())
+            hashlib.sha256(done.stderr).hexdigest()), done.stdout
+
+
+def json_drift(old: bytes, new: bytes) -> tuple[str | None, float, str] | None:
+    """How two JSON texts differ: the field path of their first difference in a string,
+    a boolean, a null or the structure (None when there is none), and the largest
+    relative drift |a - b|/max(|a|, |b|) of their numbers with its field path.  Numbers
+    that are equal, NaN included, drift 0; unequal numbers of which one is not finite
+    drift inf.  None unless both texts parse as JSON."""
+    try:
+        pair = json.loads(old), json.loads(new)
+    except ValueError:
+        return None
+    first, worst, worst_path = None, 0.0, "$"
+    todo = [("$", *pair)]
+    while todo:
+        path, a, b = todo.pop()
+        if _is_number(a) and _is_number(b):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                drift = (abs(a - b) / max(abs(a), abs(b))
+                         if math.isfinite(a) and math.isfinite(b) else math.inf)
+                if drift > worst:
+                    worst, worst_path = drift, path
+        elif isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+            todo += [(f"{path}.{key}", a[key], b[key]) for key in reversed(list(a))]
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            todo += [(f"{path}[{i}]", x, y) for i, (x, y) in reversed(list(enumerate(zip(a, b))))]
+        elif first is None and (isinstance(a, (dict, list)) or (type(a), a) != (type(b), b)):
+            first = path  # dicts and lists get here only with other keys or lengths
+    return first, worst, worst_path
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(parent: Path, change: Path, argv: list[str], workdir: Path):
+    """Both trees' exit codes and sha256 triples of one command, and the ``json_drift``
+    of its stdouts when they differ."""
+    (old, old_out), (new, new_out) = run(parent, argv, workdir), run(change, argv, workdir)
+    return old, new, json_drift(old_out, new_out) if old_out != new_out else None
 
 
 def main(argv=None) -> int:
@@ -83,17 +129,22 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         todo = commands(write_inputs(args.change, workdir))
         with ThreadPoolExecutor(WORKERS) as pool:
-            results = list(pool.map(lambda a: (run(args.parent, a, workdir),
-                                               run(args.change, a, workdir)), todo))
+            results = list(pool.map(lambda a: compare(args.parent, args.change, a, workdir),
+                                    todo))
     differ = 0
-    for command, (old, new) in zip(todo, results):
+    for command, (old, new, drift) in zip(todo, results):
         if old != new:
             differ += 1
             fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new)
                       if a != b]
             print(f"DIFFERS ({', '.join(fields)}; exit {old[0]} -> {new[0]}): "
                   f"gsh-lab {' '.join(command)}")
-    codes = Counter(new[0] for _, new in results)
+        if drift is not None:
+            first, worst, path = drift
+            same = "equal" if first is None else f"differ first at {first}"
+            print(f"  JSON strings, booleans and structure {same}; "
+                  f"largest relative drift {worst:.3g} at {path}")
+    codes = Counter(new[0] for _, new, _ in results)
     tally = ", ".join(f"{count} exit {code}" for code, count in sorted(codes.items()))
     print(f"{len(todo)} commands ({tally} in CHANGE), {differ} differ")
     return 1 if differ else 0
