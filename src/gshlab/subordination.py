@@ -509,15 +509,15 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     recorded at its step (step 24 for a vacuous one): its tail is halved that
     many times, and ``_records`` reads the block's f' - 1 and f/z - 1 scaled
     by the same power of two, which by the Horner argument are the halved
-    candidate's own Horner sums once 1 is added.  A row that is not all
-    finite (the caller ignores floating-point errors) gets its own pass from
-    the halved coefficients.  So the records' deviations and verdicts are the
-    decided ones (a certified step has no zero of f/z inside), and each
-    record is ``verify_implication`` of its function.  Neither conclusion batch
-    raises: g - 1 = 2**-k (f/z - 1), and max|f/z - 1| on the grid stays below
-    2 for ``_sample_candidate``'s bounded tails (a Tier-1 test draws 2,000),
-    far below the |w| of about 1e154 where ``arcsinh(w)`` or ``w * w - 1`` in
-    the margins overflows.  The record's JSON only copies finite numbers.
+    candidate's own Horner sums once 1 is added (a drawn candidate's sums
+    are finite: its tail is bounded).  So the records' deviations and
+    verdicts are the decided ones (a certified step has no zero of f/z
+    inside), and each record is ``verify_implication`` of its function.
+    Neither conclusion batch raises: g - 1 = 2**-k (f/z - 1), and max|f/z - 1|
+    on the grid stays below 2 for ``_sample_candidate``'s bounded tails (a
+    Tier-1 test draws 2,000), far below the |w| of about 1e154 where
+    ``arcsinh(w)`` or ``w * w - 1`` in the margins overflows.  The record's
+    JSON only copies finite numbers.
 
     So only a kept vacuous candidate whose step-24 f/z vanishes on the grid
     moves an exception: ``_records`` raises ``ZeroDivisorOnGrid`` after the
@@ -546,11 +546,7 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
             scale = np.ldexp(1.0, -np.minimum(first, SHRINK_STEPS))[:, None]
             c[:, 2:] *= scale
             c.setflags(write=False)
-            dp, dg = scale * dp, scale * dg
-            redo = ~(np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1))
-            if redo.any():
-                dp[redo], dg[redo] = _tail_values(c[redo], z)
-            records += _records(case, c, dp, dg)
+            records += _records(case, c, scale * dp, scale * dg)
     summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": _alpha_pair(alpha),
                "threshold": threshold, "attempts": attempts, "non_vacuous": non_vacuous,
                "counterexamples": counterexamples, "counterexamples_sqrt": counterexamples_sqrt,

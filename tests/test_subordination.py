@@ -514,23 +514,6 @@ def test_an_overflow_in_the_block_horner_pass_is_raised_at_its_attempt(
                 assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("kind, params", DEFINED_CONFIGS[:2], ids=CONFIG_IDS[:2])
-def test_a_row_that_overflows_unraised_is_recorded_from_its_halved_candidate(
-        kind, params, monkeypatch):
-    # with errors ignored, attempt 2's f' - 1 stays infinite in the block's pass and
-    # every step fails; its record reads the step-24 candidate's own finite Horner
-    # sums (for kinds 3 and 4 the operator overflows there too, to a NaN deviation)
-    monkeypatch.setattr(sub, "_sample_candidate", huge_at_attempt_2)
-    thr = sub.alpha_threshold(kind, params)
-    args = (kind, params, 0.5 * thr, thr, 0, 50, 5)
-    with np.errstate(all="ignore"):
-        expected = halving_loop(*args)
-        assert expected[1][2]["vacuous"] and math.isfinite(expected[1][2]["deviation"])
-        for rows in (sub._BLOCK_ROWS, 1, 7):
-            monkeypatch.setattr(sub, "_BLOCK_ROWS", rows)
-            assert sub.run_config(*args, keep_records=True) == expected
-
-
 def test_shrink_ladder_keeps_an_overflow_only_the_first_step_raises(monkeypatch):
     # B = 1e-300 puts the pole of the Janowski deviation at v = 1e300.  Step 0 of
     # f = z + z^2/4 reaches v = 1 + 1e300 at z = 0.995, where (v - 1)/(A - B v)
