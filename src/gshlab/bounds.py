@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caratheodory import ZERO_MODULUS_CAP, SchwarzSample, coeffs_from_witnesses, sample_schwarz
+from .caratheodory import (ZERO_MODULUS_CAP, SchwarzSample, coeffs_from_witnesses, sample_schwarz,
+                           streams)
 from .core import (FUNCTIONALS, coeffs_from_caratheodory, functional, member_from_witness, member_rows,
                    read_order)
 from .refine import polish_coordinatewise
@@ -115,12 +116,12 @@ def witness_batch(cfg: ScanConfig, order: int) -> tuple[list[SchwarzSample], np.
     all finite is built exactly here, so a member that overflows raises
     ValueError.  Every call builds a new batch.  A scan reads the leading
     columns it needs, which are bitwise the rows at its own read order.
-    Sample i is drawn from the stream seeded by (seed, i), so the batch of a
-    smaller budget is a prefix of the batch of a larger one.
+    Sample i is drawn from the stream seeded by (seed, i) (``streams``), so the
+    batch of a smaller budget is a prefix of the batch of a larger one.
     """
     witnesses = [SchwarzSample.monomial(k) for k in range(1, max(5, order) + 1)]
-    witnesses += [sample_schwarz(np.random.default_rng((cfg.seed, i)), max_zeros=MAX_ZEROS)
-                  for i in range(cfg.samples)]
+    witnesses += [sample_schwarz(rng, max_zeros=MAX_ZEROS)
+                  for rng in streams((cfg.seed,), 0, cfg.samples)]
     rows = member_rows(witnesses, order)
     for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
         rows[i] = _member_coeffs(witnesses[i], order)

@@ -19,6 +19,7 @@ an empirical regression suite over random samples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,6 +266,110 @@ def quartic_combination_value(c: np.ndarray, l: float, r: float, m: float, n: fl
 # -- random sampling -------------------------------------------------------
 
 
+_MASK32 = 0xFFFFFFFF
+
+#: The constants of numpy's ``SeedSequence`` hash and mix (NEP 19), and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence`` makes of an int."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_seeds(prefix: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """``SeedSequence((*prefix, i)).generate_state(4, np.uint64)`` for i in start..stop - 1,
+    one row each, by uint32 array passes over all the rows whose entropy has the same
+    number of words."""
+    head = [w for x in prefix for w in _entropy_words(operator.index(x))]
+    entropy = [head + _entropy_words(i) for i in range(start, stop)]
+    pool = np.empty((len(entropy), 4), dtype=np.uint32)
+    for size in set(map(len, entropy)):
+        rows = [r for r, e in enumerate(entropy) if len(e) == size]
+        pool[rows] = _mix_entropy(np.array([entropy[r] for r in rows], dtype=np.uint32))
+    # generate_state: the pool's words in turn, each hashed, paired little end first
+    words = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
+    words = words.astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << 32)
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before the first of this many hash calls and after each."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)
+
+
+def _hashmix(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hash of each value in v's last axis, the k-th with the hash
+    constants h[k] and h[k + 1] of consecutive calls (uint32, wrapping)."""
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of a pool word x with a hashed word y (uint32, wrapping)."""
+    v = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return v ^ (v >> 16)
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s pool of 4 words for each row of uint32 entropy words: each word
+    of a pool is hashed into the other three, then each word past the fourth into all
+    four.  A word's updates of one pass use consecutive hash constants, so each pass
+    is one array operation."""
+    rows, size = entropy.shape
+    h = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(size - 4, 0))
+    pool = np.zeros((rows, 4), dtype=np.uint32)
+    pool[:, :size] = entropy[:, :4]
+    pool = _hashmix(pool, h[:5])
+    k = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], h[k:k + 4]))
+        k += 3
+    for src in range(4, size):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], h[k:k + 5]))
+        k += 4
+    return pool
+
+
+def streams(prefix: tuple[int, ...], start: int, stop: int):
+    """The generators ``np.random.default_rng((*prefix, i))`` for i = start..stop - 1, as
+    one reused ``np.random.Generator`` whose state is set before each is yielded; draw
+    from it before asking for the next.
+
+    ``default_rng`` seeds PCG64 from a ``SeedSequence`` of the entropy words of its
+    tuple (NEP 19: a hash of the words into a pool of four, then ``generate_state``),
+    and PCG64 seeds its 128-bit LCG from that state (O'Neill, "PCG", 2014: the
+    ``srandom`` of pcg64).  Here the pools and states of all the rows come from a
+    few uint32 array passes, and only the LCG seeding runs per row, in Python ints,
+    so the draws are bit for bit those of the separate generators at a fraction of
+    the cost of building them.  A negative int raises ``default_rng``'s ValueError.
+    """
+    if stop <= start:
+        return
+    seeds = _pcg64_seeds(prefix, start, stop).tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    mask = (1 << 128) - 1
+    for s0, s1, i0, i1 in seeds:
+        inc = ((((i0 << 64) | i1) << 1) | 1) & mask
+        state = ((inc + ((s0 << 64) | s1)) * _PCG64_MULT + inc) & mask
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def sample_herglotz(rng: np.random.Generator) -> HerglotzSample:
     """Draw a random finite Herglotz combination of at most ``MAX_ATOMS`` atoms.
 
@@ -329,8 +434,7 @@ def inequality_suite(samples: int, seed: int) -> dict:
                for k, v in data.items()},
         })
 
-    for i in range(samples):
-        rng = np.random.default_rng((seed, i))
+    for rng in streams((seed,), 0, samples):
         sample = sample_herglotz(rng)
         c = sample.coeffs(SUITE_MAX_ORDER)
 

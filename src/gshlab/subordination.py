@@ -25,10 +25,16 @@ so a zero of f/z inside the circle (``core.winding_number``) fails the
 premise.  Candidates failing it are halved toward the identity step by step.
 
 The harness (``run_config``, which gives the proofs) decides its candidates
-in blocks that draw exactly what one-at-a-time sampling would, and builds a
-block's Schwarz members in one ``core.member_rows`` call.  The steps that
-a certificate (``_certified_from``) does not clear run one by one, in
-candidate order; the certified steps are probed at 4 of the circle's 64
+in blocks that draw exactly what one-at-a-time sampling would.  The
+configurations of one kind read prefixes of one candidate table
+(``_Candidates``), whose streams are seeded in one pass
+(``caratheodory.streams``); a job's tables grow together, with one
+``core.member_rows`` call for their Schwarz members and one Horner pass for
+their values on the circle.
+The steps that a certificate (``_certified_from``) does not clear run in
+one batch (``_uncertified_batch``), which is replayed one step at a time, in
+candidate order, only when it records a floating-point error that the caller
+does not ignore; the certified steps are probed at 4 of the circle's 64
 points, which can only fail a step, and the whole circle decides the rest.
 One batched builder (``_records``) then makes a decided block's kept records;
 ``verify_implication`` is its one-row case.
@@ -48,7 +54,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import series as ts
-from .caratheodory import SchwarzSample, sample_schwarz
+from .caratheodory import SchwarzSample, sample_schwarz, streams
 from .core import NormalizedFunction, PolarGrid, PreconditionNotMet, member_rows, winding_number
 from .refine import grid_golden_max
 from .regions import sinh_boundary, sinh_region, sqrt_disk_region
@@ -177,6 +183,8 @@ def _row_deviations(v: np.ndarray, params: JanowskiParams) -> np.ndarray:
     denominator |A - B v| < 1e-300, whose quotients are not computed."""
     den = params.a - params.b * v
     finite = ~(np.abs(den) < 1e-300).any(axis=-1)
+    if finite.all():
+        return np.abs((v - 1.0) / den).max(axis=-1)
     out = np.full(v.shape[:-1], math.inf)
     out[finite] = np.abs((v[finite] - 1.0) / den[finite]).max(axis=-1)
     return out
@@ -285,17 +293,16 @@ def _sample_candidate(rng: np.random.Generator) -> NormalizedFunction | SchwarzS
     builds."""
     if rng.random() < 0.5:
         degree = int(rng.integers(2, 7))
-        tail = [(rng.normal(0.0, 0.15) + 1j * rng.normal(0.0, 0.15)) / n
-                for n in range(2, degree + 1)]
+        x = rng.normal(0.0, 0.15, 2 * degree - 2).tolist()  # the scalar draws, in order
+        tail = [(x[2 * n - 4] + 1j * x[2 * n - 3]) / n for n in range(2, degree + 1)]
         return NormalizedFunction.from_tail(tail, order=CANDIDATE_ORDER)
     return sample_schwarz(rng, max_zeros=2)
 
 
 def _candidate_rows(drawn: list[NormalizedFunction | SchwarzSample]) -> np.ndarray:
-    """Writable coefficients a_0..a_CANDIDATE_ORDER of each drawn candidate, one row each:
-    a function's own, and the members of all the Schwarz witnesses from one
-    ``member_rows`` call.  Raises ``member_from_witness``'s ValueError when a row is not
-    finite."""
+    """Coefficients a_0..a_CANDIDATE_ORDER of each drawn candidate, one row each: a
+    function's own, and the members of all the Schwarz witnesses from one
+    ``member_rows`` call, whose rows are not checked to be finite."""
     rows = np.zeros((len(drawn), CANDIDATE_ORDER + 1), dtype=np.complex128)
     witnesses = []
     for i, d in enumerate(drawn):
@@ -305,9 +312,59 @@ def _candidate_rows(drawn: list[NormalizedFunction | SchwarzSample]) -> np.ndarr
             rows[i] = d.coeffs
     if witnesses:
         rows[witnesses] = member_rows([drawn[i] for i in witnesses], CANDIDATE_ORDER)
-    if not np.isfinite(rows).all():
-        raise ValueError("series coefficients must be finite")
     return rows
+
+
+class _Candidates:
+    """The harness candidates of one seed, one table per kind, in draw order: candidate i
+    of a kind is drawn from ``default_rng((seed, kind, i))`` (``caratheodory.streams``),
+    whatever the configuration, so every configuration of a kind reads a prefix of
+    its kind's table.
+
+    A table holds each row's coefficients and its f' - 1 and f/z - 1 on the points
+    z of ``HARNESS_GRID`` (``_tail_values``, run with floating-point errors
+    ignored).  A block that reads past the end of its kind's table grows it to the
+    block's end, and the first growth also fills each kind's table to
+    ``reserve[kind]`` rows: the tables grow together, with one ``member_rows`` call
+    and one Horner pass."""
+
+    def __init__(self, seed: int):
+        self.seed, self.reserve, self.z = seed, {}, HARNESS_GRID.points()
+        c = np.empty((0, CANDIDATE_ORDER + 1), dtype=np.complex128)
+        v = np.empty((0, self.z.size), dtype=np.complex128)
+        self.tables = dict.fromkeys(OperatorKind, (c, v, v))
+
+    def block(self, kind: OperatorKind, start: int,
+              stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only coefficients, f' - 1 and f/z - 1 of rows start..stop - 1 of the kind's
+        table.  Raises ``member_from_witness``'s ValueError when a row's coefficients
+        are not finite."""
+        if stop > len(self.tables[kind][0]):
+            self.reserve[kind] = max(self.reserve.get(kind, 0), stop)
+            self._grow()
+        c, dp, dg = (a[start:stop] for a in self.tables[kind])
+        if not np.isfinite(c).all():
+            raise ValueError("series coefficients must be finite")
+        return c, dp, dg
+
+    def _grow(self):
+        """Grow each table to its reserve, all in one build, and clear the reserves."""
+        drawn, grown = [], []
+        for kind, size in self.reserve.items():
+            have = len(self.tables[kind][0])
+            drawn += [_sample_candidate(rng) for rng in streams((self.seed, int(kind)), have, size)]
+            grown.append((kind, max(size - have, 0)))
+        self.reserve = {}
+        c = _candidate_rows(drawn)
+        with np.errstate(all="ignore"):
+            dp, dg = _tail_values(c, self.z)
+        at = 0
+        for kind, rows in grown:
+            new = (a[at:at + rows] for a in (c, dp, dg))
+            self.tables[kind] = tuple(np.concatenate(pair) for pair in zip(self.tables[kind], new))
+            for a in self.tables[kind]:
+                a.setflags(write=False)
+            at += rows
 
 
 def _config_floor(case: ImplicationCase, z: np.ndarray) -> float:
@@ -382,6 +439,8 @@ def _step_rows(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndar
         return _row_deviations(v, case.janowski), np.zeros(fp.shape[:-1], dtype=bool)
     g = s * dg + 1.0
     vanishes = _vanishes(g)
+    if not vanishes.any():
+        return _row_deviations(_operator(case.kind, case.alpha, z, fp, g), case.janowski), vanishes
     keep = ~vanishes
     deviation = np.full(vanishes.shape, math.inf)
     deviation[keep] = _row_deviations(_operator(case.kind, case.alpha, z, fp[keep], g[keep]),
@@ -389,25 +448,58 @@ def _step_rows(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndar
     return deviation, vanishes
 
 
-def _shrink_block(case: ImplicationCase, z: np.ndarray,
-                  c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First passing step of each candidate (row of coefficients c), SHRINK_STEPS + 1
-    where no step passes, and f' - 1 and f/z - 1 on z.  See ``run_config``."""
+def _uncertified_batch(case: ImplicationCase, z: np.ndarray, dp: np.ndarray, dg: np.ndarray,
+                       k0: np.ndarray, first: np.ndarray) -> bool:
+    """Decide every row's steps below k0 in one batch, writing each row's first passing
+    step into first; False, with nothing written, when a row of dp or dg is not finite
+    or the batch records a floating-point error.  The batch runs under the caller's
+    ``np.errstate``, except that each error it does not ignore is recorded by a
+    ``"call"`` handler instead of being reported."""
+    counts = np.minimum(k0, SHRINK_STEPS + 1)
+    rows = np.repeat(np.arange(len(k0)), counts)
+    if not rows.size:
+        return True
+    if not (np.isfinite(dp).all() and np.isfinite(dg).all()):
+        return False
+    steps = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    s = np.ldexp(1.0, -steps)[:, None]
+    errors = []
+    record = {name: "ignore" if mode == "ignore" else "call" for name, mode in np.geterr().items()}
+    with np.errstate(call=lambda kind, flag: errors.append(kind), **record):
+        deviation, _ = _step_rows(case, z, dp[rows], dg[rows], s)
+        passed = deviation < 1.0 - PREMISE_MARGIN
+        if case.kind is not OperatorKind.Z_FPRIME:
+            passed[passed] = winding_number(s[passed] * dg[rows[passed]] + 1.0) == 0
+    if errors:
+        return False
+    decided, at = np.unique(rows[passed], return_index=True)
+    first[decided] = steps[passed][at]
+    return True
+
+
+def _shrink_block(case: ImplicationCase, z: np.ndarray, c: np.ndarray, dp: np.ndarray,
+                  dg: np.ndarray) -> np.ndarray:
+    """First passing step of each candidate (row of coefficients c, with f' - 1 and
+    f/z - 1 on z in dp and dg), SHRINK_STEPS + 1 where no step passes.  The steps
+    below the certified suffix go in one batch (``_uncertified_batch``), replayed one
+    at a time in candidate order when the batch cannot decide them; then the
+    certified steps of the candidates left are probed, all at once, and the steps
+    the probe leaves open are tried on the whole circle, in step order, one batch
+    per round.  See ``run_config``."""
     cut = 1.0 - PREMISE_MARGIN
-    with np.errstate(all="ignore"):
-        dp, dg = _tail_values(c, z)
     k0 = _certified_from(case, z, dp, dg)
     first = np.full(len(c), SHRINK_STEPS + 1)
-    finite = np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1)
-    for i in range(len(c)):  # what can raise, in candidate order
-        row = slice(i, i + 1)
-        if not finite[i]:
-            dp[row], dg[row] = _tail_values(c[row], z)
-        for k in range(min(int(k0[i]), SHRINK_STEPS + 1)):
-            dev, _ = _step_rows(case, z, dp[row], dg[row], 2.0 ** -k)
-            if dev[0] < cut and not _pole_inside(case, 2.0 ** -k * dg[i] + 1.0):
-                first[i] = k
-                break
+    if not _uncertified_batch(case, z, dp, dg, k0, first):
+        finite = np.isfinite(dp).all(axis=1) & np.isfinite(dg).all(axis=1)
+        for i in range(len(c)):  # what can raise, in candidate order
+            row = slice(i, i + 1)
+            if not finite[i]:
+                _tail_values(c[row], z)  # the row's own pass, which raises what it raises
+            for k in range(min(int(k0[i]), SHRINK_STEPS + 1)):
+                dev, _ = _step_rows(case, z, dp[row], dg[row], 2.0 ** -k)
+                if dev[0] < cut and not _pole_inside(case, 2.0 ** -k * dg[i] + 1.0):
+                    first[i] = k
+                    break
     # the certified steps of the rows left: a probe fails steps, the whole circle passes one
     rows = np.flatnonzero((first > SHRINK_STEPS) & (k0 <= SHRINK_STEPS))
     steps = np.arange(SHRINK_STEPS + 1)
@@ -426,7 +518,12 @@ def _shrink_block(case: ImplicationCase, z: np.ndarray,
             first[rows[passed]] = k[passed]
             open_steps[np.arange(rows.size), k] = False
             rows, open_steps = rows[~passed], open_steps[~passed]
-    return first, dp, dg
+    return first
+
+
+def _attempts_cap(floor: float, max_attempts: int) -> int:
+    """Most attempts of a configuration with this deviation floor (``run_config``)."""
+    return max_attempts if floor < 1.0 - PREMISE_MARGIN else min(max_attempts, 25)
 
 
 def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
@@ -453,19 +550,25 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     premise-true cases still wanted, ``_BLOCK_ROWS``).  An attempt adds at
     most one premise-true case, so the one-at-a-time loop reaches every
     candidate of a block: the draws, the counts and the records are the same.
-    Candidate i is drawn from its own ``default_rng((seed, kind, i))``
-    (``_sample_candidate``), and then the block is built at once
-    (``_candidate_rows``): its Schwarz witnesses' members come from one
-    ``core.member_rows`` call, which agrees with ``member_from_witness`` to
-    round-off, not bit for bit.  A row that is not finite raises
-    ``member_from_witness``'s ValueError once the block is drawn, before its
-    first step, as a build at each draw would: drawing raises nothing.  The
-    bounded draws and their members raise no floating-point error (a Schwarz
-    witness's coefficients have modulus at most 1), so no exception moves.
+    Candidate i is drawn from the stream ``default_rng((seed, kind, i))``
+    (``_sample_candidate``), whatever (A, B); ``caratheodory.streams`` deals
+    these streams from one generator, state for state.  So the candidates come
+    from one table per kind (``_Candidates``; ``run_config`` alone makes its
+    own), of which a configuration reads a prefix, and a block is built when
+    the tables grow (``_candidate_rows``): their Schwarz witnesses' members
+    come from one ``core.member_rows`` call, which agrees with
+    ``member_from_witness`` to round-off, not bit for bit, and whose rows do
+    not depend on the batch.  A row that is not finite raises
+    ``member_from_witness``'s ValueError when a block reads it, before the
+    block's first step, as a build at each draw would: drawing raises
+    nothing.  The bounded draws and their members raise no floating-point
+    error (a Schwarz witness's coefficients have modulus at most 1), so no
+    exception moves, also where a table grows past the block.
 
-    A block's f'(z) - 1 and f/z - 1 come from one Horner pass each over
-    a_2, a_3, ..., the candidates as lanes (``_tail_values``); step k scales
-    them by 2**-k and adds 1.  That is bit for bit the Horner sum of the
+    A block's f'(z) - 1 and f/z - 1 come from the table's one Horner pass
+    each over a_2, a_3, ..., the candidates as lanes (``_tail_values``), whose
+    lanes do not depend on the batch either; step k scales them by 2**-k and
+    adds 1.  That is bit for bit the Horner sum of the
     k-times halved candidate, because every Horner step commutes with a
     power-of-two scale while no value on the way is subnormal, and adding 1
     makes the sign of a zero part the same.
@@ -476,10 +579,12 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     step of every candidate in order, except that an underflow in a batch is
     not reported (the CLI raises on overflow, invalid and divide only):
 
-    - The block's Horner pass runs with floating-point errors ignored.  A
+    - The table's Horner pass runs with floating-point errors ignored.  A
       non-finite value stays non-finite through Horner, so a row that is
-      not all finite is exactly a row whose own pass would raise; it is
-      evaluated again alone, under the caller's ``np.errstate``, at its turn.
+      not all finite is exactly a row whose own pass would raise; a block
+      with such a row has its uncertified steps replayed (below), and the
+      row's pass runs again alone, under the caller's ``np.errstate``, at
+      its turn.
     - Certificate (``_certified_from``): on a certified step |f/z| >= 1/2, so
       f/z does not vanish on the grid, and |v - 1| <= 2^20.  Then no
       operation of the step can overflow, divide by zero or be invalid: the
@@ -489,9 +594,19 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
       falls with the step, so the certified steps are a suffix k0..24.  They
       need no count of zeros: 2^-k max|f/z - 1| <= 1/2 on the circle, so
       f/z = 1 + 2^-k (f/z - 1) has no zero in its disk.
-    - Steps below k0 are evaluated one by one, candidate by candidate, under
-      the caller's ``np.errstate``, so an exception they raise is raised
-      where it was.  A step where f/z vanishes on the grid fails.
+    - The steps below k0 of all the block's candidates are evaluated in one
+      batch, their zero counts too where the deviation passes, under the
+      caller's ``np.errstate`` with each category it does not ignore set to
+      ``"call"`` and a handler that only records.
+      The batch's elementwise operations and row maxima give the bits of
+      one-step calls, and it evaluates every step and count that one step at
+      a time would, and more, so a batch that records nothing shows that the
+      one-at-a-time loop raises, warns and logs nothing.  Then each
+      candidate's first step that passes is taken.  Otherwise, or when a row
+      is not finite, the steps below k0 are replayed one by one, candidate
+      by candidate, under the caller's ``np.errstate``, so an exception they
+      raise is raised where it was.  A step where f/z vanishes on the grid
+      fails.
     - The certified steps of the candidates still undecided are probed at
       every 16th circle point, all steps at once.  A step whose probe
       deviation is at least (1 - ``PREMISE_MARGIN``)(1 + 1e-9) fails: its
@@ -525,17 +640,23 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
     drawn candidate does: max|f/z - 1| < 2 keeps its step-24 f/z within 2^-23 of 1.
     """
     case = ImplicationCase(kind=kind, alpha=alpha, janowski=params)
-    z = HARNESS_GRID.points()
-    floor = _config_floor(case, z)
-    feasible = floor < 1.0 - PREMISE_MARGIN
+    candidates = _Candidates(seed)
+    return _run_config(case, threshold, _config_floor(case, candidates.z), candidates,
+                       target_non_vacuous, max_attempts, keep_records)
+
+
+def _run_config(case: ImplicationCase, threshold: float, floor: float,
+                candidates: _Candidates, target_non_vacuous: int, max_attempts: int,
+                keep_records: bool) -> tuple[dict, list[dict]]:
+    """``run_config`` of case, given its deviation floor and the seed's candidates."""
+    z = candidates.z
     records = []
     attempts = non_vacuous = counterexamples = counterexamples_sqrt = 0
-    attempts_cap = max_attempts if feasible else min(max_attempts, 25)
+    attempts_cap = _attempts_cap(floor, max_attempts)
     while attempts < attempts_cap and non_vacuous < target_non_vacuous:
         m = min(attempts_cap - attempts, target_non_vacuous - non_vacuous, _BLOCK_ROWS)
-        c = _candidate_rows([_sample_candidate(np.random.default_rng((seed, int(kind), i)))
-                             for i in range(attempts, attempts + m)])
-        first, dp, dg = _shrink_block(case, z, c)
+        c, dp, dg = candidates.block(case.kind, attempts, attempts + m)
+        first = _shrink_block(case, z, c, dp, dg)
         passed = first <= SHRINK_STEPS
         sinh_ok, sqrt_ok = _conclusions(np.ldexp(1.0, -first[passed])[:, None] * dg[passed] + 1.0)
         attempts += m
@@ -544,13 +665,16 @@ def run_config(kind: OperatorKind, params: JanowskiParams, alpha: complex,
         counterexamples_sqrt += int(np.count_nonzero(~sqrt_ok))
         if keep_records:
             scale = np.ldexp(1.0, -np.minimum(first, SHRINK_STEPS))[:, None]
-            c[:, 2:] *= scale
-            c.setflags(write=False)
-            records += _records(case, c, scale * dp, scale * dg)
-    summary = {"kind": int(kind), "A": params.a, "B": params.b, "alpha": _alpha_pair(alpha),
-               "threshold": threshold, "attempts": attempts, "non_vacuous": non_vacuous,
-               "counterexamples": counterexamples, "counterexamples_sqrt": counterexamples_sqrt,
-               "floor_deviation": floor, "premise_feasible": feasible}
+            kept = c.copy()
+            kept[:, 2:] *= scale
+            kept.setflags(write=False)
+            records += _records(case, kept, scale * dp, scale * dg)
+    params = case.janowski
+    summary = {"kind": int(case.kind), "A": params.a, "B": params.b,
+               "alpha": _alpha_pair(case.alpha), "threshold": threshold, "attempts": attempts,
+               "non_vacuous": non_vacuous, "counterexamples": counterexamples,
+               "counterexamples_sqrt": counterexamples_sqrt, "floor_deviation": floor,
+               "premise_feasible": floor < 1.0 - PREMISE_MARGIN}
     return summary, records
 
 
@@ -565,6 +689,17 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
     (the ``kind``, ``A`` and ``B`` of each pair skipped), ``counterexamples``
     (their sum over the summaries) and, only when ``keep_records``, ``cases``
     (every kept record, in the summaries' order).
+
+    The configurations share one ``_Candidates``, whose first block fills each
+    kind's table with as many rows as the largest first block of the kind's
+    configurations; so a default job draws each candidate once and builds them
+    all in one ``member_rows`` call.  That needs every configuration's deviation
+    floor before the first runs.  For the default pairs a floor reports no
+    floating-point error but an underflow, which the CLI ignores: the identity's
+    operator values v = 1 + alpha z or 1 + alpha are finite for a finite alpha, B
+    is 0 (A = 1) or -1/2 (A = 1/2), and so |v - 1|/|A - B v| is at most |v - 1|
+    or, where |A - B v| >= 1e-300, 2 + 2e300.  So only an underflow can be
+    reported before an earlier configuration's own errors.
     """
     summaries, records, undefined = [], [], []
     runs = []
@@ -579,11 +714,15 @@ def implication_harness(seed: int = 0, alpha_factor: float = 1.05,
             if not math.isfinite(alpha):
                 raise PreconditionNotMet(
                     f"alpha = {alpha_factor!r} x {threshold!r} is not finite")
-            runs.append((kind, params, alpha, threshold))
-    for kind, params, alpha, threshold in runs:
-        summary, kept = run_config(kind, params, alpha, threshold,
-                                   seed=seed, target_non_vacuous=target_non_vacuous,
-                                   max_attempts=max_attempts, keep_records=keep_records)
+            runs.append((ImplicationCase(kind=kind, alpha=alpha, janowski=params), threshold))
+    candidates = _Candidates(seed)
+    floors = [_config_floor(case, candidates.z) for case, _ in runs]
+    for (case, _), floor in zip(runs, floors):
+        first_block = min(_attempts_cap(floor, max_attempts), target_non_vacuous, _BLOCK_ROWS)
+        candidates.reserve[case.kind] = max(candidates.reserve.get(case.kind, 0), first_block)
+    for (case, threshold), floor in zip(runs, floors):
+        summary, kept = _run_config(case, threshold, floor, candidates,
+                                    target_non_vacuous, max_attempts, keep_records)
         summaries.append(summary)
         records.extend(kept)
     report = {"summaries": summaries, "undefined_thresholds": undefined,

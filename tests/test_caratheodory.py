@@ -259,3 +259,47 @@ def test_sample_json_round_trips():
     assert cara.HerglotzSample.from_json(h.to_json()) == h
     s = cara.SchwarzSample(rotation=1j, zeros=(0.3 + 0.2j,))
     assert cara.SchwarzSample.from_json(s.to_json()) == s
+
+
+# -- one seeding pass for many per-sample streams ---------------------------------
+
+
+STREAM_PREFIXES = [(0,), (7, 2), (2 ** 32,), (2 ** 64 + 5, 3)]
+
+
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
+@pytest.mark.parametrize("start, stop", [(0, 6), (2 ** 32 - 2, 2 ** 32 + 3)])
+def test_streams_are_the_default_rng_of_each_index(prefix, start, stop):
+    # the same PCG64 state and the same first draws as default_rng((*prefix, i)), also
+    # where i crosses into two entropy words; (2^64 + 5, 3) has more than 4 words
+    seen = []
+    for i, rng in zip(range(start, stop), cara.streams(prefix, start, stop)):
+        want = np.random.default_rng((*prefix, i))
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random(3).tobytes() == want.random(3).tobytes()
+        assert rng.normal(0.0, 0.15) == want.normal(0.0, 0.15)
+        assert int(rng.integers(0, 5)) == int(want.integers(0, 5))
+        seen.append(i)
+    assert seen == list(range(start, stop))
+
+
+@pytest.mark.parametrize("prefix", [*STREAM_PREFIXES, (1, 2, 3, 4, 5), (2 ** 70, 1)], ids=str)
+def test_stream_seeds_are_the_seed_sequence_pool_states(prefix):
+    start = 2 ** 32 - 3
+    want = [np.random.SeedSequence((*prefix, i)).generate_state(4, np.uint64)
+            for i in range(start, start + 6)]
+    got = cara._pcg64_seeds(prefix, start, start + 6)
+    assert got.dtype == np.uint64 and got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("prefix", [(-1,), (0, -3)], ids=str)
+def test_a_negative_stream_prefix_raises_what_default_rng_raises(prefix):
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng((*prefix, 0))
+    with pytest.raises(ValueError) as got:
+        next(cara.streams(prefix, 0, 1))
+    assert str(got.value) == str(want.value)
+
+
+def test_streams_of_an_empty_range_yield_nothing():
+    assert list(cara.streams((-1,), 3, 3)) == []

@@ -606,6 +606,17 @@ def test_verify_implications_overflowing_operator_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_implications_default_job_at_1e307_exits_2_with_the_replayed_overflow(
+        tmp_path, capsys):
+    # the kind-2 (1, 0) block's batch of uncertified steps records an overflow, and the
+    # one-at-a-time replay raises it at the candidate and step where it happens
+    out = tmp_path / "harness.json"
+    code = cli.main(["verify-implications", "--alpha-factor", "1e307", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "invariant violation: overflow encountered in multiply\n"
+    assert not out.exists()
+
+
 # -- plot data ----------------------------------------------------------------------
 
 

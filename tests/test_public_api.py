@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ORACLES = {
     "evaluate_witness": "recomputes a reported scan value from its serialized witness alone",
     "scan": "the standalone scan that the shared-batch battery must equal",
+    "run_config": "the standalone configuration run that each configuration of the "
+                  "shared-table implication harness must equal",
     "verify_implication": "recomputes a kept implication record from its function alone",
     "sqrt_disk_boundary": "the true boundary of sqrt(1 + D), against which its region is tested",
     "SchwarzSample.boundary_max": "checks that a sampled witness has |w| <= 1 on the unit circle",

@@ -478,18 +478,90 @@ def test_shrink_ladder_under_raising_errstate_matches_halving_loop(kind, params,
     for seed in (0, 1):
         args = (kind, params, factor * thr, thr, seed, 2, 3)
         expected = outcome(lambda: halving_loop(*args))
-        assert outcome(lambda: sub.run_config(*args, keep_records=True)) == expected
         summary = expected if isinstance(expected, str) else expected[0]
-        assert outcome(lambda: sub.run_config(*args, keep_records=False)[0]) == summary
+        for rows in (256, 1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sub, "_BLOCK_ROWS", rows)
+                assert outcome(lambda: sub.run_config(*args, keep_records=True)) == expected
+                assert outcome(lambda: sub.run_config(*args, keep_records=False)[0]) == summary
+
+
+def test_an_error_the_uncertified_batch_records_is_raised_by_the_one_at_a_time_replay(
+        monkeypatch):
+    # at 1e307 the kind-2 (1, 0) batch records an overflow; the replay raises it where
+    # the halving loop does, and blocks whose batch records nothing are decided by it
+    outcomes = []
+    batch = sub._uncertified_batch
+
+    def spy(*args):
+        outcomes.append(batch(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(sub, "_uncertified_batch", spy)
+    params = sub.JanowskiParams(1.0, 0.0)
+    thr = sub.alpha_threshold(2, params)
+    args = (sub.OperatorKind.RATIO, params, 1e307 * thr, thr, 0, 50, 25)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError) as expected:
+            halving_loop(*args)
+        with pytest.raises(FloatingPointError) as got:
+            sub.run_config(*args, keep_records=False)
+    assert str(got.value) == str(expected.value) == "overflow encountered in multiply"
+    assert outcomes == [False]
+    outcomes.clear()
+    sub.implication_harness(seed=0)
+    assert outcomes == [True] * 7
+
+
+def test_a_default_job_draws_each_candidate_once_and_decides_in_few_batches(monkeypatch):
+    # machine-independent work counts of one default job at seed 1, under the CLI's
+    # errstate: 150 draws (the kinds' largest first blocks 25, 50, 50 and 25; the seven
+    # configurations' blocks sum to 225), one member_rows call for all of them, and 21
+    # _step_rows calls (the uncertified batch, the probe and the full-circle rounds)
+    calls = dict.fromkeys(("_sample_candidate", "member_rows", "_step_rows"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(sub, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(sub, name, counted)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = sub.implication_harness(seed=1)
+    assert sum(s["attempts"] for s in report["summaries"]) == 225
+    assert calls == {"_sample_candidate": 150, "member_rows": 1, "_step_rows": 21}
+
+
+@pytest.mark.parametrize("factor, seed", [(1.05, 3), (0.5, 4), (2.0, 5), (1e7, 6)])
+def test_configurations_sharing_a_kind_table_report_what_they_report_alone(factor, seed):
+    # a kind's configurations read prefixes of one candidate table; each reads the
+    # candidates, and reports the summary and records, of its own run_config
+    report = sub.implication_harness(seed=seed, alpha_factor=factor, target_non_vacuous=30,
+                                     keep_records=True)
+    alone = [sub.run_config(sub.OperatorKind(s["kind"]), sub.JanowskiParams(s["A"], s["B"]),
+                            factor * s["threshold"], s["threshold"], seed, 30, 400)
+             for s in report["summaries"]]
+    assert report["summaries"] == [summary for summary, _ in alone]
+    assert report["cases"] == [r for _, records in alone for r in records]
 
 
 SAMPLE_CANDIDATE = sub._sample_candidate
 
 
+def attempt_of(rng, seed=0):
+    """The attempt i < 32 whose harness stream ``default_rng((seed, kind, i))`` rng is at
+    (None if none), read from its state before it draws: the harness deals every draw
+    from one reused generator (``caratheodory.streams``), whose seed sequence names no
+    attempt."""
+    state = rng.bit_generator.state["state"]
+    return next((i for i in range(32) for kind in sub.OperatorKind
+                 if np.random.default_rng((seed, int(kind), i)).bit_generator.state["state"]
+                 == state), None)
+
+
 def huge_at_attempt_2(rng):
     """``_sample_candidate``, except that attempt 2 gets a_2 = ... = a_8 = 1e307, whose
     Horner sum of f' overflows in an add on the circle."""
-    if rng.bit_generator.seed_seq.entropy[-1] == 2:
+    if attempt_of(rng) == 2:
         return NormalizedFunction.from_tail([1e307] * 7, order=sub.CANDIDATE_ORDER)
     return SAMPLE_CANDIDATE(rng)
 
@@ -744,7 +816,7 @@ def test_a_vanishing_kept_record_is_raised_after_its_block_is_decided(monkeypatc
     vanishing = NormalizedFunction.from_tail([-2.0 ** sub.SHRINK_STEPS / r], order=8)
     huge = NormalizedFunction.from_tail([1e307] * 7, order=sub.CANDIDATE_ORDER)
     monkeypatch.setattr(sub, "_sample_candidate",
-                        lambda rng: huge if rng.bit_generator.seed_seq.entropy[-1] else vanishing)
+                        lambda rng: huge if attempt_of(rng) else vanishing)
     params = sub.JanowskiParams(0.5, -0.5)
     thr = sub.alpha_threshold(2, params)
     args = (sub.OperatorKind.RATIO, params, 0.5 * thr, thr, 0, 50, 2)
@@ -893,7 +965,7 @@ def test_block_built_candidates_give_the_reports_of_candidates_built_alone(facto
 def overflowing_witness_at_attempt_2(rng):
     """``_sample_candidate``, except that attempt 2 gets the witness 1e200 z, no Schwarz
     map, whose member's coefficients overflow."""
-    if rng.bit_generator.seed_seq.entropy[-1] == 2:
+    if attempt_of(rng) == 2:
         huge = cara.SchwarzSample()
         object.__setattr__(huge, "rotation", 1e200)
         return huge
@@ -910,9 +982,9 @@ def test_a_non_finite_candidate_row_raises_before_its_block_is_decided(
     decided = []
     shrink_block = sub._shrink_block
 
-    def counted(case, z, c):
+    def counted(case, z, c, dp, dg):
         decided.append(len(c))
-        return shrink_block(case, z, c)
+        return shrink_block(case, z, c, dp, dg)
 
     monkeypatch.setattr(sub, "_shrink_block", counted)
     params = sub.JanowskiParams(0.5, -0.5)

@@ -50,6 +50,12 @@ def commands(inputs: list[Path]) -> list[list[str]]:
             for extra in (["--alpha-factor", "1e7"], ["--alpha-factor", "0.5"],
                           ["--cases", "3", "--max-attempts", "7"]) for seed in range(3)]
     out.append(["verify-implications", "--alpha-factor", "1e307"])
+    # seeds of two and three entropy words, whose per-sample streams mix more words
+    for seed in (2 ** 32 + 1, 2 ** 64 + 3):
+        out += [["bounds-scan", "--samples", "50", "--seed", str(seed)],
+                ["lemma-suite", "--samples", "50", "--seed", str(seed)],
+                ["verify-implications", "--seed", str(seed)],
+                ["verify-implications", "--seed", str(seed), "--include-cases"]]
     out += [["plot-data", "--curve", "sinh-boundary"], ["plot-data", "--curve", "janowski"],
             ["plot-data", "--curve", "ratio-image", "--input", str(inputs[0])]]
     # the table formats of the other commands, one configuration each
